@@ -10,6 +10,8 @@ package bench
 // CI executes them with -benchtime=1x as a smoke test so they cannot rot.
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"clusterbooster/internal/core"
@@ -17,6 +19,7 @@ import (
 	"clusterbooster/internal/ioexp"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/psmpi"
+	"clusterbooster/internal/vclock"
 	"clusterbooster/internal/xpic"
 )
 
@@ -161,5 +164,41 @@ func BenchmarkKernelFigIO(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkKernelQueueClustered measures the event queue alone on the
+// population that degraded the calendar queue it replaced: n ranks whose
+// wakeups fall microseconds apart, one compute step ahead, mixed with rare
+// timers spread over tens of milliseconds. One op is one hold step — pop the
+// earliest entry, push a successor one delay later — on a queue held at n
+// live entries, so ns/op grows with log n on a heap, and with n on a
+// structure whose pushes degrade to linear scans (a calendar queue whose
+// bucket width a far timer inflated).
+func BenchmarkKernelQueueClustered(b *testing.B) {
+	for _, n := range []int{1 << 10, 32 << 10} {
+		b.Run(fmt.Sprintf("%dk", n>>10), func(b *testing.B) { benchQueueClustered(b, n) })
+	}
+}
+
+func benchQueueClustered(b *testing.B, n int) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]vclock.Time, 4096)
+	for i := range delays {
+		if i%64 == 0 {
+			delays[i] = vclock.Time(rng.Float64()) * 50 * vclock.Millisecond
+		} else {
+			delays[i] = 100*vclock.Microsecond + vclock.Time(rng.Intn(5000))*vclock.Nanosecond
+		}
+	}
+	var q vclock.Queue[int32]
+	for i := 0; i < n; i++ {
+		q.Push(delays[i%len(delays)], int32(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, _ := q.Pop()
+		q.Push(e.At+delays[i%len(delays)], e.Payload)
 	}
 }

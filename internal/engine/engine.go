@@ -13,16 +13,15 @@
 // moment and the event order — hence the simulation — is deterministic by
 // construction: host scheduling never decides anything.
 //
-// The queue is a calendar queue (vclock.CalQueue) with amortized O(1) push
-// and pop, carrying a tagged event record — a task pointer or a callback
-// index, nothing boxed in an interface — so steady-state event traffic
-// allocates nothing. Three fast paths keep the per-event constant factor
-// down:
+// The queue is a 4-ary min-heap (vclock.Queue) carrying a tagged event
+// record — a task pointer or a callback index, nothing boxed in an
+// interface — so steady-state event traffic allocates nothing. Three fast
+// paths keep the per-event constant factor down:
 //
 //   - Direct handoff. The wake-then-park pattern (a sender resolves a match,
-//     wakes the receiver, parks) keeps the woken event in the queue's
-//     one-slot front register when it is the earliest; the park pops it
-//     straight back out without touching a bucket.
+//     wakes the receiver, parks) costs one push and one pop. When the wakeup
+//     is the only pending event, as in a ping-pong, both are O(1) on the
+//     heap: nothing sifts.
 //
 //   - Keep the baton. A task sleeping to a wakeup strictly earlier than
 //     every pending event (SleepUntil, device waits) never enqueues at all:
@@ -47,7 +46,7 @@
 // cleanly instead of tripping the deadlock detector.
 //
 // Engines and their task structs are pooled: Recycle returns a finished
-// kernel (queue buckets, callback registry, task structs and their resume
+// kernel (queue capacity, callback registry, task structs and their resume
 // channels included) for the next launch, so a sweep running thousands of
 // scenarios re-boots kernels out of warm memory.
 package engine
@@ -71,7 +70,7 @@ const (
 
 // kev is the tagged event record: exactly one of task (a wakeup) or cb (a
 // 1-based index into the engine's callback registry) is set. Storing the tag
-// inline in the calendar queue's entry — instead of boxing the payload in an
+// inline in the queue's entry — instead of boxing the payload in an
 // `any` — removes an allocation and an interface dispatch from every
 // scheduled event.
 type kev struct {
@@ -84,7 +83,7 @@ type kev struct {
 // either before Run or from the currently running task ("holding the
 // baton"); the kernel's serialisation makes that safe without locks.
 type Engine struct {
-	queue   vclock.CalQueue[kev]
+	queue   vclock.Queue[kev]
 	batch   []vclock.Entry[kev] // drained same-instant events, consumed first
 	bi      int                 // next unconsumed batch index
 	blocked []*Task             // tasks parked without a pending event
@@ -103,7 +102,7 @@ type Engine struct {
 	stats Stats
 }
 
-// enginePool recycles kernels across launches: queue buckets, callback
+// enginePool recycles kernels across launches: queue capacity, callback
 // registry, batch buffer and task structs all come back warm.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
@@ -269,9 +268,6 @@ func (t *Task) Park() {
 
 // WakeAt schedules a wakeup event for a blocked task at virtual time at.
 // Only the condition-resolver that knows the task is parked may call it.
-// When the wakeup is the earliest pending event it lands in the queue's
-// front register, and the waker's next park hands the baton over without a
-// bucket operation — the direct-handoff fast path.
 func (t *Task) WakeAt(at vclock.Time) {
 	if t.state != stateBlocked {
 		panic(fmt.Sprintf("engine: WakeAt on task %q in state %d", t.name(), t.state))

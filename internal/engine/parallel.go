@@ -25,7 +25,7 @@ import (
 //     nodes faster.
 //
 //   - Every group with an event inside the window runs its own event chain
-//     concurrently: per-group calendar queue, per-group blocked set, the
+//     concurrently: per-group event queue, per-group blocked set, the
 //     same baton-passing discipline as the serial kernel. A group's chain
 //     stops when its next event lies at or beyond the window, and signals
 //     the coordinator.
@@ -61,12 +61,12 @@ const (
 	FallbackZeroLookahead = "zero lookahead"
 )
 
-// pgroup is one group's private share of the kernel: its own calendar
+// pgroup is one group's private share of the kernel: its own event
 // queue, same-instant batch, blocked set and outbox. Exactly one goroutine
 // of the group runs at a time (the group-local baton), so none of this
 // needs locking; the coordinator touches it only between rounds.
 type pgroup struct {
-	queue   vclock.CalQueue[kev]
+	queue   vclock.Queue[kev]
 	batch   []vclock.Entry[kev] // drained same-instant events, consumed first
 	bi      int                 // next unconsumed batch index
 	blocked []*Task             // tasks parked without a pending event

@@ -488,7 +488,7 @@ func Scale4096Profile() xpic.Config {
 // fig8-scale point) so the fig8-scale golden stays byte-identical; the
 // n=1024 point inside THIS profile is the efficiency reference. The C+B
 // scenario at n=4096 runs 8193 tasks on one kernel — the event queue holds
-// thousands of pending wakeups, the regime the calendar queue exists for.
+// thousands of pending wakeups, where the queue's per-push cost shows.
 func registerFig8Scale4096() {
 	counts := []int{1024, 4096}
 	e := Experiment{

@@ -358,7 +358,7 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 	}
 	l.mu.Unlock()
 	// Every rank goroutine has exited and all results are extracted: the
-	// kernel (queue buckets, task structs, resume channels) goes back to the
+	// kernel (queue capacity, task structs, resume channels) goes back to the
 	// pool for the next launch of the process.
 	l.eng.Recycle()
 	return res, res.Err

@@ -25,7 +25,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0xF0, 0xF0, 0xF0, 0xF0})
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q EventQueue
+		var q Queue[any]
 		var live []refEntry
 		var nextSeq uint64
 		for _, op := range ops {
@@ -104,7 +104,7 @@ func FuzzEventQueue(f *testing.F) {
 func FuzzEventQueuePeek(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0xF0, 4, 0xF0, 0xF0, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q EventQueue
+		var q Queue[any]
 		for _, op := range ops {
 			if op >= 0xF0 {
 				peeked, pok := q.Peek()

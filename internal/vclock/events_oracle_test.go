@@ -1,13 +1,23 @@
 package vclock
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
-// heapQueue is the binary-heap event queue that backed EventQueue from PR 3
+// Event is the oracle's boxed entry: a payload due at a virtual time, with
+// the queue-assigned schedule order Seq as the tiebreak.
+type Event struct {
+	At      Time
+	Seq     uint64
+	Payload any
+}
+
+// heapQueue is the binary-heap event queue that backed the kernel from PR 3
 // until the calendar queue replaced it. It is kept verbatim as the
-// differential oracle: FuzzEventQueueVsHeap drives both structures with the
-// same op stream (including the whole checked-in FuzzEventQueue corpus,
-// which shares its input format) and demands identical pops, proving the
-// replacement preserves the (At, Seq) order — and with it the kernel's
+// differential oracle: FuzzEventQueueVsHeap and TestEventQueueVsHeapPatterns
+// drive it and Queue with the same op stream and demand identical pops,
+// proving Queue preserves the (At, Seq) order — and with it the kernel's
 // deterministic schedule — exactly.
 type heapQueue struct {
 	h   []Event
@@ -83,60 +93,105 @@ func (q *heapQueue) down(i int) {
 	}
 }
 
-// runDifferential drives the calendar-backed EventQueue and the heap oracle
-// with the same op stream (the FuzzEventQueue encoding: bytes >= 0xF0 pop,
-// everything else pushes a time from the tie-heavy alphabet) and fails on
-// the first divergence. After the stream, both queues are drained and must
-// agree entry for entry.
-func runDifferential(t *testing.T, ops []byte) {
+// diffOp is one step of the differential harness: a pop, or a push at At.
+type diffOp struct {
+	pop bool
+	at  Time
+}
+
+// fuzzOps decodes the FuzzEventQueue encoding: bytes >= 0xF0 pop, everything
+// else pushes a time from the tie-heavy alphabet.
+func fuzzOps(ops []byte) []diffOp {
+	out := make([]diffOp, len(ops))
+	for i, op := range ops {
+		if op >= 0xF0 {
+			out[i] = diffOp{pop: true}
+		} else {
+			out[i] = diffOp{at: fuzzTimes[int(op)%len(fuzzTimes)]}
+		}
+	}
+	return out
+}
+
+// runDifferential drives Queue and the heap oracle with the same op stream
+// and fails on the first divergence. After the stream, both queues are
+// drained and must agree entry for entry.
+func runDifferential(t *testing.T, ops []diffOp) {
 	t.Helper()
-	var cal EventQueue
+	var q Queue[any]
 	var heap heapQueue
 	step := func(op int) {
-		ce, cok := cal.Pop()
+		qe, qok := q.Pop()
 		he, hok := heap.Pop()
-		if cok != hok {
-			t.Fatalf("op %d: calendar pop ok=%v, heap ok=%v", op, cok, hok)
+		if qok != hok {
+			t.Fatalf("op %d: queue pop ok=%v, heap ok=%v", op, qok, hok)
 		}
-		if cok && (ce.At != he.At || ce.Seq != he.Seq) {
-			t.Fatalf("op %d: calendar popped (%v, seq %d), heap (%v, seq %d)",
-				op, ce.At, ce.Seq, he.At, he.Seq)
+		if qok && (qe.At != he.At || qe.Seq != he.Seq) {
+			t.Fatalf("op %d: queue popped (%v, seq %d), heap (%v, seq %d)",
+				op, qe.At, qe.Seq, he.At, he.Seq)
 		}
 	}
 	for i, op := range ops {
-		if op >= 0xF0 {
+		if op.pop {
 			step(i)
 			continue
 		}
-		at := fuzzTimes[int(op)%len(fuzzTimes)]
-		cs := cal.Push(at, nil)
-		hs := heap.Push(at, nil)
-		if cs != hs {
-			t.Fatalf("op %d: calendar seq %d, heap seq %d", i, cs, hs)
+		qs := q.Push(op.at, nil)
+		hs := heap.Push(op.at, nil)
+		if qs != hs {
+			t.Fatalf("op %d: queue seq %d, heap seq %d", i, qs, hs)
 		}
-		if cal.Len() != heap.Len() {
-			t.Fatalf("op %d: calendar len %d, heap len %d", i, cal.Len(), heap.Len())
+		if q.Len() != heap.Len() {
+			t.Fatalf("op %d: queue len %d, heap len %d", i, q.Len(), heap.Len())
 		}
 	}
-	for cal.Len() > 0 || heap.Len() > 0 {
+	for q.Len() > 0 || heap.Len() > 0 {
 		step(-1)
 	}
 }
 
-// FuzzEventQueueVsHeap is the differential fuzzer: calendar queue vs the
-// retired heap, same ops, identical pops.
+// FuzzEventQueueVsHeap is the differential fuzzer: Queue vs the retired
+// binary heap, same ops, identical pops.
 func FuzzEventQueueVsHeap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 0xF0, 0xF1, 4, 5, 0xFF})
 	f.Add([]byte{0, 0, 0, 0xF0, 0xF0, 0xF0, 0xF0})
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8, 0xF8})
-	f.Fuzz(runDifferential)
+	f.Fuzz(func(t *testing.T, ops []byte) { runDifferential(t, fuzzOps(ops)) })
+}
+
+// clusteredOps is the population that degraded the calendar queue to O(n)
+// pushes: timers spread over milliseconds mixed with wakeup bursts spaced
+// nanoseconds apart (some at one instant), interleaved with pops, until n
+// entries have been pushed. The live population climbs into the thousands.
+func clusteredOps(n int, seed int64) []diffOp {
+	rng := rand.New(rand.NewSource(seed))
+	var ops []diffOp
+	now := Time(0)
+	for pushed := 0; pushed < n; {
+		if rng.Intn(4) == 0 {
+			ops = append(ops, diffOp{at: now + Time(rng.Float64())*5*Millisecond})
+			pushed++
+		} else {
+			base := now + Time(rng.Intn(1000))*Nanosecond
+			k := 1 + rng.Intn(64)
+			for j := 0; j < k; j++ {
+				ops = append(ops, diffOp{at: base + Time(j/2)*Nanosecond})
+			}
+			pushed += k
+		}
+		for pops := rng.Intn(24); pops > 0; pops-- {
+			ops = append(ops, diffOp{pop: true})
+		}
+		now += Time(rng.Intn(500)) * Nanosecond
+	}
+	return ops
 }
 
 // TestEventQueueVsHeapPatterns replays kernel-shaped op patterns through the
 // differential harness: monotone pushes (timer-like), drain-to-empty cycles
-// (the front-register regime), same-instant bursts (collective fan-out), and
-// population swings big enough to force calendar resizes both ways.
+// (the direct-handoff regime), same-instant bursts (collective fan-out),
+// large population swings both ways, and the clustered timer/burst mix.
 func TestEventQueueVsHeapPatterns(t *testing.T) {
 	patterns := map[string][]byte{
 		"monotone":     {0, 2, 4, 5, 0xF0, 0xF0, 0xF0, 0xF0},
@@ -155,6 +210,7 @@ func TestEventQueueVsHeapPatterns(t *testing.T) {
 	}
 	patterns["resize-swing"] = grow
 	for name, ops := range patterns {
-		t.Run(name, func(t *testing.T) { runDifferential(t, ops) })
+		t.Run(name, func(t *testing.T) { runDifferential(t, fuzzOps(ops)) })
 	}
+	t.Run("clustered", func(t *testing.T) { runDifferential(t, clusteredOps(20000, 1)) })
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestEventQueueOrdersByTime(t *testing.T) {
-	var q EventQueue
+	var q Queue[any]
 	q.Push(3*Second, "c")
 	q.Push(1*Second, "a")
 	q.Push(2*Second, "b")
@@ -27,7 +27,7 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 // what makes the kernel's tiebreak — and the whole simulation —
 // deterministic.
 func TestEventQueueFIFOAmongEqualTimes(t *testing.T) {
-	var q EventQueue
+	var q Queue[any]
 	const n = 100
 	for i := 0; i < n; i++ {
 		q.Push(5*Microsecond, i)
@@ -45,7 +45,7 @@ func TestEventQueueFIFOAmongEqualTimes(t *testing.T) {
 // invariant against a reference sort.
 func TestEventQueueInterleavedFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var q EventQueue
+	var q Queue[any]
 	type ref struct {
 		at  Time
 		seq int
@@ -82,7 +82,7 @@ func TestEventQueueInterleavedFIFO(t *testing.T) {
 }
 
 func TestEventQueuePeek(t *testing.T) {
-	var q EventQueue
+	var q Queue[any]
 	if _, ok := q.Peek(); ok {
 		t.Fatal("peek on empty queue succeeded")
 	}

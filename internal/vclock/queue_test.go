@@ -2,10 +2,10 @@ package vclock
 
 import "testing"
 
-// TestCalQueuePopRun: a same-instant run drains in one call, in seq order,
+// TestQueuePopRun: a same-instant run drains in one call, in seq order,
 // and stops before the next instant.
-func TestCalQueuePopRun(t *testing.T) {
-	var q CalQueue[int]
+func TestQueuePopRun(t *testing.T) {
+	var q Queue[int]
 	q.Push(Microsecond, 1)
 	q.Push(Microsecond, 2)
 	q.Push(2*Microsecond, 3)
@@ -35,11 +35,10 @@ func TestCalQueuePopRun(t *testing.T) {
 	}
 }
 
-// TestCalQueueReset: a reset queue is empty, restarts its sequence numbers,
-// and stays correct when reused — including after a large population forced
-// the ring to grow (Reset drops rings the run never justified keeping).
-func TestCalQueueReset(t *testing.T) {
-	var q CalQueue[int]
+// TestQueueReset: a reset queue is empty, restarts its sequence numbers,
+// and stays correct when reused after a large population.
+func TestQueueReset(t *testing.T) {
+	var q Queue[int]
 	for i := 0; i < 500; i++ {
 		q.Push(Time(i%13)*Microsecond, i)
 	}
@@ -56,5 +55,34 @@ func TestCalQueueReset(t *testing.T) {
 	e, ok := q.Pop()
 	if !ok || e.Payload != 42 {
 		t.Fatalf("pop after reset = %+v, %v", e, ok)
+	}
+}
+
+// TestQueueWarmAllocs: once a queue has held its peak population, a Reset
+// keeps the capacity, and Push, Pop and PopRun at or below that population
+// allocate nothing — the engine's zero-allocation event traffic rests on it.
+func TestQueueWarmAllocs(t *testing.T) {
+	const n = 1024
+	var q Queue[*int]
+	payload := new(int)
+	for i := 0; i < n; i++ {
+		q.Push(Time(i)*Microsecond, payload)
+	}
+	q.Reset()
+	buf := make([]Entry[*int], 0, n)
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < n; i++ {
+			q.Push(Time(i%7)*Nanosecond, payload)
+		}
+		for i := 0; i < n/2; i++ {
+			q.Pop()
+		}
+		for q.Len() > 0 {
+			buf = q.PopRun(buf[:0])
+		}
+		q.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Push/Pop/PopRun allocated %.1f times per run, want 0", allocs)
 	}
 }
