@@ -134,3 +134,30 @@ func BenchmarkKernelFacility(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelFacilityDeep is BenchmarkKernelFacility at ten times the
+// stream length — the facility-10k overload point. The queue runs hundreds
+// of jobs deep, so every dispatch's backfill scan over the pending jobs
+// dominates, the cost the 1000-job stream only hints at.
+//
+// A run is one or two iterations long, too short to amortise a miss in the
+// kernel pool: a fresh engine allocates its 10k tasks again, a third more
+// allocations. Each run therefore warms the pool on its own goroutine first.
+func BenchmarkKernelFacilityDeep(b *testing.B) {
+	p := sched.FacilityParams{
+		Policy: sched.FacilityBackfill,
+		Jobs:   10000,
+		Load:   1.4,
+		Seed:   20180521 + 140,
+	}
+	if _, err := sched.RunFacility(p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.RunFacility(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -167,7 +167,7 @@ func facilityJobs(p FacilityParams) []Job {
 	eb /= float64(wsum)
 	// Offered load per module is rate*E/total; the bottleneck module is the
 	// one with the larger per-job demand share.
-	demand := max64(ec/float64(p.ClusterNodes), eb/float64(p.BoosterNodes))
+	demand := max(ec/float64(p.ClusterNodes), eb/float64(p.BoosterNodes))
 	rate := p.Load / demand
 
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -276,7 +276,7 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 	for _, pl := range sched.Placed {
 		run := (pl.End - pl.Start).Seconds()
 		resp := (pl.End - pl.Job.Arrival).Seconds()
-		s := resp / max64(run, bsldTau.Seconds())
+		s := resp / max(run, bsldTau.Seconds())
 		if s < 1 {
 			s = 1
 		}

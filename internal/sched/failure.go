@@ -316,13 +316,9 @@ func (f *faultRun) revoke(j *qjob, at vclock.Time) {
 // requeue re-enters a killed job at the back of the queue after its backoff.
 func (f *faultRun) requeue(j *qjob, at vclock.Time) {
 	f.snap(at)
-	q := f.q
-	q.pending = append(q.pending, j)
-	if n := len(q.pending); n > q.cnt.peakQueue {
-		q.cnt.peakQueue = n
-	}
+	f.q.enqueue(j)
 	f.audit(at, "requeue")
-	q.dispatch(at, nil)
+	f.q.dispatch(at, nil)
 }
 
 // repairNode is the repair event: the node returns to the free pool, the

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"clusterbooster/internal/engine"
@@ -95,6 +97,16 @@ type event struct {
 	booster int
 }
 
+// pendingJob is one entry of the pending queue: the job plus a copy of its
+// full-size demand, so the backfill scan reads a contiguous array of values
+// instead of dereferencing every waiting job.
+type pendingJob struct {
+	cluster int
+	booster int
+	dur     vclock.Time
+	j       *qjob
+}
+
 // qjob is one job's live state inside a kernel queue run.
 type qjob struct {
 	job  Job
@@ -145,8 +157,9 @@ type queueRun struct {
 	freeC  int
 	freeB  int
 
-	pending []*qjob // arrived, waiting for a grant, in arrival order
-	running []*qjob // granted, not yet completed
+	pending []pendingJob // arrived, waiting for a grant, in arrival order
+	running []*qjob      // granted, not yet completed
+	evs     []event      // headStartEstimate's release-event buffer
 
 	sched Schedule
 	cnt   queueCounters
@@ -262,11 +275,8 @@ func (q *queueRun) runJob(j *qjob, errp *error) {
 		}
 	}()
 	j.task.WaitStart() // fires at the job's arrival
-	q.pending = append(q.pending, j)
+	q.enqueue(j)
 	q.cnt.submitted++
-	if n := len(q.pending); n > q.cnt.peakQueue {
-		q.cnt.peakQueue = n
-	}
 	q.dispatch(j.job.Arrival, j)
 	if q.faults != nil {
 		// Fault mode: the task parks across its whole (possibly multi-
@@ -291,34 +301,66 @@ func (q *queueRun) runJob(j *qjob, errp *error) {
 	q.dispatch(j.end, nil)
 }
 
+// enqueue appends j to the back of the pending queue.
+func (q *queueRun) enqueue(j *qjob) {
+	q.pending = append(q.pending, pendingJob{cluster: j.job.Cluster, booster: j.job.Booster, dur: j.job.Duration, j: j})
+	if n := len(q.pending); n > q.cnt.peakQueue {
+		q.cnt.peakQueue = n
+	}
+}
+
 // dispatch re-runs the queue policy at virtual time now, holding the baton.
 // self is the job whose task is currently executing (nil from a completion):
 // a grant to self just sets its state — the task continues inline — while a
-// grant to any other pending job wakes its parked task at now.
+// grant to any other pending job wakes its parked task at now. Under
+// Backfill a blocked head is followed by one backfill pass over the rest of
+// the queue.
 func (q *queueRun) dispatch(now vclock.Time, self *qjob) {
-	for len(q.pending) > 0 && q.tryStart(q.pending[0], now, self) {
-		q.pending[0] = nil
+	for len(q.pending) > 0 && q.tryStart(q.pending[0].j, now, self) {
+		q.pending[0] = pendingJob{}
 		q.pending = q.pending[1:]
 	}
 	if q.policy != Backfill || len(q.pending) == 0 {
 		return
 	}
-	// Conservative backfill: the head job holds a reservation at its earliest
-	// possible start (assuming running jobs release on time); later pending
-	// jobs may start now, at full size only, iff they fit the current hole
-	// AND finish by that reservation — backfilling never delays the head.
-	headStart := q.headStartEstimate(q.pending[0].job, now)
-	kept := q.pending[:1]
-	for _, cand := range q.pending[1:] {
-		if cand.job.Cluster <= q.freeC && cand.job.Booster <= q.freeB && now+cand.job.Duration <= headStart {
-			cand.backfilled = true
-			q.cnt.backfilled++
-			q.grant(cand, cand.job.Cluster, cand.job.Booster, 1, now, self)
-		} else {
-			kept = append(kept, cand)
+	q.backfill(now, func(j *qjob) { q.grant(j, j.job.Cluster, j.job.Booster, 1, now, self) })
+}
+
+// backfill is conservative backfill behind a blocked head at now: the head
+// holds a reservation at its earliest possible start (assuming running jobs
+// release on time), and a later pending job may start now, at full size
+// only, iff it fits the current hole AND finishes by that reservation —
+// backfilling never delays the head. Each such job is marked backfilled and
+// handed to start, in queue order; start must take its nodes from the free
+// pools before returning. The rest of the queue keeps its order.
+//
+// The reservation is computed only once a candidate fits the hole, which is
+// before any grant of this pass, so it equals the one computed up front. A
+// pass in which nothing fits costs one scan over the queue and nothing else.
+func (q *queueRun) backfill(now vclock.Time, start func(j *qjob)) {
+	headStart, reserved := vclock.Time(0), false
+	p := q.pending
+	w := 1
+	for i := 1; i < len(p); i++ {
+		c := p[i]
+		if c.cluster <= q.freeC && c.booster <= q.freeB {
+			if !reserved {
+				headStart, reserved = q.headStartEstimate(p[0].j.job, now), true
+			}
+			if now+c.dur <= headStart {
+				c.j.backfilled = true
+				q.cnt.backfilled++
+				start(c.j)
+				continue
+			}
 		}
+		if w != i {
+			p[w] = c
+		}
+		w++
 	}
-	q.pending = kept
+	clear(p[w:])
+	q.pending = p[:w]
 }
 
 // tryStart attempts to start job j now, honouring malleability.
@@ -337,10 +379,10 @@ func (q *queueRun) tryStart(j *qjob, now vclock.Time, self *qjob) bool {
 	}
 	stretch := 1.0
 	if j.job.Cluster > 0 && gc > 0 {
-		stretch = max64(stretch, float64(j.job.Cluster)/float64(gc))
+		stretch = max(stretch, float64(j.job.Cluster)/float64(gc))
 	}
 	if j.job.Booster > 0 && gb > 0 {
-		stretch = max64(stretch, float64(j.job.Booster)/float64(gb))
+		stretch = max(stretch, float64(j.job.Booster)/float64(gb))
 	}
 	q.grant(j, gc, gb, stretch, now, self)
 	return true
@@ -444,17 +486,26 @@ func (q *queueRun) removeRunning(j *qjob) {
 }
 
 // headStartEstimate computes when the head job could start if released
-// resources accumulate on schedule. In fault mode the scheduled repairs
-// count as capacity-return events too: reservations are recomputed against
-// the shrunken pools, but a head that needs more than the currently
-// operational machine still gets a finite reservation at the repair instants
-// (every failed node has exactly one pending repair, so free + running +
-// repairs always covers the full machine and the unreachable sentinel stays
-// unreachable). The estimate remains a heuristic under faults — future
-// failures are unknowable — which conservative backfill tolerates: a late
-// head start delays backfilled jobs, never strands them.
+// resources accumulate on schedule: the earliest release instant at which
+// the free pools plus everything released by then cover the head at full
+// size. Equal release instants may come out of the sort in any order; the
+// accumulated pools first cover the head at the same instant either way.
+//
+// In fault mode the scheduled repairs count as capacity-return events too:
+// reservations are recomputed against the shrunken pools, but a head that
+// needs more than the currently operational machine still gets a finite
+// reservation at the repair instants (every failed node has exactly one
+// pending repair, so free + running + repairs always covers the full machine
+// and the unreachable sentinel stays unreachable). The estimate remains a
+// heuristic under faults — future failures are unknowable — which
+// conservative backfill tolerates: a late head start delays backfilled jobs,
+// never strands them.
 func (q *queueRun) headStartEstimate(head Job, now vclock.Time) vclock.Time {
-	evs := make([]event, 0, len(q.running))
+	c, b := q.freeC, q.freeB
+	if head.Cluster <= c && head.Booster <= b {
+		return now
+	}
+	evs := q.evs[:0]
 	for _, r := range q.running {
 		evs = append(evs, event{at: r.end, cluster: r.grantedC, booster: r.grantedB})
 	}
@@ -469,11 +520,8 @@ func (q *queueRun) headStartEstimate(head Job, now vclock.Time) vclock.Time {
 			evs = append(evs, ev)
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	c, b := q.freeC, q.freeB
-	if head.Cluster <= c && head.Booster <= b {
-		return now
-	}
+	q.evs = evs
+	slices.SortFunc(evs, func(x, y event) int { return cmp.Compare(x.at, y.at) })
 	for _, e := range evs {
 		c += e.cluster
 		b += e.booster
@@ -481,19 +529,5 @@ func (q *queueRun) headStartEstimate(head Job, now vclock.Time) vclock.Time {
 			return e.at
 		}
 	}
-	return vclock.Time(1 << 62) // unreachable for valid jobs
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return vclock.Never // unreachable for valid jobs
 }
