@@ -5,9 +5,11 @@
 //
 // Files are striped in fixed-size chunks over the storage targets. A write
 // first crosses the fabric to each involved target (RDMA), then occupies that
-// target's disk queue; a read does the reverse. Content is stored for real —
-// SIONlib containers and checkpoints written through this package can be read
-// back and verified bit-for-bit — while all costs are virtual-time.
+// target's disk queue; a read does the reverse. Content is stored for real,
+// each file in an ioev.Content (fixed-size chunks that never move, so growing
+// a file copies none of the bytes it already holds): SIONlib containers and
+// checkpoints written through this package can be read back and verified
+// bit-for-bit, while all costs are virtual-time.
 //
 // File-system latencies are scheduled kernel events: Create/Write/Read/
 // Delete park the calling ioev.Proc until the operation completes, and the
@@ -71,10 +73,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type file struct {
-	data []byte
-}
-
 // FS is a BeeGFS instance on the fabric.
 type FS struct {
 	cfg       Config
@@ -83,7 +81,7 @@ type FS struct {
 	metaQ     *vclock.SharedClock
 	targetEPs []int
 	targetQs  []*vclock.SharedClock
-	files     map[string]*file
+	files     map[string]*ioev.Content
 	used      int64
 }
 
@@ -96,7 +94,7 @@ func New(net *fabric.Network, cfg Config) *FS {
 		net:    net,
 		metaEP: net.AttachEndpoint(),
 		metaQ:  vclock.NewSharedClock(0),
-		files:  map[string]*file{},
+		files:  map[string]*ioev.Content{},
 	}
 	for i := 0; i < cfg.StorageTargets; i++ {
 		fs.targetEPs = append(fs.targetEPs, net.AttachEndpoint())
@@ -128,9 +126,9 @@ func (fs *FS) Create(p ioev.Proc, path string) {
 // SubmitCreate issues the create after dep without parking, from node.
 func (fs *FS) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {
 	if old, ok := fs.files[path]; ok {
-		fs.used -= int64(len(old.data))
+		fs.used -= old.Size()
 	}
-	fs.files[path] = &file{}
+	fs.files[path] = &ioev.Content{}
 	return fs.submitMetaOp(dep, node)
 }
 
@@ -146,7 +144,7 @@ func (fs *FS) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	return int64(len(f.data)), nil
+	return f.Size(), nil
 }
 
 // Delete removes a file (missing files are a no-op) and parks the caller
@@ -158,7 +156,7 @@ func (fs *FS) Delete(p ioev.Proc, path string) {
 // SubmitDelete issues the delete after dep without parking, from node.
 func (fs *FS) SubmitDelete(dep ioev.Op, path string, node *machine.Node) ioev.Op {
 	if f, ok := fs.files[path]; ok {
-		fs.used -= int64(len(f.data))
+		fs.used -= f.Size()
 		delete(fs.files, path)
 	}
 	return fs.submitMetaOp(dep, node)
@@ -214,16 +212,13 @@ func (fs *FS) SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, n
 	if !ok {
 		return ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	newEnd := offset + int64(len(data))
-	grow := newEnd - int64(len(f.data))
-	if grow > 0 {
+	if grow := offset + int64(len(data)) - f.Size(); grow > 0 {
 		if fs.used+grow > fs.cfg.CapacityBytes {
 			return ioev.Op{}, fmt.Errorf("beegfs: file system full (%d + %d > %d)", fs.used, grow, fs.cfg.CapacityBytes)
 		}
-		f.data = append(f.data, make([]byte, grow)...)
 		fs.used += grow
 	}
-	copy(f.data[offset:], data)
+	f.WriteAt(data, offset)
 
 	done := dep
 	for t, bytes := range fs.targetSpan(offset, int64(len(data))) {
@@ -256,10 +251,13 @@ func (fs *FS) SubmitRead(dep ioev.Op, path string, offset, size int64, node *mac
 	if !ok {
 		return nil, ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
 	}
-	if offset < 0 || offset+size > int64(len(f.data)) {
-		return nil, ioev.Op{}, fmt.Errorf("beegfs: read [%d,%d) beyond EOF %d of %s", offset, offset+size, len(f.data), path)
+	if size < 0 {
+		return nil, ioev.Op{}, fmt.Errorf("beegfs: negative read size %d of %s", size, path)
 	}
-	out := append([]byte(nil), f.data[offset:offset+size]...)
+	if offset < 0 || offset+size > f.Size() {
+		return nil, ioev.Op{}, fmt.Errorf("beegfs: read [%d,%d) beyond EOF %d of %s", offset, offset+size, f.Size(), path)
+	}
+	out := f.ReadAt(offset, size)
 
 	done := dep
 	for t, bytes := range fs.targetSpan(offset, size) {

@@ -79,6 +79,16 @@ func TestReadBeyondEOF(t *testing.T) {
 	}
 }
 
+func TestReadNegativeSizeErrors(t *testing.T) {
+	fs, sys := testFS(Config{})
+	a := ioev.Detach(sys.Node(0), 0)
+	fs.Create(a, "/f")
+	fs.Write(a, "/f", 0, []byte("abcdef"))
+	if _, err := fs.Read(a, "/f", 4, -2); err == nil {
+		t.Error("read with a negative size succeeded")
+	}
+}
+
 func TestDeleteFreesSpace(t *testing.T) {
 	fs, sys := testFS(Config{})
 	a := ioev.Detach(sys.Node(0), 0)

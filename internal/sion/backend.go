@@ -11,16 +11,17 @@ import (
 
 // DeviceBackend adapts a node-local NVMe device to the Backend interface, so
 // SION containers (e.g. local checkpoints) can live on node-local storage.
-// Content is kept alongside the device's capacity accounting. Like the
-// device itself it is mutex-free: the cooperative kernel serialises access.
+// Content is kept in an ioev.Content per file, alongside the device's
+// capacity accounting. Like the device itself it is mutex-free: the
+// cooperative kernel serialises access.
 type DeviceBackend struct {
 	dev   *nvme.Device
-	files map[string][]byte
+	files map[string]*ioev.Content
 }
 
 // NewDeviceBackend wraps an NVMe device.
 func NewDeviceBackend(dev *nvme.Device) *DeviceBackend {
-	return &DeviceBackend{dev: dev, files: map[string][]byte{}}
+	return &DeviceBackend{dev: dev, files: map[string]*ioev.Content{}}
 }
 
 // Device returns the underlying device.
@@ -29,7 +30,7 @@ func (d *DeviceBackend) Device() *nvme.Device { return d.dev }
 // SubmitCreate makes an empty file on the device after dep; the node is
 // irrelevant for node-local storage.
 func (d *DeviceBackend) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {
-	d.files[path] = nil
+	d.files[path] = &ioev.Content{}
 	op, err := d.dev.SubmitPut(dep, "file:"+path, 0)
 	if err != nil {
 		return dep
@@ -44,14 +45,13 @@ func (d *DeviceBackend) SubmitWrite(dep ioev.Op, path string, offset int64, data
 	if !ok {
 		return ioev.Op{}, fmt.Errorf("sion: device file %s does not exist", path)
 	}
-	if grow := offset + int64(len(data)) - int64(len(f)); grow > 0 {
-		f = append(f, make([]byte, grow)...)
+	if offset < 0 {
+		return ioev.Op{}, fmt.Errorf("sion: device write at negative offset %d of %s", offset, path)
 	}
-	copy(f[offset:], data)
-	d.files[path] = f
+	f.WriteAt(data, offset)
 	// Price only the bytes crossing the device: a block flush is an
 	// in-place range write, not a rewrite of the whole container.
-	op, err := d.dev.SubmitUpdate(dep, "file:"+path, int64(len(f)), int64(len(data)))
+	op, err := d.dev.SubmitUpdate(dep, "file:"+path, f.Size(), int64(len(data)))
 	if err != nil {
 		return ioev.Op{}, fmt.Errorf("sion: device write: %w", err)
 	}
@@ -62,10 +62,10 @@ func (d *DeviceBackend) SubmitWrite(dep ioev.Op, path string, offset int64, data
 // read.
 func (d *DeviceBackend) SubmitRead(dep ioev.Op, path string, offset, size int64, node *machine.Node) ([]byte, ioev.Op, error) {
 	f, ok := d.files[path]
-	if !ok || offset < 0 || size < 0 || offset+size > int64(len(f)) {
+	if !ok || offset < 0 || size < 0 || offset+size > f.Size() {
 		return nil, ioev.Op{}, fmt.Errorf("sion: device read [%d,%d) of %s invalid", offset, offset+size, path)
 	}
-	out := append([]byte(nil), f[offset:offset+size]...)
+	out := f.ReadAt(offset, size)
 	_, op, err := d.dev.SubmitGet(dep, "file:"+path)
 	if err != nil {
 		return nil, ioev.Op{}, err
@@ -79,7 +79,7 @@ func (d *DeviceBackend) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sion: device file %s does not exist", path)
 	}
-	return int64(len(f)), nil
+	return f.Size(), nil
 }
 
 // Buddy copies a task's local checkpoint data into the NVMe of a companion

@@ -37,6 +37,10 @@ import (
 // form: operations are issued against an ioev.Op dependency and return a
 // completion token without parking. *beegfs.FS satisfies it; DeviceBackend
 // adapts a node-local NVMe device.
+//
+// SubmitWrite must not retain data after it returns: the writer flushes
+// full blocks straight from the caller's buffer and reuses its own tail
+// buffer, so an implementation that keeps bytes copies them.
 type Backend interface {
 	SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op
 	SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error)
@@ -132,11 +136,20 @@ func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machi
 	if w.closed {
 		return ioev.Op{}, fmt.Errorf("sion: write to closed container %s", w.path)
 	}
-	w.buf[task] = append(w.buf[task], data...)
+	// Top up the buffered partial block first, then flush every further
+	// full block straight from data (the Backend contract forbids keeping
+	// it); only the tail is copied into the task's buffer.
 	done := dep
-	for int64(len(w.buf[task])) >= w.blockSize {
-		blk := append([]byte(nil), w.buf[task][:w.blockSize]...)
-		w.buf[task] = w.buf[task][w.blockSize:]
+	buf := w.buf[task]
+	for int64(len(buf)+len(data)) >= w.blockSize {
+		var blk []byte
+		if len(buf) > 0 {
+			n := int(w.blockSize) - len(buf)
+			blk = append(buf, data[:n]...)
+			buf, data = blk[:0], data[n:]
+		} else {
+			blk, data = data[:w.blockSize], data[w.blockSize:]
+		}
 		off := w.nextOff
 		w.nextOff += w.blockSize
 		w.blocks[task] = append(w.blocks[task], block{Off: off, Used: w.blockSize})
@@ -147,6 +160,7 @@ func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machi
 		ioev.AddContainerBytes(w.blockSize)
 		done = ioev.After(done, t)
 	}
+	w.buf[task] = append(buf, data...)
 	w.flushed[task] = vclock.Max(w.flushed[task], done.Time())
 	return done, nil
 }
@@ -383,7 +397,7 @@ func (r *Reader) SubmitReadTask(dep ioev.Op, task int, node *machine.Node) ([]by
 	if task < 0 || task >= r.ntasks {
 		return nil, ioev.Op{}, fmt.Errorf("sion: task %d out of range [0,%d)", task, r.ntasks)
 	}
-	var out []byte
+	out := make([]byte, 0, r.TaskSize(task))
 	done := dep
 	for _, b := range r.blocks[task] {
 		data, t, err := r.backend.SubmitRead(dep, r.path, b.Off, b.Used, node)
