@@ -140,9 +140,9 @@ func BenchmarkKernelFacility(b *testing.B) {
 // of jobs deep, so every dispatch's backfill scan over the pending jobs
 // dominates, the cost the 1000-job stream only hints at.
 //
-// A run is one or two iterations long, too short to amortise a miss in the
-// kernel pool: a fresh engine allocates its 10k tasks again, a third more
-// allocations. Each run therefore warms the pool on its own goroutine first.
+// A run is one or two iterations long, so each run first does one untimed
+// pass on its own goroutine: the kernel pool and the event queue's capacity
+// are then warm when the timer starts.
 func BenchmarkKernelFacilityDeep(b *testing.B) {
 	p := sched.FacilityParams{
 		Policy: sched.FacilityBackfill,

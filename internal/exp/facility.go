@@ -42,10 +42,8 @@ func registerFigFacility() {
 
 // registerFacility10k registers the 10x stream: 10000 jobs per grid point.
 // The long stream spends most of its span in queueing steady state, so the
-// policy gaps it pins are sharper than the 1000-job family's — and each
-// point feeds 10001 tasks through one event kernel, which (with the
-// fig8-scale16384 family) makes it a standing workload for the conservative
-// parallel kernel (-kworkers).
+// policy gaps it pins are sharper than the 1000-job family's. Each point
+// runs its jobs as callbacks on one serial kernel; -kworkers does not apply.
 func registerFacility10k() {
 	registerFacilityFamily("facility-10k",
 		"Facility simulation, 10x stream: 10000-job arrivals vs queue policy",

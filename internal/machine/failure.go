@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"clusterbooster/internal/vclock"
 )
@@ -43,8 +44,12 @@ func (f FailureProfile) Availability() float64 {
 // Validate rejects profiles the failure process cannot simulate: an enabled
 // profile needs a positive repair time (a zero MTTR with failures on would
 // mean instant repair — expressible, but almost always a forgotten field)
-// and no negative times.
+// and no negative or non-finite times (a NaN draw never fires in order, an
+// infinite one never fires at all).
 func (f FailureProfile) Validate() error {
+	if !finite(f.MTBF) || !finite(f.MTTR) {
+		return fmt.Errorf("machine: non-finite failure profile (MTBF %v, MTTR %v)", f.MTBF, f.MTTR)
+	}
 	if f.MTBF < 0 || f.MTTR < 0 {
 		return fmt.Errorf("machine: negative failure profile (MTBF %v, MTTR %v)", f.MTBF, f.MTTR)
 	}
@@ -52,4 +57,9 @@ func (f FailureProfile) Validate() error {
 		return fmt.Errorf("machine: failure profile with MTBF %v needs a positive MTTR", f.MTBF)
 	}
 	return nil
+}
+
+// finite reports whether t is neither NaN nor infinite.
+func finite(t vclock.Time) bool {
+	return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0)
 }

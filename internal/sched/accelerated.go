@@ -2,9 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
-	"clusterbooster/internal/vclock"
+	"clusterbooster/internal/machine"
 )
 
 // This file implements the architectural comparison behind §II-A of the
@@ -23,65 +22,30 @@ import (
 // pairedNodes nodes (each one CPU + one accelerator). A job requesting c
 // cluster nodes and b booster nodes needs max(c, b) paired nodes, binding
 // both halves of each node for its whole runtime. FCFS discipline.
+//
+// The machine is the kernel queue on pairedNodes nodes per module where
+// every job asks for max(c, b) nodes of both: the two halves of a paired
+// node are then always reserved together. Each Placed entry carries the
+// caller's original job.
 func SimulateAcceleratedQueue(jobs []Job, pairedNodes int) (Schedule, error) {
 	if pairedNodes <= 0 {
 		return Schedule{}, fmt.Errorf("sched: %d paired nodes", pairedNodes)
 	}
-	queue := append([]Job(nil), jobs...)
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
-
-	var sched Schedule
-	type ev struct {
-		at    vclock.Time
-		nodes int
-	}
-	var running []ev
-	free := pairedNodes
-	now := vclock.Time(0)
-
-	advanceTo := func(t vclock.Time) {
-		now = t
-		kept := running[:0]
-		for _, e := range running {
-			if e.at <= now {
-				free += e.nodes
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		running = kept
-	}
-
-	for _, j := range queue {
-		need := j.Cluster
-		if j.Booster > need {
-			need = j.Booster
-		}
+	paired := make([]Job, len(jobs))
+	for i, j := range jobs {
+		need := max(j.Cluster, j.Booster)
 		if need > pairedNodes {
 			return Schedule{}, fmt.Errorf("sched: job %d needs %d paired nodes, machine has %d", j.ID, need, pairedNodes)
 		}
-		if j.Arrival > now {
-			advanceTo(j.Arrival)
-		}
-		for free < need {
-			next := vclock.Time(-1)
-			for _, e := range running {
-				if next < 0 || e.at < next {
-					next = e.at
-				}
-			}
-			if next < 0 {
-				return Schedule{}, fmt.Errorf("sched: job %d cannot start", j.ID)
-			}
-			advanceTo(next)
-		}
-		p := Placed{Job: j, Start: now, End: now + j.Duration, Cluster: need, Booster: need}
-		sched.Placed = append(sched.Placed, p)
-		running = append(running, ev{at: p.End, nodes: need})
-		free -= need
-		if p.End > sched.Makespan {
-			sched.Makespan = p.End
-		}
+		// The ID indexes jobs, so each placement maps back to its request.
+		paired[i] = Job{ID: i, Cluster: need, Booster: need, Arrival: j.Arrival, Duration: j.Duration}
+	}
+	sched, err := NewManager(machine.New(pairedNodes, pairedNodes)).SimulateQueue(paired, FCFS)
+	if err != nil {
+		return Schedule{}, err
+	}
+	for i := range sched.Placed {
+		sched.Placed[i].Job = jobs[sched.Placed[i].Job.ID]
 	}
 	return sched, nil
 }

@@ -208,7 +208,7 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 	if p.Jobs <= 0 {
 		return FacilityOutcome{}, fmt.Errorf("sched: facility stream of %d jobs", p.Jobs)
 	}
-	if p.Load <= 0 {
+	if p.Load <= 0 || math.IsNaN(p.Load) || math.IsInf(p.Load, 1) {
 		return FacilityOutcome{}, fmt.Errorf("sched: facility load %g", p.Load)
 	}
 	if p.ClusterNodes == 0 {

@@ -2,9 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
-	"clusterbooster/internal/engine"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/vclock"
 )
@@ -87,6 +87,9 @@ func (f FacilityFaults) Validate() error {
 	if err := f.Booster.Validate(); err != nil {
 		return err
 	}
+	if d := float64(f.RequeueDelay); math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Errorf("sched: non-finite requeue delay %v", f.RequeueDelay)
+	}
 	if f.MaxFailures < 0 || f.MaxRetries < 0 || f.RequeueDelay < 0 {
 		return fmt.Errorf("sched: negative fault bounds (max_failures %d, max_retries %d, requeue_delay %v)",
 			f.MaxFailures, f.MaxRetries, f.RequeueDelay)
@@ -135,7 +138,6 @@ type repairEvent struct {
 // fields are kernel state (baton-protected), like queueRun itself.
 type faultRun struct {
 	cfg   FacilityFaults
-	eng   *engine.Engine
 	q     *queueRun
 	pools [2]poolFaults // indexed by machine.Module
 	// repairs holds the scheduled-but-not-yet-fired repair completions.
@@ -161,9 +163,9 @@ type faultRun struct {
 	lostNodeSec float64
 }
 
-// newFaultRun wires a faultRun into a queue run on its engine.
-func newFaultRun(cfg FacilityFaults, eng *engine.Engine, q *queueRun, totalC, totalB int) *faultRun {
-	f := &faultRun{cfg: cfg, eng: eng, q: q}
+// newFaultRun wires a faultRun into a queue run.
+func newFaultRun(cfg FacilityFaults, q *queueRun, totalC, totalB int) *faultRun {
+	f := &faultRun{cfg: cfg, q: q}
 	f.pools[machine.Cluster] = poolFaults{
 		profile: cfg.Cluster,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
@@ -178,12 +180,13 @@ func newFaultRun(cfg FacilityFaults, eng *engine.Engine, q *queueRun, totalC, to
 }
 
 // start arms the initial failure draw of each module and the saturated-
-// window snapshot at the stream's last arrival (whose task is still alive
-// then, so the callback is guaranteed to fire).
+// window snapshot at the stream's last arrival (the last job is still open
+// then, so the driver task keeps the kernel running and the callback is
+// guaranteed to fire).
 func (f *faultRun) start(lastArrival vclock.Time) {
 	f.scheduleFailure(machine.Cluster, 0)
 	f.scheduleFailure(machine.Booster, 0)
-	f.eng.CallAt(lastArrival, func() { f.markSaturated(lastArrival) })
+	f.q.eng.CallAt(lastArrival, func() { f.markSaturated(lastArrival) })
 }
 
 // markSaturated snapshots the integrals at the last arrival instant.
@@ -214,7 +217,7 @@ func (f *faultRun) scheduleFailure(mod machine.Module, now vclock.Time) {
 	}
 	gen := p.failGen
 	at := now + vclock.Time(p.rng.ExpFloat64()*p.profile.MTBF.Seconds()/float64(up))
-	f.eng.CallAt(at, func() { f.failNode(mod, gen, at) })
+	f.q.eng.CallAt(at, func() { f.failNode(mod, gen, at) })
 }
 
 // failNode is the failure event: one uniformly-drawn operational node of the
@@ -243,10 +246,10 @@ func (f *faultRun) failNode(mod machine.Module, gen int, at vclock.Time) {
 
 	rAt := at + vclock.Time(p.rng.ExpFloat64()*p.profile.MTTR.Seconds())
 	f.repairs = append(f.repairs, repairEvent{at: rAt, mod: mod})
-	f.eng.CallAt(rAt, func() { f.repairNode(mod, rAt) })
+	f.q.eng.CallAt(rAt, func() { f.repairNode(mod, rAt) })
 
 	f.audit(at, "failure")
-	f.q.dispatch(at, nil)
+	f.q.dispatch(at)
 	f.scheduleFailure(mod, at)
 }
 
@@ -305,12 +308,12 @@ func (f *faultRun) revoke(j *qjob, at vclock.Time) {
 		// The surviving work of earlier attempts is discarded with the job:
 		// retroactively it bought nothing, so it counts as lost too.
 		f.lostNodeSec += j.salvaged
-		j.task.WakeAt(at)
+		q.retire(at)
 		return
 	}
 	f.requeues++
 	reAt := at + vclock.Time(float64(j.retries)*f.cfg.requeueDelay().Seconds())
-	f.eng.CallAt(reAt, func() { f.requeue(j, reAt) })
+	f.q.eng.CallAt(reAt, func() { f.requeue(j, reAt) })
 }
 
 // requeue re-enters a killed job at the back of the queue after its backoff.
@@ -318,7 +321,7 @@ func (f *faultRun) requeue(j *qjob, at vclock.Time) {
 	f.snap(at)
 	f.q.enqueue(j)
 	f.audit(at, "requeue")
-	f.q.dispatch(at, nil)
+	f.q.dispatch(at)
 }
 
 // repairNode is the repair event: the node returns to the free pool, the
@@ -337,7 +340,7 @@ func (f *faultRun) repairNode(mod machine.Module, at vclock.Time) {
 		}
 	}
 	f.audit(at, "repair")
-	f.q.dispatch(at, nil)
+	f.q.dispatch(at)
 	f.scheduleFailure(mod, at)
 }
 

@@ -200,3 +200,22 @@ func TestFaultRetryExhaustionAbandonment(t *testing.T) {
 		t.Fatal("fault run recorded no horizon")
 	}
 }
+
+// TestFacilityRejectsNonFiniteFaults: a NaN MTBF, MTTR or requeue delay
+// must end the run in a reported error. A NaN MTTR used to schedule repairs
+// at NaN instants, and the run never finished.
+func TestFacilityRejectsNonFiniteFaults(t *testing.T) {
+	ok := machine.FailureProfile{MTBF: 5, MTTR: 1.5}
+	nan := vclock.Time(math.NaN())
+	for name, f := range map[string]FacilityFaults{
+		"mtbf":          {Cluster: machine.FailureProfile{MTBF: nan, MTTR: 1.5}, Booster: ok},
+		"mttr":          {Cluster: ok, Booster: machine.FailureProfile{MTBF: 5, MTTR: nan}},
+		"requeue_delay": {Cluster: ok, Booster: ok, RequeueDelay: nan},
+		"infinite_mttr": {Cluster: machine.FailureProfile{MTBF: 5, MTTR: vclock.Time(math.Inf(1))}, Booster: ok},
+	} {
+		p := FacilityParams{Policy: FacilityBackfill, Jobs: 50, Load: 1.4, Seed: 1, Faults: &f}
+		if _, err := RunFacility(p); err == nil {
+			t.Errorf("%s: non-finite fault parameter accepted", name)
+		}
+	}
+}

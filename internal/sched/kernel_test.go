@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"clusterbooster/internal/engine"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/vclock"
 )
@@ -194,6 +197,9 @@ func TestFacilityRejectsBadParams(t *testing.T) {
 	for _, p := range []FacilityParams{
 		{Policy: FacilityFCFS, Jobs: 0, Load: 1},
 		{Policy: FacilityFCFS, Jobs: 10, Load: 0},
+		{Policy: FacilityFCFS, Jobs: 10, Load: math.NaN()},
+		{Policy: FacilityFCFS, Jobs: 10, Load: math.Inf(1)},
+		{Policy: FacilityFCFS, Jobs: 10, Load: math.Inf(-1)},
 		{Policy: "easy", Jobs: 10, Load: 1},
 		{Policy: FacilityFCFS, Jobs: 10, Load: 1, ClusterNodes: -1},
 	} {
@@ -218,5 +224,41 @@ func TestFacilityThousandJobs(t *testing.T) {
 	}
 	if out.Events < 1000 {
 		t.Fatalf("only %d kernel events for a 1000-job stream", out.Events)
+	}
+}
+
+// TestFacilityOneTaskPerRun pins the queue's kernel design: jobs are
+// callbacks, not tasks. A 1000-job run registers exactly one task, the
+// driver, and switches goroutines at most twice (its start and its final
+// wake).
+func TestFacilityOneTaskPerRun(t *testing.T) {
+	before := engine.Global()
+	if _, err := RunFacility(FacilityParams{Policy: FacilityBackfill, Jobs: 1000, Load: 1.4, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	after := engine.Global()
+	if tasks := after.Tasks - before.Tasks; tasks != 1 {
+		t.Errorf("a 1000-job run registered %d tasks, want 1", tasks)
+	}
+	if sw := after.Switches - before.Switches; sw > 2 {
+		t.Errorf("a 1000-job run made %d goroutine switches, want at most 2", sw)
+	}
+}
+
+// TestQueueStallIsAnError: a malleable job too wide for the Cluster at full
+// size, whose Booster minimum exceeds its Booster request, passes the
+// can-never-run check on its minima yet can never start. Once the job ahead
+// of it finishes nothing is running, and the kernel's deadlock detector must
+// turn that into an error instead of a hang.
+func TestQueueStallIsAnError(t *testing.T) {
+	m := NewManager(machine.New(4, 4))
+	jobs := []Job{
+		{ID: 1, Cluster: 4, Arrival: 0, Duration: sec(1)},
+		{ID: 2, Cluster: 5, Booster: 1, Arrival: sec(1), Duration: sec(1),
+			Malleable: true, MinCluster: 2, MinBooster: 2},
+	}
+	_, err := m.SimulateQueue(jobs, FCFS)
+	if err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("stalled queue returned %v, want a stall error", err)
 	}
 }

@@ -109,8 +109,7 @@ type pendingJob struct {
 
 // qjob is one job's live state inside a kernel queue run.
 type qjob struct {
-	job  Job
-	task *engine.Task
+	job Job
 
 	granted    bool
 	grantedC   int
@@ -119,9 +118,9 @@ type qjob struct {
 	backfilled bool
 	shrunk     bool
 
-	// Fault-mode state (queueRun.faults != nil). A job may run several
-	// attempts: node failures revoke its allocation, rewind its progress to
-	// the best surviving checkpoint and requeue it.
+	// A job may run several attempts when the run has faults: node failures
+	// revoke its allocation, rewind its progress to the best surviving
+	// checkpoint and requeue it. A failure-free job runs exactly one.
 	work      vclock.Time // remaining nominal (unstretched) work
 	stretch   float64     // current attempt's malleable stretch factor
 	resumed   bool        // next attempt restores from a checkpoint
@@ -150,8 +149,9 @@ type queueCounters struct {
 }
 
 // queueRun is the scheduler state of one kernel queue simulation. Every
-// field is kernel state: it is only ever touched while one of the run's
-// tasks holds the engine baton, so — like the Manager — it needs no lock.
+// field is kernel state: it is only ever touched from the run's kernel
+// callbacks, which execute one at a time holding the engine baton, so —
+// like the Manager — it needs no lock.
 type queueRun struct {
 	policy Policy
 	freeC  int
@@ -164,10 +164,17 @@ type queueRun struct {
 	sched Schedule
 	cnt   queueCounters
 
+	eng *engine.Engine
+	// driver is the run's one task. It parks until the last job is done or
+	// abandoned (open counts the jobs that are neither), which keeps the
+	// kernel running and lets its deadlock detector report a queue that
+	// stops making progress.
+	driver *engine.Task
+	open   int
+
 	// faults, when non-nil, switches the run into fault mode: failure/repair
-	// events drain and refill the pools, grants schedule completions as
-	// kernel callbacks (revocable between grant and completion), and killed
-	// jobs are rewound and requeued. Nil keeps the exact failure-free path.
+	// events drain and refill the pools, grants are revocable between grant
+	// and completion, and killed jobs are rewound and requeued.
 	faults *faultRun
 }
 
@@ -175,13 +182,12 @@ type queueRun struct {
 // returns the resulting schedule. It does not touch the manager's online
 // allocation state; it is a planning computation over total node counts.
 //
-// Each job runs as an engine.Task: the task starts at the job's arrival,
-// enqueues itself and parks until the scheduler — re-run at every arrival
-// and completion event, under the baton — grants its nodes with a kernel
-// wakeup. A granted task sleeps out its runtime in virtual time, releases
-// its nodes and re-dispatches. If the queue can make no progress (head
-// blocked, nothing running) the kernel's deadlock detector poisons the
-// parked tasks and the error surfaces here.
+// The run is a chain of callbacks on one event kernel: an arrival enqueues
+// its job and re-runs the policy, a grant takes the job's nodes and
+// schedules its completion, and a completion returns the nodes and re-runs
+// the policy. One driver task parks for the whole run. If the queue can
+// make no progress (head blocked, nothing running) the kernel's deadlock
+// detector fails the driver and the error surfaces here.
 func (m *Manager) SimulateQueue(jobs []Job, policy Policy) (Schedule, error) {
 	sched, _, err := m.simulateQueue(jobs, policy)
 	return sched, err
@@ -195,9 +201,9 @@ func (m *Manager) simulateQueue(jobs []Job, policy Policy) (Schedule, queueCount
 }
 
 // simulateQueueFaults is simulateQueue with an optional machine-level
-// failure/repair process (nil or disabled faults keep the failure-free code
-// path event-for-event identical). The returned faultRun carries the
-// availability and occupancy integrals of a faulty run (nil otherwise).
+// failure/repair process (nil or disabled faults run failure-free). The
+// returned faultRun carries the availability and occupancy integrals of a
+// faulty run (nil otherwise).
 func (m *Manager) simulateQueueFaults(jobs []Job, policy Policy, faults *FacilityFaults) (Schedule, queueCounters, *faultRun, error) {
 	totalC := m.sys.NodeCount(machine.Cluster)
 	totalB := m.sys.NodeCount(machine.Booster)
@@ -211,28 +217,32 @@ func (m *Manager) simulateQueueFaults(jobs []Job, policy Policy, faults *Facilit
 				j.ID, j.Name, needC, needB, totalC, totalB)
 		}
 	}
-	queue := append([]Job(nil), jobs...)
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
-
-	q := &queueRun{policy: policy, freeC: totalC, freeB: totalB}
-	eng := engine.New()
-	if faults != nil && faults.Enabled() {
+	if faults != nil {
 		if err := faults.Validate(); err != nil {
 			return Schedule{}, queueCounters{}, nil, err
 		}
-		q.faults = newFaultRun(*faults, eng, q, totalC, totalB)
-		lastArrival := vclock.Time(0)
-		if len(queue) > 0 {
-			lastArrival = queue[len(queue)-1].Arrival
-		}
-		q.faults.start(lastArrival)
 	}
-	errs := make([]error, len(queue))
-	for i, j := range queue {
-		qj := &qjob{job: j, task: eng.NewTask(jobTaskName(j)), work: j.Duration, stretch: 1}
-		qj.task.StartAt(j.Arrival)
-		go q.runJob(qj, &errs[i])
+	queue := append([]Job(nil), jobs...)
+	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
+
+	eng := engine.New()
+	q := &queueRun{policy: policy, freeC: totalC, freeB: totalB, eng: eng, open: len(queue)}
+	first, last := vclock.Time(0), vclock.Time(0)
+	if n := len(queue); n > 0 {
+		first, last = queue[0].Arrival, queue[n-1].Arrival
 	}
+	q.driver = eng.NewTask("queue")
+	q.driver.StartAt(first)
+	if faults != nil && faults.Enabled() {
+		q.faults = newFaultRun(*faults, q, totalC, totalB)
+		q.faults.start(last)
+	}
+	for _, j := range queue {
+		qj := &qjob{job: j, work: j.Duration, stretch: 1}
+		eng.CallAt(j.Arrival, func() { q.arrive(qj) })
+	}
+	var err error
+	go q.drive(&err)
 	eng.Run()
 	q.cnt.events = eng.Stats().Events
 	eng.Recycle()
@@ -244,61 +254,44 @@ func (m *Manager) simulateQueueFaults(jobs []Job, policy Policy, faults *Facilit
 		q.cnt.lostNodeSec = f.lostNodeSec
 	}
 	noteQueueRun(q.cnt)
-	for _, err := range errs {
-		if err != nil {
-			return Schedule{}, queueCounters{}, nil, err
-		}
+	if err != nil {
+		return Schedule{}, queueCounters{}, nil, err
 	}
 	return q.sched, q.cnt, q.faults, nil
 }
 
-// jobTaskName renders a job's kernel task name (appears only in failures).
-func jobTaskName(j Job) string {
-	if j.Name != "" {
-		return fmt.Sprintf("job %d (%s)", j.ID, j.Name)
-	}
-	return fmt.Sprintf("job %d", j.ID)
-}
-
-// runJob is one job's task: arrive, queue, park for the grant, sleep out
-// the runtime, release, re-dispatch. Kernel poison (deadlock: the head can
-// never start and nothing is running) is recovered into the job's error.
-func (q *queueRun) runJob(j *qjob, errp *error) {
-	defer j.task.Exit()
+// drive is the driver task: it parks until no job is open. Kernel poison
+// (deadlock: the head can never start, nothing is running and no event is
+// pending) is recovered into the run's error.
+func (q *queueRun) drive(errp *error) {
+	t := q.driver
+	defer t.Exit()
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*engine.TaskFailure); ok {
-				*errp = f
-				return
-			}
-			*errp = fmt.Errorf("sched: job %d (%s) cannot start and nothing is running", j.job.ID, j.job.Name)
+			*errp = fmt.Errorf("sched: queue stalled with %d jobs open: %v", q.open, r)
 		}
 	}()
-	j.task.WaitStart() // fires at the job's arrival
+	t.WaitStart()
+	for q.open > 0 {
+		t.Park()
+	}
+}
+
+// arrive is a job's arrival event: the job joins the back of the queue and
+// the policy re-runs.
+func (q *queueRun) arrive(j *qjob) {
 	q.enqueue(j)
 	q.cnt.submitted++
-	q.dispatch(j.job.Arrival, j)
-	if q.faults != nil {
-		// Fault mode: the task parks across its whole (possibly multi-
-		// attempt) lifetime. Grants and revocations happen entirely in
-		// kernel callbacks; the one wake is terminal — completion or
-		// abandonment — and all release bookkeeping already ran there.
-		for !j.done && !j.abandoned {
-			j.task.Park()
-		}
-		return
+	q.dispatch(j.job.Arrival)
+}
+
+// retire counts a job out for good (done or abandoned) at virtual time at;
+// the last one wakes the driver, which ends the run.
+func (q *queueRun) retire(at vclock.Time) {
+	q.open--
+	if q.open == 0 {
+		q.driver.WakeAt(at)
 	}
-	if !j.granted {
-		// Allocation wait: park until a dispatch grants our nodes. The wake
-		// arrives at the grant instant, so the task resumes exactly when its
-		// reservation starts.
-		j.task.Park()
-	}
-	j.task.SleepUntil(j.end)
-	q.freeC += j.grantedC
-	q.freeB += j.grantedB
-	q.removeRunning(j)
-	q.dispatch(j.end, nil)
 }
 
 // enqueue appends j to the back of the pending queue.
@@ -309,21 +302,17 @@ func (q *queueRun) enqueue(j *qjob) {
 	}
 }
 
-// dispatch re-runs the queue policy at virtual time now, holding the baton.
-// self is the job whose task is currently executing (nil from a completion):
-// a grant to self just sets its state — the task continues inline — while a
-// grant to any other pending job wakes its parked task at now. Under
-// Backfill a blocked head is followed by one backfill pass over the rest of
-// the queue.
-func (q *queueRun) dispatch(now vclock.Time, self *qjob) {
-	for len(q.pending) > 0 && q.tryStart(q.pending[0].j, now, self) {
+// dispatch re-runs the queue policy at virtual time now. Under Backfill a
+// blocked head is followed by one backfill pass over the rest of the queue.
+func (q *queueRun) dispatch(now vclock.Time) {
+	for len(q.pending) > 0 && q.tryStart(q.pending[0].j, now) {
 		q.pending[0] = pendingJob{}
 		q.pending = q.pending[1:]
 	}
 	if q.policy != Backfill || len(q.pending) == 0 {
 		return
 	}
-	q.backfill(now, func(j *qjob) { q.grant(j, j.job.Cluster, j.job.Booster, 1, now, self) })
+	q.backfill(now, func(j *qjob) { q.grant(j, j.job.Cluster, j.job.Booster, 1, now) })
 }
 
 // backfill is conservative backfill behind a blocked head at now: the head
@@ -364,9 +353,9 @@ func (q *queueRun) backfill(now vclock.Time, start func(j *qjob)) {
 }
 
 // tryStart attempts to start job j now, honouring malleability.
-func (q *queueRun) tryStart(j *qjob, now vclock.Time, self *qjob) bool {
+func (q *queueRun) tryStart(j *qjob, now vclock.Time) bool {
 	if j.job.Cluster <= q.freeC && j.job.Booster <= q.freeB {
-		q.grant(j, j.job.Cluster, j.job.Booster, 1, now, self)
+		q.grant(j, j.job.Cluster, j.job.Booster, 1, now)
 		return true
 	}
 	if !j.job.Malleable {
@@ -384,52 +373,24 @@ func (q *queueRun) tryStart(j *qjob, now vclock.Time, self *qjob) bool {
 	if j.job.Booster > 0 && gb > 0 {
 		stretch = max(stretch, float64(j.job.Booster)/float64(gb))
 	}
-	q.grant(j, gc, gb, stretch, now, self)
+	q.grant(j, gc, gb, stretch, now)
 	return true
 }
 
-// grant reserves nodes for j starting now and records the placement. If j's
-// task is parked (any job but self) the grant wakes it at the start instant.
-// In fault mode grants are revocable: the placement is recorded only at
-// completion, and the completion itself is a kernel callback that a node
-// failure can retire.
-func (q *queueRun) grant(j *qjob, gc, gb int, stretch float64, now vclock.Time, self *qjob) {
-	if q.faults != nil {
-		q.grantFaulty(j, gc, gb, stretch, now)
-		return
-	}
-	dur := vclock.Time(j.job.Duration.Seconds() * stretch)
-	j.granted = true
-	j.grantedC, j.grantedB = gc, gb
-	j.start, j.end = now, now+dur
-	if gc < j.job.Cluster || gb < j.job.Booster {
-		j.shrunk = true
-		q.cnt.shrunk++
-	}
-	q.freeC -= gc
-	q.freeB -= gb
-	q.running = append(q.running, j)
-	q.cnt.started++
-	p := Placed{Job: j.job, Start: j.start, End: j.end, Cluster: gc, Booster: gb}
-	q.sched.Placed = append(q.sched.Placed, p)
-	if j.end > q.sched.Makespan {
-		q.sched.Makespan = j.end
-	}
-	if j != self {
-		j.task.WakeAt(now)
-	}
-}
-
-// grantFaulty starts one attempt of j: the runtime covers the remaining
-// (stretched) work plus the rewind policy's checkpoint/restore overhead, and
-// completion is scheduled as a generation-guarded callback so a revocation
-// in between can retire it. The parked task is not woken — it sleeps through
-// all attempts and wakes only at a terminal event.
-func (q *queueRun) grantFaulty(j *qjob, gc, gb int, stretch float64, now vclock.Time) {
+// grant starts one attempt of j now on gc/gb nodes. The runtime is the
+// remaining work stretched by the shrink factor, plus, in fault mode, the
+// rewind policy's checkpoint/restore overhead. The completion is a
+// generation-guarded callback, so a revocation in between can retire it.
+//
+// A failure-free grant is irrevocable, so it records the placement at once.
+// A faulty run records it at completion instead.
+func (q *queueRun) grant(j *qjob, gc, gb int, stretch float64, now vclock.Time) {
 	f := q.faults
-	f.snap(now)
-	work := vclock.Time(j.work.Seconds() * stretch)
-	dur := f.attemptRuntime(work, j.resumed)
+	dur := vclock.Time(j.work.Seconds() * stretch)
+	if f != nil {
+		f.snap(now)
+		dur = f.attemptRuntime(dur, j.resumed)
+	}
 	j.granted = true
 	j.grantedC, j.grantedB = gc, gb
 	j.stretch = stretch
@@ -443,33 +404,47 @@ func (q *queueRun) grantFaulty(j *qjob, gc, gb int, stretch float64, now vclock.
 	q.running = append(q.running, j)
 	q.cnt.started++
 	gen := j.gen
-	f.eng.CallAt(j.end, func() { q.completeFaulty(j, gen) })
+	q.eng.CallAt(j.end, func() { q.complete(j, gen) })
+	if f == nil {
+		q.place(j)
+		return
+	}
 	f.audit(now, "grant")
 }
 
-// completeFaulty finishes j's current attempt, unless a revocation retired
-// it (generation mismatch). Only now does the job enter the schedule: Start
-// is the final attempt's start, so waits and slowdowns include every requeue.
-func (q *queueRun) completeFaulty(j *qjob, gen int) {
+// complete finishes j's current attempt, unless a revocation retired it
+// (generation mismatch): the nodes return to the pools and the policy
+// re-runs. A faulty job enters the schedule only now, so Start is the final
+// attempt's start and waits and slowdowns include every requeue.
+func (q *queueRun) complete(j *qjob, gen int) {
 	if gen != j.gen || j.done {
 		return // a failure revoked this attempt before it finished
 	}
 	f := q.faults
 	at := j.end
-	f.snap(at)
+	if f != nil {
+		f.snap(at)
+	}
 	j.done = true
 	j.work = 0
 	q.freeC += j.grantedC
 	q.freeB += j.grantedB
 	q.removeRunning(j)
-	p := Placed{Job: j.job, Start: j.start, End: at, Cluster: j.grantedC, Booster: j.grantedB}
-	q.sched.Placed = append(q.sched.Placed, p)
-	if at > q.sched.Makespan {
-		q.sched.Makespan = at
+	if f != nil {
+		q.place(j)
+		f.audit(at, "complete")
 	}
-	f.audit(at, "complete")
-	j.task.WakeAt(at)
-	q.dispatch(at, nil)
+	q.retire(at)
+	q.dispatch(at)
+}
+
+// place records j's current attempt in the schedule.
+func (q *queueRun) place(j *qjob) {
+	p := Placed{Job: j.job, Start: j.start, End: j.end, Cluster: j.grantedC, Booster: j.grantedB}
+	q.sched.Placed = append(q.sched.Placed, p)
+	if j.end > q.sched.Makespan {
+		q.sched.Makespan = j.end
+	}
 }
 
 // removeRunning drops a completed job from the running set.

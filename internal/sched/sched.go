@@ -8,9 +8,9 @@
 //     property §II-A contrasts with accelerated clusters), and place spawned
 //     process groups (psmpi.Placement) — either machine-wide (Manager) or
 //     inside a live allocation (Allocation.PlaceSpawn).
-//  2. Batch scheduling on the event kernel: SimulateQueue runs each job as an
-//     engine.Task that parks until the scheduler grants its nodes, under FCFS
-//     or FCFS+conservative-backfill, including malleable jobs that shrink to
+//  2. Batch scheduling on the event kernel: SimulateQueue runs the job stream
+//     as kernel callbacks (arrival, grant, completion) under FCFS or
+//     FCFS+conservative-backfill, including malleable jobs that shrink to
 //     available resources, as in the DEEP scheduling work (ref [5]).
 //  3. Facility simulation: RunFacility drives a seeded synthetic arrival
 //     stream — thousands of concurrent jobs on one kernel — through the
@@ -22,12 +22,12 @@
 // pre-kernel goroutine/rendezvous execution model where any rank's goroutine
 // could call Alloc or Release at any host moment. On the event kernel that
 // concurrency does not exist: every execution context of a simulated job is
-// an engine.Task, exactly one of which runs at a time (the baton), so every
-// Manager call is already serialised by the kernel. Across scenarios there
-// is no sharing either — each sweep scenario boots a private core.System
-// with its own Manager. Dropping the mutex follows the same argument PR 4
-// made for scr and PR 6 made for the I/O stack: the kernel's cooperative
-// scheduling is the synchronisation.
+// an engine.Task or a kernel callback, and exactly one of them runs at a
+// time (the baton), so every Manager call is already serialised by the
+// kernel. Across scenarios there is no sharing either — each sweep scenario
+// boots a private core.System with its own Manager. Dropping the mutex
+// follows the same argument that removed the locks from scr and the I/O
+// stack: the kernel's cooperative scheduling is the synchronisation.
 package sched
 
 import (
