@@ -6,11 +6,11 @@
 // Usage:
 //
 //	cbctl list [-v]
-//	cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
-//	cbctl diff  [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
-//	cbctl bless [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
+//	cbctl run   [-workers N] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
+//	cbctl diff  [-workers N] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
+//	cbctl bless [-workers N] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
 //	cbctl bench [-in FILE] [-check] [-update] [-max-regress F] [-C dir]
-//	cbctl serve [-addr HOST:PORT] [-workers N] [-kworkers K] [-store DIR] [-v]
+//	cbctl serve [-addr HOST:PORT] [-workers N] [-store DIR] [-v]
 //
 // run prints one canonical JSON document per selected experiment; with
 // several experiments the output is a concatenated stream of documents (use
@@ -19,10 +19,7 @@
 // serve stream, which the CI serve smoke job relies on. -stats adds the
 // execution-kernel counters, the scenario-cache hit/miss counters and (with
 // -store) the persistent-store counters on stderr; -cpuprofile/-memprofile
-// capture pprof profiles of the runs for perf work. -kworkers K runs each
-// eligible scenario's event kernel on K cores with the conservative
-// synchronous-window scheme — results are bit-identical to serial for every
-// K, so run, diff and bless all accept it.
+// capture pprof profiles of the runs for perf work.
 //
 // -store DIR layers the persistent, shared result store (internal/runstore)
 // under the in-process scenario cache: successful compute runs are published
@@ -64,14 +61,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"clusterbooster/internal/benchdata"
 	"clusterbooster/internal/engine"
 	"clusterbooster/internal/exp"
 	"clusterbooster/internal/ioev"
 	"clusterbooster/internal/prof"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/runstore"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/sweep"
@@ -117,11 +112,11 @@ func dispatch(args []string, out, errw io.Writer) int {
 func usage(errw io.Writer) {
 	fmt.Fprintf(errw, `usage:
   cbctl list [-v]
-  cbctl run   [-workers N] [-kworkers K] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
-  cbctl diff  [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
-  cbctl bless [-workers N] [-kworkers K] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
+  cbctl run   [-workers N] [-store DIR] [-v] [-text] [-ndjson] [-stats] [-cpuprofile F] [-memprofile F] -all | <experiment> ...
+  cbctl diff  [-workers N] [-store DIR] [-v] [-stats] [-tolerance] [-C dir] -all | <experiment> ...
+  cbctl bless [-workers N] [-store DIR] [-v] [-stats] [-C dir] -all | <experiment> ...
   cbctl bench [-in FILE] [-check] [-update] [-max-regress F] [-C dir]
-  cbctl serve [-addr HOST:PORT] [-workers N] [-kworkers K] [-store DIR] [-v]
+  cbctl serve [-addr HOST:PORT] [-workers N] [-store DIR] [-v]
 
 Experiments are the registered paper artifacts and sweeps (see 'cbctl list'
 and EXPERIMENTS.md). diff exits non-zero on golden drift, missing baselines,
@@ -147,7 +142,6 @@ type verbFlags struct {
 	fs         *flag.FlagSet
 	all        *bool
 	workers    *int
-	kworkers   *int
 	store      *string
 	verbose    *bool
 	stats      *bool
@@ -177,13 +171,12 @@ func newFlags(verb string, errw io.Writer, withTolerance, withRoot, withText boo
 	fs := flag.NewFlagSet("cbctl "+verb, flag.ContinueOnError)
 	fs.SetOutput(errw)
 	v := verbFlags{
-		fs:       fs,
-		all:      fs.Bool("all", false, "select every registered experiment"),
-		workers:  fs.Int("workers", 0, "sweep worker pool bound (0 = GOMAXPROCS)"),
-		kworkers: fs.Int("kworkers", 0, "kernel workers per eligible launch: conservative parallel execution of each scenario, bit-identical to serial (0/1 = serial)"),
-		store:    fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only); results are byte-identical either way"),
-		verbose:  fs.Bool("v", false, "per-scenario progress on stderr"),
-		stats:    fs.Bool("stats", false, "print execution-kernel, scenario-cache and run-store stats to stderr after the runs"),
+		fs:      fs,
+		all:     fs.Bool("all", false, "select every registered experiment"),
+		workers: fs.Int("workers", 0, "sweep worker pool bound (0 = GOMAXPROCS)"),
+		store:   fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only); results are byte-identical either way"),
+		verbose: fs.Bool("v", false, "per-scenario progress on stderr"),
+		stats:   fs.Bool("stats", false, "print execution-kernel, scenario-cache and run-store stats to stderr after the runs"),
 	}
 	if withTolerance {
 		v.tolerance = fs.Bool("tolerance", false, "apply per-experiment relative tolerances to numeric drift")
@@ -268,10 +261,6 @@ func (v verbFlags) selectExps() ([]exp.Experiment, error) {
 }
 
 func (v verbFlags) options(errw io.Writer) exp.Options {
-	// The kernel worker count is a process-wide execution setting, not part
-	// of any scenario's configuration (results are bit-identical for every
-	// value, so it must never enter a cache key or a golden).
-	psmpi.SetDefaultKernelWorkers(*v.kworkers)
 	o := exp.Options{Workers: *v.workers}
 	if *v.verbose {
 		o.Observer = exp.ProgressObserver(errw, "cbctl")
@@ -544,13 +533,6 @@ func runBench(args []string, out, errw io.Writer) int {
 			fmt.Fprintln(errw, "cbctl: bench -update needs the source tree; run from inside the module or pass -C <root>")
 			return 2
 		}
-		// The speedups section is hand-maintained policy, not measurement:
-		// carry it forward from the previous baseline across re-records.
-		if old, err := os.ReadFile(filepath.Join(root, benchBaselineFile)); err == nil {
-			if prev, err := benchdata.ParseBaseline(old); err == nil {
-				fresh.Speedups = prev.Speedups
-			}
-		}
 		b, err := fresh.Canonical()
 		if err != nil {
 			fmt.Fprintf(errw, "cbctl: %v\n", err)
@@ -582,14 +564,6 @@ func runBench(args []string, out, errw io.Writer) int {
 			*maxAllocs = *maxRegress
 		}
 		regs := benchdata.Compare(baseline, fresh, *maxRegress, *maxAllocs)
-		cpus := runtime.NumCPU()
-		regs = append(regs, benchdata.CheckSpeedups(baseline, fresh, cpus)...)
-		// An unenforceable speedup gate must be loud: a 2-CPU runner passing
-		// -check is not evidence that the parallel kernel still wins.
-		for _, s := range benchdata.SkippedSpeedups(baseline, cpus) {
-			fmt.Fprintf(out, "skipped %s vs %s speedup gate: %d CPUs < %d required\n",
-				s.Name, s.Base, cpus, s.MinCPUs)
-		}
 		if len(regs) == 0 {
 			fmt.Fprintf(out, "ok   %d benchmarks within %.0f%% ns/op, %.0f%% allocs/op of %s\n",
 				len(baseline.Benchmarks), *maxRegress*100, *maxAllocs*100, benchBaselineFile)

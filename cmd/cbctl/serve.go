@@ -35,11 +35,11 @@ import (
 	"net"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"clusterbooster/internal/engine"
 	"clusterbooster/internal/exp"
 	"clusterbooster/internal/ioev"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/runstore"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/sweep"
@@ -51,7 +51,6 @@ func runServe(args []string, out, errw io.Writer) int {
 	fs.SetOutput(errw)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "sweep worker pool bound per request (0 = GOMAXPROCS)")
-	kworkers := fs.Int("kworkers", 0, "kernel workers per eligible launch: conservative parallel execution, bit-identical to serial (0/1 = serial)")
 	store := fs.String("store", "", "persistent run-store directory shared across processes (\"\" = in-process cache only)")
 	verbose := fs.Bool("v", false, "per-scenario progress on stderr")
 	switch err := fs.Parse(args); {
@@ -64,7 +63,6 @@ func runServe(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "cbctl: serve takes no positional arguments")
 		return 2
 	}
-	psmpi.SetDefaultKernelWorkers(*kworkers)
 	if *store != "" {
 		st, err := runstore.Open(*store, exp.CacheEpoch())
 		if err != nil {
@@ -83,11 +81,22 @@ func runServe(args []string, out, errw io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(out, "cbctl: serving on http://%s (epoch %s)\n", ln.Addr(), exp.CacheEpoch())
-	if err := http.Serve(ln, s.handler()); err != nil {
+	if err := s.httpServer().Serve(ln); err != nil {
 		fmt.Fprintf(errw, "cbctl: %v\n", err)
 		return 1
 	}
 	return 0
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that connects and never sends them cannot
+// hold the connection open forever. Response streams are not bounded: a
+// catalog run legitimately takes minutes.
+const readHeaderTimeout = 10 * time.Second
+
+// httpServer wraps the handler in the server runServe listens with.
+func (s *server) httpServer() *http.Server {
+	return &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // server is the HTTP state: run options plus request counters for /statsz.

@@ -208,3 +208,16 @@ func TestServeStatsz(t *testing.T) {
 		}
 	}
 }
+
+// TestServeReadHeaderTimeout pins the header deadline on the server runServe
+// listens with: without it, a client that connects and never sends its
+// request headers holds the connection forever.
+func TestServeReadHeaderTimeout(t *testing.T) {
+	srv := (&server{}).httpServer()
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+}

@@ -19,9 +19,6 @@
 //	-sweep     run the paper's full evaluation grid through the sweep engine
 //	-scr       add the SCR checkpoint-level axis to the sweep
 //	-workers N bound the sweep worker pool (0 = GOMAXPROCS)
-//	-kworkers K run each eligible scenario's event kernel on K cores with the
-//	           conservative synchronous-window scheme (0/1 = serial); results
-//	           are bit-identical to serial for every K
 //	-json      emit canonical JSON (registry documents, or sweep results);
 //	           with multiple targets ("all") the output is a stream of
 //	           concatenated documents, one per target, not one JSON value
@@ -92,7 +89,6 @@ import (
 	"clusterbooster/internal/ioev"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/prof"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/runstore"
 	"clusterbooster/internal/sched"
@@ -124,7 +120,6 @@ func main() {
 	retries := flag.Int("retries", 16, "facility kill/requeue budget per job before abandonment")
 	ckptEverySec := flag.Float64("ckpt-every", 0, "facility checkpoint interval, virtual seconds (0 = cold restarts)")
 	workers := flag.Int("workers", 0, "sweep worker pool bound (0 = GOMAXPROCS)")
-	kworkers := flag.Int("kworkers", 0, "kernel workers per eligible launch: conservative parallel execution of each scenario, bit-identical to serial (0/1 = serial)")
 	asJSON := flag.Bool("json", false, "emit canonical JSON instead of text")
 	asCSV := flag.Bool("csv", false, "emit sweep results as CSV instead of text")
 	verbose := flag.Bool("v", false, "per-scenario progress on stderr")
@@ -140,11 +135,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	// The kernel worker count is a process-wide execution setting, not part
-	// of any scenario's configuration (results are bit-identical for every
-	// value, so it must never enter a cache key or a golden).
-	psmpi.SetDefaultKernelWorkers(*kworkers)
 
 	if *storeDir != "" {
 		st, err := runstore.Open(*storeDir, exp.CacheEpoch())

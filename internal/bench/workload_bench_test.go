@@ -1,19 +1,14 @@
 package bench
 
-// Benchmarks of the conservative parallel kernel against its serial
-// baseline, on the workloads the -kworkers mode was built for: the
+// End-to-end benchmarks of the largest workloads one kernel runs: the
 // fig8-scale strong-scaling points (thousands of ranks per kernel) and the
-// facility arrival streams. The serial/par4 pairs back the "speedups"
-// section of BENCH_kernel.json — `cbctl bench -check` requires the recorded
-// ratio on hosts with enough cores (results are bit-identical either way;
-// only wall-clock may differ).
+// facility arrival streams.
 
 import (
 	"testing"
 
 	"clusterbooster/internal/core"
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
@@ -53,11 +48,8 @@ func benchScale4096Config() xpic.Config {
 }
 
 // benchScalePoint runs the Booster-only strong-scaling point at n ranks end
-// to end, with the requested kernel worker count, b.N times.
-func benchScalePoint(b *testing.B, n, kworkers int, cfg xpic.Config) {
-	prev := psmpi.DefaultKernelWorkers()
-	psmpi.SetDefaultKernelWorkers(kworkers)
-	defer psmpi.SetDefaultKernelWorkers(prev)
+// to end, b.N times.
+func benchScalePoint(b *testing.B, n int, cfg xpic.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,22 +60,11 @@ func benchScalePoint(b *testing.B, n, kworkers int, cfg xpic.Config) {
 	}
 }
 
-// BenchmarkKernelFig8Scale runs the n=1024 fig8-scale Booster point serial
-// and on 4 kernel workers.
-func BenchmarkKernelFig8Scale(b *testing.B) {
-	cfg := benchScaleConfig()
-	b.Run("serial", func(b *testing.B) { benchScalePoint(b, 1024, 1, cfg) })
-	b.Run("par4", func(b *testing.B) { benchScalePoint(b, 1024, 4, cfg) })
-}
+// BenchmarkKernelFig8Scale runs the n=1024 fig8-scale Booster point.
+func BenchmarkKernelFig8Scale(b *testing.B) { benchScalePoint(b, 1024, benchScaleConfig()) }
 
-// BenchmarkKernelFig8Scale4096 runs the n=4096 fig8-scale4096 Booster point
-// serial and on 4 kernel workers — the speedup-gated pair: on a >=4-core
-// host par4 must beat serial by the ratio recorded in BENCH_kernel.json.
-func BenchmarkKernelFig8Scale4096(b *testing.B) {
-	cfg := benchScale4096Config()
-	b.Run("serial", func(b *testing.B) { benchScalePoint(b, 4096, 1, cfg) })
-	b.Run("par4", func(b *testing.B) { benchScalePoint(b, 4096, 4, cfg) })
-}
+// BenchmarkKernelFig8Scale4096 runs the n=4096 fig8-scale4096 Booster point.
+func BenchmarkKernelFig8Scale4096(b *testing.B) { benchScalePoint(b, 4096, benchScale4096Config()) }
 
 // BenchmarkKernelFacilityFailures is BenchmarkKernelFacility on a failing
 // machine: the same 1000-job backfill stream under the harsh mtbf12-style

@@ -34,26 +34,6 @@ type Baseline struct {
 	// repeated runs of one benchmark (-count > 1), benchstat's robust choice
 	// against scheduling noise.
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Speedups are required wall-clock ratios between benchmark pairs of one
-	// run; unlike the per-benchmark gates they compare the fresh run against
-	// itself, so they hold on any machine fast or slow. `cbctl bench -update`
-	// carries this section forward — edit it by hand.
-	Speedups []Speedup `json:"speedups,omitempty"`
-}
-
-// Speedup requires one benchmark of a run to beat another by a factor: the
-// conservative parallel kernel's ≥2x-at-4-workers claim is recorded this
-// way. It only binds on hosts with at least MinCPUs logical CPUs — a
-// parallel/serial ratio is meaningless on fewer cores than workers.
-type Speedup struct {
-	// Name is the benchmark that must be faster (e.g. the parallel leg).
-	Name string `json:"name"`
-	// Base is the reference benchmark (e.g. the serial leg).
-	Base string `json:"base"`
-	// MinRatio is the required Base-ns/op over Name-ns/op.
-	MinRatio float64 `json:"min_ratio"`
-	// MinCPUs gates enforcement on the host's logical CPU count.
-	MinCPUs int `json:"min_cpus"`
 }
 
 // Schema is the current baseline file schema.
@@ -158,9 +138,6 @@ func (r Regression) String() string {
 	if r.Metric == "missing" {
 		return fmt.Sprintf("%s: missing from this run (baseline has it)", r.Name)
 	}
-	if r.Metric == "speedup" {
-		return fmt.Sprintf("%s: speedup %.2fx < required %.2fx", r.Name, r.New, r.Old)
-	}
 	if r.Old == 0 {
 		// A zero baseline (0-alloc benchmarks) has no meaningful percentage.
 		return fmt.Sprintf("%s: %s %.6g -> %.6g", r.Name, r.Metric, r.Old, r.New)
@@ -195,50 +172,6 @@ func Compare(baseline, fresh Baseline, maxNs, maxAllocs float64) []Regression {
 		}
 		if now.AllocsPerOp > old.AllocsPerOp*(1+maxAllocs)+0.5 {
 			out = append(out, Regression{Name: old.Name, Metric: "allocs/op", Old: old.AllocsPerOp, New: now.AllocsPerOp})
-		}
-	}
-	return out
-}
-
-// CheckSpeedups enforces the baseline's speedup section against a fresh run
-// on a host with the given logical CPU count. Pairs whose MinCPUs exceeds
-// cpus are skipped (the ratio is meaningless there); a missing leg on an
-// eligible host is a failure, not a skip — otherwise deleting a benchmark
-// would silently disarm its gate. Old carries the required ratio and New
-// the measured one.
-// SkippedSpeedups returns the baseline's speedup pairs that CheckSpeedups
-// would NOT enforce on a host with the given logical CPU count. Callers
-// surface these so an under-provisioned host reports the disarmed gates
-// explicitly instead of passing in silence.
-func SkippedSpeedups(baseline Baseline, cpus int) []Speedup {
-	var out []Speedup
-	for _, s := range baseline.Speedups {
-		if cpus < s.MinCPUs {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func CheckSpeedups(baseline, fresh Baseline, cpus int) []Regression {
-	freshBy := map[string]Benchmark{}
-	for _, b := range fresh.Benchmarks {
-		freshBy[b.Name] = b
-	}
-	var out []Regression
-	for _, s := range baseline.Speedups {
-		if cpus < s.MinCPUs {
-			continue
-		}
-		pair := fmt.Sprintf("%s vs %s", s.Name, s.Base)
-		name, okN := freshBy[s.Name]
-		base, okB := freshBy[s.Base]
-		if !okN || !okB || name.NsPerOp <= 0 {
-			out = append(out, Regression{Name: pair, Metric: "missing"})
-			continue
-		}
-		if ratio := base.NsPerOp / name.NsPerOp; ratio < s.MinRatio {
-			out = append(out, Regression{Name: pair, Metric: "speedup", Old: s.MinRatio, New: ratio})
 		}
 	}
 	return out

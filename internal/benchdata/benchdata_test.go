@@ -96,80 +96,3 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("self-comparison regressed: %v", regs)
 	}
 }
-
-func TestCheckSpeedups(t *testing.T) {
-	base := Baseline{Schema: Schema, Speedups: []Speedup{
-		{Name: "Par", Base: "Serial", MinRatio: 2.0, MinCPUs: 4},
-	}}
-	fresh := func(serial, par float64) Baseline {
-		return Baseline{Schema: Schema, Benchmarks: []Benchmark{
-			{Name: "Serial", NsPerOp: serial},
-			{Name: "Par", NsPerOp: par},
-		}}
-	}
-	cases := []struct {
-		name       string
-		fresh      Baseline
-		cpus       int
-		wantMetric string // "" = no finding
-	}{
-		{"holds", fresh(1000, 400), 4, ""},
-		{"exactly at the bound", fresh(1000, 500), 4, ""},
-		{"too slow", fresh(1000, 600), 4, "speedup"},
-		{"skipped on a small host", fresh(1000, 2000), 1, ""},
-		{"missing leg fails, not skips", Baseline{Schema: Schema, Benchmarks: []Benchmark{{Name: "Serial", NsPerOp: 1000}}}, 4, "missing"},
-	}
-	for _, tc := range cases {
-		regs := CheckSpeedups(base, tc.fresh, tc.cpus)
-		switch {
-		case tc.wantMetric == "" && len(regs) != 0:
-			t.Errorf("%s: unexpected findings %v", tc.name, regs)
-		case tc.wantMetric != "" && (len(regs) != 1 || regs[0].Metric != tc.wantMetric):
-			t.Errorf("%s: findings %v, want one %q", tc.name, regs, tc.wantMetric)
-		case tc.wantMetric != "" && regs[0].String() == "":
-			t.Errorf("%s: empty rendering", tc.name)
-		}
-	}
-}
-
-func TestSkippedSpeedups(t *testing.T) {
-	base := Baseline{Schema: Schema, Speedups: []Speedup{
-		{Name: "Par2", Base: "Serial", MinRatio: 1.5, MinCPUs: 2},
-		{Name: "Par4", Base: "Serial", MinRatio: 2.0, MinCPUs: 4},
-	}}
-	if got := SkippedSpeedups(base, 8); len(got) != 0 {
-		t.Fatalf("8 CPUs: skipped %v, want none", got)
-	}
-	if got := SkippedSpeedups(base, 2); len(got) != 1 || got[0].Name != "Par4" {
-		t.Fatalf("2 CPUs: skipped %v, want just Par4", got)
-	}
-	if got := SkippedSpeedups(base, 1); len(got) != 2 {
-		t.Fatalf("1 CPU: skipped %v, want both pairs", got)
-	}
-	// Skipped and enforced partition the speedup section: what one drops the
-	// other reports, at every CPU count.
-	for _, cpus := range []int{1, 2, 4, 8} {
-		fresh := Baseline{Schema: Schema} // both legs missing
-		if n := len(SkippedSpeedups(base, cpus)) + len(CheckSpeedups(base, fresh, cpus)); n != len(base.Speedups) {
-			t.Errorf("cpus=%d: skipped+checked = %d, want %d", cpus, n, len(base.Speedups))
-		}
-	}
-}
-
-func TestSpeedupsRoundTrip(t *testing.T) {
-	b := Baseline{Schema: Schema,
-		Benchmarks: []Benchmark{{Name: "A", NsPerOp: 1}},
-		Speedups:   []Speedup{{Name: "Par", Base: "Serial", MinRatio: 2, MinCPUs: 4}},
-	}
-	raw, err := b.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseBaseline(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Speedups) != 1 || back.Speedups[0] != b.Speedups[0] {
-		t.Fatalf("speedups did not round-trip: %+v", back.Speedups)
-	}
-}

@@ -97,8 +97,6 @@ type Engine struct {
 	tasks    []*Task // every task of this run, for recycling
 	taskFree []*Task // retired task structs ready for reuse
 
-	par *parKernel // conservative parallel mode; nil = serial (see parallel.go)
-
 	stats Stats
 }
 
@@ -140,7 +138,6 @@ func (e *Engine) Recycle() {
 	e.live = 0
 	e.poison = false
 	e.done = nil
-	e.par = nil
 	e.stats = Stats{}
 	enginePool.Put(e)
 }
@@ -153,7 +150,6 @@ type Task struct {
 	resume  chan struct{}
 	state   int
 	bIdx    int   // index in the blocked set while stateBlocked
-	gid     int32 // parallel group index (0 on a serial kernel)
 	poison  bool  // woken only to fail with a deadlock error
 	failure error // set by Fail: the task dies at its next scheduling point
 }
@@ -175,7 +171,6 @@ func (t *Task) reset() {
 	t.rank = -1
 	t.state = stateCreated
 	t.bIdx = 0
-	t.gid = 0
 	t.poison = false
 	t.failure = nil
 }
@@ -233,10 +228,6 @@ func (t *Task) StartAt(at vclock.Time) {
 		panic(fmt.Sprintf("engine: StartAt on task %q in state %d", t.name(), t.state))
 	}
 	t.state = stateReady
-	if e := t.eng; e.par != nil {
-		e.par.groups[t.gid].queue.Push(at, kev{task: t})
-		return
-	}
 	t.eng.queue.Push(at, kev{task: t})
 }
 
@@ -252,10 +243,6 @@ func (t *Task) WaitStart() {
 // the job runner converts rank panics to errors).
 func (t *Task) Park() {
 	e := t.eng
-	if e.par != nil {
-		t.parkPar()
-		return
-	}
 	t.state = stateBlocked
 	t.bIdx = len(e.blocked)
 	e.blocked = append(e.blocked, t)
@@ -272,16 +259,6 @@ func (t *Task) WakeAt(at vclock.Time) {
 	if t.state != stateBlocked {
 		panic(fmt.Sprintf("engine: WakeAt on task %q in state %d", t.name(), t.state))
 	}
-	if e := t.eng; e.par != nil {
-		// Legal from the task's own group, a callback, or a barrier closure
-		// (Defer) — never directly across groups mid-round; the model layer
-		// defers cross-group wakes to the barrier.
-		g := e.par.groups[t.gid]
-		g.unblock(t)
-		t.state = stateReady
-		g.queue.Push(at, kev{task: t})
-		return
-	}
 	t.eng.unblock(t)
 	t.state = stateReady
 	t.eng.queue.Push(at, kev{task: t})
@@ -295,11 +272,6 @@ func (t *Task) WakeAt(at vclock.Time) {
 func (e *Engine) CallAt(at vclock.Time, fn func()) {
 	if fn == nil {
 		panic("engine: CallAt with nil callback")
-	}
-	if e.par != nil && e.par.inRound {
-		// On a parallel kernel callbacks are coordinator state: schedule
-		// them before Run, from another callback, or from a barrier closure.
-		panic("engine: CallAt from a task during a parallel round")
 	}
 	var idx int32
 	if n := len(e.cbFree); n > 0 {
@@ -333,13 +305,6 @@ func (t *Task) Fail(at vclock.Time, reason error) {
 	}
 	t.failure = reason
 	if t.state == stateBlocked {
-		if e := t.eng; e.par != nil {
-			g := e.par.groups[t.gid]
-			g.unblock(t)
-			t.state = stateReady
-			g.queue.Push(at, kev{task: t})
-			return
-		}
 		t.eng.unblock(t)
 		t.state = stateReady
 		t.eng.queue.Push(at, kev{task: t})
@@ -380,10 +345,6 @@ func (e *Engine) pendingAt(at vclock.Time) bool {
 // Callback events due before the wakeup run inline, in order, on the way.
 func (t *Task) SleepUntil(at vclock.Time) {
 	e := t.eng
-	if e.par != nil {
-		t.sleepUntilPar(at)
-		return
-	}
 	if !e.pendingAt(at) {
 		// Strictly earliest: nothing can run before this wakeup, so the
 		// event need not exist. Counted as a processed, baton-keeping event.
@@ -428,10 +389,6 @@ func (t *Task) Exit() {
 	if t.state == stateDone {
 		return
 	}
-	if e.par != nil {
-		t.exitPar()
-		return
-	}
 	t.state = stateDone
 	e.live--
 	if e.live == 0 {
@@ -449,12 +406,8 @@ func (e *Engine) Run() {
 		return
 	}
 	start := time.Now()
-	if e.par != nil {
-		e.runPar()
-	} else {
-		e.dispatch()
-		<-e.done
-	}
+	e.dispatch()
+	<-e.done
 	e.stats.Wall = time.Since(start)
 	publishGlobal(e.stats)
 }
@@ -511,7 +464,7 @@ func (t *Task) checkPoison() {
 	}
 	if t.poison {
 		panic(fmt.Sprintf("engine: deadlock: task %q blocked with no pending events (%d tasks affected)",
-			t.name(), t.eng.blockedCount()+1))
+			t.name(), len(t.eng.blocked)+1))
 	}
 }
 

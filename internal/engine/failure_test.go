@@ -122,6 +122,71 @@ func TestFailReadyTask(t *testing.T) {
 	}
 }
 
+// TestParallelFailureOnWindowBoundary fails tasks stepping side by side at
+// an instant on their common step boundary, where their own wakeups are
+// pending too. The teardown callback, scheduled before Run, precedes every
+// wakeup pushed later at that instant, so no task completes the shared
+// step. A failure just past the instant lets every task complete it.
+func TestParallelFailureOnWindowBoundary(t *testing.T) {
+	cause := errors.New("node down")
+	for _, tc := range []struct {
+		failAt vclock.Time
+		want   []vclock.Time // each task's last completed step
+	}{
+		{6 * vclock.Microsecond, []vclock.Time{5e-6, 4e-6, 5e-6, 4e-6}},
+		{6*vclock.Microsecond + 1e-9, []vclock.Time{6e-6, 6e-6, 6e-6, 6e-6}},
+	} {
+		got := failSteppingTasks(tc.failAt, cause)
+		for i := range tc.want {
+			if got[i] != fmt.Sprintf("failed=%v last=%v", cause, tc.want[i]) {
+				t.Errorf("failAt=%v task %d: %s, want last=%v", tc.failAt, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
+// failSteppingTasks runs four tasks stepping their clocks by 1µs (even
+// tasks) or 2µs (odd tasks) until a callback fails them all at failAt, and
+// reports each task's fate and the virtual time of its last completed step.
+func failSteppingTasks(failAt vclock.Time, reason error) []string {
+	const n = 4
+	e := New()
+	tasks := make([]*Task, n)
+	fates := make([]string, n)
+	for i := range tasks {
+		tasks[i] = e.NewTask(fmt.Sprintf("task %d", i))
+		tasks[i].StartAt(0)
+	}
+	e.CallAt(failAt, func() {
+		for _, tk := range tasks {
+			tk.Fail(failAt, reason)
+		}
+	})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range tasks {
+		go func(i int) {
+			defer wg.Done()
+			defer tasks[i].Exit()
+			last := vclock.Time(0)
+			defer func() {
+				if tf, ok := recover().(*TaskFailure); ok {
+					fates[i] = fmt.Sprintf("failed=%v last=%v", tf.Reason, last)
+				}
+			}()
+			tasks[i].WaitStart()
+			for k := 1; ; k++ {
+				at := vclock.Time(k*(1+i%2)) * vclock.Microsecond
+				tasks[i].SleepUntil(at)
+				last = at
+			}
+		}(i)
+	}
+	e.Run()
+	wg.Wait()
+	return fates
+}
+
 // TestFailRunningTaskDiesAtNextKernelTouch checks that the currently running
 // task survives until its next scheduling point after a callback fails it.
 func TestFailRunningTaskDiesAtNextKernelTouch(t *testing.T) {

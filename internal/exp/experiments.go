@@ -564,8 +564,7 @@ func registerFig8Scale4096() {
 // decomposes to the 2-rows-per-rank floor at n = 16384 — another 4x past
 // fig8-scale4096. Steps and CG budget are trimmed to the minimum that still
 // exercises the full step pipeline, because the C+B point runs 32769 tasks
-// on one kernel; this family is the flagship workload of the conservative
-// parallel kernel (-kworkers), whose synchronous windows it was sized for.
+// on one kernel.
 func Scale16384Profile() xpic.Config {
 	cfg := Scale4096Profile()
 	cfg.NY = 32768

@@ -43,7 +43,7 @@ func registerFigFacility() {
 // registerFacility10k registers the 10x stream: 10000 jobs per grid point.
 // The long stream spends most of its span in queueing steady state, so the
 // policy gaps it pins are sharper than the 1000-job family's. Each point
-// runs its jobs as callbacks on one serial kernel; -kworkers does not apply.
+// runs its jobs as callbacks on one kernel.
 func registerFacility10k() {
 	registerFacilityFamily("facility-10k",
 		"Facility simulation, 10x stream: 10000-job arrivals vs queue policy",

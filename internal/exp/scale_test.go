@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clusterbooster/internal/core"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/xpic"
 )
 
@@ -21,33 +20,19 @@ func deepScaleConfig() xpic.Config {
 }
 
 // TestDeepScale65536 runs the n=65536 Booster-only point — the largest job
-// this repo simulates — serial and on the conservative parallel kernel, and
-// requires bit-identical reports. Excluded from -short: the pair of runs
-// costs wall-clock minutes.
+// this repo simulates, 65536 ranks on one kernel — and checks the report is
+// plausible. Excluded from -short: the run costs wall-clock minutes.
 func TestDeepScale65536(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=65536 deep-scale point: minutes of wall clock, skipped in -short")
 	}
 	const n = 65536
-	cfg := deepScaleConfig()
-	run := func(kworkers int) xpic.Report {
-		t.Helper()
-		prev := psmpi.DefaultKernelWorkers()
-		psmpi.SetDefaultKernelWorkers(kworkers)
-		defer psmpi.SetDefaultKernelWorkers(prev)
-		sys := core.New(n, n, core.Options{WithoutStorage: true})
-		rep, err := sys.RunXPic(xpic.BoosterOnly, n, cfg)
-		if err != nil {
-			t.Fatalf("kworkers=%d: %v", kworkers, err)
-		}
-		return rep
+	sys := core.New(n, n, core.Options{WithoutStorage: true})
+	rep, err := sys.RunXPic(xpic.BoosterOnly, n, deepScaleConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := run(1)
-	par := run(4)
-	if serial != par {
-		t.Errorf("n=65536 parallel kernel diverged from serial:\n serial   %+v\n parallel %+v", serial, par)
-	}
-	if serial.Makespan <= 0 || serial.RanksPerSolver != n {
-		t.Errorf("implausible deep-scale report: %+v", serial)
+	if rep.Makespan <= 0 || rep.RanksPerSolver != n {
+		t.Errorf("implausible deep-scale report: %+v", rep)
 	}
 }

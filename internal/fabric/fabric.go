@@ -142,34 +142,6 @@ func (n *Network) ZeroLatency(src, dst *machine.Node) vclock.Time {
 	return sendOverhead(src.Spec) + n.cfg.WireLatency + recvOverhead(dst.Spec)
 }
 
-// CrossLookahead returns the minimum virtual time any action on one node
-// needs to become visible on another node through this fabric: wire latency
-// plus the smallest per-endpoint CPU overhead across the machine's node
-// architectures. This is the conservative-parallel-kernel lookahead — the
-// engine may advance node groups concurrently inside a window of this width,
-// because no message, match, or completion can cross nodes faster:
-//
-//   - eager:      nicArrival >= T_send + o_send(src) + WireLatency
-//   - rendezvous: rts        >= T_send + o_send(src) + WireLatency, and the
-//     sender-completion computed at match time is >= rts + WireLatency (CTS)
-//     or >= T_match + o_recv(dst) + WireLatency for an unexpected match —
-//     and o_recv equals o_send on this fabric.
-//
-// Intra-node transfers skip the fabric entirely, which is why the partition
-// feeding the parallel kernel must keep each node's ranks in one group.
-func (n *Network) CrossLookahead() vclock.Time {
-	min := vclock.Never
-	for _, node := range n.sys.Nodes() {
-		if o := sendOverhead(node.Spec); o < min {
-			min = o
-		}
-	}
-	if min == vclock.Never {
-		return 0
-	}
-	return n.cfg.WireLatency + min
-}
-
 // Link determinism: reservations are booked at the modelled instant they
 // happen on the hardware — injection at send/issue time in the sender's
 // program order, ejection at receive-completion time in the receiver's

@@ -109,13 +109,6 @@ func (p *Proc) Sendrecv(c *Comm, dst, sendTag int, data any, bytes int, src, rec
 // is queued the rank parks in the kernel; every newly delivered unexpected
 // message re-runs the scan.
 func (p *Proc) Probe(c *Comm, src, tag int) Status {
-	if p.l.par != nil {
-		// A probe loop observes the unexpected queue at arbitrary instants;
-		// round-based cross-group delivery cannot reproduce the serial
-		// interleaving it would see (and a re-scan wakeup at the rank's
-		// current time may lie inside an already-processed window).
-		panic("psmpi: Probe on a parallel kernel (run with 1 kernel worker)")
-	}
 	mb := p.mbox
 	probe := postedRecv{commID: c.id, src: src, tag: tag}
 	for {

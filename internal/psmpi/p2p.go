@@ -45,9 +45,7 @@ func (pl payload) slice() []float64 {
 // counts the parties that still read the envelope (the receiver; plus the
 // sender for rendezvous messages, which reads the completion time resolved
 // at match), and the last one returns it to the free list. The kernel's
-// serialisation makes the pool safe without any synchronisation — except
-// refs, dropped atomically because a rendezvous envelope's two owners may
-// release it concurrently from different groups of a parallel kernel.
+// serialisation makes the pool safe without any synchronisation.
 type envelope struct {
 	commID    uint64
 	src       int // sender's rank in its group
@@ -55,7 +53,7 @@ type envelope struct {
 	pl        payload
 	bytes     int
 	seq       uint64
-	refs      int32 // atomic decrement; plain writes only before delivery
+	refs      int32
 	eager     bool
 	interComm bool        // sent on an inter-communicator (staged path)
 	arrival   vclock.Time // eager only: when data is at the destination NIC
@@ -81,12 +79,6 @@ type postedRecv struct {
 	env    *envelope // set when matched
 	done   bool
 	waiter *engine.Task // receiver parked on this receive, if any
-	// senderDone is the receiver's copy of a matched rendezvous transfer's
-	// completion time. The receive paths read it instead of env.dmaEnd: when
-	// the matching sender sits in another kernel group, the write to the
-	// envelope (which the sender polls) is deferred to the round barrier,
-	// but the receiver may complete within the round.
-	senderDone vclock.Time
 }
 
 func (pr *postedRecv) matches(e *envelope) bool {
@@ -134,21 +126,12 @@ func (mb *mailbox) deliver(e *envelope, dst *Proc) {
 // messages it computes the sender's completion time, and it wakes whichever
 // side is parked on the outcome — the sender blocked in waitSend at its
 // transfer completion, the receiver blocked in Recv/Wait at the message's
-// arrival estimate. On a parallel kernel, a sender in another group may be
-// concurrently polling the envelope's completion state, so the sender-
-// visible commit is deferred to the round barrier; the receiver keeps its
-// own copy of the completion time in pr.senderDone.
+// arrival estimate.
 func completeMatch(pr *postedRecv, e *envelope, dst *Proc) {
 	pr.env = e
 	if !e.eager {
-		dmaEnd := dst.rt.net.RendezvousMatch(
-			e.srcNode, dst.node, e.bytes, e.rts, e.injEnd, pr.posted)
-		pr.senderDone = dmaEnd
-		if dst.crossGroup(e.srcNode) {
-			dst.task.Defer(func() { commitSenderDone(e, dmaEnd) })
-		} else {
-			commitSenderDone(e, dmaEnd)
-		}
+		commitSenderDone(e, dst.rt.net.RendezvousMatch(
+			e.srcNode, dst.node, e.bytes, e.rts, e.injEnd, pr.posted))
 	}
 	pr.done = true
 	if w := pr.waiter; w != nil {
@@ -157,9 +140,8 @@ func completeMatch(pr *postedRecv, e *envelope, dst *Proc) {
 	}
 }
 
-// commitSenderDone publishes a rendezvous transfer's completion to the
-// sender: from the matching receiver directly when both sides share a kernel
-// group (or the kernel is serial), otherwise replayed at the round barrier.
+// commitSenderDone publishes a rendezvous transfer's completion, resolved
+// at match, and wakes the sender if it is parked awaiting it.
 func commitSenderDone(e *envelope, dmaEnd vclock.Time) {
 	e.dmaEnd = dmaEnd
 	e.dmaDone = true
@@ -178,7 +160,7 @@ func recvWake(pr *postedRecv, e *envelope) vclock.Time {
 	if e.eager {
 		return vclock.Max(pr.posted, e.arrival)
 	}
-	return vclock.Max(pr.posted, pr.senderDone)
+	return vclock.Max(pr.posted, e.dmaEnd)
 }
 
 // takeUnexpected removes and returns the first unexpected envelope matching
@@ -261,7 +243,7 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 		senderFree, nicArrival := p.rt.net.EagerSend(p.node, target.node, bytes, begin)
 		e.eager = true
 		e.arrival = nicArrival
-		p.deliverTo(target, e)
+		target.mbox.deliver(e, target)
 		// The sending CPU is busy until the NIC has the data, then free.
 		p.elapseComm(senderFree)
 		if blocking {
@@ -274,7 +256,7 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 	}
 	e.refs++ // the sender reads the matched completion time
 	e.rts, e.injEnd = p.rt.net.RendezvousIssue(p.node, target.node, bytes, begin)
-	p.deliverTo(target, e)
+	target.mbox.deliver(e, target)
 	// Rendezvous: the sender's CPU pays the issue overhead (posting the RTS)
 	// and may then continue; completion arrives through the handshake.
 	p.addComm(p.rt.net.SendOverheadOf(p.node))
@@ -283,21 +265,6 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 		return nil
 	}
 	return &Request{p: p, isSend: true, env: e}
-}
-
-// deliverTo hands an envelope to the target's mailbox. Same-group targets
-// (and every target of a serial kernel) receive it immediately, in the
-// sending rank's event order. A target in another kernel group owns its
-// mailbox concurrently, so the delivery is deferred to the round barrier;
-// the fabric's cross-node lookahead guarantees the message's effects lie at
-// or beyond the window edge, which keeps the replayed delivery order
-// consistent with the serial schedule.
-func (p *Proc) deliverTo(target *Proc, e *envelope) {
-	if p.l.par != nil && p.gid != target.gid {
-		p.task.Defer(func() { target.mbox.deliver(e, target) })
-		return
-	}
-	target.mbox.deliver(e, target)
 }
 
 // waitSend completes a non-blocking send request.
@@ -357,9 +324,6 @@ func (p *Proc) IssendF64Shared(c *Comm, dst, tag int, buf []float64) *Request {
 
 // recvCommon matches a message, timing the receive. Returns the envelope.
 func (p *Proc) recvCommon(c *Comm, src, tag int) *envelope {
-	if src == AnySource && p.l.par != nil {
-		panic("psmpi: AnySource receive on a parallel kernel (run with 1 kernel worker)")
-	}
 	if p.rt.trace != nil {
 		defer p.record("recv", p.clock.Now())
 	}
@@ -390,9 +354,7 @@ func (mb *mailbox) removePosted(pr *postedRecv) {
 }
 
 // completeRecvUnexpected times a receive that found its message already
-// queued (sender was first). The sender-visible rendezvous commit follows
-// the same cross-group deferral rule as completeMatch; the receiver works
-// with its locally computed completion time either way.
+// queued (sender was first).
 func (p *Proc) completeRecvUnexpected(e *envelope) {
 	p.Stats.Recvs++
 	p.Stats.BytesRecv += int64(e.bytes)
@@ -402,14 +364,9 @@ func (p *Proc) completeRecvUnexpected(e *envelope) {
 		p.stageInterRecv(e)
 		return
 	}
-	dmaEnd := p.rt.net.RendezvousMatch(
-		e.srcNode, p.node, e.bytes, e.rts, e.injEnd, p.clock.Now())
-	if p.crossGroup(e.srcNode) {
-		p.task.Defer(func() { commitSenderDone(e, dmaEnd) })
-	} else {
-		commitSenderDone(e, dmaEnd)
-	}
-	p.elapseComm(p.rendezvousArrival(e, dmaEnd))
+	commitSenderDone(e, p.rt.net.RendezvousMatch(
+		e.srcNode, p.node, e.bytes, e.rts, e.injEnd, p.clock.Now()))
+	p.elapseComm(p.rendezvousArrival(e))
 	p.stageInterRecv(e)
 }
 
@@ -424,7 +381,7 @@ func (p *Proc) completeRecvPosted(pr *postedRecv) {
 		p.stageInterRecv(e)
 		return
 	}
-	p.elapseComm(p.rendezvousArrival(e, pr.senderDone))
+	p.elapseComm(p.rendezvousArrival(e))
 	p.stageInterRecv(e)
 }
 
@@ -438,14 +395,13 @@ func (p *Proc) eagerArrival(e *envelope) vclock.Time {
 }
 
 // rendezvousArrival serialises a matched rendezvous transfer on this rank's
-// ejection link. dmaEnd is the completion time resolved at match, passed by
-// value: the envelope's copy may still be in flight to the round barrier
-// when the sender sits in another kernel group.
-func (p *Proc) rendezvousArrival(e *envelope, dmaEnd vclock.Time) vclock.Time {
+// ejection link. e.dmaEnd was resolved at match, before this rank resumed,
+// so reading it here is safe.
+func (p *Proc) rendezvousArrival(e *envelope) vclock.Time {
 	if e.srcNode.ID == p.node.ID {
-		return dmaEnd
+		return e.dmaEnd
 	}
-	return p.rt.net.RendezvousEject(p.node, e.bytes, dmaEnd)
+	return p.rt.net.RendezvousEject(p.node, e.bytes, e.dmaEnd)
 }
 
 // stageInterRecv charges the receiver-side staging copy of
@@ -489,9 +445,6 @@ func (p *Proc) newPR() *postedRecv {
 
 // Irecv posts a non-blocking receive (MPI_Irecv); complete it with Wait.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
-	if src == AnySource && p.l.par != nil {
-		panic("psmpi: AnySource receive on a parallel kernel (run with 1 kernel worker)")
-	}
 	mb := p.mbox
 	req := &Request{p: p, mb: mb}
 	pr := p.newPR()

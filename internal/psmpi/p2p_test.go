@@ -1,7 +1,10 @@
 package psmpi
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"clusterbooster/internal/fabric"
@@ -404,4 +407,205 @@ func TestUserTagRangeEnforced(t *testing.T) {
 	if err == nil {
 		t.Fatal("reserved tag accepted")
 	}
+}
+
+// randomGraphMain builds a deterministic random message program from seed:
+// every round each rank elapses a random skew, fires the round's random edge
+// set (nonblocking sends first, then receives in edge order), and every few
+// rounds the whole job couples through an allreduce. A corrupted payload is
+// a rank error.
+func randomGraphMain(seed uint64, n, rounds int) MainFunc {
+	type edge struct {
+		src, dst, elems int
+	}
+	rng := rand.New(rand.NewSource(int64(seed)))
+	skews := make([][]int, rounds)
+	edges := make([][]edge, rounds)
+	for r := range edges {
+		skews[r] = make([]int, n)
+		for i := range skews[r] {
+			skews[r][i] = rng.Intn(8)
+		}
+		ne := 1 + rng.Intn(3*n)
+		for e := 0; e < ne; e++ {
+			src := rng.Intn(n)
+			dst := rng.Intn(n)
+			if src == dst {
+				continue
+			}
+			elems := 1 << rng.Intn(14) // 8 B .. 64 KiB: eager and rendezvous
+			edges[r] = append(edges[r], edge{src, dst, elems})
+		}
+	}
+	return func(p *Proc) error {
+		w := p.World()
+		me := p.Rank()
+		var reqs []*Request
+		for r := 0; r < rounds; r++ {
+			p.Elapse(vclock.Time(skews[r][me]) * vclock.Microsecond)
+			reqs = reqs[:0]
+			for i, e := range edges[r] {
+				if e.src != me {
+					continue
+				}
+				buf := make([]float64, e.elems)
+				for j := range buf {
+					buf[j] = float64(r*1000 + i)
+				}
+				reqs = append(reqs, p.IsendF64Shared(w, e.dst, 1000+i, buf))
+			}
+			for i, e := range edges[r] {
+				if e.dst != me {
+					continue
+				}
+				got, _ := p.RecvF64Shared(w, e.src, 1000+i)
+				if len(got) != e.elems || got[0] != float64(r*1000+i) {
+					return fmt.Errorf("round %d edge %d: got %d elems starting %v", r, i, len(got), got[0])
+				}
+			}
+			p.Waitall(reqs...)
+			if r%3 == 2 {
+				p.AllreduceScalar(w, float64(me), OpMax)
+			}
+		}
+		p.Barrier(w)
+		return nil
+	}
+}
+
+// exchangeMain runs rounds of skewed compute, an eager ring shift, a
+// rendezvous send from each even rank to the next odd rank and an
+// allreduce.
+func exchangeMain(rounds int) MainFunc {
+	return func(p *Proc) error {
+		w := p.World()
+		me, n := p.Rank(), w.Size()
+		small := make([]float64, 32)    // eager
+		big := make([]float64, 64*1024) // rendezvous
+		for i := range small {
+			small[i] = float64(me*100 + i)
+		}
+		for r := 0; r < rounds; r++ {
+			p.Elapse(vclock.Time(1+((me*7+r*3)%5)) * vclock.Microsecond)
+
+			right, left := (me+1)%n, (me-1+n)%n
+			sreq := p.IsendF64Shared(w, right, 10+r, small)
+			got, _ := p.RecvF64Shared(w, left, 10+r)
+			if len(got) != len(small) || got[1] != float64(left*100+1) {
+				return fmt.Errorf("round %d: ring message from %d corrupted", r, left)
+			}
+			p.Wait(sreq)
+
+			if r%2 == 0 {
+				if me%2 == 0 && me+1 < n {
+					p.SendF64(w, me+1, 200+r, big)
+				} else if me%2 == 1 {
+					buf := make([]float64, len(big))
+					p.RecvF64(w, me-1, 200+r, buf)
+				}
+			}
+			p.AllreduceScalar(w, float64(me+r), OpSum)
+		}
+		p.Barrier(w)
+		return nil
+	}
+}
+
+// launchSerialAndParallel runs launch once on its own, then k more times at
+// once on host goroutines, the way a sweep's worker pool runs scenarios. It
+// fails the test on any launch error and returns the lone run first.
+func launchSerialAndParallel(t *testing.T, k int, launch func() (Result, error)) (Result, []Result) {
+	t.Helper()
+	serial, err := launch()
+	if err != nil {
+		t.Fatalf("serial launch: %v", err)
+	}
+	par := make([]Result, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := range par {
+		go func(i int) {
+			defer wg.Done()
+			par[i], errs[i] = launch()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("parallel launch %d: %v", i, err)
+		}
+	}
+	return serial, par
+}
+
+// sameOutcome reports every difference in makespan or final rank state
+// between two runs of one job.
+func sameOutcome(t *testing.T, label string, serial, par Result) {
+	t.Helper()
+	if serial.Makespan != par.Makespan {
+		t.Errorf("%s: makespan %v (serial) != %v (parallel)", label, serial.Makespan, par.Makespan)
+	}
+	if len(serial.Ranks) != len(par.Ranks) {
+		t.Fatalf("%s: rank count %d != %d", label, len(serial.Ranks), len(par.Ranks))
+	}
+	for i := range serial.Ranks {
+		if serial.Ranks[i] != par.Ranks[i] {
+			t.Errorf("%s: rank %d state differs:\n serial   %+v\n parallel %+v",
+				label, i, serial.Ranks[i], par.Ranks[i])
+		}
+	}
+}
+
+// TestParallelMultiRankPerNode places two ranks on each node, so every
+// rendezvous pair of exchangeMain is co-located and shares its node's
+// links. A run on its own and three runs side by side on host goroutines
+// must agree exactly.
+func TestParallelMultiRankPerNode(t *testing.T) {
+	launch := func() (Result, error) {
+		rt := testRuntime(3, 0)
+		cluster := rt.System().Module(machine.Cluster)
+		nodes := []*machine.Node{cluster[0], cluster[0], cluster[1], cluster[1], cluster[2], cluster[2]}
+		return rt.Launch(LaunchSpec{Nodes: nodes, Main: exchangeMain(4)})
+	}
+	serial, par := launchSerialAndParallel(t, 3, launch)
+	for i, res := range par {
+		sameOutcome(t, fmt.Sprintf("multi-rank run %d", i), serial, res)
+	}
+}
+
+// FuzzSerialParallelEquivalence drives random message graphs — eager and
+// rendezvous sizes, skewed clocks, collectives — through the kernel: every
+// payload must arrive intact, and a launch on its own must agree with two
+// launches of the same graph running side by side on host goroutines on the
+// makespan and on every rank's final clock and accounting. packed puts two
+// ranks on each node, so co-located ranks share their node's links and
+// exchange over the intra-node path.
+func FuzzSerialParallelEquivalence(f *testing.F) {
+	f.Add(uint64(1), false)
+	f.Add(uint64(7), true)
+	f.Add(uint64(20180521), false)
+	f.Add(uint64(0xdeadbeef), true)
+	f.Fuzz(func(t *testing.T, seed uint64, packed bool) {
+		n := 2 + int(seed%7)
+		rounds := 2 + int((seed>>8)%5)
+		main := randomGraphMain(seed, n, rounds)
+		launch := func() (Result, error) {
+			rt := testRuntime(n, 0)
+			cluster := rt.System().Module(machine.Cluster)
+			nodes := make([]*machine.Node, n)
+			for i := range nodes {
+				if packed {
+					nodes[i] = cluster[i/2]
+				} else {
+					nodes[i] = cluster[i]
+				}
+			}
+			return rt.Launch(LaunchSpec{Nodes: nodes, Main: main})
+		}
+		serial, par := launchSerialAndParallel(t, 2, launch)
+		for i, res := range par {
+			sameOutcome(t, fmt.Sprintf("seed %d packed=%v run %d", seed, packed, i), serial, res)
+		}
+	})
 }

@@ -41,8 +41,7 @@ type Proc struct {
 	clock  *vclock.Clock
 	task   *engine.Task
 	mbox   *mailbox
-	rank   int   // rank in its world communicator
-	gid    int32 // kernel group on a parallel launch (0 on serial)
+	rank   int // rank in its world communicator
 	world  *Comm
 	parent *Comm // intercommunicator to the spawning job, nil at top level
 	args   any
@@ -66,8 +65,7 @@ type Proc struct {
 }
 
 // newProc builds a rank's state. Its kernel task is created later, by
-// startJob's arming step (task registration must not run mid-round on a
-// parallel kernel).
+// startJob.
 func newProc(rt *Runtime, l *launch, node *machine.Node, rank int, args any) *Proc {
 	p := &Proc{
 		rt:       rt,
@@ -78,9 +76,6 @@ func newProc(rt *Runtime, l *launch, node *machine.Node, rank int, args any) *Pr
 		rank:     rank,
 		args:     args,
 		commRank: map[uint64]int{},
-	}
-	if l.par != nil {
-		p.gid = l.par.assign(node)
 	}
 	p.eagerDone = Request{p: p, isSend: true, done: true}
 	return p

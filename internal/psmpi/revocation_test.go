@@ -11,15 +11,14 @@ import (
 // revocationFixture launches the failure-test ring job on the Cluster side
 // of a 4+4 machine, with the revocation schedule picked against that same
 // machine, and returns the result.
-func revocationFixture(t *testing.T, pick func(sys *machine.System) []Revocation, kworkers int) (Result, error) {
+func revocationFixture(t *testing.T, pick func(sys *machine.System) []Revocation) (Result, error) {
 	t.Helper()
 	sys := machine.New(4, 4)
 	rt := NewRuntime(sys, newTestNet(sys), Config{})
 	nodes := sys.Module(machine.Cluster)
 	return rt.Launch(LaunchSpec{
-		Nodes:         nodes,
-		Revocations:   pick(sys),
-		KernelWorkers: kworkers,
+		Nodes:       nodes,
+		Revocations: pick(sys),
 		Main: func(p *Proc) error {
 			c := p.World()
 			next := (p.Rank() + 1) % c.Size()
@@ -50,7 +49,7 @@ func TestRevocationAbortsJobRecoverably(t *testing.T) {
 		n := sys.Module(machine.Cluster)[2]
 		victim = n.Name()
 		return []Revocation{{At: at, Nodes: []*machine.Node{n}}}
-	}, 0)
+	})
 	if err == nil {
 		t.Fatal("job survived the revocation of an occupied node")
 	}
@@ -75,29 +74,12 @@ func TestRevocationAbortsJobRecoverably(t *testing.T) {
 func TestRevocationOfForeignNodeIsNoOp(t *testing.T) {
 	if _, err := revocationFixture(t, func(sys *machine.System) []Revocation {
 		return []Revocation{{At: 50 * vclock.Millisecond, Nodes: sys.Module(machine.Booster)}}
-	}, 0); err != nil {
+	}); err != nil {
 		t.Fatalf("foreign-node revocation killed the job: %v", err)
 	}
 	if _, err := revocationFixture(t, func(sys *machine.System) []Revocation {
 		return []Revocation{{At: 1e6 * vclock.Second, Nodes: sys.Module(machine.Cluster)[:1]}}
-	}, 0); err != nil {
+	}); err != nil {
 		t.Fatalf("post-completion revocation killed the job: %v", err)
-	}
-}
-
-// TestRevocationForcesSerialFallback: like failure injection, revocations
-// tear the tree down in completion order, which the parallel kernel cannot
-// reproduce — a launch carrying revocations must fall back to serial and
-// record the reason.
-func TestRevocationForcesSerialFallback(t *testing.T) {
-	res, err := revocationFixture(t, func(sys *machine.System) []Revocation {
-		return []Revocation{{At: 1e6 * vclock.Second, Nodes: sys.Module(machine.Cluster)[:1]}}
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine.Groups != 0 || res.Engine.Fallback != FallbackRevocations {
-		t.Fatalf("groups=%d fallback=%q, want serial fallback %q",
-			res.Engine.Groups, res.Engine.Fallback, FallbackRevocations)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"clusterbooster/internal/engine"
 	"clusterbooster/internal/fabric"
@@ -175,40 +174,28 @@ func (rt *Runtime) placeSpawn(n int, m machine.Module) ([]*machine.Node, error) 
 type launch struct {
 	eng  *engine.Engine
 	plac Placement // per-launch spawn placement, overriding the runtime's
-	par  *parState // group partition; nil on a serial launch
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	errs []error
 	max  vclock.Time
 	all  []*Proc
 
-	// envFree is the launch's envelope free list, one list per group (one
-	// list total on a serial launch). Only rank code touches a list, and the
-	// kernel runs one rank per group at a time, so no synchronisation is
+	// envFree is the launch's envelope free list. Only rank code touches
+	// it, and the kernel runs one rank at a time, so no synchronisation is
 	// needed. Envelopes that are still queued or attached to an abandoned
 	// request when the job ends are simply left to the garbage collector.
-	envFree [][]*envelope
+	envFree []*envelope
 	// f64Free pools the collectives' internal reduction buffers by length
 	// (ReduceF64 accumulators, which travel rank to rank inside one
-	// collective and die at the receiving end), per group like envFree.
-	f64Free []map[int][][]float64
+	// collective and die at the receiving end), under the same discipline
+	// as envFree.
+	f64Free map[int][][]float64
 }
 
-// initPools sizes the per-group free lists (after setupParallel has decided
-// the partition).
-func (l *launch) initPools() {
-	groups := 1
-	if l.par != nil {
-		groups = l.par.groups
-	}
-	l.envFree = make([][]*envelope, groups)
-	l.f64Free = make([]map[int][][]float64, groups)
-}
-
-// getF64 takes a length-n buffer from the rank's group pool (or allocates
-// one). The caller overwrites it fully.
+// getF64 takes a length-n buffer from the launch pool (or allocates one).
+// The caller overwrites it fully.
 func (p *Proc) getF64(n int) []float64 {
-	m := p.l.f64Free[p.gid]
+	m := p.l.f64Free
 	if s := m[n]; len(s) > 0 {
 		buf := s[len(s)-1]
 		s[len(s)-1] = nil
@@ -218,36 +205,33 @@ func (p *Proc) getF64(n int) []float64 {
 	return make([]float64, n)
 }
 
-// putF64 returns a buffer whose last reader is done with it to the reader's
-// group pool (buffers may migrate between groups; each stays coherent).
+// putF64 returns a buffer whose last reader is done with it to the launch
+// pool.
 func (p *Proc) putF64(buf []float64) {
-	if p.l.f64Free[p.gid] == nil {
-		p.l.f64Free[p.gid] = map[int][][]float64{}
+	if p.l.f64Free == nil {
+		p.l.f64Free = map[int][][]float64{}
 	}
-	m := p.l.f64Free[p.gid]
+	m := p.l.f64Free
 	m[len(buf)] = append(m[len(buf)], buf)
 }
 
-// newEnv takes an envelope from the rank's group free list (or allocates one).
+// newEnv takes an envelope from the launch free list (or allocates one).
 func (p *Proc) newEnv() *envelope {
-	free := p.l.envFree[p.gid]
+	free := p.l.envFree
 	if n := len(free); n > 0 {
 		e := free[n-1]
-		p.l.envFree[p.gid] = free[:n-1]
+		p.l.envFree = free[:n-1]
 		return e
 	}
 	return &envelope{}
 }
 
 // releaseEnv drops one reference to an envelope and recycles it when the
-// last reader is done with it. The count is atomic because a rendezvous
-// envelope's two owners (sender and receiver) may release it from different
-// groups in the same round; the loser of the decrement race fully owns the
-// envelope and recycles it into its own group's list.
+// last reader is done with it.
 func (p *Proc) releaseEnv(e *envelope) {
-	if atomic.AddInt32(&e.refs, -1) == 0 {
+	if e.refs--; e.refs == 0 {
 		*e = envelope{}
-		p.l.envFree[p.gid] = append(p.l.envFree[p.gid], e)
+		p.l.envFree = append(p.l.envFree, e)
 	}
 }
 
@@ -290,13 +274,6 @@ type LaunchSpec struct {
 	// job's live allocation here (sched.Allocation implements Placement), so
 	// dynamic spawns stay inside the job's reservation.
 	Placement Placement
-	// KernelWorkers > 1 requests conservative parallel execution of this
-	// launch's kernel with that many worker goroutines (see parallel.go).
-	// The result is bit-identical to serial for any worker count; launches
-	// that cannot run parallel (tracing, failure injection, a single node,
-	// zero fabric lookahead) fall back to serial and record the reason in
-	// Result.Engine.Fallback. 0 or 1 selects the serial kernel.
-	KernelWorkers int
 }
 
 // Result summarises a completed job tree.
@@ -334,10 +311,8 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 		return Result{}, errors.New("psmpi: launch with nil main")
 	}
 	l := &launch{eng: engine.New(), plac: spec.Placement}
-	rt.setupParallel(l, spec)
-	l.initPools()
 	world := rt.newWorld(l, spec.Nodes, spec.Args, spec.StartTime, nil)
-	rt.startJob(l, world, spec.Main, spec.StartTime, nil)
+	rt.startJob(l, world, spec.Main, spec.StartTime)
 	spec.Failures.arm(l, spec.StartTime)
 	l.armRevocations(spec.Revocations)
 	l.eng.Run()
@@ -388,45 +363,30 @@ func (rt *Runtime) newWorld(l *launch, nodes []*machine.Node, args any, start vc
 // goroutine waits for its start event, runs under the kernel's cooperative
 // schedule, and hands the baton on when it exits — after converting any
 // panic (including a kernel deadlock report) into a recorded rank error.
-//
-// Registering tasks mutates kernel-global state, so the arming step runs
-// through by.Defer when a task is acting (a mid-round MPI_Comm_spawn on a
-// parallel kernel defers it to the round barrier; the children's start time
-// lies a SpawnOverhead past the spawn instant, far beyond the current safe
-// window, so deferring it never reorders events). At launch time — before
-// the kernel runs — by is nil and the arming happens inline.
-func (rt *Runtime) startJob(l *launch, world *Comm, main MainFunc, start vclock.Time, by *engine.Task) {
-	arm := func() {
-		l.wg.Add(len(world.local))
-		for _, p := range world.local {
-			p.task = l.eng.NewRankTask(p.rank, p.node.Name())
-			if l.par != nil {
-				p.task.SetGroup(int(p.gid))
-			}
-			p.task.StartAt(start)
-			go func(p *Proc) {
-				defer l.wg.Done()
-				defer p.task.Exit()
-				defer func() {
-					if r := recover(); r != nil {
-						// A kernel teardown (failure injection) carries its cause;
-						// everything else is a genuine rank panic.
-						if tf, ok := r.(*engine.TaskFailure); ok {
-							l.record(p, tf.Reason)
-							return
-						}
-						l.record(p, fmt.Errorf("panic: %v", r))
+// It runs before the kernel starts (the initial job) or from the spawning
+// rank while it holds the baton (MPI_Comm_spawn).
+func (rt *Runtime) startJob(l *launch, world *Comm, main MainFunc, start vclock.Time) {
+	l.wg.Add(len(world.local))
+	for _, p := range world.local {
+		p.task = l.eng.NewRankTask(p.rank, p.node.Name())
+		p.task.StartAt(start)
+		go func(p *Proc) {
+			defer l.wg.Done()
+			defer p.task.Exit()
+			defer func() {
+				if r := recover(); r != nil {
+					// A kernel teardown (failure injection) carries its cause;
+					// everything else is a genuine rank panic.
+					if tf, ok := r.(*engine.TaskFailure); ok {
+						l.record(p, tf.Reason)
+						return
 					}
-				}()
-				p.task.WaitStart()
-				err := main(p)
-				l.record(p, err)
-			}(p)
-		}
+					l.record(p, fmt.Errorf("panic: %v", r))
+				}
+			}()
+			p.task.WaitStart()
+			err := main(p)
+			l.record(p, err)
+		}(p)
 	}
-	if by == nil {
-		arm()
-		return
-	}
-	by.Defer(arm)
 }

@@ -93,6 +93,6 @@ func (p *Proc) spawnRoot(c *Comm, spec SpawnSpec) spawnHandle {
 		child.commRank[inter.id] = i
 	}
 
-	p.rt.startJob(p.l, world, main, start, p.task)
+	p.rt.startJob(p.l, world, main, start)
 	return spawnHandle{inter: inter}
 }

@@ -27,7 +27,7 @@ import (
 // revocations, requeues and completions are CallAt callbacks that execute
 // holding the engine baton, so — like the rest of queueRun — the state here
 // needs no lock and the whole faulty stream stays bit-deterministic under
-// any sweep worker count and any -kworkers setting.
+// any sweep worker count.
 
 // RewindPolicy decides how much of a killed attempt survives into the next
 // one. It abstracts the checkpoint/restart model so sched does not depend on

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
@@ -67,11 +66,8 @@ func faultyFacilityScenarios() []Scenario {
 	return scen
 }
 
-func faultySweepJSON(t *testing.T, workers, kworkers int) []byte {
+func faultySweepJSON(t *testing.T, workers int) []byte {
 	t.Helper()
-	prev := psmpi.DefaultKernelWorkers()
-	psmpi.SetDefaultKernelWorkers(kworkers)
-	defer psmpi.SetDefaultKernelWorkers(prev)
 	rs := Run(faultyFacilityScenarios(), Options{Workers: workers})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
@@ -87,9 +83,7 @@ func faultySweepJSON(t *testing.T, workers, kworkers int) []byte {
 // invariance property to failing streams: seeded failure/repair processes,
 // kills, rewinds and requeues are all events of the stream's private serial
 // kernel, so the sweep JSON must stay byte-identical under any host worker
-// count AND any -kworkers setting (the facility kernel never partitions;
-// kworkers only affects psmpi launches, of which a facility stream has
-// none).
+// count.
 func TestFacilityFaultsWorkerCountInvariance(t *testing.T) {
 	// The streams must actually suffer: a fault-free replay would make the
 	// property vacuous.
@@ -105,17 +99,15 @@ func TestFacilityFaultsWorkerCountInvariance(t *testing.T) {
 	if failures == 0 || requeues == 0 {
 		t.Fatalf("faulty streams ran without failures (%v) or requeues (%v)", failures, requeues)
 	}
-	reference := faultySweepJSON(t, 1, 1)
-	if got := faultySweepJSON(t, 4, 4); !bytes.Equal(got, reference) {
-		t.Fatal("faulty facility sweep JSON differs between workers=1/kworkers=1 and workers=4/kworkers=4")
+	reference := faultySweepJSON(t, 1)
+	if got := faultySweepJSON(t, 4); !bytes.Equal(got, reference) {
+		t.Fatal("faulty facility sweep JSON differs between workers=1 and workers=4")
 	}
 	if testing.Short() {
 		return
 	}
-	f := func(w, kw uint8) bool {
-		workers := int(w)%8 + 1
-		kworkers := int(kw) % 5
-		return bytes.Equal(faultySweepJSON(t, workers, kworkers), reference)
+	f := func(w uint8) bool {
+		return bytes.Equal(faultySweepJSON(t, int(w)%8+1), reference)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
 		t.Fatalf("faulty facility worker-count invariance violated: %v", err)

@@ -27,8 +27,8 @@ const (
 )
 
 // Never is a virtual time later than every event: the +Inf sentinel used
-// where a bound must never bind (an unbounded safe window, a "no pending
-// event" minimum). It compares correctly against any finite Time.
+// where a bound must never bind (a "no pending event" minimum). It compares
+// correctly against any finite Time.
 var Never = Time(math.Inf(1))
 
 // Seconds returns t as a float64 second count.

@@ -92,19 +92,6 @@ func RunResilient(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 	}
 }
 
-// kernelWorkers picks the kernel worker count for this attempt's launch:
-// the process-wide default (the -kworkers flag) for plain compute runs,
-// serial when checkpoint storage is in play — the storage models schedule
-// completion callbacks from rank context, which a parallel round forbids.
-// Failure injection needs no check here: the runtime itself falls back and
-// records the reason.
-func (spec ResilientSpec) kernelWorkers() int {
-	if spec.Store != nil {
-		return 0
-	}
-	return psmpi.DefaultKernelWorkers()
-}
-
 // checkpointDue says whether the state after `completed` steps is a
 // checkpoint point.
 func (spec ResilientSpec) checkpointDue(completed int) bool {
@@ -135,10 +122,9 @@ func checkpointCollective(p *psmpi.Proc, comm *psmpi.Comm, grank, step int, data
 func runResilientMono(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 	s := &sink{rep: Report{Mode: spec.Mode, RanksPerSolver: spec.RanksPerSolver, Steps: spec.Cfg.Steps}}
 	res, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes:         spec.Nodes,
-		StartTime:     spec.StartTime,
-		Failures:      spec.Failures,
-		KernelWorkers: spec.kernelWorkers(),
+		Nodes:     spec.Nodes,
+		StartTime: spec.StartTime,
+		Failures:  spec.Failures,
 		Main: func(p *psmpi.Proc) error {
 			comm := p.World()
 			sim := NewSim(p, comm, spec.Cfg)
@@ -193,10 +179,9 @@ func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 		return resilientClusterMain(p, spec, s)
 	})
 	res, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes:         spec.Nodes,
-		StartTime:     spec.StartTime,
-		Failures:      spec.Failures,
-		KernelWorkers: spec.kernelWorkers(),
+		Nodes:     spec.Nodes,
+		StartTime: spec.StartTime,
+		Failures:  spec.Failures,
 		Main: func(p *psmpi.Proc) error {
 			return resilientBoosterMain(p, spec, s, bin)
 		},
