@@ -8,7 +8,7 @@ package clusterbooster
 // Benches default to reduced workloads (fewer steps, higher particle scale)
 // so `go test -bench=.` completes in minutes. Shapes are step-linear and
 // exactly scale-invariant, so ratios match the full Table II workload; run
-// `cmd/deepsim` for full-size numbers.
+// the library on XPicTable2Config for full-size numbers.
 
 import (
 	"testing"

@@ -263,7 +263,7 @@ func (v verbFlags) selectExps() ([]exp.Experiment, error) {
 func (v verbFlags) options(errw io.Writer) exp.Options {
 	o := exp.Options{Workers: *v.workers}
 	if *v.verbose {
-		o.Observer = exp.ProgressObserver(errw, "cbctl")
+		o.Observer = exp.ProgressObserver(errw)
 	}
 	return o
 }

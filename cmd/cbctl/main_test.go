@@ -87,6 +87,9 @@ func TestVerbDispatch(t *testing.T) {
 		{"run all plus names conflict", []string{"run", "-all", "fig7"}, 2, "", "mutually exclusive"},
 		{"run emits canonical JSON", []string{"run", "test/stable"}, 0, `"experiment": "test/stable"`, ""},
 		{"run renders text", []string{"run", "-text", "table1"}, 0, "DEEP-ER", ""},
+		{"run renders the paper's table2", []string{"run", "-text", "table2"}, 0, "900", ""},
+		{"run -v logs progress", []string{"run", "-v", "sweep/fig3"}, 0, "", "cbctl: start "},
+		{"run -stats prints cache counters", []string{"run", "-stats", "test/stable"}, 0, "", "cbctl: scenario cache:"},
 		{"bad flag", []string{"run", "-definitely-not-a-flag"}, 2, "", "flag provided but not defined"},
 		{"verb help exits zero", []string{"run", "-h"}, 0, "", "-workers"},
 		{"diff missing golden", []string{"diff", "-C", t.TempDir(), "test/stable"}, 1, "missing golden", ""},

@@ -73,7 +73,7 @@ func runServe(args []string, out, errw io.Writer) int {
 	}
 	s := &server{workers: *workers}
 	if *verbose {
-		s.observer = exp.ProgressObserver(errw, "cbctl")
+		s.observer = exp.ProgressObserver(errw)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -94,9 +94,14 @@ func runServe(args []string, out, errw io.Writer) int {
 // catalog run legitimately takes minutes.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit idle between
+// requests. Without it, and with no ReadTimeout, net/http holds an idle
+// connection open forever.
+const idleTimeout = 60 * time.Second
+
 // httpServer wraps the handler in the server runServe listens with.
 func (s *server) httpServer() *http.Server {
-	return &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // server is the HTTP state: run options plus request counters for /statsz.

@@ -209,13 +209,17 @@ func TestServeStatsz(t *testing.T) {
 	}
 }
 
-// TestServeReadHeaderTimeout pins the header deadline on the server runServe
-// listens with: without it, a client that connects and never sends its
-// request headers holds the connection forever.
+// TestServeReadHeaderTimeout pins the header and idle deadlines on the
+// server runServe listens with: without them, a client that connects and
+// never sends its request headers, or an idle keep-alive connection, holds
+// the connection forever.
 func TestServeReadHeaderTimeout(t *testing.T) {
 	srv := (&server{}).httpServer()
 	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want the positive constant %v", srv.IdleTimeout, idleTimeout)
 	}
 	if srv.Handler == nil {
 		t.Fatal("server has no handler")

@@ -5,7 +5,7 @@
 // per-solver times and partitioning gains.
 //
 // The workload is a reduced version of Table II so the example finishes in
-// seconds; run cmd/deepsim fig7 for the full experiment.
+// seconds; `cbctl run -text fig7` runs the registered experiment.
 package main
 
 import (
@@ -20,7 +20,6 @@ func main() {
 	cfg := xpic.Table2Config()
 	cfg.Steps = 90          // reduced from 900
 	cfg.ParticleScale = 512 // fewer macro-particles, same virtual cost
-	cfg.Verbose = false
 
 	fmt.Println("xPic space-weather benchmark (reduced Table II workload)")
 	fmt.Printf("grid %dx%d, %d particles/cell, %d steps\n\n",

@@ -305,23 +305,20 @@ func RenderFig8(r Fig8Result) string {
 
 // PaperGrid declares the paper's full evaluation space as one sweep: the
 // workload at every Fig. 8 node count in all three modes (Fig. 7 is the
-// n=1 slice, the Table II setup parameterises the workload). With
-// checkpoints, the DEEP-ER resiliency axis (SCR levels) multiplies in.
-func PaperGrid(cfg xpic.Config, withCheckpoints bool) sweep.Grid {
-	g := sweep.Grid{
+// n=1 slice, the Table II setup parameterises the workload), multiplied by
+// the DEEP-ER resiliency axis (SCR levels).
+func PaperGrid(cfg xpic.Config) sweep.Grid {
+	return sweep.Grid{
 		Name:       "paper",
 		NodeCounts: []int{1, 2, 4, 8},
 		Modes:      AllModes(),
 		Workloads:  []sweep.WorkloadVariant{{Name: "table2", Config: cfg}},
-	}
-	if withCheckpoints {
-		g.SCRs = []sweep.SCRVariant{
+		SCRs: []sweep.SCRVariant{
 			{Name: "scr=local", Spec: sweep.CheckpointAt(scr.LevelLocal)},
 			{Name: "scr=buddy", Spec: sweep.CheckpointAt(scr.LevelBuddy)},
 			{Name: "scr=global", Spec: sweep.CheckpointAt(scr.LevelGlobal)},
-		}
+		},
 	}
-	return g
 }
 
 // helper shared with fig3.go

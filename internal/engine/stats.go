@@ -8,7 +8,7 @@ import (
 
 // Stats counts what one kernel instance did. The global aggregate across all
 // kernels of the process (every launched job of every scenario) is available
-// through Global; deepsim -stats and cbctl run -stats print it.
+// through Global; cbctl run -stats prints it.
 //
 // The counters satisfy Events == Switches + Kept + Callbacks on every clean
 // run: each processed event either handed the baton to another task, was

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestStatsStringFormat pins the -stats output format. cbctl run -stats and
-// deepsim -stats print these strings verbatim.
+// TestStatsStringFormat pins the -stats output format. cbctl run -stats
+// prints these strings verbatim.
 func TestStatsStringFormat(t *testing.T) {
 	serial := Stats{
 		Events: 100, Parks: 40, Switches: 60, Kept: 30, Callbacks: 10,

@@ -17,8 +17,8 @@ import (
 // model or kernel change that can alter a report) plus every registered
 // experiment's name@version. A version bump anywhere in the catalog rolls
 // the epoch for everything — deliberately conservative: recomputing a warm
-// store is cheap, serving one stale report is not. cbctl and deepsim open
-// their -store directories under this epoch.
+// store is cheap, serving one stale report is not. cbctl opens its -store
+// directory under this epoch.
 func CacheEpoch() string {
 	parts := []string{"model=" + core.ModelFingerprint}
 	for _, e := range All() {

@@ -12,7 +12,7 @@
 // every run. A model change that is blessed into new goldens still fails
 // `cbctl diff` if it pushes a simulated runtime past its declared budget.
 //
-// The registry is the single catalog the CLIs, the CI golden gate, and
+// The registry is the single catalog that cbctl, the CI golden gate, and
 // future workloads plug into; see EXPERIMENTS.md for the catalog and
 // workflow.
 package exp
@@ -28,21 +28,16 @@ import (
 	"sync"
 
 	"clusterbooster/internal/sweep"
-	"clusterbooster/internal/xpic"
 )
 
 // Options tunes an experiment run. Options never change what an experiment
-// measures at a given workload — only scheduling, observation, and (for
-// interactive use) the workload override.
+// measures: every experiment runs its pinned workload profile, and the
+// options only schedule, observe or cancel the run.
 type Options struct {
 	// Workers bounds the sweep worker pool; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Observer, if set, receives per-scenario progress events.
 	Observer func(sweep.Event)
-	// Workload overrides the experiment's pinned xPic configuration.
-	// Experiments that do not run xPic ignore it. Golden runs (diff, bless)
-	// always leave it nil so baselines stay pinned to the registry profile.
-	Workload *xpic.Config
 	// Context, if non-nil, cancels the run: no further scenario starts once
 	// it is done and the experiment reports the cancellation as a run error
 	// (canceled scenarios fail, and FirstError surfaces them). Used by
@@ -215,7 +210,7 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]Experiment{}
 	// order preserves registration order: the paper reads Table I, Table II,
-	// Fig. 3, Fig. 7, Fig. 8, and cbctl list / deepsim all follow it.
+	// Fig. 3, Fig. 7, Fig. 8, and cbctl list follows it.
 	order []string
 )
 
@@ -270,19 +265,18 @@ func Names() []string {
 }
 
 // ProgressObserver returns a sweep observer that logs per-scenario progress
-// to w, prefixed with the CLI's name — shared by cbctl and deepsim so the
-// two commands cannot drift apart.
-func ProgressObserver(w io.Writer, prefix string) func(sweep.Event) {
+// to w, one "cbctl: start|done |FAIL  <scenario>" line per event.
+func ProgressObserver(w io.Writer) func(sweep.Event) {
 	return func(ev sweep.Event) {
 		switch ev.Kind {
 		case sweep.ScenarioStart:
-			fmt.Fprintf(w, "%s: start %s\n", prefix, ev.Name)
+			fmt.Fprintf(w, "cbctl: start %s\n", ev.Name)
 		case sweep.ScenarioDone:
 			status := "done "
 			if ev.Err != nil {
 				status = "FAIL "
 			}
-			fmt.Fprintf(w, "%s: %s %s\n", prefix, status, ev.Name)
+			fmt.Fprintf(w, "cbctl: %s %s\n", status, ev.Name)
 		}
 	}
 }

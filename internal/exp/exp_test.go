@@ -11,7 +11,7 @@ import (
 // (§III-D live on the kernel), the I/O strategy family (§III-C live on the
 // kernel), the facility family (§II-A's batch system live on the kernel)
 // with its failing-machine extension, then the standing sweeps. cbctl list
-// and deepsim all follow it.
+// follows it.
 var paperOrder = []string{
 	"table1", "table2", "fig3", "fig7", "fig8", "fig8-scale", "fig8-scale4096",
 	"fig8-scale16384", "fig-resilience", "fig-io", "fig-facility", "facility-10k",

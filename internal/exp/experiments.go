@@ -9,7 +9,6 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 
 	"clusterbooster/internal/bench"
 	"clusterbooster/internal/sweep"
@@ -17,10 +16,10 @@ import (
 )
 
 // CIProfile returns the pinned golden workload: the paper's Table II setup
-// (Table2Config) reduced to 60 steps at 1/512 particle fidelity — the same
-// reduction as `deepsim -quick`. Fidelity scaling preserves the physics
-// shape (who wins, by what factor) while cutting virtual work, so the golden
-// documents remain faithful miniatures of the paper's runs.
+// (Table2Config) reduced to 60 steps at 1/512 particle fidelity. Fidelity
+// scaling preserves the physics shape (who wins, by what factor) while
+// cutting virtual work, so the golden documents remain faithful miniatures
+// of the paper's runs.
 func CIProfile() xpic.Config {
 	cfg := xpic.Table2Config()
 	cfg.Steps = 60
@@ -72,29 +71,6 @@ func sweepOpts(o Options) sweep.Options {
 	return sweep.Options{Workers: o.Workers, Observer: o.Observer, Context: o.Context}
 }
 
-// profileLabel names a workload: a config that matches a pinned profile
-// keeps its registry label even when passed explicitly (deepsim always
-// passes its resolved config), so e.g. `deepsim -quick fig7 -json`
-// reproduces the ci-quick golden byte-for-byte.
-func profileLabel(cfg xpic.Config) string {
-	switch {
-	case reflect.DeepEqual(cfg, CIProfile()):
-		return "ci-quick"
-	case reflect.DeepEqual(cfg, xpic.Table2Config()):
-		return "paper"
-	}
-	return "custom"
-}
-
-// workload resolves the run's xPic config and profile label: the registry
-// profile unless interactively overridden (deepsim flags).
-func workload(o Options) (xpic.Config, string) {
-	if o.Workload != nil {
-		return *o.Workload, profileLabel(*o.Workload)
-	}
-	return CIProfile(), "ci-quick"
-}
-
 func profileMeta(cfg xpic.Config, profile string) map[string]string {
 	return map[string]string{
 		"profile":  profile,
@@ -138,12 +114,13 @@ func parsePayload[T any](d Document) (T, error) {
 }
 
 // registerSweep registers a raw-result-set experiment over a scenario
-// generator. The payload is the sweep.ResultSet itself — exactly the
-// document `deepsim -sweep -json` and `fabbench -json` emit — so golden
-// sweeps gate the whole emitter pipeline, not just the physics.
-func registerSweep(e Experiment, scenarios func(Options) ([]sweep.Scenario, string, error)) {
+// generator. The payload is the sweep.ResultSet itself, in the JSON form
+// ResultSet.WriteJSON emits, so golden sweeps gate the whole emitter
+// pipeline, not just the physics. The document's profile label is the
+// experiment's declared Profile.
+func registerSweep(e Experiment, scenarios func() ([]sweep.Scenario, error)) {
 	e.Run = func(o Options) (Document, error) {
-		scen, profile, err := scenarios(o)
+		scen, err := scenarios()
 		if err != nil {
 			return Document{}, err
 		}
@@ -151,7 +128,7 @@ func registerSweep(e Experiment, scenarios func(Options) ([]sweep.Scenario, stri
 		if err := rs.FirstError(); err != nil {
 			return Document{}, fmt.Errorf("exp: %s: %w", e.Name, err)
 		}
-		meta := map[string]string{"profile": profile}
+		meta := map[string]string{"profile": e.Profile}
 		return e.document(meta, sweepMeasures(rs), rs)
 	}
 	e.Render = func(d Document) (string, error) {
@@ -215,13 +192,7 @@ func registerTable2() {
 		Profile: "paper",
 	}
 	e.Run = func(o Options) (Document, error) {
-		// The golden documents the paper's full-fidelity setup; deepsim may
-		// override to render a custom workload.
-		cfg := xpic.Table2Config()
-		if o.Workload != nil {
-			cfg = *o.Workload
-		}
-		return e.document(map[string]string{"profile": profileLabel(cfg)}, nil, bench.Table2Rows(cfg))
+		return e.document(map[string]string{"profile": e.Profile}, nil, bench.Table2Rows(xpic.Table2Config()))
 	}
 	e.Render = func(d Document) (string, error) {
 		rows, err := parsePayload[[]bench.Table2Row](d)
@@ -306,7 +277,7 @@ func registerFig7() {
 		},
 	}
 	e.Run = func(o Options) (Document, error) {
-		cfg, profile := workload(o)
+		cfg := CIProfile()
 		scen, err := bench.Fig7Grid(cfg).Scenarios()
 		if err != nil {
 			return Document{}, err
@@ -325,7 +296,7 @@ func registerFig7() {
 		reportMeasures(measures, "cluster", res.Cluster)
 		reportMeasures(measures, "booster", res.Booster)
 		reportMeasures(measures, "split", res.Split)
-		return e.document(profileMeta(cfg, profile), measures, res)
+		return e.document(profileMeta(cfg, e.Profile), measures, res)
 	}
 	e.Render = func(d Document) (string, error) {
 		res, err := parsePayload[bench.Fig7Result](d)
@@ -356,7 +327,7 @@ func registerFig8() {
 		},
 	}
 	e.Run = func(o Options) (Document, error) {
-		cfg, profile := workload(o)
+		cfg := CIProfile()
 		counts := fig8NodeCounts()
 		scen, err := bench.Fig8Grid(cfg, counts).Scenarios()
 		if err != nil {
@@ -377,7 +348,7 @@ func registerFig8() {
 			"gain_vs_cluster_n8":    res.GainVsCluster(last),
 			"gain_vs_booster_n8":    res.GainVsBooster(last),
 		}
-		return e.document(profileMeta(cfg, profile), measures, res)
+		return e.document(profileMeta(cfg, e.Profile), measures, res)
 	}
 	e.Render = func(d Document) (string, error) {
 		res, err := parsePayload[bench.Fig8Result](d)
@@ -394,9 +365,8 @@ func fig8ScaleCounts() []int { return []int{16, 64, 256, 1024} }
 
 // registerFig8Scale registers the beyond-prototype continuation of Fig. 8:
 // Cluster+Booster vs Booster-only at 16 to 1024 nodes per solver, on the
-// pinned ScaleProfile workload. The workload is not overridable (the grid
-// only decomposes for NY % 1024 == 0), so deepsim/cbctl runs always
-// reproduce the golden. Efficiencies are normalised to the first point
+// pinned ScaleProfile workload (the grid only decomposes for
+// NY % 1024 == 0). Efficiencies are normalised to the first point
 // (n = 16), the classic strong-scaling presentation.
 func registerFig8Scale() {
 	counts := fig8ScaleCounts()
@@ -708,7 +678,7 @@ func registerSweepXPicWeak() {
 func registerSweepFig3() {
 	registerSweep(Experiment{
 		Name:    "sweep/fig3",
-		Title:   "Raw sweep: Fig. 3 measurement grid (fabbench -json form)",
+		Title:   "Raw sweep: Fig. 3 measurement grid as a sweep result set",
 		Version: 1,
 		Grid:    "25 message sizes x 3 node-type pairs",
 		Profile: "paper",
@@ -721,8 +691,8 @@ func registerSweepFig3() {
 		Budgets: []Budget{
 			{Measure: "max_latency_us", Kind: MaxBudget, Bound: 2000},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		return bench.Fig3Scenarios(bench.Fig3Sizes()), "paper", nil
+	}, func() ([]sweep.Scenario, error) {
+		return bench.Fig3Scenarios(bench.Fig3Sizes()), nil
 	})
 }
 
@@ -738,11 +708,7 @@ func registerSweepFig7() {
 		Budgets: []Budget{
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.Fig7Grid(cfg).Scenarios()
-		return scen, profile, err
-	})
+	}, bench.Fig7Grid(CIProfile()).Scenarios)
 }
 
 func registerSweepFig8() {
@@ -757,11 +723,7 @@ func registerSweepFig8() {
 		Budgets: []Budget{
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.Fig8Grid(cfg, fig8NodeCounts()).Scenarios()
-		return scen, profile, err
-	})
+	}, bench.Fig8Grid(CIProfile(), fig8NodeCounts()).Scenarios)
 }
 
 func registerSweepPaper() {
@@ -778,9 +740,5 @@ func registerSweepPaper() {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 			{Measure: "max_checkpoint_s", Kind: MaxBudget, Bound: 0.01},
 		},
-	}, func(o Options) ([]sweep.Scenario, string, error) {
-		cfg, profile := workload(o)
-		scen, err := bench.PaperGrid(cfg, true).Scenarios()
-		return scen, profile, err
-	})
+	}, bench.PaperGrid(CIProfile()).Scenarios)
 }

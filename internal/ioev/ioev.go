@@ -19,7 +19,7 @@
 //     APIs cannot regrow hand-threaded timestamp plumbing.
 //
 // The package also owns the process-global I/O event counters surfaced by
-// `cbctl run -stats` and `deepsim -stats` (container bytes, cache-domain
+// `cbctl run -stats` (container bytes, cache-domain
 // flushes, buddy copies), mirroring engine.Global for kernel events.
 package ioev
 

@@ -1,5 +1,5 @@
-// Package prof wires pprof profile capture into the CLIs: deepsim and
-// cbctl run accept -cpuprofile/-memprofile so perf work on the simulation
+// Package prof wires pprof profile capture into the CLI: cbctl run
+// accepts -cpuprofile/-memprofile so perf work on the simulation
 // hot paths can grab real-workload profiles without patching the binaries
 // (kernel benchmarks cover the microbenchmark side; these flags cover whole
 // sweeps and experiments).

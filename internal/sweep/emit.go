@@ -1,16 +1,14 @@
-// Result-set emitters. All three forms (JSON, CSV, text) are deterministic:
-// results are ordered by scenario index and metric columns/keys by name, so
-// the same sweep definition always serialises to the same bytes regardless
-// of worker count or host scheduling.
+// Result-set emitters. Both forms (JSON, text) are deterministic: results
+// are ordered by scenario index and metric keys by name, so the same sweep
+// definition always serialises to the same bytes regardless of worker count
+// or host scheduling.
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -28,49 +26,6 @@ func (rs ResultSet) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// metricKeys returns the sorted union of all metric names in the set.
-func (rs ResultSet) metricKeys() []string {
-	seen := map[string]bool{}
-	for _, r := range rs.Results {
-		for k := range r.Metrics {
-			seen[k] = true
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteCSV writes one row per scenario: index, name, error, then the sorted
-// union of metric columns (empty cell where a scenario lacks a metric).
-func (rs ResultSet) WriteCSV(w io.Writer) error {
-	keys := rs.metricKeys()
-	cw := csv.NewWriter(w)
-	header := append([]string{"index", "name", "error"}, keys...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range rs.Results {
-		row := []string{strconv.Itoa(r.Index), r.Name, r.Error}
-		for _, k := range keys {
-			v, ok := r.Metrics[k]
-			if !ok {
-				row = append(row, "")
-				continue
-			}
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // RenderText renders a human-readable summary table: the key xPic columns

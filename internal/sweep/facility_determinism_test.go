@@ -117,9 +117,9 @@ func TestFacilityFaultsWorkerCountInvariance(t *testing.T) {
 // TestFacilityWorkerCountInvariance extends the kernel's determinism
 // property to the facility layer: the same seeds must produce byte-identical
 // facility sweep JSON under any host worker count, because each stream is a
-// private machine + kernel whose job tasks are serialised by the baton —
-// host scheduling never touches arrival order, grant order, or the backfill
-// scan.
+// private machine + kernel whose arrival, grant and completion callbacks run
+// one at a time in virtual-time order — host scheduling never touches
+// arrival order, grant order, or the backfill scan.
 func TestFacilityWorkerCountInvariance(t *testing.T) {
 	// The overloaded streams must actually exercise the scheduler, or the
 	// property is vacuous.

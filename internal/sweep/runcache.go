@@ -72,7 +72,7 @@ type runCacheEntry struct {
 }
 
 // CacheStats is the scenario cache's hit/miss counters, surfaced through the
-// -stats flags of cbctl run and deepsim.
+// -stats flag of cbctl run, diff and bless.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64

@@ -2,7 +2,7 @@
 // scenario configurations (declared directly, or expanded from a declarative
 // Grid), runs each one on its own freshly booted system across a bounded pool
 // of host worker goroutines, and aggregates the per-scenario outcomes into a
-// single reproducible result set with JSON and CSV emitters.
+// single reproducible result set with JSON and text emitters.
 //
 // Host-parallel execution is safe because every simulation is deterministic
 // in virtual time and scenarios share no state: each Scenario.Run boots its
@@ -26,7 +26,7 @@ import (
 )
 
 // Metrics is the flat numeric outcome of one scenario. Keys are emitted in
-// sorted order by the JSON and CSV emitters, so a Metrics value is
+// sorted order by the JSON and text emitters, so a Metrics value is
 // deterministic to serialise.
 type Metrics map[string]float64
 

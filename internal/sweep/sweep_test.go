@@ -218,42 +218,6 @@ func TestEmptySweep(t *testing.T) {
 	}
 }
 
-// TestCSVEmitter checks shape and determinism of the CSV form.
-func TestCSVEmitter(t *testing.T) {
-	scenarios := []Scenario{
-		{Name: "a", Run: func() (Outcome, error) {
-			return Outcome{Metrics: Metrics{"zeta": 1.5, "alpha": 2}}, nil
-		}},
-		{Name: "b", Run: func() (Outcome, error) { return Outcome{}, fmt.Errorf("bad") }},
-		{Name: "c", Run: func() (Outcome, error) {
-			return Outcome{Metrics: Metrics{"alpha": 3}}, nil
-		}},
-	}
-	rs := Run(scenarios, Options{Workers: 2})
-	var buf bytes.Buffer
-	if err := rs.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d CSV lines: %q", len(lines), buf.String())
-	}
-	if lines[0] != "index,name,error,alpha,zeta" {
-		t.Errorf("header %q: metric columns must be sorted", lines[0])
-	}
-	if lines[1] != "a,,2,1.5" && lines[1] != "0,a,,2,1.5" {
-		if !strings.HasPrefix(lines[1], "0,a,,2,1.5") {
-			t.Errorf("row a = %q", lines[1])
-		}
-	}
-	if !strings.Contains(lines[2], "bad") {
-		t.Errorf("row b = %q lacks the error", lines[2])
-	}
-	if !strings.HasSuffix(lines[3], "3,") {
-		t.Errorf("row c = %q should have an empty zeta cell", lines[3])
-	}
-}
-
 // TestRenderText smoke-checks the human-readable table.
 func TestRenderText(t *testing.T) {
 	scenarios, err := testGrid().Scenarios()

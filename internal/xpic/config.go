@@ -77,8 +77,6 @@ type Config struct {
 	// non-blocking transfers). Used by the A5 ablation bench to quantify
 	// what the overlap buys.
 	NoOverlap bool
-	// Verbose enables per-step diagnostics output (examples only).
-	Verbose bool
 }
 
 // DefaultSpecies returns the two-species plasma used in the experiments: hot

@@ -142,10 +142,6 @@ func runResilientMono(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 			}
 			for sim.Step < spec.Cfg.Steps {
 				sim.Advance(p, comm)
-				if spec.Cfg.Verbose && p.Rank() == 0 && (sim.Step-1)%50 == 0 {
-					fmt.Printf("xpic[mono] step %4d  E_fld=%.6g  E_kin=%.6g  CG=%d\n",
-						sim.Step-1, sim.FieldE, sim.KinE, sim.Fld.LastIters)
-				}
 				if spec.checkpointDue(sim.Step) {
 					if err := checkpointCollective(p, comm, p.Rank(), sim.Step, sim.Snapshot(), spec.Store); err != nil {
 						return err
@@ -264,9 +260,6 @@ func resilientBoosterMain(p *psmpi.Proc, spec ResilientSpec, s *sink, clusterBin
 			req := p.IssendF64Shared(inter, peer, tagIfaceM, mbuf)
 			p.Wait(req)
 		})
-		if cfg.Verbose && p.Rank() == 0 && step%50 == 0 {
-			fmt.Printf("xpic[C+B booster] step %4d  E_kin=%.6g  particles=%d\n", step, kinE, pcl.TotalN())
-		}
 
 		if spec.checkpointDue(step + 1) {
 			if err := checkpointCollective(p, comm, p.Rank(), step+1,
