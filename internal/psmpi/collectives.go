@@ -134,23 +134,24 @@ func (p *Proc) Bcast(c *Comm, root int, data any, bytes int) any {
 }
 
 // BcastF64 broadcasts a float64 slice from root; every rank receives a copy
-// into buf (root's buf is the source). One pristine copy of root's buf — a
-// rank's own buf may be rewritten the moment the collective returns, so the
-// in-flight tree cannot share it — travels the whole binomial tree unboxed
-// and by reference; the single allocation per broadcast is that copy.
+// into buf (root's buf is the source). A rank's own buf may be rewritten the
+// moment the collective returns, so each hop of the binomial tree carries a
+// copy from the launch's buffer pool, which its receiver returns after
+// copying out.
 func (p *Proc) BcastF64(c *Comm, root int, buf []float64) {
 	p.Stats.Collectives++
 	base := p.collTag(c)
-	var blk []float64
-	if p.rankIn(c) == root {
-		blk = append([]float64(nil), buf...)
-	}
 	p.bcastTree(c, root,
 		func(src int) {
-			blk = p.recvTagged(c, src, base).slice()
+			blk := p.recvTagged(c, src, base).f64
 			copy(buf, blk)
+			p.PutF64(blk)
 		},
-		func(dst int) { p.sendTagged(c, dst, base, payload{f64: blk}, 8*len(blk), modeStandard, true) })
+		func(dst int) {
+			blk := p.GetF64(len(buf))
+			copy(blk, buf)
+			p.sendTagged(c, dst, base, payload{f64: blk, pooled: true}, 8*len(blk), modeStandard, true)
+		})
 }
 
 // ReduceF64 reduces buf elementwise onto root with op (binomial tree). On
@@ -166,7 +167,7 @@ func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
 	n := c.Size()
 	rel := (me - root + n) % n
 
-	acc := p.getF64(len(buf))
+	acc := p.GetF64(len(buf))
 	copy(acc, buf)
 	sent := false
 	for mask := 1; mask < n; mask <<= 1 {
@@ -176,7 +177,7 @@ func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
 				src := (srcRel + root) % n
 				part := p.recvTagged(c, src, base).slice()
 				op.apply(acc, part)
-				p.putF64(part)
+				p.PutF64(part)
 			}
 		} else {
 			dstRel := rel &^ mask
@@ -190,7 +191,7 @@ func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
 		copy(buf, acc)
 	}
 	if !sent {
-		p.putF64(acc)
+		p.PutF64(acc)
 	}
 }
 
@@ -222,7 +223,7 @@ func (p *Proc) GatherF64(c *Comm, root int, buf []float64) []float64 {
 	me := p.rankIn(c)
 	n := c.Size()
 	if me != root {
-		cp := p.getF64(len(buf))
+		cp := p.GetF64(len(buf))
 		copy(cp, buf)
 		p.sendTagged(c, root, base, payload{f64: cp, pooled: true}, 8*len(buf), modeStandard, true)
 		return nil
@@ -242,9 +243,7 @@ func (p *Proc) GatherF64(c *Comm, root int, buf []float64) []float64 {
 		}
 		data, _ := p.WaitF64(reqs[r])
 		copy(out[r*len(buf):], data)
-		if reqs[r].data.pooled {
-			p.putF64(data)
-		}
+		p.PutF64(data) // every non-root rank sends a pooled copy
 	}
 	return out
 }
@@ -267,7 +266,7 @@ func (p *Proc) ScatterF64(c *Comm, root int, data []float64, buf []float64) {
 				copy(buf, data[r*chunk:(r+1)*chunk])
 				continue
 			}
-			part := p.getF64(chunk)
+			part := p.GetF64(chunk)
 			copy(part, data[r*chunk:(r+1)*chunk])
 			reqs = append(reqs, p.sendTagged(c, r, base, payload{f64: part, pooled: true}, 8*chunk, modeStandard, false))
 		}
@@ -277,7 +276,7 @@ func (p *Proc) ScatterF64(c *Comm, root int, data []float64, buf []float64) {
 	pl := p.recvTagged(c, root, base)
 	copy(buf, pl.slice())
 	if pl.pooled {
-		p.putF64(pl.f64)
+		p.PutF64(pl.f64)
 	}
 }
 
@@ -296,14 +295,14 @@ func (p *Proc) AllgatherF64(c *Comm, buf []float64) []float64 {
 	left := (me - 1 + n) % n
 	cur := me
 	for step := 0; step < n-1; step++ {
-		block := p.getF64(chunk)
+		block := p.GetF64(chunk)
 		copy(block, out[cur*chunk:(cur+1)*chunk])
 		req := p.sendTagged(c, right, base+step, payload{f64: block, pooled: true}, 8*chunk, modeStandard, false)
 		in := p.recvTagged(c, left, base+step)
 		cur = (cur - 1 + n) % n
 		copy(out[cur*chunk:], in.slice())
 		if in.pooled {
-			p.putF64(in.f64)
+			p.PutF64(in.f64)
 		}
 		p.wait(req)
 	}
@@ -325,13 +324,13 @@ func (p *Proc) AlltoallF64(c *Comm, data []float64, chunk int) []float64 {
 	for k := 1; k < n; k++ {
 		dst := (me + k) % n
 		src := (me - k + n) % n
-		block := p.getF64(chunk)
+		block := p.GetF64(chunk)
 		copy(block, data[dst*chunk:(dst+1)*chunk])
 		req := p.sendTagged(c, dst, base+k, payload{f64: block, pooled: true}, 8*chunk, modeStandard, false)
 		in := p.recvTagged(c, src, base+k)
 		copy(out[src*chunk:], in.slice())
 		if in.pooled {
-			p.putF64(in.f64)
+			p.PutF64(in.f64)
 		}
 		p.wait(req)
 	}

@@ -96,9 +96,17 @@ type mailbox struct {
 	unexpected []*envelope
 	posted     []*postedRecv
 	probers    []*Proc // ranks parked in Probe, woken on new unexpected mail
+	// first backs unexpected until it outgrows it: a rank of a
+	// nearest-neighbour code rarely holds more than a few unexpected
+	// messages (two halo directions, its collective-tree children).
+	first [4]*envelope
 }
 
-func newMailbox() *mailbox { return &mailbox{} }
+func newMailbox() *mailbox {
+	mb := &mailbox{}
+	mb.unexpected = mb.first[:0]
+	return mb
+}
 
 // deliver is called from the sender's task. It matches the envelope against
 // posted receives (in post order) or queues it as unexpected. For rendezvous
@@ -179,17 +187,15 @@ func (mb *mailbox) takeUnexpected(commID uint64, src, tag int) *envelope {
 // Request is a handle for a non-blocking operation, completed by Wait.
 type Request struct {
 	p    *Proc
-	done bool
+	done bool // born done: the shared request of eager sends
 
 	// send-side
 	isSend bool
 	env    *envelope // rendezvous/synchronous sends: handshake state
 
 	// recv-side
-	pr     *postedRecv
-	mb     *mailbox
-	data   payload // extracted body, once completed
-	status Status  // extracted status, once completed
+	pr *postedRecv
+	mb *mailbox
 }
 
 // sendMode selects the send protocol.
@@ -264,17 +270,9 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 		p.waitSendEnv(e)
 		return nil
 	}
-	return &Request{p: p, isSend: true, env: e}
-}
-
-// waitSend completes a non-blocking send request.
-func (p *Proc) waitSend(req *Request) {
-	if req.done {
-		return
-	}
-	p.waitSendEnv(req.env)
-	req.env = nil
-	req.done = true
+	req := p.newReq()
+	*req = Request{p: p, isSend: true, env: e}
+	return req
 }
 
 // waitSendEnv blocks until a rendezvous send's transfer completes. If the
@@ -308,18 +306,18 @@ func (p *Proc) Issend(c *Comm, dst, tag int, data any, bytes int) *Request {
 	return p.send(c, dst, tag, payload{val: data}, bytes, modeSync, false)
 }
 
-// IsendF64Shared is Isend for a []float64 the caller promises not to touch
-// until the message is consumed (xPic's halo, moment and migration buffers
-// follow this discipline by protocol order). The slice travels by reference
-// and unboxed: no copy, no allocation.
-func (p *Proc) IsendF64Shared(c *Comm, dst, tag int, buf []float64) *Request {
-	return p.send(c, dst, tag, payload{f64: buf}, 8*len(buf), modeStandard, false)
+// IsendF64Pooled is Isend for a buffer taken from GetF64 and filled by the
+// caller. The buffer travels by reference and unboxed, and ownership goes
+// with it: the sender must not touch it again, and the receiver, its last
+// reader, returns it with PutF64 (RecvF64Pooled, WaitF64). A steady stream
+// of such messages allocates nothing.
+func (p *Proc) IsendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
+	return p.send(c, dst, tag, payload{f64: buf, pooled: true}, 8*len(buf), modeStandard, false)
 }
 
-// IssendF64Shared is Issend with the same shared-buffer contract as
-// IsendF64Shared.
-func (p *Proc) IssendF64Shared(c *Comm, dst, tag int, buf []float64) *Request {
-	return p.send(c, dst, tag, payload{f64: buf}, 8*len(buf), modeSync, false)
+// IssendF64Pooled is Issend with the ownership contract of IsendF64Pooled.
+func (p *Proc) IssendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
+	return p.send(c, dst, tag, payload{f64: buf, pooled: true}, 8*len(buf), modeSync, false)
 }
 
 // recvCommon matches a message, timing the receive. Returns the envelope.
@@ -421,10 +419,10 @@ func (p *Proc) Recv(c *Comm, src, tag int) (any, Status) {
 	return data, st
 }
 
-// RecvF64Shared is a blocking receive of a []float64 payload, returned by
-// reference and unboxed: the caller reads it but must not retain it past the
-// sender's reuse point (the shared-buffer contract of IsendF64Shared).
-func (p *Proc) RecvF64Shared(c *Comm, src, tag int) ([]float64, Status) {
+// RecvF64Pooled is a blocking receive of a message sent by IsendF64Pooled or
+// IssendF64Pooled. The buffer is returned by reference and now belongs to
+// the caller, which returns it with PutF64 once it has read it.
+func (p *Proc) RecvF64Pooled(c *Comm, src, tag int) ([]float64, Status) {
 	e := p.recvCommon(c, src, tag)
 	v, st := e.pl.slice(), Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
 	p.releaseEnv(e)
@@ -443,13 +441,35 @@ func (p *Proc) newPR() *postedRecv {
 	return &postedRecv{}
 }
 
+// newReq takes a request from the rank's free list (or allocates one); Wait
+// returns it there.
+func (p *Proc) newReq() *Request {
+	if n := len(p.reqFree); n > 0 {
+		req := p.reqFree[n-1]
+		p.reqFree[n-1] = nil
+		p.reqFree = p.reqFree[:n-1]
+		return req
+	}
+	return &Request{}
+}
+
+// freeReq recycles a completed request. The shared born-done request of
+// eager sends stays with its rank.
+func (p *Proc) freeReq(req *Request) {
+	if req == &p.eagerDone {
+		return
+	}
+	*req = Request{}
+	p.reqFree = append(p.reqFree, req)
+}
+
 // Irecv posts a non-blocking receive (MPI_Irecv); complete it with Wait.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
 	mb := p.mbox
-	req := &Request{p: p, mb: mb}
 	pr := p.newPR()
 	*pr = postedRecv{commID: c.id, src: src, tag: tag, posted: p.clock.Now()}
-	req.pr = pr
+	req := p.newReq()
+	*req = Request{p: p, mb: mb, pr: pr}
 	if e := mb.takeUnexpected(c.id, src, tag); e != nil {
 		completeMatch(pr, e, p)
 		return req
@@ -465,8 +485,10 @@ type Status struct {
 	Bytes  int
 }
 
-// wait drives the request to completion without extracting a typed body.
-func (p *Proc) wait(req *Request) {
+// wait drives the request to completion, returns a receive's body and
+// status, and frees the request. As MPI_Wait sets the handle to
+// MPI_REQUEST_NULL, a waited request must not be used again.
+func (p *Proc) wait(req *Request) (payload, Status) {
 	if req.p != p {
 		panic("psmpi: waiting on another rank's request")
 	}
@@ -474,13 +496,13 @@ func (p *Proc) wait(req *Request) {
 		defer p.record("wait", p.clock.Now())
 	}
 	if req.isSend {
-		p.waitSend(req)
-		return
+		if !req.done {
+			p.waitSendEnv(req.env)
+		}
+		p.freeReq(req)
+		return payload{}, Status{}
 	}
 	pr := req.pr
-	if req.done {
-		return
-	}
 	if !pr.done {
 		pr.waiter = p.task
 		p.task.Park()
@@ -488,33 +510,28 @@ func (p *Proc) wait(req *Request) {
 	req.mb.removePosted(pr)
 	p.completeRecvPosted(pr)
 	e := pr.env
-	req.data = e.pl
-	req.status = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
+	pl, st := e.pl, Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
 	*pr = postedRecv{}
 	p.prFree = append(p.prFree, pr)
-	req.pr = nil
 	p.releaseEnv(e)
-	req.done = true
+	p.freeReq(req)
+	return pl, st
 }
 
 // Wait blocks until the request completes (MPI_Wait) and returns the received
-// payload and status for receives (nil payload for sends).
+// payload and status for receives (nil payload for sends). The request is
+// freed: it must not be used again.
 func (p *Proc) Wait(req *Request) (any, Status) {
-	p.wait(req)
-	if req.isSend {
-		return nil, Status{}
-	}
-	return req.data.value(), req.status
+	pl, st := p.wait(req)
+	return pl.value(), st
 }
 
 // WaitF64 is Wait for receives of []float64 payloads, returned by reference
-// and unboxed (the shared-buffer contract of IsendF64Shared applies).
+// and unboxed. A pooled payload (IsendF64Pooled, IssendF64Pooled) now
+// belongs to the caller, which returns it with PutF64 once it has read it.
 func (p *Proc) WaitF64(req *Request) ([]float64, Status) {
-	p.wait(req)
-	if req.isSend {
-		return nil, Status{}
-	}
-	return req.data.slice(), req.status
+	pl, st := p.wait(req)
+	return pl.slice(), st
 }
 
 // Waitall completes all requests (MPI_Waitall).
@@ -531,7 +548,7 @@ func (p *Proc) Waitall(reqs ...*Request) {
 // (RecvF64 returns it to the pool after copying out), so the steady-state
 // F64 traffic of a job allocates nothing.
 func (p *Proc) sendF64Copy(c *Comm, dst, tag int, buf []float64, mode sendMode, blocking bool) *Request {
-	cp := p.getF64(len(buf))
+	cp := p.GetF64(len(buf))
 	copy(cp, buf)
 	return p.send(c, dst, tag, payload{f64: cp, pooled: true}, 8*len(buf), mode, blocking)
 }
@@ -565,7 +582,7 @@ func (p *Proc) RecvF64(c *Comm, src, tag int, buf []float64) (int, Status) {
 		panic(fmt.Sprintf("psmpi: receive buffer too small: %d < %d", len(buf), len(v)))
 	}
 	if e.pl.pooled {
-		p.putF64(v)
+		p.PutF64(v)
 	}
 	p.releaseEnv(e)
 	return n, st

@@ -448,20 +448,21 @@ func randomGraphMain(seed uint64, n, rounds int) MainFunc {
 				if e.src != me {
 					continue
 				}
-				buf := make([]float64, e.elems)
+				buf := p.GetF64(e.elems)
 				for j := range buf {
 					buf[j] = float64(r*1000 + i)
 				}
-				reqs = append(reqs, p.IsendF64Shared(w, e.dst, 1000+i, buf))
+				reqs = append(reqs, p.IsendF64Pooled(w, e.dst, 1000+i, buf))
 			}
 			for i, e := range edges[r] {
 				if e.dst != me {
 					continue
 				}
-				got, _ := p.RecvF64Shared(w, e.src, 1000+i)
+				got, _ := p.RecvF64Pooled(w, e.src, 1000+i)
 				if len(got) != e.elems || got[0] != float64(r*1000+i) {
 					return fmt.Errorf("round %d edge %d: got %d elems starting %v", r, i, len(got), got[0])
 				}
+				p.PutF64(got)
 			}
 			p.Waitall(reqs...)
 			if r%3 == 2 {
@@ -489,11 +490,14 @@ func exchangeMain(rounds int) MainFunc {
 			p.Elapse(vclock.Time(1+((me*7+r*3)%5)) * vclock.Microsecond)
 
 			right, left := (me+1)%n, (me-1+n)%n
-			sreq := p.IsendF64Shared(w, right, 10+r, small)
-			got, _ := p.RecvF64Shared(w, left, 10+r)
+			out := p.GetF64(len(small))
+			copy(out, small)
+			sreq := p.IsendF64Pooled(w, right, 10+r, out)
+			got, _ := p.RecvF64Pooled(w, left, 10+r)
 			if len(got) != len(small) || got[1] != float64(left*100+1) {
 				return fmt.Errorf("round %d: ring message from %d corrupted", r, left)
 			}
+			p.PutF64(got)
 			p.Wait(sreq)
 
 			if r%2 == 0 {

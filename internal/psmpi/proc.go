@@ -53,6 +53,9 @@ type Proc struct {
 	recvScratch postedRecv
 	// prFree recycles Irecv posting records (returned by Wait).
 	prFree []*postedRecv
+	// reqFree recycles the requests of Irecv and rendezvous sends (returned
+	// by Wait).
+	reqFree []*Request
 	// eagerDone is the shared born-done request every eager Isend returns
 	// (a completed send request carries no state).
 	eagerDone Request

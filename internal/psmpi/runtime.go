@@ -21,6 +21,7 @@ package psmpi
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"clusterbooster/internal/engine"
@@ -185,34 +186,55 @@ type launch struct {
 	// needed. Envelopes that are still queued or attached to an abandoned
 	// request when the job ends are simply left to the garbage collector.
 	envFree []*envelope
-	// f64Free pools the collectives' internal reduction buffers by length
-	// (ReduceF64 accumulators, which travel rank to rank inside one
-	// collective and die at the receiving end), under the same discipline
-	// as envFree.
-	f64Free map[int][][]float64
+	// f64Free is the launch's []float64 buffer pool (GetF64/PutF64), under
+	// the same discipline as envFree. Class k holds buffers of capacity at
+	// least 1<<k, so messages whose length varies from step to step (particle
+	// migration) reuse buffers as well as fixed-length ones (halo rows,
+	// interface buffers, reduction accumulators).
+	f64Free [bits.UintSize][][]float64
 }
 
-// getF64 takes a length-n buffer from the launch pool (or allocates one).
-// The caller overwrites it fully.
-func (p *Proc) getF64(n int) []float64 {
-	m := p.l.f64Free
-	if s := m[n]; len(s) > 0 {
-		buf := s[len(s)-1]
-		s[len(s)-1] = nil
-		m[n] = s[:len(s)-1]
-		return buf
+// f64Class is the pool class serving a length-n request: the smallest k
+// with 1<<k >= n.
+func f64Class(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return make([]float64, n)
+	return bits.Len(uint(n - 1))
 }
 
-// putF64 returns a buffer whose last reader is done with it to the launch
-// pool.
-func (p *Proc) putF64(buf []float64) {
-	if p.l.f64Free == nil {
-		p.l.f64Free = map[int][][]float64{}
+// GetF64 takes a length-n buffer from the job's pool (or allocates one).
+// Its contents are unspecified: the caller overwrites it fully. The buffer
+// goes back with PutF64, or travels as a pooled message (IsendF64Pooled,
+// IssendF64Pooled), whose receiver returns it. A zero-length request
+// needs no buffer and gets nil. When n's class is empty, a
+// free buffer up to two classes larger serves it, so an occasional longer
+// message borrows a buffer instead of growing the pool.
+func (p *Proc) GetF64(n int) []float64 {
+	if n == 0 {
+		return nil
 	}
-	m := p.l.f64Free
-	m[len(buf)] = append(m[len(buf)], buf)
+	k := f64Class(n)
+	for c := k; c <= k+2 && c < len(p.l.f64Free); c++ {
+		free := p.l.f64Free[c]
+		if m := len(free); m > 0 {
+			buf := free[m-1]
+			free[m-1] = nil
+			p.l.f64Free[c] = free[:m-1]
+			return buf[:n]
+		}
+	}
+	return make([]float64, n, 1<<k)
+}
+
+// PutF64 returns a buffer whose last reader is done with it to the job's
+// pool. Nothing may touch buf afterwards.
+func (p *Proc) PutF64(buf []float64) {
+	if cap(buf) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(buf))) - 1
+	p.l.f64Free[k] = append(p.l.f64Free[k], buf)
 }
 
 // newEnv takes an envelope from the launch free list (or allocates one).

@@ -192,6 +192,16 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			if err := sim.Restore(corrupt); err == nil {
 				t.Error("huge length field accepted")
 			}
+			// Ragged species: a Y column one shorter than X. Move would index
+			// past its end.
+			sp := sim.Pcl.Species[0]
+			full := sp.Y
+			sp.Y = sp.Y[:len(sp.Y)-1]
+			ragged := sim.Snapshot()
+			sp.Y = full
+			if err := NewSim(p, p.World(), cfg).Restore(ragged); err == nil {
+				t.Error("ragged species accepted")
+			}
 			return nil
 		},
 	})

@@ -48,17 +48,21 @@ const (
 	flopsChiPerCell    = 3.0                      // susceptibility assembly
 )
 
-// NewFieldSolver builds the solver over a grid slab.
+// NewFieldSolver builds the solver over a grid slab. Its 13 work vectors are
+// carved from one allocation.
 func NewFieldSolver(g *Grid, cfg Config) *FieldSolver {
 	fs := &FieldSolver{g: g, cfg: cfg}
 	n := len(g.F(FEx))
-	for c := 0; c < 3; c++ {
-		fs.r[c] = make([]float64, n)
-		fs.pv[c] = make([]float64, n)
-		fs.ap[c] = make([]float64, n)
-		fs.cc[c] = make([]float64, n)
+	slab := make([]float64, 13*n)
+	next := func() []float64 {
+		v := slab[:n:n]
+		slab = slab[n:]
+		return v
 	}
-	fs.chi = make([]float64, n)
+	for c := 0; c < 3; c++ {
+		fs.r[c], fs.pv[c], fs.ap[c], fs.cc[c] = next(), next(), next(), next()
+	}
+	fs.chi = next()
 	return fs
 }
 
@@ -271,7 +275,7 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 // exchangeTriple halo-exchanges the three components of a work vector.
 func (fs *FieldSolver) exchangeTriple(p *psmpi.Proc, comm *psmpi.Comm, v *[3][]float64) {
 	g := fs.g
-	// Temporarily view the work vectors as named fields for the exchange.
+	// Temporarily put the work vectors in the E slots for the exchange.
 	saved := [3][]float64{g.fields[FEx], g.fields[FEy], g.fields[FEz]}
 	g.fields[FEx], g.fields[FEy], g.fields[FEz] = v[0], v[1], v[2]
 	g.ExchangeHalos(p, comm, FEx, FEy, FEz)

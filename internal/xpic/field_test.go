@@ -153,7 +153,7 @@ func TestSolveBFaradayUniformE(t *testing.T) {
 			cfg := QuickConfig(1)
 			g := NewGrid(16, 16, 0, 1)
 			fld := NewFieldSolver(g, cfg)
-			for _, name := range []string{FEx, FEy, FEz} {
+			for _, name := range []Field{FEx, FEy, FEz} {
 				a := g.F(name)
 				for i := range a {
 					a[i] = 2.0

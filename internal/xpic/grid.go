@@ -8,34 +8,50 @@ import (
 // decomposed over the ranks of a solver communicator; each local array has
 // one ghost row below (index 0) and one above (index ly+1).
 type Grid struct {
-	NX     int // global (and local) columns
-	NY     int // global rows
-	LY     int // local real rows (NY / ranks)
-	Rank   int // slab index
-	Ranks  int // slabs
-	Y0     int // first global row of this slab
-	fields map[string][]float64
+	NX    int // global (and local) columns
+	NY    int // global rows
+	LY    int // local real rows (NY / ranks)
+	Rank  int // slab index
+	Ranks int // slabs
+	Y0    int // first global row of this slab
+	// fields holds every array, indexed by Field; all are views into one
+	// allocation.
+	fields [numFields][]float64
 }
 
-// Field names used by the solvers.
+// Field indexes one of the grid's arrays.
+type Field int
+
+// The grid's arrays.
 const (
-	FEx, FEy, FEz = "Ex", "Ey", "Ez"
-	FBx, FBy, FBz = "Bx", "By", "Bz"
-	FRho          = "Rho"
-	FJx, FJy, FJz = "Jx", "Jy", "Jz"
+	FEx, FEy, FEz Field = 0, 1, 2
+	FBx, FBy, FBz Field = 3, 4, 5
+	FRho          Field = 6
+	FJx, FJy, FJz Field = 7, 8, 9
 	// FRhoE is the electron charge-density magnitude, the moment the
 	// implicit-moment field solver needs to assemble the plasma
 	// susceptibility of its implicit operator.
-	FRhoE = "RhoE"
+	FRhoE Field = 10
+
+	numFields = 11
 )
 
+var fieldName = [numFields]string{"Ex", "Ey", "Ez", "Bx", "By", "Bz", "Rho", "Jx", "Jy", "Jz", "RhoE"}
+
+// String returns the field's name.
+func (f Field) String() string { return fieldName[f] }
+
 // FieldNames lists the electromagnetic field components.
-var FieldNames = []string{FEx, FEy, FEz, FBx, FBy, FBz}
+var FieldNames = []Field{FEx, FEy, FEz, FBx, FBy, FBz}
 
 // MomentNames lists the particle-moment components shipped from the particle
 // solver to the field solver (the ρ,J of Fig. 5, plus the electron density
 // for the susceptibility assembly).
-var MomentNames = []string{FRho, FJx, FJy, FJz, FRhoE}
+var MomentNames = []Field{FRho, FJx, FJy, FJz, FRhoE}
+
+// allFields lists every grid array in index order, the fields then the
+// moments: a mono rank's and a cluster rank's checkpointed grid state.
+var allFields = append(append([]Field(nil), FieldNames...), MomentNames...)
 
 // NewGrid builds the slab for the given rank.
 func NewGrid(nx, ny, rank, ranks int) *Grid {
@@ -43,19 +59,17 @@ func NewGrid(nx, ny, rank, ranks int) *Grid {
 	g := &Grid{
 		NX: nx, NY: ny, LY: ly,
 		Rank: rank, Ranks: ranks, Y0: rank * ly,
-		fields: map[string][]float64{},
 	}
-	for _, name := range FieldNames {
-		g.fields[name] = make([]float64, nx*(ly+2))
-	}
-	for _, name := range MomentNames {
-		g.fields[name] = make([]float64, nx*(ly+2))
+	n := nx * (ly + 2)
+	slab := make([]float64, numFields*n)
+	for f := range g.fields {
+		g.fields[f] = slab[f*n : (f+1)*n : (f+1)*n]
 	}
 	return g
 }
 
-// F returns the named field array (with ghost rows).
-func (g *Grid) F(name string) []float64 { return g.fields[name] }
+// F returns the field's array (with ghost rows).
+func (g *Grid) F(f Field) []float64 { return g.fields[f] }
 
 // Idx converts local coordinates (ix in [0,NX), iy in [0, LY+2)) to the array
 // index; iy=0 and iy=LY+1 are the ghost rows.
@@ -70,48 +84,31 @@ func (g *Grid) WrapX(ix int) int {
 	return ix
 }
 
-// Row returns a copy of row iy of the named field (real row indices 1..LY,
-// ghosts 0 and LY+1).
-func (g *Grid) Row(name string, iy int) []float64 {
-	a := g.F(name)
-	out := make([]float64, g.NX)
-	copy(out, a[g.Idx(0, iy):g.Idx(0, iy)+g.NX])
-	return out
+// row returns row iy of the field (real rows 1..LY, ghosts 0 and LY+1).
+func (g *Grid) row(f Field, iy int) []float64 {
+	return g.fields[f][iy*g.NX : (iy+1)*g.NX]
 }
 
-// SetRow overwrites row iy of the named field.
-func (g *Grid) SetRow(name string, iy int, row []float64) {
-	a := g.F(name)
-	copy(a[g.Idx(0, iy):g.Idx(0, iy)+g.NX], row)
-}
-
-// AddRow accumulates into row iy of the named field.
-func (g *Grid) AddRow(name string, iy int, row []float64) {
-	a := g.F(name)
-	base := g.Idx(0, iy)
+// AddRow accumulates into row iy of the field.
+func (g *Grid) AddRow(f Field, iy int, row []float64) {
+	dst := g.row(f, iy)
 	for i, v := range row {
-		a[base+i] += v
+		dst[i] += v
 	}
 }
 
-// ClearGhosts zeroes the ghost rows of the named fields.
-func (g *Grid) ClearGhosts(names ...string) {
-	for _, name := range names {
-		a := g.F(name)
-		for ix := 0; ix < g.NX; ix++ {
-			a[g.Idx(ix, 0)] = 0
-			a[g.Idx(ix, g.LY+1)] = 0
-		}
+// ClearGhosts zeroes the ghost rows of the fields.
+func (g *Grid) ClearGhosts(fields ...Field) {
+	for _, f := range fields {
+		clear(g.row(f, 0))
+		clear(g.row(f, g.LY+1))
 	}
 }
 
-// Zero clears the named fields entirely (ghosts included).
-func (g *Grid) Zero(names ...string) {
-	for _, name := range names {
-		a := g.F(name)
-		for i := range a {
-			a[i] = 0
-		}
+// Zero clears the fields entirely (ghosts included).
+func (g *Grid) Zero(fields ...Field) {
+	for _, f := range fields {
+		clear(g.fields[f])
 	}
 }
 
@@ -132,85 +129,80 @@ const (
 func (g *Grid) up() int   { return (g.Rank + 1) % g.Ranks }
 func (g *Grid) down() int { return (g.Rank - 1 + g.Ranks) % g.Ranks }
 
-// ExchangeHalos fills the ghost rows of the named fields from the
-// neighbouring slabs (periodic): ghost 0 receives the neighbour-below's top
-// row, ghost LY+1 the neighbour-above's bottom row. All components are packed
-// into one message per direction, as the real code does.
+// ExchangeHalos fills the ghost rows of the fields from the neighbouring
+// slabs (periodic): ghost 0 receives the neighbour-below's top row, ghost
+// LY+1 the neighbour-above's bottom row. All components are packed into one
+// message per direction, as the real code does.
 //
 // p is the calling rank's process and comm the solver communicator; with one
 // rank the exchange degenerates to a local periodic copy.
-func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, names ...string) {
-	nx := g.NX
+func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, fields ...Field) {
 	if g.Ranks == 1 {
-		for _, name := range names {
-			a := g.F(name)
-			copy(a[:nx], a[g.LY*nx:(g.LY+1)*nx])
-			copy(a[(g.LY+1)*nx:(g.LY+2)*nx], a[nx:2*nx])
+		for _, f := range fields {
+			copy(g.row(f, 0), g.row(f, g.LY))
+			copy(g.row(f, g.LY+1), g.row(f, 1))
 		}
 		return
 	}
-	// pack copies row iy of every named field into one fresh buffer; the
-	// buffer is handed to Isend directly (never reused), so no further
-	// value-semantics copy is needed.
-	pack := func(iy int) []float64 {
-		buf := make([]float64, len(names)*nx)
-		for i, name := range names {
-			copy(buf[i*nx:(i+1)*nx], g.F(name)[iy*nx:(iy+1)*nx])
-		}
-		return buf
-	}
-	unpack := func(iy int, buf []float64) {
-		for i, name := range names {
-			g.SetRow(name, iy, buf[i*nx:(i+1)*nx])
-		}
-	}
 	// Top real row travels up (becomes up-neighbour's ghost 0);
 	// bottom real row travels down (becomes down-neighbour's ghost LY+1).
-	bufUp, bufDn := pack(g.LY), pack(1)
-	reqUp := p.IsendF64Shared(comm, g.up(), tagHaloUp, bufUp)
-	reqDn := p.IsendF64Shared(comm, g.down(), tagHaloDown, bufDn)
-	fromDn, _ := p.RecvF64Shared(comm, g.down(), tagHaloUp)
-	unpack(0, fromDn)
-	fromUp, _ := p.RecvF64Shared(comm, g.up(), tagHaloDown)
-	unpack(g.LY+1, fromUp)
+	reqUp := p.IsendF64Pooled(comm, g.up(), tagHaloUp, g.packRows(p, fields, g.LY))
+	reqDn := p.IsendF64Pooled(comm, g.down(), tagHaloDown, g.packRows(p, fields, 1))
+	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagHaloUp)
+	g.unpackRows(p, fields, 0, fromDn, false)
+	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagHaloDown)
+	g.unpackRows(p, fields, g.LY+1, fromUp, false)
 	p.Waitall(reqUp, reqDn)
+}
+
+// packRows copies row iy of every field into one buffer from the job's pool,
+// for a pooled send.
+func (g *Grid) packRows(p *psmpi.Proc, fields []Field, iy int) []float64 {
+	nx := g.NX
+	buf := p.GetF64(len(fields) * nx)
+	for i, f := range fields {
+		copy(buf[i*nx:(i+1)*nx], g.row(f, iy))
+	}
+	return buf
+}
+
+// unpackRows writes (or, with add, accumulates) a received packRows buffer
+// into row iy of every field, then returns the buffer to the pool: the
+// receiver is its last reader.
+func (g *Grid) unpackRows(p *psmpi.Proc, fields []Field, iy int, buf []float64, add bool) {
+	nx := g.NX
+	for i, f := range fields {
+		if add {
+			g.AddRow(f, iy, buf[i*nx:(i+1)*nx])
+		} else {
+			copy(g.row(f, iy), buf[i*nx:(i+1)*nx])
+		}
+	}
+	p.PutF64(buf)
 }
 
 // ReduceMomentHalos sends the deposits accumulated in the ghost rows to the
 // neighbours that own those rows, where they are added to the boundary real
 // rows, and clears the ghosts — the "halo add" step after moment gathering.
 func (g *Grid) ReduceMomentHalos(p *psmpi.Proc, comm *psmpi.Comm) {
-	names := MomentNames
+	fields := MomentNames
 	if g.Ranks == 1 {
-		for _, name := range names {
-			g.AddRow(name, g.LY, g.Row(name, 0))
-			g.AddRow(name, 1, g.Row(name, g.LY+1))
+		// LY >= 2, so the ghost rows read here are never the rows written.
+		for _, f := range fields {
+			g.AddRow(f, g.LY, g.row(f, 0))
+			g.AddRow(f, 1, g.row(f, g.LY+1))
 		}
-		g.ClearGhosts(names...)
+		g.ClearGhosts(fields...)
 		return
-	}
-	pack := func(iy int) []float64 {
-		buf := make([]float64, len(names)*g.NX)
-		for i, name := range names {
-			copy(buf[i*g.NX:(i+1)*g.NX], g.F(name)[iy*g.NX:(iy+1)*g.NX])
-		}
-		return buf
 	}
 	// Ghost LY+1 holds deposits belonging to the up-neighbour's row 1;
 	// ghost 0 belongs to the down-neighbour's row LY.
-	bufUp, bufDn := pack(g.LY+1), pack(0)
-	reqUp := p.IsendF64Shared(comm, g.up(), tagMomUp, bufUp)
-	reqDn := p.IsendF64Shared(comm, g.down(), tagMomDown, bufDn)
-	fromDn, _ := p.RecvF64Shared(comm, g.down(), tagMomUp)
-	buf := fromDn
-	for i, name := range names {
-		g.AddRow(name, 1, buf[i*g.NX:(i+1)*g.NX])
-	}
-	fromUp, _ := p.RecvF64Shared(comm, g.up(), tagMomDown)
-	buf = fromUp
-	for i, name := range names {
-		g.AddRow(name, g.LY, buf[i*g.NX:(i+1)*g.NX])
-	}
+	reqUp := p.IsendF64Pooled(comm, g.up(), tagMomUp, g.packRows(p, fields, g.LY+1))
+	reqDn := p.IsendF64Pooled(comm, g.down(), tagMomDown, g.packRows(p, fields, 0))
+	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagMomUp)
+	g.unpackRows(p, fields, 1, fromDn, true)
+	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagMomDown)
+	g.unpackRows(p, fields, g.LY, fromUp, true)
 	p.Waitall(reqUp, reqDn)
-	g.ClearGhosts(names...)
+	g.ClearGhosts(fields...)
 }

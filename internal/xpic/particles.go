@@ -3,6 +3,7 @@ package xpic
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/psmpi"
@@ -51,6 +52,12 @@ type ParticleSolver struct {
 	scale float64
 }
 
+// seedRNGs recycles the generators that seed particles. Rand.Seed resets a
+// source to exactly the state rand.NewSource builds for that seed, so a
+// recycled, re-seeded generator draws the same streams as a fresh 4.9 KB
+// source per species and rank.
+var seedRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // NewParticleSolver initialises the particles of this rank's slab: uniform
 // positions within the slab, Maxwellian velocities, deterministic per
 // (seed, species, rank) — so a decomposition runs identically in mono and
@@ -65,18 +72,22 @@ func NewParticleSolver(g *Grid, cfg Config) *ParticleSolver {
 	// quasi-neutrality everywhere.
 	share := slabDensityShare(cfg.DensityPerturbation, g)
 	actualPerSpecies := int(math.Round(float64(base) * share))
+	rng := seedRNGs.Get().(*rand.Rand)
+	defer seedRNGs.Put(rng)
+	// Migration moves particles between slabs every step, so each column
+	// keeps an eighth of headroom for arrivals; the five columns of a species
+	// share one allocation.
+	n, c := actualPerSpecies, actualPerSpecies+actualPerSpecies/8
 	for si, spec := range cfg.Species {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(si)*1009 + int64(g.Rank)*9973))
+		rng.Seed(cfg.Seed + int64(si)*1009 + int64(g.Rank)*9973)
+		cols := make([]float64, 5*c)
+		col := func(i int) []float64 { return cols[i*c : i*c+n : (i+1)*c] }
 		sp := &Species{
 			Spec: spec,
 			// Unit mean density per species: per-cell charge ±1 split over
 			// the actual macro-particles, weight-corrected by the scale.
-			Q:  spec.ChargeSign * float64(cfg.ParticleScale) / float64(ppcSpecies),
-			X:  make([]float64, actualPerSpecies),
-			Y:  make([]float64, actualPerSpecies),
-			VX: make([]float64, actualPerSpecies),
-			VY: make([]float64, actualPerSpecies),
-			VZ: make([]float64, actualPerSpecies),
+			Q: spec.ChargeSign * float64(cfg.ParticleScale) / float64(ppcSpecies),
+			X: col(0), Y: col(1), VX: col(2), VY: col(3), VZ: col(4),
 		}
 		for i := 0; i < actualPerSpecies; i++ {
 			sp.X[i] = rng.Float64() * float64(g.NX)
@@ -331,45 +342,78 @@ func (ps *ParticleSolver) Migrate(p *psmpi.Proc, comm *psmpi.Comm) {
 	// for the configured count, like the other particle kernels).
 	p.Compute(machine.Work{Class: machine.KernelParticle,
 		Flops: flopsMigrateScan * float64(ps.TotalN()) * ps.scale})
-	yLo, yHi := float64(g.Y0), float64(g.Y0+g.LY)
-	var upBuf, dnBuf []float64 // 6 floats per particle: species, x, y, vx, vy, vz
+	upBuf, dnBuf := ps.takeLeavers(p)
+	// Exchange with both neighbours (counts travel with the payload); each
+	// receiver returns the buffer to the pool after absorbing it.
+	reqUp := p.IsendF64Pooled(comm, g.up(), tagPartUp, upBuf)
+	reqDn := p.IsendF64Pooled(comm, g.down(), tagPartDown, dnBuf)
+	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagPartUp)
+	ps.absorb(fromDn)
+	p.PutF64(fromDn)
+	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagPartDown)
+	ps.absorb(fromUp)
+	p.PutF64(fromUp)
+	p.Waitall(reqUp, reqDn)
+}
+
+// takeLeavers compacts every species to the particles that stay on this
+// slab and returns the records of those that leave, for the up- and the
+// down-neighbour. Both buffers come from the job's pool.
+func (ps *ParticleSolver) takeLeavers(p *psmpi.Proc) (upBuf, dnBuf []float64) {
+	// Count the leavers first, so each direction's records go into one
+	// buffer from the job's pool, taken at its final size.
+	nUp, nDn := 0, 0
+	for _, s := range ps.Species {
+		for _, y := range s.Y {
+			switch ps.dir(y) {
+			case 1:
+				nUp++
+			case -1:
+				nDn++
+			}
+		}
+	}
+	// 6 floats per particle: species, x, y, vx, vy, vz.
+	upBuf, dnBuf = p.GetF64(6 * nUp)[:0], p.GetF64(6 * nDn)[:0]
 	for si, s := range ps.Species {
 		kept := 0
 		for i := 0; i < s.N(); i++ {
-			y := s.Y[i]
-			inside := y >= yLo && y < yHi
-			if inside {
+			d := ps.dir(s.Y[i])
+			if d == 0 {
 				s.X[kept], s.Y[kept] = s.X[i], s.Y[i]
 				s.VX[kept], s.VY[kept], s.VZ[kept] = s.VX[i], s.VY[i], s.VZ[i]
 				kept++
 				continue
 			}
-			// Decide direction in the periodic ring: the owner is above when
-			// y is in the up-neighbour's slab (wrapping at the top).
-			var dst *[]float64
-			if owner := int(y) / g.LY; owner == g.up() {
-				dst = &upBuf
-			} else if owner == g.down() {
+			dst := &upBuf
+			if d == -1 {
 				dst = &dnBuf
-			} else if y >= float64(g.NY)-0.5 && g.down() == g.Ranks-1 {
-				dst = &dnBuf
-			} else {
-				dst = &upBuf
 			}
 			*dst = append(*dst, float64(si), s.X[i], s.Y[i], s.VX[i], s.VY[i], s.VZ[i])
 		}
 		s.X, s.Y = s.X[:kept], s.Y[:kept]
 		s.VX, s.VY, s.VZ = s.VX[:kept], s.VY[:kept], s.VZ[:kept]
 	}
-	// Exchange with both neighbours (counts travel with the payload); the
-	// buffers are freshly built and never reused, so they ship uncopied.
-	reqUp := p.IsendF64Shared(comm, g.up(), tagPartUp, upBuf)
-	reqDn := p.IsendF64Shared(comm, g.down(), tagPartDown, dnBuf)
-	fromDn, _ := p.RecvF64Shared(comm, g.down(), tagPartUp)
-	ps.absorb(fromDn)
-	fromUp, _ := p.RecvF64Shared(comm, g.up(), tagPartDown)
-	ps.absorb(fromUp)
-	p.Waitall(reqUp, reqDn)
+	return upBuf, dnBuf
+}
+
+// dir says where a particle at global row y belongs after a push: 0 for
+// this slab, 1 for the up-neighbour and -1 for the down-neighbour in the
+// periodic ring.
+func (ps *ParticleSolver) dir(y float64) int {
+	g := ps.g
+	if y >= float64(g.Y0) && y < float64(g.Y0+g.LY) {
+		return 0
+	}
+	// The owner is above when y is in the up-neighbour's slab (wrapping at
+	// the top).
+	switch owner := int(y) / g.LY; {
+	case owner == g.up():
+		return 1
+	case owner == g.down(), y >= float64(g.NY)-0.5 && g.down() == g.Ranks-1:
+		return -1
+	}
+	return 1
 }
 
 // absorb appends migrated particle records to the local species.

@@ -94,7 +94,7 @@ func RunResilient(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 
 // checkpointDue says whether the state after `completed` steps is a
 // checkpoint point.
-func (spec ResilientSpec) checkpointDue(completed int) bool {
+func (spec *ResilientSpec) checkpointDue(completed int) bool {
 	return spec.CheckpointEvery > 0 && completed > 0 && completed%spec.CheckpointEvery == 0 &&
 		completed < spec.Cfg.Steps // the final state needs no checkpoint
 }
@@ -172,14 +172,14 @@ func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 	s := &sink{rep: Report{Mode: SplitCB, RanksPerSolver: n, Steps: spec.Cfg.Steps}}
 	bin := fmt.Sprintf("xpic_cluster_resilient_%p", s)
 	rt.Register(bin, func(p *psmpi.Proc) error {
-		return resilientClusterMain(p, spec, s)
+		return resilientClusterMain(p, &spec, s)
 	})
 	res, err := rt.Launch(psmpi.LaunchSpec{
 		Nodes:     spec.Nodes,
 		StartTime: spec.StartTime,
 		Failures:  spec.Failures,
 		Main: func(p *psmpi.Proc) error {
-			return resilientBoosterMain(p, spec, s, bin)
+			return resilientBoosterMain(p, &spec, s, bin)
 		},
 	})
 	if err != nil {
@@ -192,8 +192,8 @@ func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 
 // resilientBoosterMain is boosterMain with restore at entry and checkpoints
 // at the cadence.
-func resilientBoosterMain(p *psmpi.Proc, spec ResilientSpec, s *sink, clusterBinary string) error {
-	cfg := spec.Cfg
+func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBinary string) error {
+	cfg := &spec.Cfg
 	comm := p.World()
 	ranks := comm.Size()
 	inter, err := p.Spawn(comm, psmpi.SpawnSpec{
@@ -207,7 +207,7 @@ func resilientBoosterMain(p *psmpi.Proc, spec ResilientSpec, s *sink, clusterBin
 	peer := p.Rank()
 
 	g := NewGrid(cfg.NX, cfg.NY, p.Rank(), ranks)
-	pcl := NewParticleSolver(g, cfg)
+	pcl := NewParticleSolver(g, *cfg)
 	if spec.StartStep > 0 {
 		data, err := spec.Store.Load(p, p.Rank())
 		if err != nil {
@@ -257,7 +257,7 @@ func resilientBoosterMain(p *psmpi.Proc, spec ResilientSpec, s *sink, clusterBin
 
 		phase(p, &t.Exchange, func() {
 			mbuf := packFields(p, g, MomentNames)
-			req := p.IssendF64Shared(inter, peer, tagIfaceM, mbuf)
+			req := p.IssendF64Pooled(inter, peer, tagIfaceM, mbuf)
 			p.Wait(req)
 		})
 
@@ -279,8 +279,8 @@ func resilientBoosterMain(p *psmpi.Proc, spec ResilientSpec, s *sink, clusterBin
 
 // resilientClusterMain is clusterMain with restore at entry and checkpoints
 // at the cadence. Its global resilience rank is RanksPerSolver + rank.
-func resilientClusterMain(p *psmpi.Proc, spec ResilientSpec, s *sink) error {
-	cfg := spec.Cfg
+func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
+	cfg := &spec.Cfg
 	comm := p.World()
 	inter := p.Parent()
 	if inter == nil {
@@ -290,14 +290,13 @@ func resilientClusterMain(p *psmpi.Proc, spec ResilientSpec, s *sink) error {
 	grank := spec.RanksPerSolver + p.Rank()
 
 	g := NewGrid(cfg.NX, cfg.NY, p.Rank(), comm.Size())
-	fld := NewFieldSolver(g, cfg)
-	gridState := append(append([]string(nil), FieldNames...), MomentNames...)
+	fld := NewFieldSolver(g, *cfg)
 	if spec.StartStep > 0 {
 		data, err := spec.Store.Load(p, grank)
 		if err != nil {
 			return err
 		}
-		step, err := restoreGrid(g, gridState, data)
+		step, err := restoreGrid(g, allFields, data)
 		if err != nil {
 			return err
 		}
@@ -316,7 +315,7 @@ func resilientClusterMain(p *psmpi.Proc, spec ResilientSpec, s *sink) error {
 		auxBefore := t.Aux
 		phase(p, &t.Exchange, func() {
 			fbuf := packFields(p, g, FieldNames)
-			req := p.IssendF64Shared(inter, peer, tagIfaceF, fbuf)
+			req := p.IssendF64Pooled(inter, peer, tagIfaceF, fbuf)
 			if cfg.NoOverlap {
 				p.Wait(req)
 			}
@@ -341,7 +340,7 @@ func resilientClusterMain(p *psmpi.Proc, spec ResilientSpec, s *sink) error {
 
 		if spec.checkpointDue(step + 1) {
 			if err := checkpointCollective(p, comm, grank, step+1,
-				snapGrid(g, gridState, step+1), spec.Store); err != nil {
+				snapGrid(g, allFields, step+1), spec.Store); err != nil {
 				return err
 			}
 		}
@@ -427,13 +426,23 @@ func (d *snapDec) f64s() ([]float64, bool) {
 	return out, true
 }
 
-// snapParticles serialises the particle solver's restart state (the booster
-// side's checkpoint payload).
-func snapParticles(pcl *ParticleSolver, step int) []byte {
-	var e snapEnc
-	e.u32(snapMagicParticles)
+// header encodes a snapshot's magic, format version and step.
+func (e *snapEnc) header(magic uint32, step int) {
+	e.u32(magic)
 	e.u32(snapVersion)
 	e.u64(uint64(step))
+}
+
+// arrays encodes the grid arrays of fields.
+func (e *snapEnc) arrays(g *Grid, fields []Field) {
+	e.u64(uint64(len(fields)))
+	for _, f := range fields {
+		e.f64s(g.F(f))
+	}
+}
+
+// species encodes every species' charge and particle columns.
+func (e *snapEnc) species(pcl *ParticleSolver) {
 	e.u64(uint64(len(pcl.Species)))
 	for _, sp := range pcl.Species {
 		e.u64(math.Float64bits(sp.Q))
@@ -443,88 +452,102 @@ func snapParticles(pcl *ParticleSolver, step int) []byte {
 		e.f64s(sp.VY)
 		e.f64s(sp.VZ)
 	}
+}
+
+// header decodes and checks a header written by snapEnc.header and returns
+// the step.
+func (d *snapDec) header(magic uint32) (int, error) {
+	if m, ok := d.u32(); !ok || m != magic {
+		return 0, d.fail("magic")
+	}
+	if v, ok := d.u32(); !ok || v != snapVersion {
+		return 0, d.fail("version")
+	}
+	step, ok := d.u64()
+	if !ok {
+		return 0, d.fail("step")
+	}
+	return int(step), nil
+}
+
+// arrays decodes snapEnc.arrays output into the same grid arrays.
+func (d *snapDec) arrays(g *Grid, fields []Field) error {
+	n, ok := d.u64()
+	if !ok || int(n) != len(fields) {
+		return d.fail("array count")
+	}
+	for _, f := range fields {
+		a, ok := d.f64s()
+		if !ok || len(a) != len(g.F(f)) {
+			return d.fail("array " + f.String())
+		}
+		copy(g.F(f), a)
+	}
+	return nil
+}
+
+// species decodes snapEnc.species output into the solver's species. The
+// particle loops index every column by the X index, so columns of unequal
+// length are rejected as corruption.
+func (d *snapDec) species(pcl *ParticleSolver) error {
+	n, ok := d.u64()
+	if !ok || int(n) != len(pcl.Species) {
+		return d.fail("species count")
+	}
+	for _, sp := range pcl.Species {
+		q, ok := d.u64()
+		if !ok {
+			return d.fail("charge")
+		}
+		var cols [5][]float64
+		for i, what := range [5]string{"X", "Y", "VX", "VY", "VZ"} {
+			if cols[i], ok = d.f64s(); !ok {
+				return d.fail(what)
+			}
+			if len(cols[i]) != len(cols[0]) {
+				return d.fail("ragged " + what)
+			}
+		}
+		sp.Q = math.Float64frombits(q)
+		sp.X, sp.Y, sp.VX, sp.VY, sp.VZ = cols[0], cols[1], cols[2], cols[3], cols[4]
+	}
+	return nil
+}
+
+// snapParticles serialises the particle solver's restart state (the booster
+// side's checkpoint payload).
+func snapParticles(pcl *ParticleSolver, step int) []byte {
+	var e snapEnc
+	e.header(snapMagicParticles, step)
+	e.species(pcl)
 	return e.out
 }
 
 // restoreParticles loads a snapParticles payload.
 func restoreParticles(pcl *ParticleSolver, data []byte) (int, error) {
 	d := snapDec{data: data, what: "particle"}
-	if m, ok := d.u32(); !ok || m != snapMagicParticles {
-		return 0, d.fail("magic")
+	step, err := d.header(snapMagicParticles)
+	if err != nil {
+		return 0, err
 	}
-	if v, ok := d.u32(); !ok || v != snapVersion {
-		return 0, d.fail("version")
-	}
-	step, ok := d.u64()
-	if !ok {
-		return 0, d.fail("step")
-	}
-	nSpec, ok := d.u64()
-	if !ok || int(nSpec) != len(pcl.Species) {
-		return 0, d.fail("species count")
-	}
-	for _, sp := range pcl.Species {
-		q, ok := d.u64()
-		if !ok {
-			return 0, d.fail("charge")
-		}
-		sp.Q = math.Float64frombits(q)
-		if sp.X, ok = d.f64s(); !ok {
-			return 0, d.fail("X")
-		}
-		if sp.Y, ok = d.f64s(); !ok {
-			return 0, d.fail("Y")
-		}
-		if sp.VX, ok = d.f64s(); !ok {
-			return 0, d.fail("VX")
-		}
-		if sp.VY, ok = d.f64s(); !ok {
-			return 0, d.fail("VY")
-		}
-		if sp.VZ, ok = d.f64s(); !ok {
-			return 0, d.fail("VZ")
-		}
-	}
-	return int(step), nil
+	return step, d.species(pcl)
 }
 
-// snapGrid serialises the named grid arrays (the cluster side's checkpoint
-// payload: fields plus the moments feeding the next solve).
-func snapGrid(g *Grid, names []string, step int) []byte {
+// snapGrid serialises the grid arrays of fields (the cluster side's
+// checkpoint payload: fields plus the moments feeding the next solve).
+func snapGrid(g *Grid, fields []Field, step int) []byte {
 	var e snapEnc
-	e.u32(snapMagicGrid)
-	e.u32(snapVersion)
-	e.u64(uint64(step))
-	e.u64(uint64(len(names)))
-	for _, name := range names {
-		e.f64s(g.F(name))
-	}
+	e.header(snapMagicGrid, step)
+	e.arrays(g, fields)
 	return e.out
 }
 
-// restoreGrid loads a snapGrid payload into the same named arrays.
-func restoreGrid(g *Grid, names []string, data []byte) (int, error) {
+// restoreGrid loads a snapGrid payload into the same grid arrays.
+func restoreGrid(g *Grid, fields []Field, data []byte) (int, error) {
 	d := snapDec{data: data, what: "grid"}
-	if m, ok := d.u32(); !ok || m != snapMagicGrid {
-		return 0, d.fail("magic")
+	step, err := d.header(snapMagicGrid)
+	if err != nil {
+		return 0, err
 	}
-	if v, ok := d.u32(); !ok || v != snapVersion {
-		return 0, d.fail("version")
-	}
-	step, ok := d.u64()
-	if !ok {
-		return 0, d.fail("step")
-	}
-	nNames, ok := d.u64()
-	if !ok || int(nNames) != len(names) {
-		return 0, d.fail("array count")
-	}
-	for _, name := range names {
-		a, ok := d.f64s()
-		if !ok || len(a) != len(g.F(name)) {
-			return 0, d.fail("array " + name)
-		}
-		copy(g.F(name), a)
-	}
-	return int(step), nil
+	return step, d.arrays(g, fields)
 }

@@ -149,7 +149,7 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 // snapshot error, not panic allocating.
 func TestDecodersRejectHugeLength(t *testing.T) {
 	g := NewGrid(8, 8, 0, 1)
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
+	names := allFields
 	snap := snapGrid(g, names, 3)
 	// Layout: magic(4) version(4) step(8) nNames(8), then the first array's
 	// length at offset 24.
@@ -167,6 +167,14 @@ func TestDecodersRejectHugeLength(t *testing.T) {
 	binary.LittleEndian.PutUint64(corrupt[32:], 1<<60)
 	if _, err := restoreParticles(pcl, corrupt); err == nil {
 		t.Fatal("huge length field accepted by restoreParticles")
+	}
+
+	// Ragged species: a VZ column one shorter than X.
+	sp := pcl.Species[0]
+	sp.VZ = sp.VZ[:len(sp.VZ)-1]
+	ragged := snapParticles(pcl, 3)
+	if _, err := restoreParticles(NewParticleSolver(g, QuickConfig(1)), ragged); err == nil {
+		t.Fatal("ragged species accepted by restoreParticles")
 	}
 }
 

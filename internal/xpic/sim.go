@@ -1,10 +1,6 @@
 package xpic
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"clusterbooster/internal/psmpi"
 )
 
@@ -43,9 +39,11 @@ func (s *Sim) Advance(p *psmpi.Proc, comm *psmpi.Comm) {
 	phase(p, &s.T.Field, func() { s.Fld.SolveE(p, comm) })
 	s.CGIters += s.Fld.LastIters
 
+	// The interface copies go into and out of the same grid, an identity on
+	// the data: only their cost is charged.
 	phase(p, &s.T.Exchange, func() {
-		buf := packFields(p, s.G, FieldNames)
-		unpackFields(p, s.G, FieldNames, buf)
+		chargeCopy(p, s.G, FieldNames)
+		chargeCopy(p, s.G, FieldNames)
 	})
 
 	phase(p, &s.T.Particle, func() {
@@ -56,8 +54,8 @@ func (s *Sim) Advance(p *psmpi.Proc, comm *psmpi.Comm) {
 	})
 
 	phase(p, &s.T.Exchange, func() {
-		buf := packFields(p, s.G, MomentNames)
-		unpackFields(p, s.G, MomentNames, buf)
+		chargeCopy(p, s.G, MomentNames)
+		chargeCopy(p, s.G, MomentNames)
 	})
 
 	phase(p, &s.T.Field, func() { s.Fld.SolveB(p, comm) })
@@ -80,129 +78,26 @@ const (
 // Snapshot serialises this rank's full physics state (step, fields, moments,
 // particles) — the checkpoint payload.
 func (s *Sim) Snapshot() []byte {
-	var out []byte
-	var b8 [8]byte
-	putU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		out = append(out, b8[:4]...)
-	}
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	putF64s := func(a []float64) {
-		putU64(uint64(len(a)))
-		for _, v := range a {
-			putU64(math.Float64bits(v))
-		}
-	}
-	putU32(snapMagic)
-	putU32(snapVersion)
-	putU64(uint64(s.Step))
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
-	putU64(uint64(len(names)))
-	for _, name := range names {
-		putF64s(s.G.F(name))
-	}
-	putU64(uint64(len(s.Pcl.Species)))
-	for _, sp := range s.Pcl.Species {
-		putU64(math.Float64bits(sp.Q))
-		putF64s(sp.X)
-		putF64s(sp.Y)
-		putF64s(sp.VX)
-		putF64s(sp.VY)
-		putF64s(sp.VZ)
-	}
-	return out
+	var e snapEnc
+	e.header(snapMagic, s.Step)
+	e.arrays(s.G, allFields)
+	e.species(s.Pcl)
+	return e.out
 }
 
 // Restore loads a snapshot produced by Snapshot on a Sim with the same
 // configuration and decomposition.
 func (s *Sim) Restore(data []byte) error {
-	pos := 0
-	fail := func(what string) error {
-		return fmt.Errorf("xpic: corrupt snapshot (%s at offset %d)", what, pos)
+	d := snapDec{data: data, what: "rank"}
+	step, err := d.header(snapMagic)
+	if err != nil {
+		return err
 	}
-	getU32 := func() (uint32, bool) {
-		if pos+4 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
-		return v, true
+	s.Step = step
+	if err := d.arrays(s.G, allFields); err != nil {
+		return err
 	}
-	getU64 := func() (uint64, bool) {
-		if pos+8 > len(data) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-		return v, true
-	}
-	getF64s := func() ([]float64, bool) {
-		n, ok := getU64()
-		// Divide the remaining bytes rather than multiplying the length: a
-		// corrupt length field must fail the check, not overflow past it.
-		if !ok || n > uint64((len(data)-pos)/8) {
-			return nil, false
-		}
-		out := make([]float64, n)
-		for i := range out {
-			v, _ := getU64()
-			out[i] = math.Float64frombits(v)
-		}
-		return out, true
-	}
-	if m, ok := getU32(); !ok || m != snapMagic {
-		return fail("magic")
-	}
-	if v, ok := getU32(); !ok || v != snapVersion {
-		return fail("version")
-	}
-	step, ok := getU64()
-	if !ok {
-		return fail("step")
-	}
-	s.Step = int(step)
-	nNames, ok := getU64()
-	names := append(append([]string(nil), FieldNames...), MomentNames...)
-	if !ok || int(nNames) != len(names) {
-		return fail("field count")
-	}
-	for _, name := range names {
-		a, ok := getF64s()
-		if !ok || len(a) != len(s.G.F(name)) {
-			return fail("field " + name)
-		}
-		copy(s.G.F(name), a)
-	}
-	nSpec, ok := getU64()
-	if !ok || int(nSpec) != len(s.Pcl.Species) {
-		return fail("species count")
-	}
-	for _, sp := range s.Pcl.Species {
-		q, ok := getU64()
-		if !ok {
-			return fail("charge")
-		}
-		sp.Q = math.Float64frombits(q)
-		if sp.X, ok = getF64s(); !ok {
-			return fail("X")
-		}
-		if sp.Y, ok = getF64s(); !ok {
-			return fail("Y")
-		}
-		if sp.VX, ok = getF64s(); !ok {
-			return fail("VX")
-		}
-		if sp.VY, ok = getF64s(); !ok {
-			return fail("VY")
-		}
-		if sp.VZ, ok = getF64s(); !ok {
-			return fail("VZ")
-		}
-	}
-	return nil
+	return d.species(s.Pcl)
 }
 
 // Checksum returns the deterministic physics fingerprint of this rank.
