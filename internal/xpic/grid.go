@@ -187,7 +187,8 @@ func (g *Grid) unpackRows(p *psmpi.Proc, fields []Field, iy int, buf []float64, 
 func (g *Grid) ReduceMomentHalos(p *psmpi.Proc, comm *psmpi.Comm) {
 	fields := MomentNames
 	if g.Ranks == 1 {
-		// LY >= 2, so the ghost rows read here are never the rows written.
+		// Only the ghost rows are read and only real rows are written, so
+		// adding in place needs no copy.
 		for _, f := range fields {
 			g.AddRow(f, g.LY, g.row(f, 0))
 			g.AddRow(f, 1, g.row(f, g.LY+1))
