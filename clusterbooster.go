@@ -38,7 +38,6 @@ import (
 	"clusterbooster/internal/bench"
 	"clusterbooster/internal/core"
 	"clusterbooster/internal/exp"
-	"clusterbooster/internal/msa"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/xpic"
 )
@@ -63,20 +62,6 @@ func New(clusterNodes, boosterNodes int, opts Options) *System {
 // Prototype builds the DEEP-ER prototype: 16 Cluster + 8 Booster nodes with
 // the full storage stack (Table I of the paper).
 func Prototype() *System { return core.Prototype() }
-
-// ModularSystem is an N-module Modular Supercomputing machine — the §VI
-// generalisation of the Cluster-Booster concept (DEEP-EST).
-type ModularSystem = msa.System
-
-// ModuleDef declares one module of a modular system.
-type ModuleDef = msa.ModuleDef
-
-// NewModular builds a modular system from explicit module definitions.
-func NewModular(defs []ModuleDef) (*ModularSystem, error) { return msa.New(defs) }
-
-// DEEPEST builds the three-module DEEP-EST-style prototype
-// (Cluster + Booster + Data Analytics Module).
-func DEEPEST() *ModularSystem { return msa.DEEPEST() }
 
 // XPicTable2Config returns the paper's experiment setup (Table II): 4096
 // cells per node, 2048 particles per cell.

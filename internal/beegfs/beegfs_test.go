@@ -219,6 +219,13 @@ func TestCacheAsyncFasterThanSync(t *testing.T) {
 	if aa.Now() >= as.Now() {
 		t.Errorf("async write (%v) not faster than sync (%v)", aa.Now(), as.Now())
 	}
+	// The async return is exactly one NVMe write command on an idle
+	// device: command latency plus size over the write bandwidth.
+	spec := nvme.P3700()
+	want := spec.CmdLatency + vclock.Time(float64(len(data))/(spec.WriteGBs*1e9))
+	if aa.Now() != want {
+		t.Errorf("async write returned at %v, want the P3700 write time %v", aa.Now(), want)
+	}
 }
 
 func TestCacheDrainCoversFlush(t *testing.T) {

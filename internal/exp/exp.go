@@ -265,9 +265,13 @@ func Names() []string {
 }
 
 // ProgressObserver returns a sweep observer that logs per-scenario progress
-// to w, one "cbctl: start|done |FAIL  <scenario>" line per event.
+// to w, one "cbctl: start|done |FAIL  <scenario>" line per event. Sweep
+// workers call it concurrently, so it serialises its writes to w.
 func ProgressObserver(w io.Writer) func(sweep.Event) {
+	var mu sync.Mutex
 	return func(ev sweep.Event) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch ev.Kind {
 		case sweep.ScenarioStart:
 			fmt.Fprintf(w, "cbctl: start %s\n", ev.Name)

@@ -10,12 +10,12 @@ import (
 // order, the past-prototype scaling continuation, the resilience family
 // (§III-D live on the kernel), the I/O strategy family (§III-C live on the
 // kernel), the facility family (§II-A's batch system live on the kernel)
-// with its failing-machine extension, then the standing sweeps. cbctl list
-// follows it.
+// with its failing-machine extension, §II-A's modular-vs-accelerated
+// comparison, then the standing sweeps. cbctl list follows it.
 var paperOrder = []string{
 	"table1", "table2", "fig3", "fig7", "fig8", "fig8-scale", "fig8-scale4096",
 	"fig8-scale16384", "fig-resilience", "fig-io", "fig-facility", "facility-10k",
-	"fig-facility-resilience",
+	"fig-facility-resilience", "fig-modular",
 	"sweep/fig3", "sweep/fig7", "sweep/fig8", "sweep/paper", "sweep/xpic-weak",
 }
 

@@ -155,6 +155,7 @@ func init() {
 	registerFigFacility()
 	registerFacility10k()
 	registerFigFacilityResilience()
+	registerFigModular()
 	registerSweepFig3()
 	registerSweepFig7()
 	registerSweepFig8()

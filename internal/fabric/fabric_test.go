@@ -217,7 +217,7 @@ func TestQuickPingPongMonotone(t *testing.T) {
 	// eager/rendezvous threshold monotonicity is NOT expected: a message
 	// just above the threshold moves by RDMA with no per-byte CPU cost and
 	// can beat a slightly smaller eager message (the protocol-switch bump of
-	// Fig. 3, swept explicitly by the A6 ablation bench).
+	// Fig. 3, pinned by TestPingPongProtocolSwitchBump).
 	n, c0, c1, b0, b1 := testNet()
 	thr := n.Config().EagerThreshold
 	pairs := [][2]*machine.Node{{c0, c1}, {b0, b1}, {c0, b0}}

@@ -6,7 +6,7 @@
 // fabric.
 //
 // The prototype holds two devices of 2 GB each; checkpointing into the NAM is
-// the use case studied in ref [6] and reproduced by the A2 ablation bench.
+// the use case studied in ref [6] and pinned by fig-io's nam_gain budget.
 //
 // Region access is timed through kernel events: Write/Read park the calling
 // ioev.Proc for the RDMA operation, SubmitWrite/SubmitRead issue it against

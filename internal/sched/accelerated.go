@@ -15,8 +15,8 @@ import (
 // In a conventional *accelerated cluster*, every node statically pairs a CPU
 // with an accelerator: a job occupies whole nodes, so a CPU-only job strands
 // accelerators and vice versa. SimulateAcceleratedQueue schedules the same
-// job mix on such a machine, letting benchmarks quantify the throughput
-// advantage of modular (independent) reservation.
+// job mix on such a machine; the fig-modular experiment compares it with
+// modular (independent) reservation.
 
 // SimulateAcceleratedQueue schedules jobs on an accelerated cluster with
 // pairedNodes nodes (each one CPU + one accelerator). A job requesting c

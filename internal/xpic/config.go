@@ -72,11 +72,6 @@ type Config struct {
 	// statistical weight; virtual cost still reflects the configured count.
 	ParticleScale int
 	Seed          int64
-	// NoOverlap disables the communication/computation overlap of the split
-	// mode (Listings 2-3 line 6: auxiliary computations during the
-	// non-blocking transfers). Used by the A5 ablation bench to quantify
-	// what the overlap buys.
-	NoOverlap bool
 }
 
 // DefaultSpecies returns the two-species plasma used in the experiments: hot

@@ -229,17 +229,12 @@ func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBi
 		auxBefore := t.Aux
 		phase(p, &t.Exchange, func() {
 			req := p.Irecv(inter, peer, tagIfaceF)
-			if cfg.NoOverlap {
-				fbuf, _ = p.WaitF64(req)
-			}
 			if step%cfg.DiagEvery == 0 {
 				phase(p, &t.Aux, func() {
 					kinE = p.AllreduceScalar(comm, pcl.KineticEnergy(p), psmpi.OpSum)
 				})
 			}
-			if !cfg.NoOverlap {
-				fbuf, _ = p.WaitF64(req)
-			}
+			fbuf, _ = p.WaitF64(req)
 		})
 		t.Exchange -= t.Aux - auxBefore
 
@@ -316,17 +311,12 @@ func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
 		phase(p, &t.Exchange, func() {
 			fbuf := packFields(p, g, FieldNames)
 			req := p.IssendF64Pooled(inter, peer, tagIfaceF, fbuf)
-			if cfg.NoOverlap {
-				p.Wait(req)
-			}
 			if step%cfg.DiagEvery == 0 {
 				phase(p, &t.Aux, func() {
 					fieldE = p.AllreduceScalar(comm, fld.FieldEnergy(p), psmpi.OpSum)
 				})
 			}
-			if !cfg.NoOverlap {
-				p.Wait(req)
-			}
+			p.Wait(req)
 		})
 		t.Exchange -= t.Aux - auxBefore
 
