@@ -28,14 +28,15 @@
 //	System.NVMe       — per-node NVMe devices
 //	System.NAM        — network-attached memory on the fabric
 //
-// Experiments: the Fig3/Fig7/Fig8/Table1/Table2 generators reproduce every
-// table and figure of the paper's evaluation. Each is also registered in the
-// experiment registry as a named, versioned experiment with a golden
-// baseline, diffable and re-recordable via cmd/cbctl; see EXPERIMENTS.md.
+// Experiments: every table and figure of the paper's evaluation (Table I,
+// Table II, Figs. 3, 7 and 8) is a named, versioned experiment in the
+// registry, reached through Experiments and ExperimentByName. Running one
+// yields its canonical document, which Render turns into paper-style text;
+// each has a golden baseline, diffable and re-recordable via cmd/cbctl. See
+// EXPERIMENTS.md.
 package clusterbooster
 
 import (
-	"clusterbooster/internal/bench"
 	"clusterbooster/internal/core"
 	"clusterbooster/internal/exp"
 	"clusterbooster/internal/resilience"
@@ -69,27 +70,6 @@ func XPicTable2Config() XPicConfig { return xpic.Table2Config() }
 
 // XPicQuickConfig returns a laptop-quick xPic workload for experimentation.
 func XPicQuickConfig(steps int) XPicConfig { return xpic.QuickConfig(steps) }
-
-// Experiment generators, re-exported from the harness. Each returns the rows
-// or series of the corresponding table/figure of the paper.
-var (
-	// Table1 reproduces the hardware-configuration table.
-	Table1 = bench.Table1
-	// RenderTable1 renders it as text.
-	RenderTable1 = bench.RenderTable1
-	// Fig3 measures the MPI bandwidth/latency curves.
-	Fig3 = bench.Fig3
-	// RenderFig3 renders them as text.
-	RenderFig3 = bench.RenderFig3
-	// Fig7 runs the three single-node xPic scenarios.
-	Fig7 = bench.Fig7
-	// RenderFig7 renders the result.
-	RenderFig7 = bench.RenderFig7
-	// Fig8 runs the strong-scaling study.
-	Fig8 = bench.Fig8
-	// RenderFig8 renders the result.
-	RenderFig8 = bench.RenderFig8
-)
 
 // ResilienceParams describes a checkpoint/restart scenario under live
 // node-failure injection (§III-D on the event kernel).

@@ -3,6 +3,8 @@ package clusterbooster
 import (
 	"strings"
 	"testing"
+
+	"clusterbooster/internal/exp"
 )
 
 func TestPrototypeFacade(t *testing.T) {
@@ -35,10 +37,19 @@ func TestTable2ConfigIsPaperWorkload(t *testing.T) {
 }
 
 func TestExperimentGeneratorsExported(t *testing.T) {
-	if !strings.Contains(RenderTable1(), "EXTOLL") {
-		t.Fatal("Table1 renderer broken")
+	e, ok := ExperimentByName("table1")
+	if !ok {
+		t.Fatal("table1 not in the experiment registry")
 	}
-	if len(Table1()) < 10 {
-		t.Fatal("Table1 incomplete")
+	doc, err := e.Run(exp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txt, err := e.Render(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(txt, "EXTOLL") {
+		t.Fatalf("Table I render missing EXTOLL:\n%s", txt)
 	}
 }

@@ -1,8 +1,9 @@
-// Package bench is the experiment harness: for every table and figure of the
-// paper's evaluation it provides a generator that runs the corresponding
-// workload on a simulated system and returns the same rows/series the paper
-// reports, plus renderers that print them next to the paper's reference
-// values (recorded in paper.go).
+// Package bench holds the paper-artifact layer of the experiment registry:
+// for every table and figure of the paper's evaluation it declares the
+// scenario grid, reassembles a finished sweep into the rows/series the paper
+// reports, and renders them next to the paper's reference values (recorded
+// in paper.go). The runs themselves go through internal/exp, the one path
+// from a scenario grid to a document.
 package bench
 
 import (
@@ -50,9 +51,6 @@ func Table1() []Table1Row {
 	}
 }
 
-// RenderTable1 renders Table I as text.
-func RenderTable1() string { return RenderTable1Rows(Table1()) }
-
 // RenderTable1Rows renders previously generated Table I rows as text.
 func RenderTable1Rows(rows []Table1Row) string {
 	var sb strings.Builder
@@ -81,9 +79,6 @@ func Table2Rows(cfg xpic.Config) []Table2Row {
 		{"Species", fmt.Sprint(len(cfg.Species))},
 	}
 }
-
-// Table2 renders the experiment setup (Table II) for a config.
-func Table2(cfg xpic.Config) string { return RenderTable2Rows(Table2Rows(cfg)) }
 
 // RenderTable2Rows renders previously generated Table II rows as text.
 func RenderTable2Rows(rows []Table2Row) string {
@@ -134,21 +129,6 @@ func Fig7Grid(cfg xpic.Config) sweep.Grid {
 		Modes:      AllModes(),
 		Workloads:  []sweep.WorkloadVariant{{Config: cfg}},
 	}
-}
-
-// Fig7 runs the three scenarios of Fig. 7 concurrently through the sweep
-// engine (default worker pool).
-func Fig7(cfg xpic.Config) (Fig7Result, error) {
-	return Fig7Sweep(cfg, 0)
-}
-
-// Fig7Sweep is Fig7 with an explicit worker-pool bound.
-func Fig7Sweep(cfg xpic.Config, workers int) (Fig7Result, error) {
-	scenarios, err := Fig7Grid(cfg).Scenarios()
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	return Fig7From(sweep.Run(scenarios, sweep.Options{Workers: workers}))
 }
 
 // Fig7From reassembles the Fig. 7 result from a sweep over
@@ -208,21 +188,6 @@ func Fig8Grid(cfg xpic.Config, nodeCounts []int) sweep.Grid {
 		Modes:      AllModes(),
 		Workloads:  []sweep.WorkloadVariant{{Config: cfg}},
 	}
-}
-
-// Fig8 runs the strong-scaling study concurrently through the sweep engine
-// (default worker pool).
-func Fig8(cfg xpic.Config, nodeCounts []int) (Fig8Result, error) {
-	return Fig8Sweep(cfg, nodeCounts, 0)
-}
-
-// Fig8Sweep is Fig8 with an explicit worker-pool bound.
-func Fig8Sweep(cfg xpic.Config, nodeCounts []int, workers int) (Fig8Result, error) {
-	scenarios, err := Fig8Grid(cfg, nodeCounts).Scenarios()
-	if err != nil {
-		return Fig8Result{}, err
-	}
-	return Fig8From(nodeCounts, sweep.Run(scenarios, sweep.Options{Workers: workers}))
 }
 
 // Fig8From reassembles the Fig. 8 series from a sweep over

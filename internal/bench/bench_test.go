@@ -7,15 +7,6 @@ import (
 	"clusterbooster/internal/xpic"
 )
 
-// quickCfg is a reduced Table II workload: ratios are preserved (times are
-// step-linear and exactly particle-scale-invariant).
-func quickCfg() xpic.Config {
-	cfg := xpic.Table2Config()
-	cfg.Steps = 30
-	cfg.ParticleScale = 1024
-	return cfg
-}
-
 func TestTable1Complete(t *testing.T) {
 	rows := Table1()
 	want := map[string]bool{
@@ -35,7 +26,7 @@ func TestTable1Complete(t *testing.T) {
 			t.Errorf("Table I row %q missing", f)
 		}
 	}
-	txt := RenderTable1()
+	txt := RenderTable1Rows(rows)
 	for _, needle := range []string{"Intel Xeon E5-2680 v3", "Intel Xeon Phi 7210", "EXTOLL", "16", "Knights Landing"} {
 		if !strings.Contains(txt, needle) {
 			t.Errorf("rendered Table I missing %q", needle)
@@ -44,131 +35,11 @@ func TestTable1Complete(t *testing.T) {
 }
 
 func TestTable2Render(t *testing.T) {
-	txt := Table2(xpic.Table2Config())
+	txt := RenderTable2Rows(Table2Rows(xpic.Table2Config()))
 	for _, needle := range []string{"4096", "2048", "-xMIC-AVX512"} {
 		if !strings.Contains(txt, needle) {
 			t.Errorf("Table II missing %q", needle)
 		}
-	}
-}
-
-func TestFig3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig3 sweep in short mode")
-	}
-	rows, err := Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Fig3Sizes()) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// Small-message latency ordering: CN-CN < CN-BN < BN-BN.
-	first := rows[0]
-	if !(first.LatencyUs[CNCN] < first.LatencyUs[CNBN] && first.LatencyUs[CNBN] < first.LatencyUs[BNBN]) {
-		t.Errorf("latency ordering broken: %+v", first.LatencyUs)
-	}
-	// Table I anchor points within 10%.
-	if l := first.LatencyUs[CNCN]; l < 0.9*PaperFig3.LatencyCNCNus || l > 1.1*PaperFig3.LatencyCNCNus {
-		t.Errorf("CN-CN latency %v µs, want ≈%v", l, PaperFig3.LatencyCNCNus)
-	}
-	if l := first.LatencyUs[BNBN]; l < 0.9*PaperFig3.LatencyBNBNus || l > 1.1*PaperFig3.LatencyBNBNus {
-		t.Errorf("BN-BN latency %v µs, want ≈%v", l, PaperFig3.LatencyBNBNus)
-	}
-	// Large messages converge to fabric-limited bandwidth.
-	last := rows[len(rows)-1]
-	for _, k := range []PairKind{CNCN, BNBN, CNBN} {
-		bw := last.BandwidthMBs[k]
-		if bw < PaperFig3.ConvergedBandwidthMBsLow || bw > PaperFig3.ConvergedBandwidthMBsHigh {
-			t.Errorf("%v converged bandwidth %v MB/s outside [%v, %v]",
-				k, bw, PaperFig3.ConvergedBandwidthMBsLow, PaperFig3.ConvergedBandwidthMBsHigh)
-		}
-	}
-	// Mid-size asymmetry: Booster endpoints slower.
-	mid := rows[12] // 4 KiB
-	if mid.BandwidthMBs[CNCN] <= mid.BandwidthMBs[BNBN] {
-		t.Errorf("mid-size: CN-CN %v <= BN-BN %v MB/s", mid.BandwidthMBs[CNCN], mid.BandwidthMBs[BNBN])
-	}
-	// Render must include both panels and reference lines.
-	txt := RenderFig3(rows)
-	if !strings.Contains(txt, "bandwidth") || !strings.Contains(txt, "latency") {
-		t.Error("render incomplete")
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig7 runs in short mode")
-	}
-	res, err := Fig7(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The four §IV-C statements, as bands.
-	if v := res.FieldAdvantage(); v < 5.0 || v > 7.0 {
-		t.Errorf("field advantage %v, want ≈6", v)
-	}
-	if v := res.ParticleAdvantage(); v < 1.25 || v > 1.45 {
-		t.Errorf("particle advantage %v, want ≈1.35", v)
-	}
-	if v := res.GainVsCluster(); v < 1.15 || v > 1.45 {
-		t.Errorf("gain vs cluster %v, want ≈1.28", v)
-	}
-	if v := res.GainVsBooster(); v < 1.10 || v > 1.35 {
-		t.Errorf("gain vs booster %v, want ≈1.21", v)
-	}
-	// C+B wins against both.
-	if res.Split.Makespan >= res.Cluster.Makespan || res.Split.Makespan >= res.Booster.Makespan {
-		t.Error("C+B does not win")
-	}
-	txt := RenderFig7(res)
-	if !strings.Contains(txt, "C+B") || !strings.Contains(txt, "paper") {
-		t.Error("fig7 render incomplete")
-	}
-}
-
-func TestFig8Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig8 runs in short mode")
-	}
-	res, err := Fig8(quickCfg(), []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("%d points", len(res.Points))
-	}
-	// Runtime decreases with nodes in every mode (strong scaling works).
-	for i := 1; i < len(res.Points); i++ {
-		if res.Points[i].Cluster.Makespan >= res.Points[i-1].Cluster.Makespan {
-			t.Errorf("cluster runtime not decreasing at %d nodes", res.Points[i].Nodes)
-		}
-		if res.Points[i].Split.Makespan >= res.Points[i-1].Split.Makespan {
-			t.Errorf("C+B runtime not decreasing at %d nodes", res.Points[i].Nodes)
-		}
-	}
-	// Efficiency starts at 1 by definition and degrades.
-	if e := res.Efficiency(xpic.ClusterOnly, 0); e != 1 {
-		t.Errorf("1-node efficiency = %v", e)
-	}
-	for i, pt := range res.Points {
-		for _, m := range []xpic.Mode{xpic.ClusterOnly, xpic.BoosterOnly, xpic.SplitCB} {
-			e := res.Efficiency(m, i)
-			if e <= 0 || e > 1.02 {
-				t.Errorf("%v efficiency at %d nodes = %v", m, pt.Nodes, e)
-			}
-		}
-	}
-	// C+B keeps winning at every scale.
-	for i := range res.Points {
-		if res.GainVsCluster(i) <= 1 || res.GainVsBooster(i) <= 1 {
-			t.Errorf("C+B loses at %d nodes: %v %v", res.Points[i].Nodes,
-				res.GainVsCluster(i), res.GainVsBooster(i))
-		}
-	}
-	txt := RenderFig8(res)
-	if !strings.Contains(txt, "efficiency") {
-		t.Error("fig8 render incomplete")
 	}
 }
 

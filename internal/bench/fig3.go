@@ -183,18 +183,6 @@ func Fig3RowsFrom(sizes []int, rs sweep.ResultSet) ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// Fig3 measures both panels of Fig. 3 through the full MPI + fabric stack,
-// sweeping the measurement grid concurrently (default worker pool).
-func Fig3() ([]Fig3Row, error) {
-	return Fig3Sweep(Fig3Sizes(), 0)
-}
-
-// Fig3Sweep is Fig3 over explicit sizes with an explicit worker-pool bound.
-func Fig3Sweep(sizes []int, workers int) ([]Fig3Row, error) {
-	rs := sweep.Run(Fig3Scenarios(sizes), sweep.Options{Workers: workers})
-	return Fig3RowsFrom(sizes, rs)
-}
-
 // RenderFig3 renders both panels as text tables.
 func RenderFig3(rows []Fig3Row) string {
 	var sb strings.Builder

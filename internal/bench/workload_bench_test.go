@@ -1,4 +1,4 @@
-package bench
+package bench_test
 
 // End-to-end benchmarks of the largest workloads one kernel runs: the
 // fig8-scale strong-scaling points (thousands of ranks per kernel) and the
@@ -8,44 +8,13 @@ import (
 	"testing"
 
 	"clusterbooster/internal/core"
+	"clusterbooster/internal/exp"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
 	"clusterbooster/internal/xpic"
 )
-
-// benchScaleConfig is the fig8-scale workload (exp.ScaleProfile, restated
-// here because internal/exp imports this package): 2048 rows decompose to
-// the 2-rows-per-rank floor at n = 1024.
-func benchScaleConfig() xpic.Config {
-	return xpic.Config{
-		NX:                  8,
-		NY:                  2048,
-		PPC:                 8,
-		Species:             xpic.DefaultSpecies(),
-		Steps:               8,
-		Dt:                  1.0,
-		Theta:               0.5,
-		CGTol:               1e-10,
-		CGMaxIter:           12,
-		DiagEvery:           4,
-		DensityPerturbation: 0.30,
-		ParticleScale:       4,
-		Seed:                20180521,
-	}
-}
-
-// benchScale4096Config is the fig8-scale4096 workload (exp.Scale4096Profile
-// restated): 8192 rows, trimmed steps, floor at n = 4096.
-func benchScale4096Config() xpic.Config {
-	cfg := benchScaleConfig()
-	cfg.NY = 8192
-	cfg.Steps = 4
-	cfg.CGMaxIter = 8
-	cfg.DiagEvery = 2
-	return cfg
-}
 
 // benchScalePoint runs the Booster-only strong-scaling point at n ranks end
 // to end, b.N times.
@@ -61,10 +30,10 @@ func benchScalePoint(b *testing.B, n int, cfg xpic.Config) {
 }
 
 // BenchmarkKernelFig8Scale runs the n=1024 fig8-scale Booster point.
-func BenchmarkKernelFig8Scale(b *testing.B) { benchScalePoint(b, 1024, benchScaleConfig()) }
+func BenchmarkKernelFig8Scale(b *testing.B) { benchScalePoint(b, 1024, exp.ScaleProfile()) }
 
 // BenchmarkKernelFig8Scale4096 runs the n=4096 fig8-scale4096 Booster point.
-func BenchmarkKernelFig8Scale4096(b *testing.B) { benchScalePoint(b, 4096, benchScale4096Config()) }
+func BenchmarkKernelFig8Scale4096(b *testing.B) { benchScalePoint(b, 4096, exp.Scale4096Profile()) }
 
 // BenchmarkKernelFacilityFailures is BenchmarkKernelFacility on a failing
 // machine: the same 1000-job backfill stream under the harsh mtbf12-style

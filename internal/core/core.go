@@ -36,12 +36,9 @@ import (
 // baseline.
 const ModelFingerprint = "cluster-booster-model-1"
 
-// Options tunes system construction. The zero value selects the DEEP-ER
-// prototype parameters everywhere.
+// Options tunes system construction. Every system runs the DEEP-ER
+// prototype's fabric, MPI and file-system parameters.
 type Options struct {
-	Fabric fabric.Config
-	MPI    psmpi.Config
-	FS     beegfs.Config
 	// WithoutStorage skips BeeGFS, NVMe and NAM construction for
 	// compute-only experiments.
 	WithoutStorage bool
@@ -63,8 +60,8 @@ type System struct {
 // New builds a system with the given node counts per module.
 func New(clusterNodes, boosterNodes int, opts Options) *System {
 	ms := machine.New(clusterNodes, boosterNodes)
-	net := fabric.New(ms, opts.Fabric)
-	rt := psmpi.NewRuntime(ms, net, opts.MPI)
+	net := fabric.New(ms, fabric.Config{})
+	rt := psmpi.NewRuntime(ms, net, psmpi.Config{})
 	mgr := sched.NewManager(ms)
 	rt.SetPlacement(mgr)
 	s := &System{
@@ -74,7 +71,7 @@ func New(clusterNodes, boosterNodes int, opts Options) *System {
 		Scheduler: mgr,
 	}
 	if !opts.WithoutStorage {
-		s.FS = beegfs.New(net, opts.FS)
+		s.FS = beegfs.New(net, beegfs.Config{})
 		s.NVMe = map[int]*nvme.Device{}
 		for _, n := range ms.Nodes() {
 			s.NVMe[n.ID] = nvme.New(nvme.P3700())

@@ -9,6 +9,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"clusterbooster/internal/bench"
 	"clusterbooster/internal/sweep"
@@ -87,7 +88,7 @@ func reportMeasures(m map[string]float64, prefix string, rep xpic.Report) {
 
 // sweepMeasures summarises a result set: the scenario count plus the
 // per-metric maxima across scenarios (the values sweep budgets bind to).
-// Failure counts are not a measure: registerSweep aborts on the first
+// Failure counts are not a measure: registerResultSet aborts on the first
 // failed scenario, so a document only ever records an all-green sweep.
 func sweepMeasures(rs sweep.ResultSet) map[string]float64 {
 	m := map[string]float64{
@@ -113,12 +114,13 @@ func parsePayload[T any](d Document) (T, error) {
 	return out, nil
 }
 
-// registerSweep registers a raw-result-set experiment over a scenario
-// generator. The payload is the sweep.ResultSet itself, in the JSON form
-// ResultSet.WriteJSON emits, so golden sweeps gate the whole emitter
-// pipeline, not just the physics. The document's profile label is the
-// experiment's declared Profile.
-func registerSweep(e Experiment, scenarios func() ([]sweep.Scenario, error)) {
+// registerResultSet registers an experiment whose payload is the raw
+// sweep.ResultSet, in the JSON form ResultSet.WriteJSON emits, so its golden
+// gates the whole emitter pipeline, not just the physics. It runs the
+// scenarios, aborts on the first failed one, and lets summarise derive the
+// document's meta and measures from the all-green result set.
+func registerResultSet(e Experiment, scenarios func() ([]sweep.Scenario, error),
+	summarise func(sweep.ResultSet) (map[string]string, map[string]float64)) {
 	e.Run = func(o Options) (Document, error) {
 		scen, err := scenarios()
 		if err != nil {
@@ -128,8 +130,8 @@ func registerSweep(e Experiment, scenarios func() ([]sweep.Scenario, error)) {
 		if err := rs.FirstError(); err != nil {
 			return Document{}, fmt.Errorf("exp: %s: %w", e.Name, err)
 		}
-		meta := map[string]string{"profile": e.Profile}
-		return e.document(meta, sweepMeasures(rs), rs)
+		meta, measures := summarise(rs)
+		return e.document(meta, measures, rs)
 	}
 	e.Render = func(d Document) (string, error) {
 		rs, err := parsePayload[sweep.ResultSet](d)
@@ -139,6 +141,30 @@ func registerSweep(e Experiment, scenarios func() ([]sweep.Scenario, error)) {
 		return rs.RenderText(), nil
 	}
 	Register(e)
+}
+
+// registerSweep registers a raw-sweep experiment over a scenario generator:
+// its measures are sweepMeasures and its profile label the declared Profile.
+func registerSweep(e Experiment, scenarios func() ([]sweep.Scenario, error)) {
+	registerResultSet(e, scenarios, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
+		return map[string]string{"profile": e.Profile}, sweepMeasures(rs)
+	})
+}
+
+// resultMetric returns one metric of the named scenario (0 if absent).
+func resultMetric(rs sweep.ResultSet, name, metric string) float64 {
+	for _, r := range rs.Results {
+		if r.Name == name {
+			return r.Metrics[metric]
+		}
+	}
+	return 0
+}
+
+// modePair returns the makespans of the i-th [Booster, C+B] scenario pair
+// of a result set laid out node counts outermost, modes innermost.
+func modePair(rs sweep.ResultSet, i int) (booster, split float64) {
+	return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
 }
 
 func init() {
@@ -361,25 +387,70 @@ func registerFig8() {
 	Register(e)
 }
 
-// fig8ScaleCounts is the x axis of the past-prototype strong-scaling study.
-func fig8ScaleCounts() []int { return []int{16, 64, 256, 1024} }
+// strongScaling is one beyond-prototype strong-scaling study: Booster-only
+// vs C+B at each node count on one pinned workload. Its efficiencies are
+// normalised to the first count, the classic strong-scaling presentation.
+type strongScaling struct {
+	name, title string
+	// workload names the pinned workload variant; the profile is "ci-" + it.
+	workload string
+	config   func() xpic.Config
+	counts   []int
+	budgets  []Budget
+}
+
+// registerStrongScaling registers one strong-scaling study as a raw
+// result-set experiment with per-count makespans, efficiencies and gains.
+func registerStrongScaling(s strongScaling) {
+	counts := make([]string, len(s.counts))
+	for i, n := range s.counts {
+		counts[i] = fmt.Sprint(n)
+	}
+	profile := "ci-" + s.workload
+	e := Experiment{
+		Name:    s.name,
+		Title:   s.title,
+		Version: 1,
+		Grid: fmt.Sprintf("%d node counts (%s) x 2 execution modes (Booster, C+B), pinned %s workload",
+			len(s.counts), strings.Join(counts, ","), s.workload),
+		Profile:   profile,
+		Tolerance: map[string]float64{"*": 0.02},
+		Budgets:   s.budgets,
+	}
+	cfg := s.config()
+	grid := sweep.Grid{
+		Name:       s.name,
+		NodeCounts: s.counts,
+		Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
+		Workloads:  []sweep.WorkloadVariant{{Name: s.workload, Config: cfg}},
+	}
+	registerResultSet(e, grid.Scenarios, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
+		b0, s0 := modePair(rs, 0)
+		n0 := float64(s.counts[0])
+		measures := map[string]float64{}
+		for i, n := range s.counts {
+			b, sp := modePair(rs, i)
+			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
+			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = sp
+			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
+			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (sp * float64(n))
+			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / sp
+		}
+		return profileMeta(cfg, profile), measures
+	})
+}
 
 // registerFig8Scale registers the beyond-prototype continuation of Fig. 8:
 // Cluster+Booster vs Booster-only at 16 to 1024 nodes per solver, on the
 // pinned ScaleProfile workload (the grid only decomposes for
-// NY % 1024 == 0). Efficiencies are normalised to the first point
-// (n = 16), the classic strong-scaling presentation.
+// NY % 1024 == 0).
 func registerFig8Scale() {
-	counts := fig8ScaleCounts()
-	e := Experiment{
-		Name:    "fig8-scale",
-		Title:   "Beyond the prototype: C+B vs Booster-only strong scaling to n=1024",
-		Version: 1,
-		Grid:    "4 node counts (16,64,256,1024) x 2 execution modes (Booster, C+B), pinned scale workload",
-		Profile: "ci-scale",
-		Tolerance: map[string]float64{
-			"*": 0.02,
-		},
+	registerStrongScaling(strongScaling{
+		name:     "fig8-scale",
+		title:    "Beyond the prototype: C+B vs Booster-only strong scaling to n=1024",
+		workload: "scale",
+		config:   ScaleProfile,
+		counts:   []int{16, 64, 256, 1024},
 		// Strong scaling at 2 rows per rank is brutally communication-bound,
 		// and the fixed MPI_Comm_spawn cost cannot amortise over 8 reduced
 		// steps — so C+B honestly loses to Booster-only here (gain < 1), the
@@ -388,55 +459,12 @@ func registerFig8Scale() {
 		// change that degrades the n=1024 point past these bounds fails diff
 		// even after a bless. (The weak-scaling sweep shows the flip side:
 		// with constant per-rank work the split holds its efficiency.)
-		Budgets: []Budget{
+		budgets: []Budget{
 			{Measure: "eff_split_n1024", Kind: MinBudget, Bound: 0.015},
 			{Measure: "gain_vs_booster_n1024", Kind: MinBudget, Bound: 0.2},
 			{Measure: "split_makespan_n1024_s", Kind: MaxBudget, Bound: 0.04},
 		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := ScaleProfile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=16 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale")
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+	})
 }
 
 // Scale4096Profile returns the workload of the fig8-scale4096 study: the
@@ -461,16 +489,12 @@ func Scale4096Profile() xpic.Config {
 // scenario at n=4096 runs 8193 tasks on one kernel — the event queue holds
 // thousands of pending wakeups, where the queue's per-push cost shows.
 func registerFig8Scale4096() {
-	counts := []int{1024, 4096}
-	e := Experiment{
-		Name:    "fig8-scale4096",
-		Title:   "Beyond the prototype, 4x further: C+B vs Booster-only at n=4096",
-		Version: 1,
-		Grid:    "2 node counts (1024,4096) x 2 execution modes (Booster, C+B), pinned scale4096 workload",
-		Profile: "ci-scale4096",
-		Tolerance: map[string]float64{
-			"*": 0.02,
-		},
+	registerStrongScaling(strongScaling{
+		name:     "fig8-scale4096",
+		title:    "Beyond the prototype, 4x further: C+B vs Booster-only at n=4096",
+		workload: "scale4096",
+		config:   Scale4096Profile,
+		counts:   []int{1024, 4096},
 		// Strong scaling at the 2-rows-per-rank floor is communication-bound
 		// and the fixed MPI_Comm_spawn cost dominates 4 trimmed steps
 		// outright (split makespans are ~26 ms of which 25 ms is spawn), so
@@ -478,56 +502,13 @@ func registerFig8Scale4096() {
 		// at n=1024. Measured: booster 2.87 ms / split 26.6 ms at n=4096,
 		// eff_split 0.249, gain 0.108. The bounds pin that behaviour as a
 		// regression floor.
-		Budgets: []Budget{
+		budgets: []Budget{
 			{Measure: "eff_split_n4096", Kind: MinBudget, Bound: 0.15},
 			{Measure: "gain_vs_booster_n4096", Kind: MinBudget, Bound: 0.08},
 			{Measure: "split_makespan_n4096_s", Kind: MaxBudget, Bound: 0.035},
 			{Measure: "booster_makespan_n4096_s", Kind: MaxBudget, Bound: 0.005},
 		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := Scale4096Profile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale4096",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale4096", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale4096: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=1024 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale4096")
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+	})
 }
 
 // Scale16384Profile returns the workload of the fig8-scale16384 study: the
@@ -551,71 +532,24 @@ func Scale16384Profile() xpic.Config {
 // the earlier goldens stay byte-identical, and the n=4096 point inside THIS
 // profile is the efficiency reference.
 func registerFig8Scale16384() {
-	counts := []int{4096, 16384}
-	e := Experiment{
-		Name:    "fig8-scale16384",
-		Title:   "Beyond the prototype, 16x further: C+B vs Booster-only at n=16384",
-		Version: 1,
-		Grid:    "2 node counts (4096,16384) x 2 execution modes (Booster, C+B), pinned scale16384 workload",
-		Profile: "ci-scale16384",
-		Tolerance: map[string]float64{
-			"*": 0.02,
-		},
+	registerStrongScaling(strongScaling{
+		name:     "fig8-scale16384",
+		title:    "Beyond the prototype, 16x further: C+B vs Booster-only at n=16384",
+		workload: "scale16384",
+		config:   Scale16384Profile,
+		counts:   []int{4096, 16384},
 		// Same regime as fig8-scale4096, 4x further: strong scaling at the
 		// 2-rows-per-rank floor is communication-bound and the fixed
 		// MPI_Comm_spawn cost dominates 2 trimmed steps outright, so C+B
 		// loses to Booster-only. The bounds pin the measured behaviour as a
 		// regression floor.
-		Budgets: []Budget{
+		budgets: []Budget{
 			{Measure: "eff_split_n16384", Kind: MinBudget, Bound: 0.15},
 			{Measure: "gain_vs_booster_n16384", Kind: MinBudget, Bound: 0.03},
 			{Measure: "split_makespan_n16384_s", Kind: MaxBudget, Bound: 0.035},
 			{Measure: "booster_makespan_n16384_s", Kind: MaxBudget, Bound: 0.003},
 		},
-	}
-	e.Run = func(o Options) (Document, error) {
-		cfg := Scale16384Profile()
-		grid := sweep.Grid{
-			Name:       "fig8-scale16384",
-			NodeCounts: counts,
-			Modes:      []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB},
-			Workloads:  []sweep.WorkloadVariant{{Name: "scale16384", Config: cfg}},
-		}
-		scen, err := grid.Scenarios()
-		if err != nil {
-			return Document{}, err
-		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig8-scale16384: %w", err)
-		}
-		// Grid order: node counts outermost, then [Booster, C+B].
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
-		n0 := float64(counts[0])
-		measures := map[string]float64{}
-		for i, n := range counts {
-			b, s := makespan(i)
-			measures[fmt.Sprintf("booster_makespan_n%d_s", n)] = b
-			measures[fmt.Sprintf("split_makespan_n%d_s", n)] = s
-			// Strong-scaling efficiency relative to the n=4096 point.
-			measures[fmt.Sprintf("eff_booster_n%d", n)] = b0 * n0 / (b * float64(n))
-			measures[fmt.Sprintf("eff_split_n%d", n)] = s0 * n0 / (s * float64(n))
-			measures[fmt.Sprintf("gain_vs_booster_n%d", n)] = b / s
-		}
-		meta := profileMeta(cfg, "ci-scale16384")
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+	})
 }
 
 // registerSweepXPicWeak registers the weak-scaling grid: a constant slab per
@@ -641,7 +575,7 @@ func registerSweepXPicWeak() {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.05},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
+	registerResultSet(e, func() ([]sweep.Scenario, error) {
 		var scen []sweep.Scenario
 		for _, n := range counts {
 			for _, mode := range []xpic.Mode{xpic.BoosterOnly, xpic.SplitCB} {
@@ -649,31 +583,18 @@ func registerSweepXPicWeak() {
 				scen = append(scen, p.Scenario(fmt.Sprintf("weak/n=%d/%s", n, mode)))
 			}
 		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: sweep/xpic-weak: %w", err)
-		}
+		return scen, nil
+	}, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
 		measures := sweepMeasures(rs)
-		makespan := func(i int) (booster, split float64) {
-			return rs.Results[2*i].Metrics["makespan_s"], rs.Results[2*i+1].Metrics["makespan_s"]
-		}
-		b0, s0 := makespan(0)
+		b0, s0 := modePair(rs, 0)
 		for i, n := range counts {
-			b, s := makespan(i)
+			b, s := modePair(rs, i)
 			// Weak-scaling efficiency: T(n0) / T(n) per mode.
 			measures[fmt.Sprintf("weak_eff_booster_n%d", n)] = b0 / b
 			measures[fmt.Sprintf("weak_eff_split_n%d", n)] = s0 / s
 		}
-		return e.document(map[string]string{"profile": "ci-scale"}, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		return map[string]string{"profile": e.Profile}, measures
+	})
 }
 
 func registerSweepFig3() {

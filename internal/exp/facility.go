@@ -55,7 +55,8 @@ func registerFacilityFamily(family, title string, jobs int) {
 		Name:    family,
 		Title:   title,
 		Version: 1,
-		Grid:    fmt.Sprintf("{fcfs, backfill, malleable} x load {0.7, 1.4}, %d jobs per stream on a 64+32-node machine", jobs),
+		Grid: fmt.Sprintf("{fcfs, backfill, malleable} x load {0.7, 1.4}, %d jobs per stream on a %d+%d-node machine",
+			jobs, sched.FacilityClusterNodes, sched.FacilityBoosterNodes),
 		Profile: fmt.Sprintf("facility-%d", jobs),
 		Tolerance: map[string]float64{
 			"*": 0.02,
@@ -88,7 +89,7 @@ func registerFacilityFamily(family, title string, jobs int) {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 300 * float64(jobs) / facilityJobs},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
+	registerResultSet(e, func() ([]sweep.Scenario, error) {
 		var scen []sweep.Scenario
 		for _, pol := range sched.FacilityPolicies() {
 			for _, load := range facilityLoads() {
@@ -96,19 +97,11 @@ func registerFacilityFamily(family, title string, jobs int) {
 				scen = append(scen, sweep.FacilityPoint{FacilityParams: p}.Scenario(facilityPointName(family, pol, load)))
 			}
 		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: %s: %w", family, err)
-		}
+		return scen, nil
+	}, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
 		measures := sweepMeasures(rs)
 		at := func(pol sched.FacilityPolicy, load float64, metric string) float64 {
-			name := facilityPointName(family, pol, load)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
-				}
-			}
-			return 0
+			return resultMetric(rs, facilityPointName(family, pol, load), metric)
 		}
 		// Derived claims, all at the overload point unless noted.
 		measures["backfill_wait_gain"] = at(sched.FacilityFCFS, 1.4, "wait_mean_s") / at(sched.FacilityBackfill, 1.4, "wait_mean_s")
@@ -131,18 +124,10 @@ func registerFacilityFamily(family, title string, jobs int) {
 		measures["min_jobs"] = minJobs
 		measures["light_load_bsld_mean"] = lightBSLD
 		meta := map[string]string{
-			"profile":  fmt.Sprintf("facility-%d", jobs),
+			"profile":  e.Profile,
 			"workload": "seeded exponential arrivals over the xpic catalog job mix; same stream per load across policies",
 			"grid":     "see internal/exp/facility.go; derived measures bind the load=1.4 points",
 		}
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		return meta, measures
+	})
 }

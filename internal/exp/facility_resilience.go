@@ -86,7 +86,8 @@ func registerFigFacilityResilience() {
 		Name:    "fig-facility-resilience",
 		Title:   "Facility resilience: failing machine, scheduler degradation, checkpoint-restart requeue (DEEP-ER resiliency at facility scale)",
 		Version: 1,
-		Grid:    "{fcfs, backfill, malleable} x regime {clean, mtbf45, mtbf12} x {cold, ckpt}, 600 jobs at load 1.4 on a 64+32-node machine",
+		Grid: fmt.Sprintf("{fcfs, backfill, malleable} x regime {clean, mtbf45, mtbf12} x {cold, ckpt}, %d jobs at load 1.4 on a %d+%d-node machine",
+			facilityResilienceJobs, sched.FacilityClusterNodes, sched.FacilityBoosterNodes),
 		Profile: "facility-resilience-600",
 		Tolerance: map[string]float64{
 			"*": 0.02,
@@ -126,8 +127,8 @@ func registerFigFacilityResilience() {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 600},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
-		regimes := facilityResilienceRegimes()
+	regimes := facilityResilienceRegimes()
+	registerResultSet(e, func() ([]sweep.Scenario, error) {
 		var scen []sweep.Scenario
 		for _, pol := range sched.FacilityPolicies() {
 			for _, reg := range regimes {
@@ -153,19 +154,11 @@ func registerFigFacilityResilience() {
 				}
 			}
 		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-facility-resilience: %w", err)
-		}
+		return scen, nil
+	}, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
 		measures := sweepMeasures(rs)
 		at := func(pol sched.FacilityPolicy, regime string, ckpt bool, metric string) float64 {
-			name := facilityResiliencePointName(pol, regime, ckpt)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
-				}
-			}
-			return 0
+			return resultMetric(rs, facilityResiliencePointName(pol, regime, ckpt), metric)
 		}
 		relErr := func(sim, analytic float64) float64 {
 			if analytic == 0 {
@@ -244,14 +237,6 @@ func registerFigFacilityResilience() {
 			"workload": "one seeded 600-job overload stream (load 1.4) replayed across policies, MTBF regimes and checkpoint legs",
 			"grid":     "see internal/exp/facility_resilience.go; analytic availability cross-check per pool, Beowulf-performability style",
 		}
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		return meta, measures
+	})
 }

@@ -60,7 +60,7 @@ func registerFigIO() {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 0.25},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
+	registerResultSet(e, func() ([]sweep.Scenario, error) {
 		var scen []sweep.Scenario
 		for _, s := range ioexp.Strategies() {
 			for _, nodes := range ioNodeCounts() {
@@ -70,20 +70,12 @@ func registerFigIO() {
 				}
 			}
 		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-io: %w", err)
-		}
+		return scen, nil
+	}, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
 		measures := sweepMeasures(rs)
 		// Derived claims, all at the largest grid point.
 		at := func(s ioexp.Strategy, metric string) float64 {
-			name := ioPointName(s, 16, 8<<20)
-			for _, r := range rs.Results {
-				if r.Name == name {
-					return r.Metrics[metric]
-				}
-			}
-			return 0
+			return resultMetric(rs, ioPointName(s, 16, 8<<20), metric)
 		}
 		measures["async_return_gain"] = at(ioexp.CacheSync, "return_s") / at(ioexp.CacheAsync, "return_s")
 		measures["async_stage_span"] = at(ioexp.CacheAsync, "durable_s") / at(ioexp.CacheAsync, "return_s")
@@ -95,14 +87,6 @@ func registerFigIO() {
 			"workload": "one rank per node; payload bytes per rank on the size axis",
 			"grid":     "see internal/exp/io.go; derived measures bind the n=16, 8 MiB point",
 		}
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		return meta, measures
+	})
 }

@@ -105,7 +105,7 @@ func registerFigResilience() {
 			{Measure: "min_warm_rewind_step", Kind: MinBudget, Bound: 4},
 		},
 	}
-	e.Run = func(o Options) (Document, error) {
+	registerResultSet(e, func() ([]sweep.Scenario, error) {
 		var scen []sweep.Scenario
 		for _, r := range rows {
 			for _, failing := range []bool{false, true} {
@@ -117,10 +117,8 @@ func registerFigResilience() {
 				scen = append(scen, sweep.ResiliencePoint{Params: r.params(failing)}.Scenario(name))
 			}
 		}
-		rs := sweep.Run(scen, sweepOpts(o))
-		if err := rs.FirstError(); err != nil {
-			return Document{}, fmt.Errorf("exp: fig-resilience: %w", err)
-		}
+		return scen, nil
+	}, func(rs sweep.ResultSet) (map[string]string, map[string]float64) {
 		measures := sweepMeasures(rs)
 		minFailures, minRewind := -1.0, -1.0
 		for i, r := range rows {
@@ -143,14 +141,6 @@ func registerFigResilience() {
 		cfg := ResilienceProfile()
 		meta := profileMeta(cfg, "ci-resilience")
 		meta["grid"] = "rows expand [failure-free, failing]; see internal/exp/resilience.go for pinned seeds"
-		return e.document(meta, measures, rs)
-	}
-	e.Render = func(d Document) (string, error) {
-		rs, err := parsePayload[sweep.ResultSet](d)
-		if err != nil {
-			return "", err
-		}
-		return rs.RenderText(), nil
-	}
-	Register(e)
+		return meta, measures
+	})
 }

@@ -39,6 +39,13 @@ func FacilityPolicies() []FacilityPolicy {
 	return []FacilityPolicy{FacilityFCFS, FacilityBackfill, FacilityMalleable}
 }
 
+// FacilityClusterNodes and FacilityBoosterNodes size the facility machine:
+// four times the 2:1 prototype of Table I.
+const (
+	FacilityClusterNodes = 64
+	FacilityBoosterNodes = 32
+)
+
 // FacilityParams configures one facility run.
 type FacilityParams struct {
 	Policy FacilityPolicy
@@ -50,10 +57,6 @@ type FacilityParams struct {
 	// Seed determines the whole stream; equal seeds give equal arrivals
 	// across policies, so policy comparisons see the identical workload.
 	Seed int64
-	// ClusterNodes and BoosterNodes size the machine (0 defaults to 64/32,
-	// four times the 2:1 prototype of Table I).
-	ClusterNodes int
-	BoosterNodes int
 	// Faults, when non-nil and enabled, runs the stream on a failing
 	// machine: seeded per-module failure/repair processes drain and refill
 	// the pools, killed jobs are rewound per Faults.Rewind and requeued.
@@ -167,7 +170,7 @@ func facilityJobs(p FacilityParams) []Job {
 	eb /= float64(wsum)
 	// Offered load per module is rate*E/total; the bottleneck module is the
 	// one with the larger per-job demand share.
-	demand := max(ec/float64(p.ClusterNodes), eb/float64(p.BoosterNodes))
+	demand := max(ec/FacilityClusterNodes, eb/FacilityBoosterNodes)
 	rate := p.Load / demand
 
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -211,15 +214,6 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 	if p.Load <= 0 || math.IsNaN(p.Load) || math.IsInf(p.Load, 1) {
 		return FacilityOutcome{}, fmt.Errorf("sched: facility load %g", p.Load)
 	}
-	if p.ClusterNodes == 0 {
-		p.ClusterNodes = 64
-	}
-	if p.BoosterNodes == 0 {
-		p.BoosterNodes = 32
-	}
-	if p.ClusterNodes < 0 || p.BoosterNodes < 0 {
-		return FacilityOutcome{}, fmt.Errorf("sched: facility machine %d/%d nodes", p.ClusterNodes, p.BoosterNodes)
-	}
 	policy := FCFS
 	switch p.Policy {
 	case FacilityFCFS:
@@ -229,7 +223,7 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 		return FacilityOutcome{}, fmt.Errorf("sched: unknown facility policy %q", p.Policy)
 	}
 
-	m := NewManager(machine.New(p.ClusterNodes, p.BoosterNodes))
+	m := NewManager(machine.New(FacilityClusterNodes, FacilityBoosterNodes))
 	sched, cnt, faults, err := m.simulateQueueFaults(facilityJobs(p), policy, p.Faults)
 	if err != nil {
 		return FacilityOutcome{}, err
@@ -268,7 +262,7 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 		for _, pl := range sched.Placed {
 			useful += float64(pl.Job.Cluster+pl.Job.Booster) * pl.Job.Duration.Seconds()
 		}
-		if cap := float64(p.ClusterNodes+p.BoosterNodes) * faults.horizon.Seconds(); cap > 0 {
+		if cap := (FacilityClusterNodes + FacilityBoosterNodes) * faults.horizon.Seconds(); cap > 0 {
 			out.Goodput = useful / cap
 		}
 	}

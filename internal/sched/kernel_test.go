@@ -201,7 +201,6 @@ func TestFacilityRejectsBadParams(t *testing.T) {
 		{Policy: FacilityFCFS, Jobs: 10, Load: math.Inf(1)},
 		{Policy: FacilityFCFS, Jobs: 10, Load: math.Inf(-1)},
 		{Policy: "easy", Jobs: 10, Load: 1},
-		{Policy: FacilityFCFS, Jobs: 10, Load: 1, ClusterNodes: -1},
 	} {
 		if _, err := RunFacility(p); err == nil {
 			t.Fatalf("params %+v accepted", p)

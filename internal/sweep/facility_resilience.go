@@ -38,16 +38,8 @@ func (p FacilityResiliencePoint) Scenario(name string) Scenario {
 			availC, availB = 1, 1
 			satUtilC, satUtilB = out.UtilCluster, out.UtilBooster
 			satAvailC, satAvailB = 1, 1
-			cn, bn := p.ClusterNodes, p.BoosterNodes
-			if cn == 0 {
-				cn = 64
-			}
-			if bn == 0 {
-				bn = 32
-			}
-			if total := float64(cn + bn); total > 0 {
-				goodput = (out.UtilCluster*float64(cn) + out.UtilBooster*float64(bn)) / total
-			}
+			const cn, bn = sched.FacilityClusterNodes, sched.FacilityBoosterNodes
+			goodput = (out.UtilCluster*cn + out.UtilBooster*bn) / (cn + bn)
 		}
 		return Outcome{Metrics: Metrics{
 			"jobs":          float64(out.Jobs),

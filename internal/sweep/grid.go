@@ -1,10 +1,9 @@
 // Declarative scenario grids. A Grid is the cross product of experiment
-// axes — nodes per solver, execution mode, workload, fabric parameters, MPI
-// parameters, SCR checkpoint levels — and expands to one self-contained
-// Scenario per grid point. This is the declarative form of the paper's
-// evaluations: Fig. 7 is a 1-node × 3-mode grid, Fig. 8 a node-scaling ×
-// 3-mode grid, and the DEEP-ER resiliency studies add the checkpoint-level
-// axis.
+// axes — nodes per solver, execution mode, workload, SCR checkpoint levels —
+// and expands to one self-contained Scenario per grid point. This is the
+// declarative form of the paper's evaluations: Fig. 7 is a 1-node × 3-mode
+// grid, Fig. 8 a node-scaling × 3-mode grid, and the DEEP-ER resiliency
+// studies add the checkpoint-level axis.
 package sweep
 
 import (
@@ -12,10 +11,8 @@ import (
 	"strings"
 
 	"clusterbooster/internal/core"
-	"clusterbooster/internal/fabric"
 	"clusterbooster/internal/ioev"
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/scr"
 	"clusterbooster/internal/vclock"
 	"clusterbooster/internal/xpic"
@@ -25,18 +22,6 @@ import (
 type WorkloadVariant struct {
 	Name   string
 	Config xpic.Config
-}
-
-// FabricVariant names one fabric parameterisation of a grid.
-type FabricVariant struct {
-	Name   string
-	Config fabric.Config
-}
-
-// MPIVariant names one MPI runtime parameterisation of a grid.
-type MPIVariant struct {
-	Name   string
-	Config psmpi.Config
 }
 
 // SCRSpec asks a scenario to checkpoint the application state through the
@@ -83,10 +68,10 @@ type SCRVariant struct {
 }
 
 // Grid declares a sweep as the cross product of its axes. NodeCounts, Modes
-// and Workloads are required; the remaining axes default to a single unnamed
-// variant (prototype fabric/MPI parameters, no checkpointing). Expansion
-// order is deterministic: node counts outermost, then modes, workloads,
-// fabrics, MPIs, SCR variants.
+// and Workloads are required; the SCR axis defaults to a single unnamed
+// variant (no checkpointing). Every point runs on the prototype's fabric and
+// MPI parameters. Expansion order is deterministic: node counts outermost,
+// then modes, workloads, SCR variants.
 type Grid struct {
 	// Name prefixes every scenario name.
 	Name string
@@ -96,10 +81,6 @@ type Grid struct {
 	Modes []xpic.Mode
 	// Workloads lists the xPic configurations to run.
 	Workloads []WorkloadVariant
-	// Fabrics optionally sweeps fabric parameters (e.g. eager thresholds).
-	Fabrics []FabricVariant
-	// MPIs optionally sweeps MPI runtime parameters (e.g. staging bandwidth).
-	MPIs []MPIVariant
 	// SCRs optionally sweeps checkpoint levels.
 	SCRs []SCRVariant
 }
@@ -126,29 +107,13 @@ func (g Grid) Validate() error {
 // Size returns the number of scenarios the grid expands to.
 func (g Grid) Size() int {
 	n := len(g.NodeCounts) * len(g.Modes) * len(g.Workloads)
-	n *= max1(len(g.Fabrics)) * max1(len(g.MPIs)) * max1(len(g.SCRs))
-	return n
-}
-
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
+	return n * max(len(g.SCRs), 1)
 }
 
 // Scenarios expands the grid to its cross product in deterministic order.
 func (g Grid) Scenarios() ([]Scenario, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
-	}
-	fabrics := g.Fabrics
-	if len(fabrics) == 0 {
-		fabrics = []FabricVariant{{}}
-	}
-	mpis := g.MPIs
-	if len(mpis) == 0 {
-		mpis = []MPIVariant{{}}
 	}
 	scrs := g.SCRs
 	if len(scrs) == 0 {
@@ -159,23 +124,16 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 	for _, n := range g.NodeCounts {
 		for _, mode := range g.Modes {
 			for _, wl := range g.Workloads {
-				for _, fv := range fabrics {
-					for _, mv := range mpis {
-						for _, sv := range scrs {
-							p := XPicPoint{
-								NodesPerSolver: n,
-								Mode:           mode,
-								Workload:       wl.Config,
-								Fabric:         fv.Config,
-								MPI:            mv.Config,
-								SCR:            sv.Spec,
-							}
-							name := joinName(g.Name,
-								fmt.Sprintf("n=%d", n), mode.String(),
-								wl.Name, fv.Name, mv.Name, sv.Name)
-							scenarios = append(scenarios, p.Scenario(name))
-						}
+				for _, sv := range scrs {
+					p := XPicPoint{
+						NodesPerSolver: n,
+						Mode:           mode,
+						Workload:       wl.Config,
+						SCR:            sv.Spec,
 					}
+					name := joinName(g.Name,
+						fmt.Sprintf("n=%d", n), mode.String(), wl.Name, sv.Name)
+					scenarios = append(scenarios, p.Scenario(name))
 				}
 			}
 		}
@@ -200,8 +158,6 @@ type XPicPoint struct {
 	NodesPerSolver int
 	Mode           xpic.Mode
 	Workload       xpic.Config
-	Fabric         fabric.Config
-	MPI            psmpi.Config
 	SCR            *SCRSpec
 }
 
@@ -219,19 +175,12 @@ func (p XPicPoint) Scenario(name string) Scenario {
 		var sys *core.System // system for the checkpoint phase
 		if cacheDisabled.Load() {
 			// Pre-cache behaviour: one system runs both phases.
-			sys = core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{
-				Fabric:         p.Fabric,
-				MPI:            p.MPI,
-				WithoutStorage: p.SCR == nil,
-			})
+			sys = core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{WithoutStorage: p.SCR == nil})
 			rep, err = sys.RunXPic(p.Mode, p.NodesPerSolver, p.Workload)
 		} else {
 			rep, err = p.cachedRun()
 			if err == nil && p.SCR != nil {
-				sys = core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{
-					Fabric: p.Fabric,
-					MPI:    p.MPI,
-				})
+				sys = core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{})
 			}
 		}
 		if err != nil {

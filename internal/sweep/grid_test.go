@@ -1,11 +1,9 @@
 package sweep
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"clusterbooster/internal/fabric"
 	"clusterbooster/internal/scr"
 	"clusterbooster/internal/xpic"
 )
@@ -40,15 +38,11 @@ func TestGridValidate(t *testing.T) {
 // cross product, including the optional axes.
 func TestGridExpansion(t *testing.T) {
 	g := testGrid()
-	g.Fabrics = []FabricVariant{
-		{Name: "fab=proto", Config: fabric.Config{}},
-		{Name: "fab=eager64K", Config: fabric.Config{EagerThreshold: 64 << 10}},
-	}
 	g.SCRs = []SCRVariant{
 		{Name: "scr=none"},
 		{Name: "scr=local", Spec: CheckpointAt(scr.LevelLocal)},
 	}
-	want := 2 * 3 * 2 * 2 * 2
+	want := 2 * 3 * 2 * 2
 	if g.Size() != want {
 		t.Fatalf("Size() = %d, want %d", g.Size(), want)
 	}
@@ -69,11 +63,11 @@ func TestGridExpansion(t *testing.T) {
 			t.Errorf("scenario %q has no run function", s.Name)
 		}
 	}
-	if got := scenarios[0].Name; got != "test/n=1/Cluster/s3/fab=proto/scr=none" {
+	if got := scenarios[0].Name; got != "test/n=1/Cluster/s3/scr=none" {
 		t.Errorf("first scenario name %q", got)
 	}
 	last := scenarios[len(scenarios)-1].Name
-	if last != "test/n=4/C+B/s5/fab=eager64K/scr=local" {
+	if last != "test/n=4/C+B/s5/scr=local" {
 		t.Errorf("last scenario name %q", last)
 	}
 	// Re-expansion yields the same order.
@@ -216,7 +210,7 @@ func TestGridSizeMatchesExpansion(t *testing.T) {
 		testGrid(),
 		{Name: "x", NodeCounts: []int{1}, Modes: []xpic.Mode{xpic.ClusterOnly},
 			Workloads: []WorkloadVariant{{Config: xpic.QuickConfig(2)}},
-			MPIs:      []MPIVariant{{Name: fmt.Sprintf("mpi=%d", 1)}, {Name: "mpi=2"}}},
+			SCRs:      []SCRVariant{{Name: "scr=none"}, {Name: "scr=local", Spec: CheckpointAt(scr.LevelLocal)}}},
 	} {
 		scenarios, err := g.Scenarios()
 		if err != nil {

@@ -118,9 +118,8 @@ func SetDiskRunStore(s *runstore.Store) { diskStore.Store(s) }
 func DiskRunStore() *runstore.Store { return diskStore.Load() }
 
 // computeKey canonically hashes the point's compute configuration — node
-// count, mode, workload, fabric and MPI parameters; everything that can
-// influence the report, and nothing that cannot (the SCR axis only prices
-// checkpoints after the run).
+// count, mode and workload; everything that can influence the report, and
+// nothing that cannot (the SCR axis only prices checkpoints after the run).
 func (p XPicPoint) computeKey() [sha256.Size]byte {
 	c := p
 	c.SCR = nil
@@ -134,11 +133,7 @@ func (p XPicPoint) computeKey() [sha256.Size]byte {
 // computeRun executes the point's compute phase on a dedicated storage-less
 // system (reports are storage-independent; see the package comment above).
 func (p XPicPoint) computeRun() (xpic.Report, error) {
-	sys := core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{
-		Fabric:         p.Fabric,
-		MPI:            p.MPI,
-		WithoutStorage: true,
-	})
+	sys := core.New(p.NodesPerSolver, p.NodesPerSolver, core.Options{WithoutStorage: true})
 	return sys.RunXPic(p.Mode, p.NodesPerSolver, p.Workload)
 }
 

@@ -355,16 +355,6 @@ func TestRunCacheKeySensitivity(t *testing.T) {
 		t.Fatal("workload does not change the cache key")
 	}
 	p = base
-	p.Fabric.WireLatency = 1e-6
-	if p.computeKey() == k0 {
-		t.Fatal("fabric config does not change the cache key")
-	}
-	p = base
-	p.MPI.SpawnOverhead = 1e-3
-	if p.computeKey() == k0 {
-		t.Fatal("MPI config does not change the cache key")
-	}
-	p = base
 	p.SCR = CheckpointAt(scr.LevelBuddy)
 	if p.computeKey() != k0 {
 		t.Fatal("SCR axis changes the cache key (checkpoints are priced after the run and must share the compute phase)")

@@ -69,17 +69,6 @@ type ResultSet struct {
 	Results   []Result `json:"results"`
 }
 
-// Failed returns the results that carry an error.
-func (rs ResultSet) Failed() []Result {
-	var out []Result
-	for _, r := range rs.Results {
-		if r.Error != "" {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // FirstError materialises the first failure as an error (nil if the whole
 // sweep succeeded). Callers that want all-or-nothing semantics on top of the
 // engine's keep-going behaviour use this.

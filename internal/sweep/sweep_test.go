@@ -152,9 +152,6 @@ func TestFailureIsolation(t *testing.T) {
 			t.Errorf("healthy scenario %d contaminated: %+v", i, rs.Results[i])
 		}
 	}
-	if len(rs.Failed()) != 3 {
-		t.Errorf("Failed() returned %d results", len(rs.Failed()))
-	}
 	if rs.FirstError() == nil {
 		t.Error("FirstError() = nil with failures present")
 	}
