@@ -9,7 +9,11 @@
 // each file in an ioev.Content (fixed-size chunks that never move, so growing
 // a file copies none of the bytes it already holds): SIONlib containers and
 // checkpoints written through this package can be read back and verified
-// bit-for-bit, while all costs are virtual-time.
+// bit-for-bit, while all costs are virtual-time. The cache domain holds no
+// content of its own, only which node caches a path and when its flush
+// completes: a cached read returns the global file's current bytes (at NVMe
+// cost on the owner node), so the cache is always coherent with the global
+// FS.
 //
 // File-system latencies are scheduled kernel events: Create/Write/Read/
 // Delete park the calling ioev.Proc until the operation completes, and the
@@ -138,11 +142,20 @@ func (fs *FS) Exists(path string) bool {
 	return ok
 }
 
-// Size returns the current size of a file.
-func (fs *FS) Size(path string) (int64, error) {
+// file returns a file's content, or the no-such-file error.
+func (fs *FS) file(path string) (*ioev.Content, error) {
 	f, ok := fs.files[path]
 	if !ok {
-		return 0, fmt.Errorf("beegfs: %s: no such file", path)
+		return nil, fmt.Errorf("beegfs: %s: no such file", path)
+	}
+	return f, nil
+}
+
+// Size returns the current size of a file.
+func (fs *FS) Size(path string) (int64, error) {
+	f, err := fs.file(path)
+	if err != nil {
+		return 0, err
 	}
 	return f.Size(), nil
 }
@@ -208,9 +221,9 @@ func (fs *FS) SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, n
 	if offset < 0 {
 		return ioev.Op{}, fmt.Errorf("beegfs: negative offset %d", offset)
 	}
-	f, ok := fs.files[path]
-	if !ok {
-		return ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
+	f, err := fs.file(path)
+	if err != nil {
+		return ioev.Op{}, err
 	}
 	if grow := offset + int64(len(data)) - f.Size(); grow > 0 {
 		if fs.used+grow > fs.cfg.CapacityBytes {
@@ -247,9 +260,9 @@ func (fs *FS) Read(p ioev.Proc, path string, offset, size int64) ([]byte, error)
 // SubmitRead issues the striped read after dep without parking, from node,
 // returning the data and the completion token of the slowest target.
 func (fs *FS) SubmitRead(dep ioev.Op, path string, offset, size int64, node *machine.Node) ([]byte, ioev.Op, error) {
-	f, ok := fs.files[path]
-	if !ok {
-		return nil, ioev.Op{}, fmt.Errorf("beegfs: %s: no such file", path)
+	f, err := fs.file(path)
+	if err != nil {
+		return nil, ioev.Op{}, err
 	}
 	if size < 0 {
 		return nil, ioev.Op{}, fmt.Errorf("beegfs: negative read size %d of %s", size, path)

@@ -3,6 +3,7 @@ package beegfs
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,72 @@ func TestCacheEvictFreesNVMe(t *testing.T) {
 	}
 	if math.Abs(float64(dev.Used())) > 0 {
 		t.Error("nvme not empty")
+	}
+}
+
+func TestCacheReadAfterEvict(t *testing.T) {
+	c, sys := cacheSetup(CacheAsync)
+	data := []byte("evicted but still global")
+	a := ioev.Detach(sys.Node(0), 0)
+	if err := c.Write(a, "/f", data); err != nil {
+		t.Fatal(err)
+	}
+	c.Evict("/f")
+	if !c.fs.Exists("/f") {
+		t.Fatal("evict removed the global copy")
+	}
+	got, err := c.Read(a, "/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after evict = %q (%v), want the global file %q", got, err, data)
+	}
+	if _, err := c.Read(a, "/never-written"); err == nil {
+		t.Error("read of a file that exists nowhere succeeded")
+	}
+}
+
+func TestCacheReadCoherentWithGlobal(t *testing.T) {
+	// The cache keeps no bytes of its own: a rewrite of the global file is
+	// what the owner's fast path returns, and a delete behind the cache is
+	// the file system's error rather than stale data.
+	c, sys := cacheSetup(CacheSync)
+	a := ioev.Detach(sys.Node(0), 0)
+	if err := c.Write(a, "/f", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.fs.Write(a, "/f", 0, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Read(a, "/f")
+	if err != nil || string(got) != "new" {
+		t.Fatalf("owner read = %q (%v), want the global content %q", got, err, "new")
+	}
+	got[0] = 'X'
+	if again, _ := c.Read(a, "/f"); string(again) != "new" {
+		t.Errorf("mutating a read result changed the file: %q", again)
+	}
+	c.fs.Delete(a, "/f")
+	if _, err := c.Read(a, "/f"); err == nil {
+		t.Error("read of a file deleted behind the cache succeeded")
+	}
+}
+
+func TestCacheWriteAllocatesOnePayload(t *testing.T) {
+	// One resident copy per cached byte: the global file's content. The
+	// write itself must not clone the payload a second time.
+	const size = 8 << 20
+	data := bytes.Repeat([]byte("c"), size)
+	for _, mode := range []CacheMode{CacheAsync, CacheSync} {
+		c, sys := cacheSetup(mode)
+		a := ioev.Detach(sys.Node(0), 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.Write(a, "/ckpt", data); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*size {
+			t.Errorf("%v: write of %d bytes allocated %d (%.2f× the payload), want ≤ 1.1×",
+				mode, size, got, float64(got)/size)
+		}
 	}
 }

@@ -34,11 +34,18 @@ func (m CacheMode) String() string {
 // Cache is a BeeOND cache domain: a transient file-system layer over the
 // node-local NVMe devices of a job's nodes, in front of a global FS. Like
 // FS it carries no mutex: the cooperative kernel serialises every access.
+//
+// The domain keeps metadata only — which node holds each path and when its
+// flush completes — and no bytes of its own: every Write flushes into the
+// global file's content at submission, so a cached file and its global copy
+// are one byte store and the cache is coherent with the global FS by
+// construction. A read on the owner node prices the NVMe get but returns
+// the global file's current content; a file deleted from the global FS
+// behind the cache reads as the file system's error.
 type Cache struct {
 	fs      *FS
 	mode    CacheMode
 	devs    map[int]*nvme.Device // node ID → device
-	content map[string][]byte
 	owner   map[string]*machine.Node
 	pending map[string]vclock.Time // path → global-FS flush completion
 }
@@ -50,7 +57,6 @@ func NewCache(fs *FS, mode CacheMode, devs map[int]*nvme.Device) *Cache {
 		fs:      fs,
 		mode:    mode,
 		devs:    devs,
-		content: map[string][]byte{},
 		owner:   map[string]*machine.Node{},
 		pending: map[string]vclock.Time{},
 	}
@@ -76,11 +82,12 @@ func (c *Cache) Write(p ioev.Proc, path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("beegfs: cache write: %w", err)
 	}
-	c.content[path] = append([]byte(nil), data...)
 	c.owner[path] = node
 
-	// The flush daemon starts as soon as the data is local.
-	flush, err := c.submitFlush(path, local)
+	// The flush daemon starts as soon as the data is local. The FS copies
+	// data into the global file before submitFlush returns, so the caller
+	// may reuse its buffer at once.
+	flush, err := c.submitFlush(path, node, data, local)
 	if err != nil {
 		return err
 	}
@@ -95,9 +102,7 @@ func (c *Cache) Write(p ioev.Proc, path string, data []byte) error {
 
 // submitFlush issues the move of a cached file to the global FS after dep,
 // recording its completion for Drain.
-func (c *Cache) submitFlush(path string, dep ioev.Op) (ioev.Op, error) {
-	data := c.content[path]
-	node := c.owner[path]
+func (c *Cache) submitFlush(path string, node *machine.Node, data []byte, dep ioev.Op) (ioev.Op, error) {
 	c.fs.SubmitCreate(dep, path, node)
 	done, err := c.fs.SubmitWrite(dep, path, 0, data, node)
 	if err != nil {
@@ -107,21 +112,26 @@ func (c *Cache) submitFlush(path string, dep ioev.Op) (ioev.Op, error) {
 	return done, nil
 }
 
-// Read serves a file from the cache if the reading rank's node holds it
-// locally (fast path: NVMe), otherwise from the global FS, parking the
-// caller until the data arrives.
+// Read serves a whole file: from the NVMe if the reading rank's node holds
+// it in the cache (fast path), otherwise from the global FS, parking the
+// caller until the data arrives. Either way the bytes are a fresh copy of
+// the global file's content; a file missing from the global FS is an error.
 func (c *Cache) Read(p ioev.Proc, path string) ([]byte, error) {
 	node := p.Node()
-	data, cached := c.content[path]
-	if cached && c.owner[path].ID == node.ID {
+	f, err := c.fs.file(path)
+	if err != nil {
+		return nil, err
+	}
+	if owner, cached := c.owner[path]; cached && owner.ID == node.ID {
 		if dev, ok := c.devs[node.ID]; ok {
 			if _, op, err := dev.SubmitGet(ioev.Start(p), "beeond:"+path); err == nil {
+				out := f.ReadAt(0, f.Size()) // the content at submission, as FS.SubmitRead
 				ioev.Await(p, op)
-				return append([]byte(nil), data...), nil
+				return out, nil
 			}
 		}
 	}
-	out, op, err := c.fs.SubmitRead(ioev.Start(p), path, 0, int64(len(data)), node)
+	out, op, err := c.fs.SubmitRead(ioev.Start(p), path, 0, f.Size(), node)
 	if err != nil {
 		return nil, err
 	}
@@ -148,6 +158,5 @@ func (c *Cache) Evict(path string) {
 			dev.Delete("beeond:" + path)
 		}
 	}
-	delete(c.content, path)
 	delete(c.owner, path)
 }

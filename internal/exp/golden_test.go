@@ -14,6 +14,7 @@ var heavyExperiments = map[string]bool{
 	"fig8":            true,
 	"fig8-scale":      true,
 	"fig8-scale4096":  true,
+	"fig8-scale16384": true,
 	"sweep/fig8":      true,
 	"sweep/paper":     true,
 	"sweep/xpic-weak": true,

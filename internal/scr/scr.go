@@ -96,6 +96,8 @@ type Manager struct {
 	records map[int]*record
 	writers map[string]*sion.Writer // open global containers by path
 	// payload store for local/buddy levels (content travels with validity).
+	// A checkpoint taken at both levels shares one snapshot between the two
+	// maps: entries are never mutated in place, and restores hand out copies.
 	local map[string][]byte
 	buddy map[string][]byte
 }
@@ -213,6 +215,13 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 	node := m.nodes[rank]
 	start := dep
 	done := start
+	var snap []byte // data, cloned on first use
+	snapshot := func() []byte {
+		if snap == nil {
+			snap = append([]byte(nil), data...)
+		}
+		return snap
+	}
 	for _, lv := range levels {
 		switch lv {
 		case LevelLocal:
@@ -220,7 +229,7 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 			if err != nil {
 				return ioev.Op{}, fmt.Errorf("scr: local level: %w", err)
 			}
-			m.local[key(step, rank)] = append([]byte(nil), data...)
+			m.local[key(step, rank)] = snapshot()
 			rec.localValid[rank] = true
 			done = ioev.After(done, op)
 		case LevelBuddy:
@@ -234,7 +243,7 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 			if err != nil {
 				return ioev.Op{}, fmt.Errorf("scr: buddy level: %w", err)
 			}
-			m.buddy[key(step, rank)] = append([]byte(nil), data...)
+			m.buddy[key(step, rank)] = snapshot()
 			rec.buddyValid[rank] = true
 			done = ioev.After(done, op)
 		case LevelGlobal:

@@ -265,3 +265,35 @@ func TestManyStepsRetained(t *testing.T) {
 		t.Fatalf("old step restore: %q %v", got, err)
 	}
 }
+
+func TestLocalAndBuddyRestoresAreIndependent(t *testing.T) {
+	// A step checkpointed at both levels stores one snapshot for both;
+	// every restore must still hand out its own copy.
+	m, _ := testMgr(t, 2, Config{BuddyEvery: 1})
+	data := []byte("state at step 3")
+	want := append([]byte(nil), data...)
+	ckptAll(t, m, 3, data, 0)
+	data[0] = 'X' // the caller reusing its buffer must not reach the store
+	restore := func(lv Level) []byte {
+		t.Helper()
+		got, err := m.Restore(ioev.Detach(nil, vclock.Second), 0, 3, lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	local, buddy := restore(LevelLocal), restore(LevelBuddy)
+	if !bytes.Equal(local, want) || !bytes.Equal(buddy, want) {
+		t.Fatalf("local %q, buddy %q, want %q", local, buddy, want)
+	}
+	local[0] = 'Y'
+	if !bytes.Equal(buddy, want) {
+		t.Errorf("mutating the local restore changed the buddy restore: %q", buddy)
+	}
+	if again := restore(LevelLocal); !bytes.Equal(again, want) {
+		t.Errorf("mutating a restore changed the stored checkpoint: %q", again)
+	}
+	if again := restore(LevelBuddy); !bytes.Equal(again, want) {
+		t.Errorf("mutating a restore changed the stored buddy copy: %q", again)
+	}
+}
