@@ -23,7 +23,6 @@
 // The sub-systems are importable through this façade:
 //
 //	System.Runtime    — ParaStation-like MPI (p2p, collectives, Comm_spawn)
-//	System.Scheduler  — module-aware resource manager and batch queue
 //	System.FS         — BeeGFS-like parallel file system (+BeeOND cache)
 //	System.NVMe       — per-node NVMe devices
 //	System.NAM        — network-attached memory on the fabric
@@ -89,6 +88,9 @@ type Experiment = exp.Experiment
 
 // ExperimentDocument is the canonical JSON outcome of an experiment run.
 type ExperimentDocument = exp.Document
+
+// ExperimentOptions tunes one experiment run (Experiment.Run's argument).
+type ExperimentOptions = exp.Options
 
 // The experiment registry (see EXPERIMENTS.md): every paper artifact and
 // standing sweep as a named, versioned experiment with a golden baseline.

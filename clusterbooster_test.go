@@ -3,13 +3,11 @@ package clusterbooster
 import (
 	"strings"
 	"testing"
-
-	"clusterbooster/internal/exp"
 )
 
 func TestPrototypeFacade(t *testing.T) {
 	sys := Prototype()
-	if sys.Machine == nil || sys.Runtime == nil || sys.Scheduler == nil {
+	if sys.Machine == nil || sys.Runtime == nil || sys.Network == nil {
 		t.Fatal("prototype incomplete")
 	}
 	if len(sys.NVMe) != 24 || len(sys.NAM) != 2 || sys.FS == nil {
@@ -41,7 +39,7 @@ func TestExperimentGeneratorsExported(t *testing.T) {
 	if !ok {
 		t.Fatal("table1 not in the experiment registry")
 	}
-	doc, err := e.Run(exp.Options{})
+	doc, err := e.Run(ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

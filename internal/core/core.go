@@ -2,9 +2,8 @@
 // contribution (§II): a general-purpose Cluster and a many-core Booster,
 // each a stand-alone cluster of nodes, joined by one uniform EXTOLL-like
 // fabric and operated as a single machine by a uniform software stack
-// (ParaStation-like MPI with cross-module spawn, module-aware resource
-// management, parallel file system over fabric-attached storage, node-local
-// NVMe and network-attached memory).
+// (ParaStation-like MPI with cross-module spawn, parallel file system over
+// fabric-attached storage, node-local NVMe and network-attached memory).
 //
 // A core.System is the "machine" every experiment and example boots:
 //
@@ -21,7 +20,6 @@ import (
 	"clusterbooster/internal/nam"
 	"clusterbooster/internal/nvme"
 	"clusterbooster/internal/psmpi"
-	"clusterbooster/internal/sched"
 	"clusterbooster/internal/xpic"
 )
 
@@ -46,10 +44,9 @@ type Options struct {
 
 // System is a booted Cluster-Booster machine.
 type System struct {
-	Machine   *machine.System
-	Network   *fabric.Network
-	Runtime   *psmpi.Runtime
-	Scheduler *sched.Manager
+	Machine *machine.System
+	Network *fabric.Network
+	Runtime *psmpi.Runtime
 
 	// Storage stack (nil/empty if Options.WithoutStorage).
 	FS   *beegfs.FS
@@ -61,14 +58,10 @@ type System struct {
 func New(clusterNodes, boosterNodes int, opts Options) *System {
 	ms := machine.New(clusterNodes, boosterNodes)
 	net := fabric.New(ms, fabric.Config{})
-	rt := psmpi.NewRuntime(ms, net, psmpi.Config{})
-	mgr := sched.NewManager(ms)
-	rt.SetPlacement(mgr)
 	s := &System{
-		Machine:   ms,
-		Network:   net,
-		Runtime:   rt,
-		Scheduler: mgr,
+		Machine: ms,
+		Network: net,
+		Runtime: psmpi.NewRuntime(ms, net, psmpi.Config{}),
 	}
 	if !opts.WithoutStorage {
 		s.FS = beegfs.New(net, beegfs.Config{})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/xpic"
 )
 
@@ -16,7 +15,7 @@ func TestPrototypeLayout(t *testing.T) {
 	if s.FS == nil || len(s.NVMe) != 24 || len(s.NAM) != 2 {
 		t.Fatalf("storage stack incomplete: fs=%v nvme=%d nam=%d", s.FS != nil, len(s.NVMe), len(s.NAM))
 	}
-	if s.Scheduler == nil || s.Runtime == nil || s.Network == nil {
+	if s.Runtime == nil || s.Network == nil {
 		t.Fatal("core services missing")
 	}
 }
@@ -43,29 +42,6 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if _, err := s.BoosterNodes(3); err == nil {
 		t.Fatal("overcommitted booster request accepted")
-	}
-}
-
-func TestSpawnUsesScheduler(t *testing.T) {
-	// The runtime's placement must be wired to the resource manager: an
-	// allocation occupying booster nodes steers spawns to the free ones.
-	s := New(2, 3, Options{WithoutStorage: true})
-	if _, err := s.Scheduler.Alloc(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	s.Runtime.Register("probe", func(p *psmpi.Proc) error {
-		if p.Node().Index < 2 {
-			t.Errorf("spawn landed on busy node %s", p.Node().Name())
-		}
-		return nil
-	})
-	nodes, _ := s.ClusterNodes(1)
-	_, err := s.Runtime.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
-		_, err := p.Spawn(p.World(), psmpi.SpawnSpec{Binary: "probe", Procs: 1, Module: machine.Booster})
-		return err
-	}})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -84,7 +84,7 @@ func registerFigModular() {
 		var rows []modularRow
 		measures := map[string]float64{}
 		for _, mix := range modularMixes() {
-			mod, err := sched.NewManager(machine.New(mix.nodes, mix.nodes)).SimulateQueue(mix.jobs, sched.FCFS)
+			mod, err := sched.SimulateQueue(machine.New(mix.nodes, mix.nodes), mix.jobs, sched.FCFS)
 			if err != nil {
 				return Document{}, fmt.Errorf("exp: fig-modular: %s: %w", mix.name, err)
 			}

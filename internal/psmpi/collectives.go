@@ -3,9 +3,9 @@ package psmpi
 import "fmt"
 
 // Collective operations, built on top of the timed point-to-point layer with
-// the standard algorithms (dissemination barrier, binomial trees, ring
-// allgather, pairwise alltoall), so that their virtual-time cost emerges from
-// the fabric model rather than being postulated.
+// the standard algorithms (dissemination barrier, binomial trees), so that
+// their virtual-time cost emerges from the fabric model rather than being
+// postulated.
 //
 // As in MPI, all members of the communicator must call the same collectives
 // in the same order. Collectives are not supported on inter-communicators.
@@ -62,11 +62,12 @@ func (p *Proc) collTag(c *Comm) int {
 }
 
 // collTagBlock is the number of reserved tags per collective invocation; it
-// bounds the number of internal rounds/steps a single collective may use —
-// and with them the largest communicator (the ring allgather uses one tag
-// per step, so size <= block). 65536 admits the fig8-scale16384 jobs and
-// the n=65536 deep-scale test point. Tag values only ever matter for
-// matching, so the block size has no timing effect.
+// bounds the number of internal rounds a single collective may use. collTag
+// caps the communicator size at the block, one tag per rank, which leaves
+// ample room: the barrier, the collective with the most rounds, uses
+// ⌈log2 p⌉. 65536 admits the fig8-scale16384 jobs and the n=65536
+// deep-scale test point. Tag values only ever matter for matching, so the
+// block size has no timing effect.
 const collTagBlock = 1 << 16
 
 // Barrier synchronises all ranks of the communicator (dissemination
@@ -213,126 +214,4 @@ func (p *Proc) AllreduceScalar(c *Comm, v float64, op Op) float64 {
 	buf[0] = v
 	p.AllreduceF64(c, buf, op)
 	return buf[0]
-}
-
-// GatherF64 gathers each rank's buf (equal lengths) onto root. On root the
-// returned slice is the concatenation in rank order; other ranks get nil.
-func (p *Proc) GatherF64(c *Comm, root int, buf []float64) []float64 {
-	p.Stats.Collectives++
-	base := p.collTag(c)
-	me := p.rankIn(c)
-	n := c.Size()
-	if me != root {
-		cp := p.GetF64(len(buf))
-		copy(cp, buf)
-		p.sendTagged(c, root, base, payload{f64: cp, pooled: true}, 8*len(buf), modeStandard, true)
-		return nil
-	}
-	out := make([]float64, len(buf)*n)
-	reqs := make([]*Request, n)
-	for r := 0; r < n; r++ {
-		if r == me {
-			copy(out[r*len(buf):], buf)
-			continue
-		}
-		reqs[r] = p.Irecv(c, r, base)
-	}
-	for r := 0; r < n; r++ {
-		if reqs[r] == nil {
-			continue
-		}
-		data, _ := p.WaitF64(reqs[r])
-		copy(out[r*len(buf):], data)
-		p.PutF64(data) // every non-root rank sends a pooled copy
-	}
-	return out
-}
-
-// ScatterF64 scatters equal chunks of root's data to all ranks; each rank
-// receives its chunk of the given length into buf.
-func (p *Proc) ScatterF64(c *Comm, root int, data []float64, buf []float64) {
-	p.Stats.Collectives++
-	base := p.collTag(c)
-	me := p.rankIn(c)
-	n := c.Size()
-	chunk := len(buf)
-	if me == root {
-		if len(data) != chunk*n {
-			panic(fmt.Sprintf("psmpi: scatter size mismatch: %d != %d×%d", len(data), chunk, n))
-		}
-		reqs := make([]*Request, 0, n-1)
-		for r := 0; r < n; r++ {
-			if r == me {
-				copy(buf, data[r*chunk:(r+1)*chunk])
-				continue
-			}
-			part := p.GetF64(chunk)
-			copy(part, data[r*chunk:(r+1)*chunk])
-			reqs = append(reqs, p.sendTagged(c, r, base, payload{f64: part, pooled: true}, 8*chunk, modeStandard, false))
-		}
-		p.Waitall(reqs...)
-		return
-	}
-	pl := p.recvTagged(c, root, base)
-	copy(buf, pl.slice())
-	if pl.pooled {
-		p.PutF64(pl.f64)
-	}
-}
-
-// AllgatherF64 gathers equal-length contributions from all ranks to all
-// ranks using the ring algorithm (p−1 steps, each forwarding one block).
-func (p *Proc) AllgatherF64(c *Comm, buf []float64) []float64 {
-	p.Stats.Collectives++
-	base := p.collTag(c)
-	me := p.rankIn(c)
-	n := c.Size()
-	chunk := len(buf)
-	out := make([]float64, chunk*n)
-	copy(out[me*chunk:], buf)
-
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
-	cur := me
-	for step := 0; step < n-1; step++ {
-		block := p.GetF64(chunk)
-		copy(block, out[cur*chunk:(cur+1)*chunk])
-		req := p.sendTagged(c, right, base+step, payload{f64: block, pooled: true}, 8*chunk, modeStandard, false)
-		in := p.recvTagged(c, left, base+step)
-		cur = (cur - 1 + n) % n
-		copy(out[cur*chunk:], in.slice())
-		if in.pooled {
-			p.PutF64(in.f64)
-		}
-		p.wait(req)
-	}
-	return out
-}
-
-// AlltoallF64 exchanges chunk i of each rank's data with rank i (pairwise
-// exchange). data must have length chunk×p; the result likewise.
-func (p *Proc) AlltoallF64(c *Comm, data []float64, chunk int) []float64 {
-	p.Stats.Collectives++
-	base := p.collTag(c)
-	me := p.rankIn(c)
-	n := c.Size()
-	if len(data) != chunk*n {
-		panic(fmt.Sprintf("psmpi: alltoall size mismatch: %d != %d×%d", len(data), chunk, n))
-	}
-	out := make([]float64, chunk*n)
-	copy(out[me*chunk:], data[me*chunk:(me+1)*chunk])
-	for k := 1; k < n; k++ {
-		dst := (me + k) % n
-		src := (me - k + n) % n
-		block := p.GetF64(chunk)
-		copy(block, data[dst*chunk:(dst+1)*chunk])
-		req := p.sendTagged(c, dst, base+k, payload{f64: block, pooled: true}, 8*chunk, modeStandard, false)
-		in := p.recvTagged(c, src, base+k)
-		copy(out[src*chunk:], in.slice())
-		if in.pooled {
-			p.PutF64(in.f64)
-		}
-		p.wait(req)
-	}
-	return out
 }

@@ -125,77 +125,6 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 	}
 }
 
-func TestGatherOrder(t *testing.T) {
-	const n = 6
-	collJob(t, n, func(p *Proc) error {
-		out := p.GatherF64(p.World(), 2, []float64{float64(p.Rank()) * 10, float64(p.Rank())})
-		if p.Rank() != 2 {
-			if out != nil {
-				t.Errorf("non-root got %v", out)
-			}
-			return nil
-		}
-		for r := 0; r < n; r++ {
-			if out[2*r] != float64(r)*10 || out[2*r+1] != float64(r) {
-				t.Errorf("gather chunk %d = %v", r, out[2*r:2*r+2])
-			}
-		}
-		return nil
-	})
-}
-
-func TestScatterChunks(t *testing.T) {
-	const n = 4
-	collJob(t, n, func(p *Proc) error {
-		var data []float64
-		if p.Rank() == 0 {
-			for i := 0; i < 2*n; i++ {
-				data = append(data, float64(i))
-			}
-		}
-		buf := make([]float64, 2)
-		p.ScatterF64(p.World(), 0, data, buf)
-		if buf[0] != float64(2*p.Rank()) || buf[1] != float64(2*p.Rank()+1) {
-			t.Errorf("rank %d scatter got %v", p.Rank(), buf)
-		}
-		return nil
-	})
-}
-
-func TestAllgatherRing(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		collJob(t, n, func(p *Proc) error {
-			out := p.AllgatherF64(p.World(), []float64{float64(p.Rank() * p.Rank())})
-			for r := 0; r < n; r++ {
-				if out[r] != float64(r*r) {
-					t.Errorf("n=%d rank %d: allgather = %v", n, p.Rank(), out)
-					return nil
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestAlltoallTransposes(t *testing.T) {
-	const n = 4
-	collJob(t, n, func(p *Proc) error {
-		// data[j] = 10*me + j: after alltoall, out[j] must be 10*j + me.
-		data := make([]float64, n)
-		for j := range data {
-			data[j] = float64(10*p.Rank() + j)
-		}
-		out := p.AlltoallF64(p.World(), data, 1)
-		for j := range out {
-			if out[j] != float64(10*j+p.Rank()) {
-				t.Errorf("rank %d alltoall = %v", p.Rank(), out)
-				return nil
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllreduceCostGrowsWithRanks(t *testing.T) {
 	cost := func(n int) vclock.Time {
 		rt := testRuntime(n, 0)
@@ -256,12 +185,10 @@ func TestMixedCollectiveSequence(t *testing.T) {
 			t.Errorf("bcast = %v", buf[0])
 		}
 		p.Barrier(w)
-		out := p.AllgatherF64(w, []float64{v + buf[0]})
-		for _, x := range out {
-			if x != 5 {
-				t.Errorf("allgather = %v", out)
-				break
-			}
+		top := []float64{v + buf[0] + float64(p.Rank())}
+		p.ReduceF64(w, 3, top, OpMax)
+		if p.Rank() == 3 && top[0] != 8 {
+			t.Errorf("reduce max = %v", top[0])
 		}
 		return nil
 	})

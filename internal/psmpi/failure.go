@@ -111,46 +111,9 @@ func (fi *FailureInjector) arm(l *launch, start vclock.Time) {
 // NodeFailure, so the job drains through ordinary teardown instead of
 // tripping the kernel's deadlock detector. Runs as a kernel callback
 // (holding the baton), so touching launch state is safe. Task.Fail is a
-// no-op on finished or already-failing tasks, so a second failure (or a
-// revocation landing after an injected failure) cannot double-tear.
+// no-op on finished tasks, so ranks that already exited are left alone.
 func (l *launch) abort(nf *NodeFailure) {
 	for _, p := range l.all {
 		p.task.Fail(nf.At, nf)
-	}
-}
-
-// Revocation is a resource-manager-initiated allocation revocation: at At
-// the listed nodes are pulled from under whatever job holds them — the
-// batch system's drain path when a facility-level node failure (or an
-// administrative drain) strikes a live allocation. If any revoked node
-// hosts ranks of the job tree when the event fires, the whole job dies with
-// a recoverable *NodeFailure (MPI semantics, exactly like an injected
-// failure: recover it with FailureOf and restart from the best surviving
-// checkpoint). Revoking nodes the job does not occupy is a no-op — the
-// allocation may be wider than the job's current footprint.
-type Revocation struct {
-	// At is the virtual instant the nodes are revoked.
-	At vclock.Time
-	// Nodes are the revoked nodes (typically sched.Allocation.Nodes()).
-	Nodes []*machine.Node
-}
-
-// armRevocations schedules the launch's revocation events into its kernel.
-// Each fires as an ordinary CallAt callback (holding the baton); the first
-// one that intersects the job tree's nodes tears it down, later ones land
-// on dead tasks and do nothing.
-func (l *launch) armRevocations(revs []Revocation) {
-	for _, r := range revs {
-		r := r
-		l.eng.CallAt(r.At, func() {
-			for _, node := range r.Nodes {
-				for _, p := range l.all {
-					if p.node.ID == node.ID {
-						l.abort(&NodeFailure{Node: node.Name(), NodeID: node.ID, At: r.At})
-						return
-					}
-				}
-			}
-		})
 	}
 }

@@ -95,7 +95,6 @@ func (pr *postedRecv) matches(e *envelope) bool {
 type mailbox struct {
 	unexpected []*envelope
 	posted     []*postedRecv
-	probers    []*Proc // ranks parked in Probe, woken on new unexpected mail
 	// first backs unexpected until it outgrows it. Over the four
 	// experiments of the scale benchmark, 99.7% of the 81,900 mailboxes
 	// queue three unexpected messages at some point and two thirds never
@@ -126,11 +125,6 @@ func (mb *mailbox) deliver(e *envelope, dst *Proc) {
 		}
 	}
 	mb.unexpected = append(mb.unexpected, e)
-	// New unexpected mail: re-run any parked Probe loops.
-	for _, q := range mb.probers {
-		q.task.WakeAt(q.clock.Now())
-	}
-	mb.probers = mb.probers[:0]
 }
 
 // completeMatch resolves a (posted receive, envelope) pair: for rendezvous
@@ -259,8 +253,8 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 			return nil
 		}
 		// Eager sends complete locally: the request is born done, and since a
-		// done send request carries no state, every eager Isend of a rank
-		// shares one request struct instead of allocating.
+		// done send request carries no state, every eager non-blocking send of
+		// a rank shares one request struct instead of allocating.
 		return &p.eagerDone
 	}
 	e.refs++ // the sender reads the matched completion time
@@ -297,28 +291,20 @@ func (p *Proc) Send(c *Comm, dst, tag int, data any, bytes int) {
 	p.send(c, dst, tag, payload{val: data}, bytes, modeStandard, true)
 }
 
-// Isend is a non-blocking standard-mode send (MPI_Isend).
-func (p *Proc) Isend(c *Comm, dst, tag int, data any, bytes int) *Request {
-	return p.send(c, dst, tag, payload{val: data}, bytes, modeStandard, false)
-}
-
-// Issend is a non-blocking synchronous send (MPI_Issend): the request
-// completes only once the matching receive is posted. xPic uses this for the
-// Cluster↔Booster moment/field exchange (Listing 4 of the paper).
-func (p *Proc) Issend(c *Comm, dst, tag int, data any, bytes int) *Request {
-	return p.send(c, dst, tag, payload{val: data}, bytes, modeSync, false)
-}
-
-// IsendF64Pooled is Isend for a buffer taken from GetF64 and filled by the
-// caller. The buffer travels by reference and unboxed, and ownership goes
-// with it: the sender must not touch it again, and the receiver, its last
-// reader, returns it with PutF64 (RecvF64Pooled, WaitF64). A steady stream
-// of such messages allocates nothing.
+// IsendF64Pooled is a non-blocking standard-mode send (MPI_Isend) of a
+// buffer taken from GetF64 and filled by the caller. The buffer travels by
+// reference and unboxed, and ownership goes with it: the sender must not
+// touch it again, and the receiver, its last reader, returns it with PutF64
+// (RecvF64Pooled, WaitF64). A steady stream of such messages allocates
+// nothing.
 func (p *Proc) IsendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
 	return p.send(c, dst, tag, payload{f64: buf, pooled: true}, 8*len(buf), modeStandard, false)
 }
 
-// IssendF64Pooled is Issend with the ownership contract of IsendF64Pooled.
+// IssendF64Pooled is a non-blocking synchronous send (MPI_Issend) with the
+// ownership contract of IsendF64Pooled: the request completes only once the
+// matching receive is posted. xPic uses it for the Cluster↔Booster
+// moment/field exchange (Listing 4 of the paper).
 func (p *Proc) IssendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
 	return p.send(c, dst, tag, payload{f64: buf, pooled: true}, 8*len(buf), modeSync, false)
 }
@@ -546,36 +532,20 @@ func (p *Proc) Waitall(reqs ...*Request) {
 	}
 }
 
-// sendF64Copy implements the copying F64 send flavours: the copy comes from
-// the launch's buffer pool and is marked for recycling by its sole consumer
-// (RecvF64 returns it to the pool after copying out), so the steady-state
-// F64 traffic of a job allocates nothing.
-func (p *Proc) sendF64Copy(c *Comm, dst, tag int, buf []float64, mode sendMode, blocking bool) *Request {
-	cp := p.GetF64(len(buf))
-	copy(cp, buf)
-	return p.send(c, dst, tag, payload{f64: cp, pooled: true}, 8*len(buf), mode, blocking)
-}
-
 // SendF64 copies and sends a []float64 payload; the wire size is 8 bytes per
 // element. The copy gives MPI value semantics: the caller may reuse buf
-// immediately.
+// immediately. It comes from the launch's buffer pool, and RecvF64, its sole
+// consumer, returns it there after copying out, so the steady-state F64
+// traffic of a job allocates nothing.
 func (p *Proc) SendF64(c *Comm, dst, tag int, buf []float64) {
-	p.sendF64Copy(c, dst, tag, buf, modeStandard, true)
-}
-
-// IsendF64 is the non-blocking variant of SendF64.
-func (p *Proc) IsendF64(c *Comm, dst, tag int, buf []float64) *Request {
-	return p.sendF64Copy(c, dst, tag, buf, modeStandard, false)
-}
-
-// IssendF64 is the synchronous non-blocking variant of SendF64.
-func (p *Proc) IssendF64(c *Comm, dst, tag int, buf []float64) *Request {
-	return p.sendF64Copy(c, dst, tag, buf, modeSync, false)
+	cp := p.GetF64(len(buf))
+	copy(cp, buf)
+	p.send(c, dst, tag, payload{f64: cp, pooled: true}, 8*len(buf), modeStandard, true)
 }
 
 // RecvF64 receives a []float64 payload into buf (which must be large enough)
-// and returns the element count. Pool-copied payloads (the SendF64 family)
-// are recycled here — the receiver is their last reader.
+// and returns the element count. Pool-copied payloads (SendF64) are recycled
+// here — the receiver is their last reader.
 func (p *Proc) RecvF64(c *Comm, src, tag int, buf []float64) (int, Status) {
 	e := p.recvCommon(c, src, tag)
 	v := e.pl.slice()

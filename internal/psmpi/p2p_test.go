@@ -144,15 +144,17 @@ func TestIsendIrecvWait(t *testing.T) {
 	runJob(t, rt, 2, func(p *Proc) error {
 		w := p.World()
 		if p.Rank() == 0 {
-			req := p.IsendF64(w, 1, 5, []float64{9})
-			p.Wait(req)
+			buf := p.GetF64(1)
+			buf[0] = 9
+			p.Wait(p.IsendF64Pooled(w, 1, 5, buf))
 			return nil
 		}
 		req := p.Irecv(w, 0, 5)
-		data, st := p.Wait(req)
-		if data.([]float64)[0] != 9 || st.Source != 0 {
+		data, st := p.WaitF64(req)
+		if data[0] != 9 || st.Source != 0 {
 			t.Errorf("irecv got %v / %+v", data, st)
 		}
+		p.PutF64(data)
 		return nil
 	})
 }
@@ -250,8 +252,9 @@ func TestIssendCompletesAfterMatch(t *testing.T) {
 	runJob(t, rt, 2, func(p *Proc) error {
 		w := p.World()
 		if p.Rank() == 0 {
-			req := p.IssendF64(w, 1, 0, []float64{1}) // 8 bytes: still synchronous
-			p.Wait(req)
+			buf := p.GetF64(1) // 8 bytes: still synchronous
+			buf[0] = 1
+			p.Wait(p.IssendF64Pooled(w, 1, 0, buf))
 			senderEnd = p.Now()
 			return nil
 		}

@@ -20,16 +20,6 @@ type Stats struct {
 	Spawns      int64
 }
 
-// CommFraction returns the share of this rank's busy time spent
-// communicating.
-func (s Stats) CommFraction() float64 {
-	total := s.ComputeTime + s.CommTime + s.OtherTime
-	if total == 0 {
-		return 0
-	}
-	return s.CommTime.Seconds() / total.Seconds()
-}
-
 // Proc is one MPI process (rank). All methods must be called from the rank's
 // own goroutine — exactly like an MPI rank, a Proc is single-threaded. The
 // goroutine runs under the job's execution kernel (internal/engine), which
@@ -56,8 +46,8 @@ type Proc struct {
 	// reqFree recycles the requests of Irecv and rendezvous sends (returned
 	// by Wait).
 	reqFree []*Request
-	// eagerDone is the shared born-done request every eager Isend returns
-	// (a completed send request carries no state).
+	// eagerDone is the shared born-done request every eager non-blocking
+	// send returns (a completed send request carries no state).
 	eagerDone Request
 	// scalarBuf is AllreduceScalar's reusable one-element working buffer.
 	scalarBuf []float64

@@ -14,8 +14,9 @@
 // Semantics follow MPI where it matters for the reproduced application:
 // matching by (communicator, source, tag) with wildcards, per-pair
 // non-overtaking order, eager vs rendezvous protocol selection by size,
-// synchronous sends (Issend) completing only after the match, and collective
-// operations that synchronise the participants' virtual clocks.
+// synchronous sends (IssendF64Pooled, xPic's MPI_Issend) completing only
+// after the match, and collective operations that synchronise the
+// participants' virtual clocks.
 package psmpi
 
 import (
@@ -44,14 +45,6 @@ const MaxUserTag = 1 << 20
 // main. The returned error aborts the job and is reported in the Result.
 type MainFunc func(p *Proc) error
 
-// Placement decides where spawned processes run. The resource manager
-// (internal/sched) provides the production implementation; the runtime falls
-// back to simple round-robin placement when none is configured.
-type Placement interface {
-	// PlaceSpawn returns n nodes of the requested module for a spawn.
-	PlaceSpawn(n int, m machine.Module) ([]*machine.Node, error)
-}
-
 // Config tunes runtime-level costs.
 type Config struct {
 	// SpawnOverhead is the virtual time MPI_Comm_spawn takes to boot the
@@ -78,16 +71,14 @@ func DefaultConfig() Config {
 // Runtime owns the processes, the registry of spawnable binaries and the
 // connection to the hardware models.
 type Runtime struct {
-	sys  *machine.System
-	net  *fabric.Network
-	cfg  Config
-	plac Placement
+	sys *machine.System
+	net *fabric.Network
+	cfg Config
 
-	mu         sync.Mutex
-	binReg     map[string]MainFunc
-	commID     uint64
-	splitCache map[string]*Comm
-	trace      *traceSink
+	mu     sync.Mutex
+	binReg map[string]MainFunc
+	commID uint64
+	trace  *traceSink
 }
 
 // NewRuntime creates a runtime over the given system and network. A zero
@@ -112,9 +103,6 @@ func (rt *Runtime) System() *machine.System { return rt.sys }
 
 // Network returns the fabric.
 func (rt *Runtime) Network() *fabric.Network { return rt.net }
-
-// SetPlacement installs a placement service used by Spawn.
-func (rt *Runtime) SetPlacement(p Placement) { rt.plac = p }
 
 // Register makes a binary name spawnable, like installing an executable on
 // the system. Registering an empty name or nil main panics.
@@ -144,21 +132,10 @@ func (rt *Runtime) nextCommID() uint64 {
 	return rt.commID
 }
 
-// placeSpawn resolves spawn placement for one rank's job tree: the launch's
-// own service (the job's live allocation) wins over the runtime-global one.
-func (p *Proc) placeSpawn(n int, m machine.Module) ([]*machine.Node, error) {
-	if p.l.plac != nil {
-		return p.l.plac.PlaceSpawn(n, m)
-	}
-	return p.rt.placeSpawn(n, m)
-}
-
-// placeSpawn resolves spawn placement through the configured service or the
-// built-in round-robin fallback.
+// placeSpawn places n spawned processes on module m: round-robin over the
+// module's nodes in ID order, wrapping (several ranks per node) when n
+// exceeds the module's node count.
 func (rt *Runtime) placeSpawn(n int, m machine.Module) ([]*machine.Node, error) {
-	if rt.plac != nil {
-		return rt.plac.PlaceSpawn(n, m)
-	}
 	pool := rt.sys.Module(m)
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("psmpi: module %v has no nodes", m)
@@ -174,7 +151,6 @@ func (rt *Runtime) placeSpawn(n int, m machine.Module) ([]*machine.Node, error) 
 // all scheduled by one execution kernel.
 type launch struct {
 	eng  *engine.Engine
-	plac Placement // per-launch spawn placement, overriding the runtime's
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	errs []error
@@ -293,17 +269,6 @@ type LaunchSpec struct {
 	// error (recover it with FailureOf). The injector keeps its RNG state
 	// across launches, so a restart loop sees a continuing failure sequence.
 	Failures *FailureInjector
-	// Revocations, if set, schedules resource-manager allocation
-	// revocations into this launch: at each Revocation.At, if any of its
-	// nodes host ranks of the job tree, the whole job is torn down with a
-	// recoverable *NodeFailure (see FailureOf) — the psmpi face of the
-	// batch system's facility-level drain/requeue path.
-	Revocations []Revocation
-	// Placement, if set, decides spawn placement for this job tree only,
-	// overriding the runtime-global service. The batch system passes the
-	// job's live allocation here (sched.Allocation implements Placement), so
-	// dynamic spawns stay inside the job's reservation.
-	Placement Placement
 }
 
 // Result summarises a completed job tree.
@@ -340,11 +305,10 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 	if spec.Main == nil {
 		return Result{}, errors.New("psmpi: launch with nil main")
 	}
-	l := &launch{eng: engine.New(), plac: spec.Placement}
+	l := &launch{eng: engine.New()}
 	world := rt.newWorld(l, spec.Nodes, spec.Args, spec.StartTime, nil)
 	rt.startJob(l, world, spec.Main, spec.StartTime)
 	spec.Failures.arm(l, spec.StartTime)
-	l.armRevocations(spec.Revocations)
 	l.eng.Run()
 	l.wg.Wait()
 

@@ -33,8 +33,8 @@ type spawnHandle struct {
 // obtain their side of the inter-communicator via Proc.Parent.
 //
 // All ranks of c must call Spawn with the same spec. Rank 0 acts as the root:
-// it asks the resource manager for nodes, boots the children and distributes
-// the inter-communicator.
+// it places the children (Runtime.placeSpawn), boots them and distributes the
+// inter-communicator.
 func (p *Proc) Spawn(c *Comm, spec SpawnSpec) (*Comm, error) {
 	if c.IsInter() {
 		return nil, fmt.Errorf("psmpi: spawn over an inter-communicator")
@@ -72,7 +72,7 @@ func (p *Proc) spawnRoot(c *Comm, spec SpawnSpec) spawnHandle {
 	if err != nil {
 		return spawnHandle{err: err}
 	}
-	nodes, err := p.placeSpawn(spec.Procs, spec.Module)
+	nodes, err := p.rt.placeSpawn(spec.Procs, spec.Module)
 	if err != nil {
 		return spawnHandle{err: fmt.Errorf("psmpi: spawn placement: %w", err)}
 	}

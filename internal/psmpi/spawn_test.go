@@ -1,11 +1,10 @@
 package psmpi
 
 import (
-	"sync"
+	"slices"
 	"testing"
 
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
 )
 
@@ -59,7 +58,7 @@ func TestSpawnBasic(t *testing.T) {
 }
 
 // TestSpawnIntercommTraffic sends data both ways across the
-// inter-communicator, the xPic Listing 4 pattern (Issend/Irecv).
+// inter-communicator, the xPic Listing 4 pattern (IssendF64Pooled/Irecv).
 func TestSpawnIntercommTraffic(t *testing.T) {
 	rt := testRuntime(1, 1)
 	rt.Register("worker", func(p *Proc) error {
@@ -68,8 +67,9 @@ func TestSpawnIntercommTraffic(t *testing.T) {
 		p.RecvF64(parent, 0, 1, buf) // from parent rank 0
 		buf[0] *= 10
 		buf[1] *= 10
-		req := p.IssendF64(parent, 0, 2, buf)
-		p.Wait(req)
+		out := p.GetF64(len(buf))
+		copy(out, buf)
+		p.Wait(p.IssendF64Pooled(parent, 0, 2, out))
 		return nil
 	})
 	runJob(t, rt, 1, func(p *Proc) error {
@@ -208,74 +208,52 @@ func TestSpawnArgsVisible(t *testing.T) {
 	})
 }
 
-// TestSpawnPlacementService checks that a configured Placement is consulted.
-type fixedPlacement struct {
-	nodes []*machine.Node
-	calls int
-}
-
-func (f *fixedPlacement) PlaceSpawn(n int, m machine.Module) ([]*machine.Node, error) {
-	f.calls++
-	return f.nodes[:n], nil
-}
-
-func TestSpawnPlacementService(t *testing.T) {
-	rt := testRuntime(1, 3)
-	want := rt.System().Module(machine.Booster)[2:3] // place on bn02 specifically
-	fp := &fixedPlacement{nodes: want}
-	rt.SetPlacement(fp)
-	rt.Register("placed", func(p *Proc) error {
-		if p.Node().Name() != "bn02" {
-			t.Errorf("child placed on %s, want bn02", p.Node().Name())
-		}
-		return nil
-	})
-	runJob(t, rt, 1, func(p *Proc) error {
-		_, err := p.Spawn(p.World(), SpawnSpec{Binary: "placed", Procs: 1, Module: machine.Booster})
-		return err
-	})
-	if fp.calls != 1 {
-		t.Errorf("placement called %d times, want 1", fp.calls)
+// TestSpawnPlacement pins the one spawn placement: children land on the
+// target module's nodes in ID order, wrap round-robin when Procs exceeds the
+// module's node count, and a spawn that cannot be placed fails the job with
+// an error instead of a panic.
+func TestSpawnPlacement(t *testing.T) {
+	cases := []struct {
+		name    string
+		booster int
+		procs   int
+		module  machine.Module
+		want    []string // child nodes by child rank; nil = spawn fails
+	}{
+		{"id order", 3, 2, machine.Booster, []string{"bn00", "bn01"}},
+		{"whole module", 3, 3, machine.Booster, []string{"bn00", "bn01", "bn02"}},
+		{"wraps round-robin", 3, 5, machine.Booster, []string{"bn00", "bn01", "bn02", "bn00", "bn01"}},
+		{"onto the parent's module", 0, 3, machine.Cluster, []string{"cn00", "cn00", "cn00"}},
+		{"module without nodes", 0, 1, machine.Booster, nil},
+		{"zero procs", 3, 0, machine.Booster, nil},
 	}
-}
-
-// TestSpawnPlacementFromAllocation checks the per-launch placement override:
-// a job launched with its live allocation as Placement spawns children onto
-// the allocation's own nodes, even though the machine-wide service would
-// prefer the free nodes outside the reservation.
-func TestSpawnPlacementFromAllocation(t *testing.T) {
-	rt := testRuntime(2, 4)
-	mgr := sched.NewManager(rt.System())
-	rt.SetPlacement(mgr) // machine-wide fallback: prefers free nodes
-	alloc, err := mgr.Alloc(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inside := map[string]bool{}
-	for _, n := range alloc.Booster {
-		inside[n.Name()] = true
-	}
-	var mu sync.Mutex
-	var landed []string
-	rt.Register("allocchild", func(p *Proc) error {
-		mu.Lock()
-		landed = append(landed, p.Node().Name())
-		mu.Unlock()
-		return nil
-	})
-	main := func(p *Proc) error {
-		_, err := p.Spawn(p.World(), SpawnSpec{Binary: "allocchild", Procs: 4, Module: machine.Booster})
-		return err
-	}
-	if _, err := rt.Launch(LaunchSpec{Nodes: alloc.Cluster, Main: main, Placement: alloc}); err != nil {
-		t.Fatalf("job failed: %v", err)
-	}
-	if len(landed) != 4 {
-		t.Fatalf("%d children ran, want 4", len(landed))
-	}
-	for _, name := range landed {
-		if !inside[name] {
-			t.Errorf("child on %s escaped the allocation %v", name, alloc.Booster)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRuntime(1, tc.booster)
+			landed := make([]string, max(tc.procs, 0))
+			rt.Register("placed", func(p *Proc) error {
+				landed[p.Rank()] = p.Node().Name()
+				return nil
+			})
+			_, err := rt.Launch(LaunchSpec{
+				Nodes: rt.System().Module(machine.Cluster),
+				Main: func(p *Proc) error {
+					_, err := p.Spawn(p.World(), SpawnSpec{Binary: "placed", Procs: tc.procs, Module: tc.module})
+					return err
+				},
+			})
+			if tc.want == nil {
+				if err == nil {
+					t.Fatal("unplaceable spawn succeeded")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("job failed: %v", err)
+			}
+			if !slices.Equal(landed, tc.want) {
+				t.Errorf("children on %v, want %v", landed, tc.want)
+			}
+		})
 	}
 }

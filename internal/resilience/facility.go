@@ -12,22 +12,9 @@ package resilience
 import (
 	"math"
 
-	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
 )
-
-// RevokeAllocation builds the psmpi revocation that drains a live batch
-// allocation at a virtual instant: pass it in LaunchSpec.Revocations and
-// any job tree occupying the allocation's nodes at that moment dies with a
-// recoverable *psmpi.NodeFailure — the same error an injected node failure
-// raises, so one restart loop (Run in this package) handles scheduler
-// drains and hardware faults alike. sched stays below psmpi (Allocation
-// satisfies psmpi.Placement structurally), so this glue lives here, the
-// package that already sits above both.
-func RevokeAllocation(a *sched.Allocation, at vclock.Time) psmpi.Revocation {
-	return psmpi.Revocation{At: at, Nodes: a.Nodes()}
-}
 
 // FacilityCheckpoint implements sched.RewindPolicy: a job checkpoints after
 // every Every of useful work, paying Cost per checkpoint, and a resumed

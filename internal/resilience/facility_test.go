@@ -3,10 +3,6 @@ package resilience
 import (
 	"testing"
 
-	"clusterbooster/internal/fabric"
-	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
-	"clusterbooster/internal/sched"
 	"clusterbooster/internal/vclock"
 )
 
@@ -60,50 +56,4 @@ func approxTime(a, b vclock.Time) bool {
 		d = -d
 	}
 	return d < 1e-9
-}
-
-// TestRevokeAllocationKillsPlacedJob is the end-to-end drain path: a batch
-// allocation hosts a live psmpi job (placed via the allocation, as the
-// facility does), the resource manager revokes the allocation mid-run, and
-// the job dies with a recoverable NodeFailure naming one of the
-// allocation's nodes — the error the restart loop rewinds from.
-func TestRevokeAllocationKillsPlacedJob(t *testing.T) {
-	sys := machine.New(4, 2)
-	m := sched.NewManager(sys)
-	alloc, err := m.Alloc(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := psmpi.NewRuntime(sys, fabric.New(sys, fabric.Config{}), psmpi.Config{})
-	at := 5 * vclock.Millisecond
-	_, err = rt.Launch(psmpi.LaunchSpec{
-		Nodes:       alloc.Nodes(),
-		Placement:   alloc,
-		Revocations: []psmpi.Revocation{RevokeAllocation(alloc, at)},
-		Main: func(p *psmpi.Proc) error {
-			for i := 0; i < 100; i++ {
-				p.Elapse(vclock.Millisecond)
-			}
-			return nil
-		},
-	})
-	if err == nil {
-		t.Fatal("job survived the revocation of its allocation")
-	}
-	nf, ok := psmpi.FailureOf(err)
-	if !ok {
-		t.Fatalf("revocation did not surface as a recoverable NodeFailure: %v", err)
-	}
-	if nf.At != at {
-		t.Fatalf("failure at %v, want the revocation instant %v", nf.At, at)
-	}
-	found := false
-	for _, n := range alloc.Nodes() {
-		if n.ID == nf.NodeID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("failed node %s (id %d) is not part of the revoked allocation", nf.Node, nf.NodeID)
-	}
 }

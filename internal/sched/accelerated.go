@@ -40,7 +40,7 @@ func SimulateAcceleratedQueue(jobs []Job, pairedNodes int) (Schedule, error) {
 		// The ID indexes jobs, so each placement maps back to its request.
 		paired[i] = Job{ID: i, Cluster: need, Booster: need, Arrival: j.Arrival, Duration: j.Duration}
 	}
-	sched, err := NewManager(machine.New(pairedNodes, pairedNodes)).SimulateQueue(paired, FCFS)
+	sched, err := SimulateQueue(machine.New(pairedNodes, pairedNodes), paired, FCFS)
 	if err != nil {
 		return Schedule{}, err
 	}

@@ -21,8 +21,8 @@ func complementaryMix() []Job {
 
 func TestModularBeatsAcceleratedOnComplementaryMix(t *testing.T) {
 	// Modular machine: 8 cluster + 8 booster nodes, reserved independently.
-	m := NewManager(machine.New(8, 8))
-	mod, err := m.SimulateQueue(complementaryMix(), FCFS)
+	sys := machine.New(8, 8)
+	mod, err := SimulateQueue(sys, complementaryMix(), FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestModularBeatsAcceleratedOnComplementaryMix(t *testing.T) {
 func TestAcceleratedMixedJobEquivalent(t *testing.T) {
 	// A balanced job (c == b) is equally served by both architectures.
 	jobs := []Job{{ID: 1, Cluster: 4, Booster: 4, Duration: 5 * vclock.Second}}
-	m := NewManager(machine.New(4, 4))
-	mod, err := m.SimulateQueue(jobs, FCFS)
+	sys := machine.New(4, 4)
+	mod, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}

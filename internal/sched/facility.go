@@ -223,8 +223,8 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 		return FacilityOutcome{}, fmt.Errorf("sched: unknown facility policy %q", p.Policy)
 	}
 
-	m := NewManager(machine.New(FacilityClusterNodes, FacilityBoosterNodes))
-	sched, cnt, faults, err := m.simulateQueueFaults(facilityJobs(p), policy, p.Faults)
+	sys := machine.New(FacilityClusterNodes, FacilityBoosterNodes)
+	sched, cnt, faults, err := simulateQueueFaults(sys, facilityJobs(p), policy, p.Faults)
 	if err != nil {
 		return FacilityOutcome{}, err
 	}
@@ -232,8 +232,8 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 	out := FacilityOutcome{
 		Jobs:        len(sched.Placed),
 		Makespan:    sched.Makespan,
-		UtilCluster: sched.Utilisation(m, machine.Cluster),
-		UtilBooster: sched.Utilisation(m, machine.Booster),
+		UtilCluster: sched.Utilisation(sys, machine.Cluster),
+		UtilBooster: sched.Utilisation(sys, machine.Booster),
 		MeanWait:    sched.AverageWait(),
 		Backfilled:  cnt.backfilled,
 		Shrunk:      cnt.shrunk,

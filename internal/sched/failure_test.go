@@ -66,8 +66,8 @@ func runFaulty(t *testing.T, c, b int, jobs []Job, policy Policy, faults Facilit
 	t.Helper()
 	audit, violations := capacityOracle(c, b)
 	faults.audit = audit
-	m := NewManager(machine.New(c, b))
-	sched, cnt, fr, err := m.simulateQueueFaults(jobs, policy, &faults)
+	sys := machine.New(c, b)
+	sched, cnt, fr, err := simulateQueueFaults(sys, jobs, policy, &faults)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func sec(s float64) vclock.Time { return vclock.Time(s) }
 // running jobs release on time) — EASY-style aggressive backfill would
 // starve it, conservative backfill must not.
 func TestBackfillReservationInvariant(t *testing.T) {
-	m := NewManager(machine.New(4, 4))
+	sys := machine.New(4, 4)
 	jobs := []Job{
 		// Occupies the whole Cluster side until t=10.
 		{ID: 1, Cluster: 4, Booster: 0, Arrival: 0, Duration: sec(10)},
@@ -33,7 +33,7 @@ func TestBackfillReservationInvariant(t *testing.T) {
 		jobs = append(jobs, Job{ID: 3 + i, Cluster: 0, Booster: 1,
 			Arrival: sec(float64(1 + i)), Duration: sec(2)})
 	}
-	sched, cnt, err := m.simulateQueue(jobs, Backfill)
+	sched, cnt, err := simulateQueue(sys, jobs, Backfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestBackfillReservationInvariant(t *testing.T) {
 // TestMalleableShrinkBelowMinimumRejected: a malleable job must wait rather
 // than start below its minima.
 func TestMalleableShrinkBelowMinimumRejected(t *testing.T) {
-	m := NewManager(machine.New(8, 8))
+	sys := machine.New(8, 8)
 	jobs := []Job{
 		{ID: 1, Cluster: 6, Booster: 6, Arrival: 0, Duration: sec(10)},
 		{ID: 2, Cluster: 8, Booster: 8, Arrival: sec(1), Duration: sec(4),
 			Malleable: true, MinCluster: 4, MinBooster: 4},
 	}
-	sched, cnt, err := m.simulateQueue(jobs, Backfill)
+	sched, cnt, err := simulateQueue(sys, jobs, Backfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestMalleableShrinkBelowMinimumRejected(t *testing.T) {
 // arrivals; the kernel must idle across the gaps and terminate cleanly
 // instead of tripping the deadlock detector.
 func TestQueueDrainedTermination(t *testing.T) {
-	m := NewManager(machine.New(2, 2))
+	sys := machine.New(2, 2)
 	jobs := []Job{
 		{ID: 1, Cluster: 2, Booster: 2, Arrival: 0, Duration: sec(1)},
 		{ID: 2, Cluster: 2, Booster: 2, Arrival: sec(100), Duration: sec(1)},
 		{ID: 3, Cluster: 2, Booster: 2, Arrival: sec(1000), Duration: sec(1)},
 	}
 	for _, pol := range []Policy{FCFS, Backfill} {
-		sched, cnt, err := m.simulateQueue(jobs, pol)
+		sched, cnt, err := simulateQueue(sys, jobs, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,35 +105,6 @@ func TestQueueDrainedTermination(t *testing.T) {
 		if cnt.peakQueue != 1 {
 			t.Fatalf("policy %v: peak queue %d, want 1 (queue drains between arrivals)", pol, cnt.peakQueue)
 		}
-	}
-}
-
-// TestAllocationPlaceSpawn: an allocation places spawns round-robin on its
-// own nodes only, and refuses modules it holds no nodes of.
-func TestAllocationPlaceSpawn(t *testing.T) {
-	m := NewManager(machine.New(8, 8))
-	a, err := m.Alloc(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := a.PlaceSpawn(4, machine.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []*machine.Node{a.Cluster[0], a.Cluster[1], a.Cluster[0], a.Cluster[1]}
-	if !reflect.DeepEqual(nodes, want) {
-		t.Fatalf("spawn left the allocation: got %v", nodes)
-	}
-	// The cursor advances: the next spawn continues round-robin.
-	more, err := a.PlaceSpawn(1, machine.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if more[0] != a.Cluster[0] {
-		t.Fatalf("cursor did not wrap: got %v", more[0])
-	}
-	if _, err := a.PlaceSpawn(1, machine.Booster); err == nil {
-		t.Fatal("spawn onto a module the allocation holds no nodes of must fail")
 	}
 }
 
@@ -250,13 +221,13 @@ func TestFacilityOneTaskPerRun(t *testing.T) {
 // of it finishes nothing is running, and the kernel's deadlock detector must
 // turn that into an error instead of a hang.
 func TestQueueStallIsAnError(t *testing.T) {
-	m := NewManager(machine.New(4, 4))
+	sys := machine.New(4, 4)
 	jobs := []Job{
 		{ID: 1, Cluster: 4, Arrival: 0, Duration: sec(1)},
 		{ID: 2, Cluster: 5, Booster: 1, Arrival: sec(1), Duration: sec(1),
 			Malleable: true, MinCluster: 2, MinBooster: 2},
 	}
-	_, err := m.SimulateQueue(jobs, FCFS)
+	_, err := SimulateQueue(sys, jobs, FCFS)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("stalled queue returned %v, want a stall error", err)
 	}

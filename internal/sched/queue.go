@@ -73,9 +73,9 @@ func (s Schedule) AverageWait() vclock.Time {
 }
 
 // Utilisation returns node-time used divided by node-time available over the
-// makespan, for one module.
-func (s Schedule) Utilisation(m *Manager, mod machine.Module) float64 {
-	total := float64(len(m.sys.Module(mod))) * s.Makespan.Seconds()
+// makespan, for one module of the machine sys the schedule ran on.
+func (s Schedule) Utilisation(sys *machine.System, mod machine.Module) float64 {
+	total := float64(sys.NodeCount(mod)) * s.Makespan.Seconds()
 	if total == 0 {
 		return 0
 	}
@@ -150,8 +150,8 @@ type queueCounters struct {
 
 // queueRun is the scheduler state of one kernel queue simulation. Every
 // field is kernel state: it is only ever touched from the run's kernel
-// callbacks, which execute one at a time holding the engine baton, so —
-// like the Manager — it needs no lock.
+// callbacks, which execute one at a time holding the engine baton, so it
+// needs no lock.
 type queueRun struct {
 	policy Policy
 	freeC  int
@@ -178,9 +178,9 @@ type queueRun struct {
 	faults *faultRun
 }
 
-// SimulateQueue schedules the jobs (sorted by arrival) under the policy and
-// returns the resulting schedule. It does not touch the manager's online
-// allocation state; it is a planning computation over total node counts.
+// SimulateQueue schedules the jobs (sorted by arrival) under the policy on
+// the machine sys and returns the resulting schedule. It reads only sys's
+// node count per module.
 //
 // The run is a chain of callbacks on one event kernel: an arrival enqueues
 // its job and re-runs the policy, a grant takes the job's nodes and
@@ -188,15 +188,15 @@ type queueRun struct {
 // the policy. One driver task parks for the whole run. If the queue can
 // make no progress (head blocked, nothing running) the kernel's deadlock
 // detector fails the driver and the error surfaces here.
-func (m *Manager) SimulateQueue(jobs []Job, policy Policy) (Schedule, error) {
-	sched, _, err := m.simulateQueue(jobs, policy)
+func SimulateQueue(sys *machine.System, jobs []Job, policy Policy) (Schedule, error) {
+	sched, _, err := simulateQueue(sys, jobs, policy)
 	return sched, err
 }
 
 // simulateQueue is SimulateQueue plus the scheduler activity counters the
 // facility layer reports.
-func (m *Manager) simulateQueue(jobs []Job, policy Policy) (Schedule, queueCounters, error) {
-	sched, cnt, _, err := m.simulateQueueFaults(jobs, policy, nil)
+func simulateQueue(sys *machine.System, jobs []Job, policy Policy) (Schedule, queueCounters, error) {
+	sched, cnt, _, err := simulateQueueFaults(sys, jobs, policy, nil)
 	return sched, cnt, err
 }
 
@@ -204,9 +204,9 @@ func (m *Manager) simulateQueue(jobs []Job, policy Policy) (Schedule, queueCount
 // failure/repair process (nil or disabled faults run failure-free). The
 // returned faultRun carries the availability and occupancy integrals of a
 // faulty run (nil otherwise).
-func (m *Manager) simulateQueueFaults(jobs []Job, policy Policy, faults *FacilityFaults) (Schedule, queueCounters, *faultRun, error) {
-	totalC := m.sys.NodeCount(machine.Cluster)
-	totalB := m.sys.NodeCount(machine.Booster)
+func simulateQueueFaults(sys *machine.System, jobs []Job, policy Policy, faults *FacilityFaults) (Schedule, queueCounters, *faultRun, error) {
+	totalC := sys.NodeCount(machine.Cluster)
+	totalB := sys.NodeCount(machine.Booster)
 	for _, j := range jobs {
 		needC, needB := j.Cluster, j.Booster
 		if j.Malleable {

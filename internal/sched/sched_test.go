@@ -7,135 +7,13 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-func newMgr() *Manager { return NewManager(machine.Prototype()) }
-
-func TestAllocRelease(t *testing.T) {
-	m := newMgr()
-	a, err := m.Alloc(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Cluster) != 4 || len(a.Booster) != 2 {
-		t.Fatalf("allocation %d/%d, want 4/2", len(a.Cluster), len(a.Booster))
-	}
-	if m.FreeCount(machine.Cluster) != 12 || m.FreeCount(machine.Booster) != 6 {
-		t.Fatalf("free %d/%d after alloc", m.FreeCount(machine.Cluster), m.FreeCount(machine.Booster))
-	}
-	m.Release(a)
-	if m.FreeCount(machine.Cluster) != 16 || m.FreeCount(machine.Booster) != 8 {
-		t.Fatalf("free %d/%d after release", m.FreeCount(machine.Cluster), m.FreeCount(machine.Booster))
-	}
-	m.Release(a) // idempotent
-	if m.FreeCount(machine.Cluster) != 16 {
-		t.Fatal("double release corrupted pool")
-	}
-}
-
-func TestAllocIndependentModules(t *testing.T) {
-	// §II-A: Cluster and Booster nodes are reserved independently — a
-	// cluster-only allocation leaves the booster untouched.
-	m := newMgr()
-	if _, err := m.Alloc(16, 0); err != nil {
-		t.Fatal(err)
-	}
-	if m.FreeCount(machine.Booster) != 8 {
-		t.Fatal("cluster-only allocation consumed booster nodes")
-	}
-	if _, err := m.Alloc(0, 8); err != nil {
-		t.Fatalf("booster still free but alloc failed: %v", err)
-	}
-}
-
-func TestAllocOverCommit(t *testing.T) {
-	m := newMgr()
-	if _, err := m.Alloc(17, 0); err == nil {
-		t.Fatal("over-allocation succeeded")
-	}
-	// Failed alloc must not leak nodes.
-	if m.FreeCount(machine.Cluster) != 16 {
-		t.Fatal("failed allocation leaked nodes")
-	}
-}
-
-func TestAllocDisjoint(t *testing.T) {
-	m := newMgr()
-	a, _ := m.Alloc(8, 4)
-	b, _ := m.Alloc(8, 4)
-	seen := map[int]bool{}
-	for _, n := range append(a.Nodes(), b.Nodes()...) {
-		if seen[n.ID] {
-			t.Fatalf("node %d allocated twice", n.ID)
-		}
-		seen[n.ID] = true
-	}
-}
-
-func TestGrowShrink(t *testing.T) {
-	m := newMgr()
-	a, _ := m.Alloc(2, 2)
-	got, err := m.Grow(a, machine.Booster, 3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("grow: %v (%d nodes)", err, len(got))
-	}
-	if len(a.Booster) != 5 || m.FreeCount(machine.Booster) != 3 {
-		t.Fatalf("after grow: alloc %d free %d", len(a.Booster), m.FreeCount(machine.Booster))
-	}
-	if err := m.Shrink(a, machine.Booster, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Booster) != 1 || m.FreeCount(machine.Booster) != 7 {
-		t.Fatalf("after shrink: alloc %d free %d", len(a.Booster), m.FreeCount(machine.Booster))
-	}
-	if err := m.Shrink(a, machine.Booster, 5); err == nil {
-		t.Fatal("shrink below zero succeeded")
-	}
-}
-
-func TestPlaceSpawnPrefersFree(t *testing.T) {
-	m := newMgr()
-	// Occupy all but the last two booster nodes.
-	if _, err := m.Alloc(0, 6); err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := m.PlaceSpawn(2, machine.Booster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range nodes {
-		if n.Index < 6 {
-			t.Errorf("spawn placed on busy node %s", n.Name())
-		}
-	}
-}
-
-func TestPlaceSpawnOversubscribes(t *testing.T) {
-	m := newMgr()
-	if _, err := m.Alloc(0, 8); err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := m.PlaceSpawn(4, machine.Booster)
-	if err != nil {
-		t.Fatalf("full module should oversubscribe, got %v", err)
-	}
-	if len(nodes) != 4 {
-		t.Fatalf("got %d nodes", len(nodes))
-	}
-}
-
-func TestPlaceSpawnInvalid(t *testing.T) {
-	m := newMgr()
-	if _, err := m.PlaceSpawn(0, machine.Booster); err == nil {
-		t.Fatal("zero-proc spawn accepted")
-	}
-}
-
 func TestQueueFCFSOrder(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 16, Duration: 10 * vclock.Second},
 		{ID: 2, Cluster: 1, Duration: 1 * vclock.Second},
 	}
-	s, err := m.SimulateQueue(jobs, FCFS)
+	s, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +27,14 @@ func TestQueueFCFSOrder(t *testing.T) {
 }
 
 func TestQueueBackfill(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 10, Duration: 10 * vclock.Second},
 		{ID: 2, Cluster: 16, Duration: 5 * vclock.Second}, // blocked head
 		{ID: 3, Cluster: 4, Duration: 10 * vclock.Second}, // fits the hole
 		{ID: 4, Cluster: 4, Duration: 20 * vclock.Second}, // would delay head
 	}
-	s, err := m.SimulateQueue(jobs, Backfill)
+	s, err := SimulateQueue(sys, jobs, Backfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +54,17 @@ func TestQueueBackfill(t *testing.T) {
 }
 
 func TestQueueBackfillBeatsFCFS(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 10, Duration: 10 * vclock.Second},
 		{ID: 2, Cluster: 16, Duration: 5 * vclock.Second},
 		{ID: 3, Cluster: 4, Duration: 9 * vclock.Second},
 	}
-	fc, err := m.SimulateQueue(jobs, FCFS)
+	fc, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := m.SimulateQueue(jobs, Backfill)
+	bf, err := SimulateQueue(sys, jobs, Backfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +74,12 @@ func TestQueueBackfillBeatsFCFS(t *testing.T) {
 }
 
 func TestQueueMalleableShrinks(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 12, Duration: 10 * vclock.Second},
 		{ID: 2, Cluster: 8, MinCluster: 4, Malleable: true, Duration: 8 * vclock.Second},
 	}
-	s, err := m.SimulateQueue(jobs, FCFS)
+	s, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,33 +97,33 @@ func TestQueueMalleableShrinks(t *testing.T) {
 }
 
 func TestQueueImpossibleJob(t *testing.T) {
-	m := newMgr()
-	if _, err := m.SimulateQueue([]Job{{ID: 1, Cluster: 99, Duration: vclock.Second}}, FCFS); err == nil {
+	sys := machine.Prototype()
+	if _, err := SimulateQueue(sys, []Job{{ID: 1, Cluster: 99, Duration: vclock.Second}}, FCFS); err == nil {
 		t.Fatal("impossible job accepted")
 	}
 }
 
 func TestQueueUtilisation(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{{ID: 1, Cluster: 16, Duration: 10 * vclock.Second}}
-	s, err := m.SimulateQueue(jobs, FCFS)
+	s, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := s.Utilisation(m, machine.Cluster); u < 0.99 || u > 1.01 {
+	if u := s.Utilisation(sys, machine.Cluster); u < 0.99 || u > 1.01 {
 		t.Errorf("utilisation = %v, want 1.0", u)
 	}
-	if u := s.Utilisation(m, machine.Booster); u != 0 {
+	if u := s.Utilisation(sys, machine.Booster); u != 0 {
 		t.Errorf("booster utilisation = %v, want 0", u)
 	}
 }
 
 func TestQueueRespectsArrivals(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 1, Arrival: 5 * vclock.Second, Duration: vclock.Second},
 	}
-	s, err := m.SimulateQueue(jobs, FCFS)
+	s, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +138,12 @@ func TestQueueRespectsArrivals(t *testing.T) {
 // TestQueueCoScheduling exercises the paper's throughput argument: pairing a
 // cluster-heavy and a booster-heavy job keeps both modules busy at once.
 func TestQueueCoScheduling(t *testing.T) {
-	m := newMgr()
+	sys := machine.Prototype()
 	jobs := []Job{
 		{ID: 1, Cluster: 16, Booster: 0, Duration: 10 * vclock.Second},
 		{ID: 2, Cluster: 0, Booster: 8, Duration: 10 * vclock.Second},
 	}
-	s, err := m.SimulateQueue(jobs, FCFS)
+	s, err := SimulateQueue(sys, jobs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
