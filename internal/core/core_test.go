@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clusterbooster/internal/machine"
+	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/xpic"
 )
 
@@ -42,6 +43,34 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if _, err := s.BoosterNodes(3); err == nil {
 		t.Fatal("overcommitted booster request accepted")
+	}
+}
+
+// TestSpawnLandsOnBooster checks the runtime is wired to the system's own
+// machine: a spawn from a Cluster node onto the Booster places its children
+// on that machine's Booster nodes, in ID order.
+func TestSpawnLandsOnBooster(t *testing.T) {
+	s := New(2, 3, Options{WithoutStorage: true})
+	booster := s.Machine.Module(machine.Booster)
+	landed := make([]*machine.Node, len(booster))
+	s.Runtime.Register("probe", func(p *psmpi.Proc) error {
+		landed[p.Rank()] = p.Node()
+		return nil
+	})
+	nodes, _ := s.ClusterNodes(1)
+	_, err := s.Runtime.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
+		_, err := p.Spawn(p.World(), psmpi.SpawnSpec{Binary: "probe", Procs: len(booster), Module: machine.Booster})
+		return err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range landed {
+		if n == nil {
+			t.Errorf("child %d never ran", i)
+		} else if n != booster[i] {
+			t.Errorf("child %d on %s, want %s", i, n.Name(), booster[i].Name())
+		}
 	}
 }
 
