@@ -232,3 +232,38 @@ func TestQueueStallIsAnError(t *testing.T) {
 		t.Fatalf("stalled queue returned %v, want a stall error", err)
 	}
 }
+
+// TestFacilityBackfillCounters: on the fig-facility backfill point (1000
+// jobs at load 1.4, the seed the experiment derives from that load) the
+// demand index proves most backfill passes grantless, so the -stats queue
+// line reports more passes than scans; and the counts, like everything else
+// of a run, repeat exactly.
+func TestFacilityBackfillCounters(t *testing.T) {
+	p := FacilityParams{Policy: FacilityBackfill, Jobs: 1000, Load: 1.4, Seed: 20180521 + 140}
+	run := func() Stats {
+		before := Global()
+		if _, err := RunFacility(p); err != nil {
+			t.Fatal(err)
+		}
+		after := Global()
+		return Stats{
+			BackfillPasses:  after.BackfillPasses - before.BackfillPasses,
+			BackfillScans:   after.BackfillScans - before.BackfillScans,
+			BackfillScanned: after.BackfillScanned - before.BackfillScanned,
+		}
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("backfill counters differ across runs: %+v then %+v", first, second)
+	}
+	if first.BackfillScans == 0 || first.BackfillPasses <= first.BackfillScans || first.BackfillScanned < first.BackfillScans {
+		t.Fatalf("backfill counters %+v: want passes > scans > 0 and scanned >= scans", first)
+	}
+	line := first.String()
+	for _, field := range []string{"bf_passes=", "bf_scans=", "bf_scanned="} {
+		if !strings.Contains(line, field) {
+			t.Fatalf("queue stats line %q lacks %s", line, field)
+		}
+	}
+	t.Logf("passes=%d scans=%d scanned=%d", first.BackfillPasses, first.BackfillScans, first.BackfillScanned)
+}

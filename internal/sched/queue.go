@@ -107,6 +107,16 @@ type pendingJob struct {
 	j       *qjob
 }
 
+// demandClass is one distinct full-size (cluster, booster) demand seen in
+// the pending queue, with the durations of the jobs waiting under it in
+// ascending order. A class whose jobs have all left keeps its (empty) slot
+// and its buffer, so a queue that drains and refills allocates nothing.
+type demandClass struct {
+	cluster int
+	booster int
+	durs    []vclock.Time
+}
+
 // qjob is one job's live state inside a kernel queue run.
 type qjob struct {
 	job Job
@@ -140,6 +150,12 @@ type queueCounters struct {
 	shrunk     int
 	peakQueue  int // high-water mark of jobs waiting in the queue
 	events     uint64
+	// Backfill cost: passes run, passes that scanned the queue (the rest
+	// were proven grantless by the demand index) and queue entries those
+	// scans visited.
+	bfPasses  int
+	bfScans   int
+	bfScanned int
 	// Fault-mode activity (zero on failure-free runs).
 	failures    int
 	repairs     int
@@ -158,8 +174,12 @@ type queueRun struct {
 	freeB  int
 
 	pending []pendingJob // arrived, waiting for a grant, in arrival order
-	running []*qjob      // granted, not yet completed
-	evs     []event      // headStartEstimate's release-event buffer
+	// classes indexes pending by demand: every pending entry's duration is
+	// in its class, and nothing else is. enqueue, the head pop in dispatch
+	// and a backfill grant keep it in step with pending.
+	classes []demandClass
+	running []*qjob // granted, not yet completed
+	evs     []event // headStartEstimate's release-event buffer
 
 	sched Schedule
 	cnt   queueCounters
@@ -296,16 +316,54 @@ func (q *queueRun) retire(at vclock.Time) {
 
 // enqueue appends j to the back of the pending queue.
 func (q *queueRun) enqueue(j *qjob) {
-	q.pending = append(q.pending, pendingJob{cluster: j.job.Cluster, booster: j.job.Booster, dur: j.job.Duration, j: j})
+	e := pendingJob{cluster: j.job.Cluster, booster: j.job.Booster, dur: j.job.Duration, j: j}
+	q.pending = append(q.pending, e)
 	if n := len(q.pending); n > q.cnt.peakQueue {
 		q.cnt.peakQueue = n
 	}
+	c := q.class(e.cluster, e.booster)
+	if c == nil {
+		q.classes = append(q.classes, demandClass{cluster: e.cluster, booster: e.booster})
+		c = &q.classes[len(q.classes)-1]
+	}
+	c.durs = slices.Insert(c.durs, upperBound(c.durs, e.dur), e.dur)
+}
+
+// unindex drops a pending entry that leaves the queue from its class.
+func (q *queueRun) unindex(e pendingJob) {
+	c := q.class(e.cluster, e.booster)
+	i := -1
+	if c != nil {
+		i = upperBound(c.durs, e.dur) - 1
+	}
+	if i < 0 || c.durs[i] != e.dur {
+		panic(fmt.Sprintf("sched: job %d left the queue but is not in its demand index", e.j.job.ID))
+	}
+	c.durs = slices.Delete(c.durs, i, i+1)
+}
+
+// upperBound returns the number of durations in the ascending durs that are
+// at most d. Inserting and deleting there keeps a class whose jobs share
+// one duration (every facility class) an append and a truncation.
+func upperBound(durs []vclock.Time, d vclock.Time) int {
+	return sort.Search(len(durs), func(i int) bool { return durs[i] > d })
+}
+
+// class returns the index class of a full-size demand, nil if none.
+func (q *queueRun) class(cluster, booster int) *demandClass {
+	for k := range q.classes {
+		if c := &q.classes[k]; c.cluster == cluster && c.booster == booster {
+			return c
+		}
+	}
+	return nil
 }
 
 // dispatch re-runs the queue policy at virtual time now. Under Backfill a
 // blocked head is followed by one backfill pass over the rest of the queue.
 func (q *queueRun) dispatch(now vclock.Time) {
 	for len(q.pending) > 0 && q.tryStart(q.pending[0].j, now) {
+		q.unindex(q.pending[0])
 		q.pending[0] = pendingJob{}
 		q.pending = q.pending[1:]
 	}
@@ -323,33 +381,75 @@ func (q *queueRun) dispatch(now vclock.Time) {
 // handed to start, in queue order; start must take its nodes from the free
 // pools before returning. The rest of the queue keeps its order.
 //
-// The reservation is computed only once a candidate fits the hole, which is
-// before any grant of this pass, so it equals the one computed up front. A
-// pass in which nothing fits costs one scan over the queue and nothing else.
+// The demand index bounds the scan at both ends. Within a pass the pools
+// only shrink and now+d is monotone in d, so the rest of the queue holds a
+// grant exactly when some class that fits the pools holds a candidate (the
+// head left out once) whose now+dur is within the reservation: an earlier
+// entry of a class that fits now fitted when it was visited, so it was
+// turned down for its duration. The pass checks this before it scans, so a
+// pass that can grant nothing returns after O(classes) work, and again
+// after each grant, so the scan stops at the pass's last grant. The
+// reservation is computed only once a class fits, before any grant, so it
+// equals one computed up front.
 func (q *queueRun) backfill(now vclock.Time, start func(j *qjob)) {
-	headStart, reserved := vclock.Time(0), false
+	q.cnt.bfPasses++
 	p := q.pending
-	w := 1
-	for i := 1; i < len(p); i++ {
+	head := p[0]
+	d, ok := q.shortestFit(head)
+	if !ok {
+		return
+	}
+	headStart := q.headStartEstimate(head.j.job, now)
+	if now+d > headStart {
+		return
+	}
+	q.cnt.bfScans++
+	w, i := 1, 1
+	for ; i < len(p); i++ {
 		c := p[i]
-		if c.cluster <= q.freeC && c.booster <= q.freeB {
-			if !reserved {
-				headStart, reserved = q.headStartEstimate(p[0].j.job, now), true
+		if c.cluster <= q.freeC && c.booster <= q.freeB && now+c.dur <= headStart {
+			c.j.backfilled = true
+			q.cnt.backfilled++
+			q.unindex(c)
+			start(c.j)
+			if d, ok := q.shortestFit(head); !ok || now+d > headStart {
+				i++ // that was the last grant: the rest is kept as it is
+				break
 			}
-			if now+c.dur <= headStart {
-				c.j.backfilled = true
-				q.cnt.backfilled++
-				start(c.j)
-				continue
-			}
+			continue
 		}
 		if w != i {
 			p[w] = c
 		}
 		w++
 	}
+	q.cnt.bfScanned += i - 1
+	w += copy(p[w:], p[i:])
 	clear(p[w:])
 	q.pending = p[:w]
+}
+
+// shortestFit returns the shortest duration of the jobs behind head whose
+// full-size demand fits the free pools, and false if none fits.
+func (q *queueRun) shortestFit(head pendingJob) (vclock.Time, bool) {
+	best, ok := vclock.Time(0), false
+	for k := range q.classes {
+		c := &q.classes[k]
+		if len(c.durs) == 0 || c.cluster > q.freeC || c.booster > q.freeB {
+			continue
+		}
+		d := c.durs[0]
+		if d == head.dur && c.cluster == head.cluster && c.booster == head.booster {
+			if len(c.durs) == 1 {
+				continue
+			}
+			d = c.durs[1]
+		}
+		if !ok || d < best {
+			best, ok = d, true
+		}
+	}
+	return best, ok
 }
 
 // tryStart attempts to start job j now, honouring malleability.

@@ -17,6 +17,9 @@ var global struct {
 	backfilled atomic.Uint64
 	shrunk     atomic.Uint64
 	peakQueue  atomic.Uint64
+	bfPasses   atomic.Uint64
+	bfScans    atomic.Uint64
+	bfScanned  atomic.Uint64
 	failures   atomic.Uint64
 	repairs    atomic.Uint64
 	requeues   atomic.Uint64
@@ -33,6 +36,9 @@ func noteQueueRun(c queueCounters) {
 	global.started.Add(uint64(c.started))
 	global.backfilled.Add(uint64(c.backfilled))
 	global.shrunk.Add(uint64(c.shrunk))
+	global.bfPasses.Add(uint64(c.bfPasses))
+	global.bfScans.Add(uint64(c.bfScans))
+	global.bfScanned.Add(uint64(c.bfScanned))
 	global.failures.Add(uint64(c.failures))
 	global.repairs.Add(uint64(c.repairs))
 	global.requeues.Add(uint64(c.requeues))
@@ -61,6 +67,13 @@ type Stats struct {
 	Shrunk uint64
 	// PeakQueue is the high-water mark of jobs waiting in any single queue.
 	PeakQueue uint64
+	// BackfillPasses counts backfill passes behind a blocked head;
+	// BackfillScans counts those that scanned the queue, the rest having
+	// been proven grantless by the demand index; BackfillScanned counts the
+	// queue entries the scans visited.
+	BackfillPasses  uint64
+	BackfillScans   uint64
+	BackfillScanned uint64
 	// Failures and Repairs count facility node failures and completed
 	// repairs; Requeues counts jobs killed and re-entered into a queue;
 	// Abandoned counts jobs dropped after exhausting their retry budget.
@@ -75,22 +88,26 @@ type Stats struct {
 // Global snapshots the process-wide batch-queue counters.
 func Global() Stats {
 	return Stats{
-		Submitted:   global.submitted.Load(),
-		Started:     global.started.Load(),
-		Backfilled:  global.backfilled.Load(),
-		Shrunk:      global.shrunk.Load(),
-		PeakQueue:   global.peakQueue.Load(),
-		Failures:    global.failures.Load(),
-		Repairs:     global.repairs.Load(),
-		Requeues:    global.requeues.Load(),
-		Abandoned:   global.abandoned.Load(),
-		LostNodeSec: float64(global.lostNodeUs.Load()) / 1e6,
+		Submitted:       global.submitted.Load(),
+		Started:         global.started.Load(),
+		Backfilled:      global.backfilled.Load(),
+		Shrunk:          global.shrunk.Load(),
+		PeakQueue:       global.peakQueue.Load(),
+		BackfillPasses:  global.bfPasses.Load(),
+		BackfillScans:   global.bfScans.Load(),
+		BackfillScanned: global.bfScanned.Load(),
+		Failures:        global.failures.Load(),
+		Repairs:         global.repairs.Load(),
+		Requeues:        global.requeues.Load(),
+		Abandoned:       global.abandoned.Load(),
+		LostNodeSec:     float64(global.lostNodeUs.Load()) / 1e6,
 	}
 }
 
 // String renders the counters in the -stats flag format.
 func (s Stats) String() string {
-	return fmt.Sprintf("jobs=%d started=%d backfilled=%d shrunk=%d peak_queue=%d failures=%d repairs=%d requeues=%d abandoned=%d lost_node_s=%.3f",
+	return fmt.Sprintf("jobs=%d started=%d backfilled=%d shrunk=%d peak_queue=%d bf_passes=%d bf_scans=%d bf_scanned=%d failures=%d repairs=%d requeues=%d abandoned=%d lost_node_s=%.3f",
 		s.Submitted, s.Started, s.Backfilled, s.Shrunk, s.PeakQueue,
+		s.BackfillPasses, s.BackfillScans, s.BackfillScanned,
 		s.Failures, s.Repairs, s.Requeues, s.Abandoned, s.LostNodeSec)
 }
