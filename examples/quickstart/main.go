@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"clusterbooster/internal/core"
+	"clusterbooster"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/psmpi"
 )
@@ -15,7 +15,7 @@ import (
 func main() {
 	// The DEEP-ER prototype: 16 Cluster nodes (Haswell) + 8 Booster nodes
 	// (KNL) on one EXTOLL-like fabric, with NVMe, NAM and BeeGFS attached.
-	sys := core.Prototype()
+	sys := clusterbooster.Prototype()
 	fmt.Printf("booted %d cluster + %d booster nodes, %d NVMe devices, %d NAM cards\n",
 		sys.Machine.NodeCount(machine.Cluster),
 		sys.Machine.NodeCount(machine.Booster),

@@ -13,24 +13,24 @@ import (
 	"fmt"
 	"log"
 
-	"clusterbooster/internal/resilience"
+	"clusterbooster"
 	"clusterbooster/internal/scr"
 	"clusterbooster/internal/vclock"
 	"clusterbooster/internal/xpic"
 )
 
 func main() {
-	params := resilience.Params{
+	params := clusterbooster.ResilienceParams{
 		Mode:            xpic.ClusterOnly,
 		Nodes:           4,
-		Workload:        xpic.QuickConfig(24),
+		Workload:        clusterbooster.XPicQuickConfig(24),
 		CheckpointEvery: 4,
 		SCR:             scr.Config{BuddyEvery: 1},
 		RestartOverhead: 2 * vclock.Millisecond,
 	}
 
 	// Failure-free baseline first: what the job costs when nothing breaks.
-	clean, err := resilience.Run(params)
+	clean, err := clusterbooster.RunResilience(params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	params.MTBF = mtbf
 	params.Seed = 6
 	params.MaxFailures = 1
-	out, err := resilience.Run(params)
+	out, err := clusterbooster.RunResilience(params)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,12 +12,11 @@ import (
 	"fmt"
 	"log"
 
-	"clusterbooster/internal/core"
-	"clusterbooster/internal/xpic"
+	"clusterbooster"
 )
 
 func main() {
-	cfg := xpic.Table2Config()
+	cfg := clusterbooster.XPicTable2Config()
 	cfg.Steps = 90          // reduced from 900
 	cfg.ParticleScale = 512 // fewer macro-particles, same virtual cost
 
@@ -25,8 +24,8 @@ func main() {
 	fmt.Printf("grid %dx%d, %d particles/cell, %d steps\n\n",
 		cfg.NX, cfg.NY, cfg.PPC, cfg.Steps)
 
-	run := func(name string, f func(*core.System) (xpic.Report, error)) xpic.Report {
-		sys := core.New(1, 1, core.Options{WithoutStorage: true})
+	run := func(name string, f func(*clusterbooster.System) (clusterbooster.XPicReport, error)) clusterbooster.XPicReport {
+		sys := clusterbooster.New(1, 1, clusterbooster.Options{WithoutStorage: true})
 		rep, err := f(sys)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
@@ -35,9 +34,9 @@ func main() {
 		return rep
 	}
 
-	c := run("cluster", func(s *core.System) (xpic.Report, error) { return s.RunXPicCluster(1, cfg) })
-	b := run("booster", func(s *core.System) (xpic.Report, error) { return s.RunXPicBooster(1, cfg) })
-	cb := run("split", func(s *core.System) (xpic.Report, error) { return s.RunXPicSplit(1, cfg) })
+	c := run("cluster", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicCluster(1, cfg) })
+	b := run("booster", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicBooster(1, cfg) })
+	cb := run("split", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicSplit(1, cfg) })
 
 	fmt.Printf("\nfield solver is %.1f× faster on the Cluster (paper: 6×)\n",
 		b.FieldTime.Seconds()/c.FieldTime.Seconds())

@@ -10,17 +10,15 @@
 // a file copies none of the bytes it already holds): SIONlib containers and
 // checkpoints written through this package can be read back and verified
 // bit-for-bit, while all costs are virtual-time. The cache domain holds no
-// content of its own, only which node caches a path and when its flush
-// completes: a cached read returns the global file's current bytes (at NVMe
-// cost on the owner node), so the cache is always coherent with the global
-// FS.
+// content of its own, only when each path's flush completes: a cached write
+// puts the bytes into the global file at once, so the cache is always
+// coherent with the global FS.
 //
-// File-system latencies are scheduled kernel events: Create/Write/Read/
-// Delete park the calling ioev.Proc until the operation completes, and the
-// Submit* forms issue against an ioev.Op dependency without parking, so
-// layered writers (a SION container fanning one flush across both stripe
-// targets, SCR overlapping a global write with a buddy copy) can join
-// several completions before a single park. The FS carries no mutex — under
+// File-system latencies are scheduled kernel events: the Submit* forms
+// issue against an ioev.Op dependency without parking, so layered writers
+// (a SION container fanning one flush across both stripe targets, SCR
+// overlapping a global write with a buddy copy) can join several
+// completions before a single park. The FS carries no mutex — under
 // the cooperative kernel exactly one rank (or baton-holding callback) runs
 // at a time and every method executes within one turn, the same
 // serialisation argument as scr.
@@ -28,7 +26,6 @@ package beegfs
 
 import (
 	"fmt"
-	"sort"
 
 	"clusterbooster/internal/fabric"
 	"clusterbooster/internal/ioev"
@@ -36,50 +33,29 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-// Config describes the file-system deployment.
-type Config struct {
-	StorageTargets int         // number of storage servers (prototype: 2)
+// params describes the file-system deployment.
+type params struct {
+	StorageTargets int         // number of storage servers
 	ChunkSize      int         // stripe chunk size in bytes
 	TargetGBs      float64     // per-target disk array bandwidth
 	MetaLatency    vclock.Time // metadata operation service time
 	CapacityBytes  int64       // total capacity
 }
 
-// DefaultConfig returns the DEEP-ER storage configuration: 2 storage servers
-// with spinning-disk arrays (~1.2 GB/s each), 1 metadata server, 57 TB.
-func DefaultConfig() Config {
-	return Config{
-		StorageTargets: 2,
-		ChunkSize:      512 << 10,
-		TargetGBs:      1.2,
-		MetaLatency:    500 * vclock.Microsecond,
-		CapacityBytes:  57 << 40,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.StorageTargets == 0 {
-		c.StorageTargets = d.StorageTargets
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = d.ChunkSize
-	}
-	if c.TargetGBs == 0 {
-		c.TargetGBs = d.TargetGBs
-	}
-	if c.MetaLatency == 0 {
-		c.MetaLatency = d.MetaLatency
-	}
-	if c.CapacityBytes == 0 {
-		c.CapacityBytes = d.CapacityBytes
-	}
-	return c
+// prototype is the DEEP-ER storage deployment: 2 storage servers with
+// spinning-disk arrays (~1.2 GB/s each), 1 metadata server, 57 TB. It is a
+// variable, not constants, for the reason given at fabric's prototype.
+var prototype = params{
+	StorageTargets: 2,
+	ChunkSize:      512 << 10,
+	TargetGBs:      1.2,
+	MetaLatency:    500 * vclock.Microsecond,
+	CapacityBytes:  57 << 40,
 }
 
 // FS is a BeeGFS instance on the fabric.
 type FS struct {
-	cfg       Config
+	cfg       params
 	net       *fabric.Network
 	metaEP    int
 	metaQ     *vclock.SharedClock
@@ -89,29 +65,21 @@ type FS struct {
 	used      int64
 }
 
-// New attaches a file system to the fabric. A zero Config selects the
-// prototype deployment.
-func New(net *fabric.Network, cfg Config) *FS {
-	cfg = cfg.withDefaults()
+// New attaches the prototype's file system to the fabric.
+func New(net *fabric.Network) *FS {
 	fs := &FS{
-		cfg:    cfg,
+		cfg:    prototype,
 		net:    net,
 		metaEP: net.AttachEndpoint(),
-		metaQ:  vclock.NewSharedClock(0),
+		metaQ:  vclock.NewSharedClock(),
 		files:  map[string]*ioev.Content{},
 	}
-	for i := 0; i < cfg.StorageTargets; i++ {
+	for i := 0; i < fs.cfg.StorageTargets; i++ {
 		fs.targetEPs = append(fs.targetEPs, net.AttachEndpoint())
-		fs.targetQs = append(fs.targetQs, vclock.NewSharedClock(0))
+		fs.targetQs = append(fs.targetQs, vclock.NewSharedClock())
 	}
 	return fs
 }
-
-// Config returns the effective configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
-// Used returns the bytes stored.
-func (fs *FS) Used() int64 { return fs.used }
 
 // submitMetaOp costs one metadata round trip from the node: fabric latency
 // to the MDS plus the (serialised) metadata service time.
@@ -121,25 +89,14 @@ func (fs *FS) submitMetaOp(dep ioev.Op, node *machine.Node) ioev.Op {
 	return ioev.At(end)
 }
 
-// Create makes an empty file (overwriting any existing one) and parks the
-// caller for the metadata round trip.
-func (fs *FS) Create(p ioev.Proc, path string) {
-	ioev.Await(p, fs.SubmitCreate(ioev.Start(p), path, p.Node()))
-}
-
-// SubmitCreate issues the create after dep without parking, from node.
+// SubmitCreate makes an empty file (overwriting any existing one) and issues
+// the metadata round trip after dep without parking, from node.
 func (fs *FS) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {
 	if old, ok := fs.files[path]; ok {
 		fs.used -= old.Size()
 	}
 	fs.files[path] = &ioev.Content{}
 	return fs.submitMetaOp(dep, node)
-}
-
-// Exists reports whether a file exists.
-func (fs *FS) Exists(path string) bool {
-	_, ok := fs.files[path]
-	return ok
 }
 
 // file returns a file's content, or the no-such-file error.
@@ -160,31 +117,6 @@ func (fs *FS) Size(path string) (int64, error) {
 	return f.Size(), nil
 }
 
-// Delete removes a file (missing files are a no-op) and parks the caller
-// for the metadata round trip.
-func (fs *FS) Delete(p ioev.Proc, path string) {
-	ioev.Await(p, fs.SubmitDelete(ioev.Start(p), path, p.Node()))
-}
-
-// SubmitDelete issues the delete after dep without parking, from node.
-func (fs *FS) SubmitDelete(dep ioev.Op, path string, node *machine.Node) ioev.Op {
-	if f, ok := fs.files[path]; ok {
-		fs.used -= f.Size()
-		delete(fs.files, path)
-	}
-	return fs.submitMetaOp(dep, node)
-}
-
-// List returns all paths in lexical order.
-func (fs *FS) List() []string {
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // targetSpan computes how many bytes of a [offset, offset+size) write land on
 // each storage target under chunked striping.
 func (fs *FS) targetSpan(offset, size int64) []int64 {
@@ -202,21 +134,10 @@ func (fs *FS) targetSpan(offset, size int64) []int64 {
 	return out
 }
 
-// Write stores data at the given offset, extending the file as needed, and
-// parks the caller until the write is durable. The transfer is striped:
-// each target receives its chunks over the fabric and then commits them to
-// disk; the write completes when the slowest target is done.
-func (fs *FS) Write(p ioev.Proc, path string, offset int64, data []byte) error {
-	op, err := fs.SubmitWrite(ioev.Start(p), path, offset, data, p.Node())
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitWrite issues the striped write after dep without parking, from
-// node, returning the completion token of the slowest target.
+// SubmitWrite stores data at the given offset, extending the file as needed,
+// and issues the striped write after dep without parking, from node: each
+// target receives its chunks over the fabric and then commits them to disk,
+// and the returned token completes when the slowest target is done.
 func (fs *FS) SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error) {
 	if offset < 0 {
 		return ioev.Op{}, fmt.Errorf("beegfs: negative offset %d", offset)
@@ -245,20 +166,9 @@ func (fs *FS) SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, n
 	return done, nil
 }
 
-// Read returns size bytes from the given offset, parking the caller until
-// the data arrives: each target reads its chunks from disk and ships them
-// over the fabric.
-func (fs *FS) Read(p ioev.Proc, path string, offset, size int64) ([]byte, error) {
-	out, op, err := fs.SubmitRead(ioev.Start(p), path, offset, size, p.Node())
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return out, nil
-}
-
-// SubmitRead issues the striped read after dep without parking, from node,
-// returning the data and the completion token of the slowest target.
+// SubmitRead issues the striped read after dep without parking, from node:
+// each target reads its chunks from disk and ships them over the fabric. It
+// returns the data and the completion token of the slowest target.
 func (fs *FS) SubmitRead(dep ioev.Op, path string, offset, size int64, node *machine.Node) ([]byte, ioev.Op, error) {
 	f, err := fs.file(path)
 	if err != nil {

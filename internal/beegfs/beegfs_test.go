@@ -2,7 +2,6 @@ package beegfs
 
 import (
 	"bytes"
-	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -14,22 +13,43 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-func testFS(cfg Config) (*FS, *machine.System) {
+func testFS() (*FS, *machine.System) {
 	sys := machine.New(4, 2)
-	net := fabric.New(sys, fabric.Config{})
-	return New(net, cfg), sys
+	return New(fabric.New(sys)), sys
+}
+
+// create, write and read run the Submit* calls from the actor's node and
+// park it until they complete.
+func create(fs *FS, a ioev.Proc, path string) {
+	ioev.Await(a, fs.SubmitCreate(ioev.Start(a), path, a.Node()))
+}
+
+func write(fs *FS, a ioev.Proc, path string, offset int64, data []byte) error {
+	op, err := fs.SubmitWrite(ioev.Start(a), path, offset, data, a.Node())
+	if err == nil {
+		ioev.Await(a, op)
+	}
+	return err
+}
+
+func read(fs *FS, a ioev.Proc, path string, offset, size int64) ([]byte, error) {
+	out, op, err := fs.SubmitRead(ioev.Start(a), path, offset, size, a.Node())
+	if err == nil {
+		ioev.Await(a, op)
+	}
+	return out, err
 }
 
 func TestCreateWriteReadBack(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/out/data.bin")
+	create(fs, a, "/out/data.bin")
 	payload := bytes.Repeat([]byte("deep-er!"), 1000)
-	if err := fs.Write(a, "/out/data.bin", 0, payload); err != nil {
+	if err := write(fs, a, "/out/data.bin", 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	done := a.Now()
-	got, err := fs.Read(a, "/out/data.bin", 0, int64(len(payload)))
+	got, err := read(fs, a, "/out/data.bin", 0, int64(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,27 +62,27 @@ func TestCreateWriteReadBack(t *testing.T) {
 }
 
 func TestWriteAtOffsetExtends(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/f")
-	fs.Write(a, "/f", 10, []byte("abc"))
+	create(fs, a, "/f")
+	write(fs, a, "/f", 10, []byte("abc"))
 	size, err := fs.Size("/f")
 	if err != nil || size != 13 {
 		t.Fatalf("size = %d (%v), want 13", size, err)
 	}
-	got, _ := fs.Read(a, "/f", 0, 13)
+	got, _ := read(fs, a, "/f", 0, 13)
 	if got[0] != 0 || string(got[10:]) != "abc" {
 		t.Fatalf("content = %q", got)
 	}
 }
 
 func TestMissingFileErrors(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	if err := fs.Write(a, "/nope", 0, []byte("x")); err == nil {
+	if err := write(fs, a, "/nope", 0, []byte("x")); err == nil {
 		t.Error("write to missing file succeeded")
 	}
-	if _, err := fs.Read(a, "/nope", 0, 1); err == nil {
+	if _, err := read(fs, a, "/nope", 0, 1); err == nil {
 		t.Error("read of missing file succeeded")
 	}
 	if _, err := fs.Size("/nope"); err == nil {
@@ -71,44 +91,47 @@ func TestMissingFileErrors(t *testing.T) {
 }
 
 func TestReadBeyondEOF(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/f")
-	fs.Write(a, "/f", 0, []byte("abc"))
-	if _, err := fs.Read(a, "/f", 0, 10); err == nil {
+	create(fs, a, "/f")
+	write(fs, a, "/f", 0, []byte("abc"))
+	if _, err := read(fs, a, "/f", 0, 10); err == nil {
 		t.Error("read beyond EOF succeeded")
 	}
 }
 
 func TestReadNegativeSizeErrors(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/f")
-	fs.Write(a, "/f", 0, []byte("abcdef"))
-	if _, err := fs.Read(a, "/f", 4, -2); err == nil {
+	create(fs, a, "/f")
+	write(fs, a, "/f", 0, []byte("abcdef"))
+	if _, err := read(fs, a, "/f", 4, -2); err == nil {
 		t.Error("read with a negative size succeeded")
 	}
 }
 
+// TestDeleteFreesSpace checks that re-creating a file deletes its old
+// content and frees the space it held.
 func TestDeleteFreesSpace(t *testing.T) {
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/f")
-	fs.Write(a, "/f", 0, make([]byte, 1000))
-	if fs.Used() != 1000 {
-		t.Fatalf("used = %d", fs.Used())
+	create(fs, a, "/f")
+	write(fs, a, "/f", 0, make([]byte, 1000))
+	if fs.used != 1000 {
+		t.Fatalf("used = %d", fs.used)
 	}
-	fs.Delete(a, "/f")
-	if fs.Used() != 0 || fs.Exists("/f") {
-		t.Fatal("delete did not free")
+	create(fs, a, "/f")
+	if size, _ := fs.Size("/f"); fs.used != 0 || size != 0 {
+		t.Fatalf("re-create left used = %d, size = %d", fs.used, size)
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	fs, sys := testFS(Config{CapacityBytes: 1000})
+	fs, sys := testFS()
+	fs.cfg.CapacityBytes = 1000
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/f")
-	if err := fs.Write(a, "/f", 0, make([]byte, 2000)); err == nil {
+	create(fs, a, "/f")
+	if err := write(fs, a, "/f", 0, make([]byte, 2000)); err == nil {
 		t.Error("overflow accepted")
 	}
 }
@@ -116,17 +139,17 @@ func TestCapacityEnforced(t *testing.T) {
 func TestStripingUsesBothTargets(t *testing.T) {
 	// A two-chunk write must land one chunk on each target; its time should
 	// be roughly one chunk per target, not two chunks on one.
-	cfg := Config{ChunkSize: 1 << 20}
-	fs, sys := testFS(cfg)
+	fs, sys := testFS()
+	fs.cfg.ChunkSize = 1 << 20
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/big")
+	create(fs, a, "/big")
 	start := a.Now()
 	twoChunks := make([]byte, 2<<20)
-	if err := fs.Write(a, "/big", 0, twoChunks); err != nil {
+	if err := write(fs, a, "/big", 0, twoChunks); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := a.Now() - start
-	perChunkDisk := float64(1<<20) / (fs.Config().TargetGBs * 1e9)
+	perChunkDisk := float64(1<<20) / (fs.cfg.TargetGBs * 1e9)
 	// Both chunks cross the client's injection link serially (~2 net times),
 	// then hit different disks in parallel: total ≪ 2 disk times + 2 net.
 	netTime := float64(2<<20) / (12.5 * 0.88 * 1e9)
@@ -137,28 +160,18 @@ func TestStripingUsesBothTargets(t *testing.T) {
 }
 
 func TestTargetSpan(t *testing.T) {
-	fs, _ := testFS(Config{ChunkSize: 100, StorageTargets: 2})
+	fs, _ := testFS()
+	fs.cfg.ChunkSize = 100
 	span := fs.targetSpan(50, 200) // covers chunks 0(50B),1(100B),2(50B)
 	if span[0] != 100 || span[1] != 100 {
 		t.Errorf("span = %v, want [100 100]", span)
 	}
 }
 
-func TestList(t *testing.T) {
-	fs, sys := testFS(Config{})
-	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/b")
-	fs.Create(a, "/a")
-	got := fs.List()
-	if len(got) != 2 || got[0] != "/a" || got[1] != "/b" {
-		t.Errorf("list = %v", got)
-	}
-}
-
 func TestSubmitWriteThreadsDependency(t *testing.T) {
 	// The submission layer must price a dependent write strictly after its
 	// dependency without any actor clock in play.
-	fs, sys := testFS(Config{})
+	fs, sys := testFS()
 	n := sys.Node(0)
 	created := fs.SubmitCreate(ioev.At(0), "/f", n)
 	op1, err := fs.SubmitWrite(created, "/f", 0, make([]byte, 1<<20), n)
@@ -176,14 +189,15 @@ func TestSubmitWriteThreadsDependency(t *testing.T) {
 }
 
 func TestQuickWriteReadRoundTrip(t *testing.T) {
-	fs, sys := testFS(Config{ChunkSize: 64})
+	fs, sys := testFS()
+	fs.cfg.ChunkSize = 64
 	a := ioev.Detach(sys.Node(0), 0)
-	fs.Create(a, "/q")
+	create(fs, a, "/q")
 	f := func(off uint16, data []byte) bool {
-		if err := fs.Write(a, "/q", int64(off), data); err != nil {
+		if err := write(fs, a, "/q", int64(off), data); err != nil {
 			return false
 		}
-		got, err := fs.Read(a, "/q", int64(off), int64(len(data)))
+		got, err := read(fs, a, "/q", int64(off), int64(len(data)))
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -195,8 +209,8 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 
 func cacheSetup(mode CacheMode) (*Cache, *machine.System) {
 	sys := machine.New(4, 2)
-	net := fabric.New(sys, fabric.Config{})
-	fs := New(net, Config{})
+	net := fabric.New(sys)
+	fs := New(net)
 	devs := map[int]*nvme.Device{}
 	for _, n := range sys.Nodes() {
 		devs[n.ID] = nvme.New(nvme.P3700())
@@ -240,31 +254,12 @@ func TestCacheDrainCoversFlush(t *testing.T) {
 		t.Errorf("drain (%v) not after local completion (%v)", a.Now(), localDone)
 	}
 	// After the drain the file must be in the global FS.
-	if !c.fs.Exists("/a") {
-		t.Error("flush did not reach the global FS")
+	sz, err := c.fs.Size("/a")
+	if err != nil {
+		t.Fatalf("flush did not reach the global FS: %v", err)
 	}
-	sz, _ := c.fs.Size("/a")
 	if sz != int64(len(data)) {
 		t.Errorf("global copy has %d bytes, want %d", sz, len(data))
-	}
-}
-
-func TestCacheLocalReadFastPath(t *testing.T) {
-	c, sys := cacheSetup(CacheAsync)
-	data := bytes.Repeat([]byte("x"), 32<<20)
-	owner, other := sys.Node(0), sys.Node(1)
-	aw := ioev.Detach(owner, 0)
-	c.Write(aw, "/f", data)
-	aLocal := ioev.Detach(owner, vclock.Second)
-	if _, err := c.Read(aLocal, "/f"); err != nil {
-		t.Fatal(err)
-	}
-	aRemote := ioev.Detach(other, vclock.Second)
-	if _, err := c.Read(aRemote, "/f"); err != nil {
-		t.Fatal(err)
-	}
-	if aLocal.Now() >= aRemote.Now() {
-		t.Errorf("local cached read (%v) not faster than global read (%v)", aLocal.Now(), aRemote.Now())
 	}
 }
 
@@ -272,90 +267,25 @@ func TestCacheContentRoundTrip(t *testing.T) {
 	c, sys := cacheSetup(CacheSync)
 	data := []byte("precious checkpoint bytes")
 	a := ioev.Detach(sys.Node(2), 0)
-	c.Write(a, "/f", data)
-	got, err := c.Read(a, "/f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("cache read = %q (%v)", got, err)
+	if err := c.Write(a, "/f", append([]byte(nil), data...)); err != nil {
+		t.Fatal(err)
 	}
 	b := ioev.Detach(sys.Node(3), 0)
-	got2, err := c.fs.Read(b, "/f", 0, int64(len(data)))
-	if err != nil || !bytes.Equal(got2, data) {
-		t.Fatalf("global read = %q (%v)", got2, err)
+	got, err := read(c.fs, b, "/f", 0, int64(len(data)))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("global read = %q (%v)", got, err)
 	}
 }
 
 func TestCacheRejectsForeignNode(t *testing.T) {
 	sys := machine.New(2, 0)
-	net := fabric.New(sys, fabric.Config{})
-	fs := New(net, Config{})
+	net := fabric.New(sys)
+	fs := New(net)
 	devs := map[int]*nvme.Device{sys.Node(0).ID: nvme.New(nvme.P3700())}
 	c := NewCache(fs, CacheAsync, devs)
 	a := ioev.Detach(sys.Node(1), 0)
 	if err := c.Write(a, "/f", []byte("x")); err == nil {
 		t.Error("write from node outside the cache domain succeeded")
-	}
-}
-
-func TestCacheEvictFreesNVMe(t *testing.T) {
-	c, sys := cacheSetup(CacheAsync)
-	a := ioev.Detach(sys.Node(0), 0)
-	c.Write(a, "/f", make([]byte, 1000))
-	dev := c.devs[sys.Node(0).ID]
-	if dev.Used() == 0 {
-		t.Fatal("cache write did not use NVMe")
-	}
-	c.Evict("/f")
-	if dev.Used() != 0 {
-		t.Error("evict did not free NVMe space")
-	}
-	if math.Abs(float64(dev.Used())) > 0 {
-		t.Error("nvme not empty")
-	}
-}
-
-func TestCacheReadAfterEvict(t *testing.T) {
-	c, sys := cacheSetup(CacheAsync)
-	data := []byte("evicted but still global")
-	a := ioev.Detach(sys.Node(0), 0)
-	if err := c.Write(a, "/f", data); err != nil {
-		t.Fatal(err)
-	}
-	c.Evict("/f")
-	if !c.fs.Exists("/f") {
-		t.Fatal("evict removed the global copy")
-	}
-	got, err := c.Read(a, "/f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after evict = %q (%v), want the global file %q", got, err, data)
-	}
-	if _, err := c.Read(a, "/never-written"); err == nil {
-		t.Error("read of a file that exists nowhere succeeded")
-	}
-}
-
-func TestCacheReadCoherentWithGlobal(t *testing.T) {
-	// The cache keeps no bytes of its own: a rewrite of the global file is
-	// what the owner's fast path returns, and a delete behind the cache is
-	// the file system's error rather than stale data.
-	c, sys := cacheSetup(CacheSync)
-	a := ioev.Detach(sys.Node(0), 0)
-	if err := c.Write(a, "/f", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.fs.Write(a, "/f", 0, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read(a, "/f")
-	if err != nil || string(got) != "new" {
-		t.Fatalf("owner read = %q (%v), want the global content %q", got, err, "new")
-	}
-	got[0] = 'X'
-	if again, _ := c.Read(a, "/f"); string(again) != "new" {
-		t.Errorf("mutating a read result changed the file: %q", again)
-	}
-	c.fs.Delete(a, "/f")
-	if _, err := c.Read(a, "/f"); err == nil {
-		t.Error("read of a file deleted behind the cache succeeded")
 	}
 }
 

@@ -35,18 +35,14 @@ func (m CacheMode) String() string {
 // node-local NVMe devices of a job's nodes, in front of a global FS. Like
 // FS it carries no mutex: the cooperative kernel serialises every access.
 //
-// The domain keeps metadata only — which node holds each path and when its
-// flush completes — and no bytes of its own: every Write flushes into the
-// global file's content at submission, so a cached file and its global copy
-// are one byte store and the cache is coherent with the global FS by
-// construction. A read on the owner node prices the NVMe get but returns
-// the global file's current content; a file deleted from the global FS
-// behind the cache reads as the file system's error.
+// The domain keeps metadata only — when each path's flush completes — and
+// no bytes of its own: every Write flushes into the global file's content at
+// submission, so a cached file and its global copy are one byte store and
+// the cache is coherent with the global FS by construction.
 type Cache struct {
 	fs      *FS
 	mode    CacheMode
-	devs    map[int]*nvme.Device // node ID → device
-	owner   map[string]*machine.Node
+	devs    map[int]*nvme.Device   // node ID → device
 	pending map[string]vclock.Time // path → global-FS flush completion
 }
 
@@ -57,13 +53,9 @@ func NewCache(fs *FS, mode CacheMode, devs map[int]*nvme.Device) *Cache {
 		fs:      fs,
 		mode:    mode,
 		devs:    devs,
-		owner:   map[string]*machine.Node{},
 		pending: map[string]vclock.Time{},
 	}
 }
-
-// Mode returns the cache mode.
-func (c *Cache) Mode() CacheMode { return c.mode }
 
 // Write stores a whole file into the cache domain from the calling rank's
 // node. In async mode the caller parks only until the local NVMe has the
@@ -82,8 +74,6 @@ func (c *Cache) Write(p ioev.Proc, path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("beegfs: cache write: %w", err)
 	}
-	c.owner[path] = node
-
 	// The flush daemon starts as soon as the data is local. The FS copies
 	// data into the global file before submitFlush returns, so the caller
 	// may reuse its buffer at once.
@@ -112,33 +102,6 @@ func (c *Cache) submitFlush(path string, node *machine.Node, data []byte, dep io
 	return done, nil
 }
 
-// Read serves a whole file: from the NVMe if the reading rank's node holds
-// it in the cache (fast path), otherwise from the global FS, parking the
-// caller until the data arrives. Either way the bytes are a fresh copy of
-// the global file's content; a file missing from the global FS is an error.
-func (c *Cache) Read(p ioev.Proc, path string) ([]byte, error) {
-	node := p.Node()
-	f, err := c.fs.file(path)
-	if err != nil {
-		return nil, err
-	}
-	if owner, cached := c.owner[path]; cached && owner.ID == node.ID {
-		if dev, ok := c.devs[node.ID]; ok {
-			if _, op, err := dev.SubmitGet(ioev.Start(p), "beeond:"+path); err == nil {
-				out := f.ReadAt(0, f.Size()) // the content at submission, as FS.SubmitRead
-				ioev.Await(p, op)
-				return out, nil
-			}
-		}
-	}
-	out, op, err := c.fs.SubmitRead(ioev.Start(p), path, 0, f.Size(), node)
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return out, nil
-}
-
 // Drain parks the caller until every scheduled flush has completed: the
 // async mode's sync point (e.g. at job end), after which every cached file
 // is safely in the global file system.
@@ -148,15 +111,4 @@ func (c *Cache) Drain(p ioev.Proc) {
 		done = ioev.After(done, ioev.At(t))
 	}
 	ioev.Await(p, done)
-}
-
-// Evict drops a file from the cache layer (it remains in the global FS) and
-// frees the NVMe space.
-func (c *Cache) Evict(path string) {
-	if node, ok := c.owner[path]; ok {
-		if dev, ok := c.devs[node.ID]; ok {
-			dev.Delete("beeond:" + path)
-		}
-	}
-	delete(c.owner, path)
 }

@@ -24,9 +24,9 @@ import (
 )
 
 // benchRuntime boots a runtime over c cluster and b booster nodes.
-func benchRuntime(c, b int) *psmpi.Runtime {
+func benchRuntime(c, b int) (*psmpi.Runtime, *machine.System) {
 	sys := machine.New(c, b)
-	return psmpi.NewRuntime(sys, fabric.New(sys, fabric.Config{}), psmpi.Config{})
+	return psmpi.NewRuntime(sys, fabric.New(sys), psmpi.Config{}), sys
 }
 
 // benchChunk is how many iterations one launched job performs. Chunking b.N
@@ -45,8 +45,8 @@ func benchPingPong(b *testing.B, bytes int) {
 	b.ResetTimer()
 	for done := 0; done < b.N; done += benchChunk {
 		iters := min(benchChunk, b.N-done)
-		rt := benchRuntime(2, 0)
-		nodes := rt.System().Module(machine.Cluster)[:2]
+		rt, sys := benchRuntime(2, 0)
+		nodes := sys.Module(machine.Cluster)[:2]
 		_, err := rt.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
 			w := p.World()
 			buf := make([]float64, len(payload))
@@ -86,8 +86,8 @@ func benchAllreduce(b *testing.B, ranks int) {
 	b.ResetTimer()
 	for done := 0; done < b.N; done += chunk {
 		iters := min(chunk, b.N-done)
-		rt := benchRuntime(ranks, 0)
-		nodes := rt.System().Module(machine.Cluster)[:ranks]
+		rt, sys := benchRuntime(ranks, 0)
+		nodes := sys.Module(machine.Cluster)[:ranks]
 		_, err := rt.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
 			w := p.World()
 			buf := make([]float64, 8)

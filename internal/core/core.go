@@ -57,14 +57,14 @@ type System struct {
 // New builds a system with the given node counts per module.
 func New(clusterNodes, boosterNodes int, opts Options) *System {
 	ms := machine.New(clusterNodes, boosterNodes)
-	net := fabric.New(ms, fabric.Config{})
+	net := fabric.New(ms)
 	s := &System{
 		Machine: ms,
 		Network: net,
 		Runtime: psmpi.NewRuntime(ms, net, psmpi.Config{}),
 	}
 	if !opts.WithoutStorage {
-		s.FS = beegfs.New(net, beegfs.Config{})
+		s.FS = beegfs.New(net)
 		s.NVMe = map[int]*nvme.Device{}
 		for _, n := range ms.Nodes() {
 			s.NVMe[n.ID] = nvme.New(nvme.P3700())

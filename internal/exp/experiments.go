@@ -115,7 +115,7 @@ func parsePayload[T any](d Document) (T, error) {
 }
 
 // registerResultSet registers an experiment whose payload is the raw
-// sweep.ResultSet, in the JSON form ResultSet.WriteJSON emits, so its golden
+// sweep.ResultSet, in its JSON encoding, so its golden
 // gates the whole emitter pipeline, not just the physics. It runs the
 // scenarios, aborts on the first failed one, and lets summarise derive the
 // document's meta and measures from the all-green result set.

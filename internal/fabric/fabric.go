@@ -29,9 +29,8 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-// Config holds the tunable parameters of the fabric model. Zero fields are
-// replaced by defaults matching the DEEP-ER prototype.
-type Config struct {
+// params holds the parameters of the fabric model.
+type params struct {
 	// WireLatency is the one-way switch+cable latency of the fabric,
 	// excluding endpoint CPU costs. Tourmalet: ~0.2 µs per hop.
 	WireLatency vclock.Time
@@ -47,61 +46,35 @@ type Config struct {
 	RDMASetup vclock.Time
 }
 
-// DefaultConfig returns the DEEP-ER prototype fabric parameters.
-func DefaultConfig() Config {
-	return Config{
-		WireLatency:    0.2 * vclock.Microsecond,
-		EagerThreshold: 16 << 10,
-		LinkGBs:        12.5,
-		RDMAEfficiency: 0.88,
-		RDMASetup:      0.3 * vclock.Microsecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.WireLatency == 0 {
-		c.WireLatency = d.WireLatency
-	}
-	if c.EagerThreshold == 0 {
-		c.EagerThreshold = d.EagerThreshold
-	}
-	if c.LinkGBs == 0 {
-		c.LinkGBs = d.LinkGBs
-	}
-	if c.RDMAEfficiency == 0 {
-		c.RDMAEfficiency = d.RDMAEfficiency
-	}
-	if c.RDMASetup == 0 {
-		c.RDMASetup = d.RDMASetup
-	}
-	return c
+// prototype holds the DEEP-ER prototype fabric parameters. It is a variable,
+// not a set of constants: Go evaluates constant expressions exactly, so a
+// product such as LinkGBs*RDMAEfficiency*1e9 would round differently from
+// the float64 arithmetic the goldens were recorded with.
+var prototype = params{
+	WireLatency:    0.2 * vclock.Microsecond,
+	EagerThreshold: 16 << 10,
+	LinkGBs:        12.5,
+	RDMAEfficiency: 0.88,
+	RDMASetup:      0.3 * vclock.Microsecond,
 }
 
 // Network is the timed fabric joining all nodes of a machine.System.
 type Network struct {
-	sys    *machine.System
-	cfg    Config
+	cfg    params
 	inject []*vclock.SharedClock // per-node injection link occupancy
 	eject  []*vclock.SharedClock // per-node ejection link occupancy
 }
 
-// New builds a network over the given system. A zero Config selects the
-// DEEP-ER prototype parameters.
-func New(sys *machine.System, cfg Config) *Network {
-	n := &Network{sys: sys, cfg: cfg.withDefaults()}
+// New builds a network over the given system with the DEEP-ER prototype
+// parameters.
+func New(sys *machine.System) *Network {
+	n := &Network{cfg: prototype}
 	for range sys.Nodes() {
-		n.inject = append(n.inject, vclock.NewSharedClock(0))
-		n.eject = append(n.eject, vclock.NewSharedClock(0))
+		n.inject = append(n.inject, vclock.NewSharedClock())
+		n.eject = append(n.eject, vclock.NewSharedClock())
 	}
 	return n
 }
-
-// Config returns the effective (defaulted) configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// System returns the machine the network spans.
-func (n *Network) System() *machine.System { return n.sys }
 
 // sendOverhead is the CPU time node a spends initiating a message: software
 // stack, doorbell, completion handling. Calibrated so that
@@ -129,17 +102,6 @@ func (n *Network) Eager(size int) bool { return size <= n.cfg.EagerThreshold }
 // part of the latency the sending process itself pays before continuing).
 func (n *Network) SendOverheadOf(node *machine.Node) vclock.Time {
 	return sendOverhead(node.Spec)
-}
-
-// ZeroLatency returns the modelled end-to-end zero-byte MPI latency between
-// two nodes: o_send(src) + wire + o_recv(dst).
-func (n *Network) ZeroLatency(src, dst *machine.Node) vclock.Time {
-	if src.ID == dst.ID {
-		// Intra-node (shared memory): no fabric involved; a fraction of the
-		// network latency, dominated by the local CPU.
-		return (sendOverhead(src.Spec) + recvOverhead(dst.Spec)) / 4
-	}
-	return sendOverhead(src.Spec) + n.cfg.WireLatency + recvOverhead(dst.Spec)
 }
 
 // Link determinism: reservations are booked at the modelled instant they
@@ -277,7 +239,7 @@ func (n *Network) Rendezvous(src, dst *machine.Node, size int, senderReady, recv
 func (n *Network) RDMARead(initiator *machine.Node, remote int, size int, ready vclock.Time) vclock.Time {
 	dmaTime := vclock.Time(float64(size) / (n.cfg.LinkGBs * n.cfg.RDMAEfficiency * 1e9))
 	req := ready + n.cfg.RDMASetup + n.cfg.WireLatency // request reaches remote NIC
-	_, injEnd := n.linkOf(n.inject, remote).Reserve(req, dmaTime)
+	_, injEnd := n.inject[remote].Reserve(req, dmaTime)
 	return injEnd + n.cfg.WireLatency
 }
 
@@ -289,55 +251,12 @@ func (n *Network) RDMAWrite(initiator *machine.Node, remote int, size int, ready
 	return injEnd + 2*n.cfg.WireLatency // data out + ack back
 }
 
-// linkOf returns the shared link clock for an endpoint id, tolerating ids
-// beyond the node range (used for fabric-attached devices like the NAM,
-// which register extra endpoints via AttachEndpoint).
-func (n *Network) linkOf(set []*vclock.SharedClock, id int) *vclock.SharedClock {
-	return set[id]
-}
-
 // AttachEndpoint registers an additional fabric endpoint (e.g. a NAM device
 // or a storage server NIC) and returns its endpoint id, usable as the remote
 // id of RDMA operations.
 func (n *Network) AttachEndpoint() int {
 	id := len(n.inject)
-	n.inject = append(n.inject, vclock.NewSharedClock(0))
-	n.eject = append(n.eject, vclock.NewSharedClock(0))
+	n.inject = append(n.inject, vclock.NewSharedClock())
+	n.eject = append(n.eject, vclock.NewSharedClock())
 	return id
-}
-
-// PingPongTime returns the modelled half-round-trip time ("latency" in Fig. 3
-// terms) for a message of the given size between two nodes, assuming both
-// processes are ready and the fabric is otherwise idle — the textbook
-// ping-pong benchmark situation. Unlike EagerSend/Rendezvous it does not
-// occupy any links, so it can be used as a pure model probe.
-func (n *Network) PingPongTime(src, dst *machine.Node, size int) vclock.Time {
-	if n.Eager(size) {
-		copyIn := vclock.Time(float64(size) / (src.Spec.CopyGBs() * 1e9))
-		senderFree := sendOverhead(src.Spec) + copyIn
-		arrival := senderFree
-		if src.ID != dst.ID {
-			wireTime := vclock.Time(float64(size) / (n.cfg.LinkGBs * 1e9))
-			arrival = senderFree + wireTime + n.cfg.WireLatency
-		}
-		return arrival + n.EagerRecvCost(dst, size)
-	}
-	dmaTime := vclock.Time(float64(size) / (n.cfg.LinkGBs * n.cfg.RDMAEfficiency * 1e9))
-	if src.ID == dst.ID {
-		return sendOverhead(src.Spec) + vclock.Time(float64(size)/(src.Spec.CopyGBs()*1e9)) + recvOverhead(dst.Spec)
-	}
-	rts := sendOverhead(src.Spec) + n.cfg.WireLatency
-	cts := vclock.Max(rts, recvOverhead(dst.Spec)) + n.cfg.WireLatency
-	arrival := cts + n.cfg.RDMASetup + dmaTime + n.cfg.WireLatency
-	return arrival + recvOverhead(dst.Spec)
-}
-
-// Bandwidth returns the modelled sustained point-to-point bandwidth in
-// bytes/s for back-to-back messages of the given size (Fig. 3, upper panel).
-func (n *Network) Bandwidth(src, dst *machine.Node, size int) float64 {
-	t := n.PingPongTime(src, dst, size)
-	if t <= 0 {
-		return 0
-	}
-	return float64(size) / t.Seconds()
 }

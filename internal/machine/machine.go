@@ -132,14 +132,6 @@ func BoosterNode() NodeSpec {
 	}
 }
 
-// Spec returns the node specification for a module.
-func Spec(m Module) NodeSpec {
-	if m == Cluster {
-		return ClusterNode()
-	}
-	return BoosterNode()
-}
-
 // PrototypeNodeCount returns the DEEP-ER prototype node count per module
 // (Table I: 16 Cluster, 8 Booster).
 func PrototypeNodeCount(m Module) int {
@@ -155,17 +147,13 @@ type Node struct {
 	Index  int    // index within its module
 	Module Module // which module the node belongs to
 	Spec   NodeSpec
-	prefix string // node-name prefix, derived from the module name
 }
 
 // Name returns a human-readable node name such as "cn03" or "bn01".
 func (n *Node) Name() string {
-	prefix := n.prefix
-	if prefix == "" {
-		prefix = "cn"
-		if n.Module == Booster {
-			prefix = "bn"
-		}
+	prefix := "cn"
+	if n.Module == Booster {
+		prefix = "bn"
 	}
 	return fmt.Sprintf("%s%02d", prefix, n.Index)
 }

@@ -93,10 +93,12 @@ func TestTable1PeakPerformance(t *testing.T) {
 // TestCalibratedKernelRatios pins the two single-node calibration points from
 // §IV-C of the paper: 6× for the field solver, 1.35× for the particle solver.
 func TestCalibratedKernelRatios(t *testing.T) {
-	if got := FieldSolverAdvantage(); math.Abs(got-6.0) > 1e-9 {
-		t.Errorf("field-solver Cluster advantage = %v, want 6.0", got)
+	cn, bn := ClusterNode(), BoosterNode()
+	field := cn.EffectiveGFlops(KernelFieldSolver) / bn.EffectiveGFlops(KernelFieldSolver)
+	if math.Abs(field-6.0) > 1e-9 {
+		t.Errorf("field-solver Cluster advantage = %v, want 6.0", field)
 	}
-	if got := ParticleSolverAdvantage(); math.Abs(got-1.35) > 1e-9 {
+	if got := bn.EffectiveGFlops(KernelParticle) / cn.EffectiveGFlops(KernelParticle); math.Abs(got-1.35) > 1e-9 {
 		t.Errorf("particle-solver Booster advantage = %v, want 1.35", got)
 	}
 }

@@ -121,23 +121,3 @@ func (s NodeSpec) ComputeTime(w Work) vclock.Time {
 	}
 	return vclock.Time(tc)
 }
-
-// SerialTime is shorthand for costing flops of serial (single-thread) work.
-func (s NodeSpec) SerialTime(flops float64) vclock.Time {
-	return s.ComputeTime(Work{Class: KernelSerial, Flops: flops})
-}
-
-// FieldSolverAdvantage returns how much faster the field-solver class runs on
-// a Cluster node than on a Booster node. By construction this equals the
-// paper's measured 6×; tests assert it stays that way.
-func FieldSolverAdvantage() float64 {
-	return ClusterNode().EffectiveGFlops(KernelFieldSolver) /
-		BoosterNode().EffectiveGFlops(KernelFieldSolver)
-}
-
-// ParticleSolverAdvantage returns how much faster the particle-solver class
-// runs on a Booster node than on a Cluster node (paper: 1.35×).
-func ParticleSolverAdvantage() float64 {
-	return BoosterNode().EffectiveGFlops(KernelParticle) /
-		ClusterNode().EffectiveGFlops(KernelParticle)
-}

@@ -2,78 +2,34 @@ package machine
 
 import "fmt"
 
-// Pool describes one module's node pool for multi-module systems (the
-// Modular Supercomputing generalisation of §VI: "any number of compute
-// modules ... each a cluster of a potentially large size, tailored to the
-// specific needs of a class of applications").
-type Pool struct {
-	Module Module
-	Name   string
-	Spec   NodeSpec
-	Count  int
-}
-
-// System is the hardware inventory of a modular machine: one or more pools
-// of nodes joined by the fabric into one system. The DEEP-ER prototype is
-// the two-pool instance New(16, 8).
+// System is the hardware inventory of the Cluster-Booster machine: a pool
+// of Cluster nodes and a pool of Booster nodes joined by the fabric into one
+// system. The DEEP-ER prototype is New(16, 8).
 type System struct {
-	order []Module
 	pools map[Module][]*Node
-	names map[Module]string
 	nodes []*Node // all nodes, indexed by global ID
 }
 
-// NewMulti builds a system from explicit module pools. Pool module ids must
-// be unique; counts must be non-negative.
-func NewMulti(pools []Pool) *System {
-	s := &System{pools: map[Module][]*Node{}, names: map[Module]string{}}
-	id := 0
-	for _, pl := range pools {
-		if pl.Count < 0 {
-			panic("machine: negative node count")
-		}
-		if _, dup := s.pools[pl.Module]; dup {
-			panic(fmt.Sprintf("machine: duplicate module id %d", int(pl.Module)))
-		}
-		name := pl.Name
-		if name == "" {
-			name = pl.Module.String()
-		}
-		s.order = append(s.order, pl.Module)
-		s.names[pl.Module] = name
-		prefix := namePrefix(pl.Module, name)
-		for i := 0; i < pl.Count; i++ {
-			n := &Node{ID: id, Index: i, Module: pl.Module, Spec: pl.Spec, prefix: prefix}
-			s.pools[pl.Module] = append(s.pools[pl.Module], n)
-			s.nodes = append(s.nodes, n)
-			id++
-		}
+// New builds a system with the given Cluster and Booster node counts, using
+// the DEEP-ER node specifications. Cluster nodes take the lower global IDs.
+func New(clusterNodes, boosterNodes int) *System {
+	if clusterNodes < 0 || boosterNodes < 0 {
+		panic("machine: negative node count")
 	}
+	s := &System{pools: map[Module][]*Node{}}
+	s.add(Cluster, ClusterNode(), clusterNodes)
+	s.add(Booster, BoosterNode(), boosterNodes)
 	return s
 }
 
-// namePrefix derives the node-name prefix: the classic "cn"/"bn" for the
-// Cluster-Booster pair, the lowercase module initials otherwise.
-func namePrefix(m Module, name string) string {
-	switch m {
-	case Cluster:
-		return "cn"
-	case Booster:
-		return "bn"
+// add appends count nodes of one module, numbering them after the existing
+// nodes.
+func (s *System) add(m Module, spec NodeSpec, count int) {
+	for i := 0; i < count; i++ {
+		n := &Node{ID: len(s.nodes), Index: i, Module: m, Spec: spec}
+		s.pools[m] = append(s.pools[m], n)
+		s.nodes = append(s.nodes, n)
 	}
-	if len(name) >= 2 {
-		return string(name[0]|0x20) + string(name[1]|0x20)
-	}
-	return "xx"
-}
-
-// New builds the classic two-module system with the given node counts,
-// using the DEEP-ER node specifications.
-func New(clusterNodes, boosterNodes int) *System {
-	return NewMulti([]Pool{
-		{Module: Cluster, Name: "Cluster", Spec: ClusterNode(), Count: clusterNodes},
-		{Module: Booster, Name: "Booster", Spec: BoosterNode(), Count: boosterNodes},
-	})
 }
 
 // Prototype builds the DEEP-ER prototype: 16 Cluster + 8 Booster nodes.
@@ -81,17 +37,6 @@ func Prototype() *System { return New(16, 8) }
 
 // Nodes returns all nodes in global-ID order.
 func (s *System) Nodes() []*Node { return s.nodes }
-
-// Modules returns the module ids in declaration order.
-func (s *System) Modules() []Module { return s.order }
-
-// ModuleName returns the human-readable module name.
-func (s *System) ModuleName(m Module) string {
-	if name, ok := s.names[m]; ok {
-		return name
-	}
-	return m.String()
-}
 
 // Module returns the nodes of one module (nil if the module is absent).
 func (s *System) Module(m Module) []*Node { return s.pools[m] }

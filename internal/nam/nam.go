@@ -8,9 +8,9 @@
 // The prototype holds two devices of 2 GB each; checkpointing into the NAM is
 // the use case studied in ref [6] and pinned by fig-io's nam_gain budget.
 //
-// Region access is timed through kernel events: Write/Read park the calling
-// ioev.Proc for the RDMA operation, SubmitWrite/SubmitRead issue it against
-// an ioev.Op dependency without parking. The device carries no mutex — the
+// Region access is timed through kernel events: Write parks the calling
+// ioev.Proc for the RDMA put, SubmitWrite issues it against an ioev.Op
+// dependency without parking. The device carries no mutex — the
 // cooperative kernel serialises every allocation and access, the same
 // argument as the rest of the migrated I/O stack.
 package nam
@@ -64,15 +64,6 @@ func NewPrototypePair(net *fabric.Network) [2]*Device {
 	}
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
-// Capacity returns the device capacity in bytes.
-func (d *Device) Capacity() int64 { return d.capacity }
-
-// Used returns the allocated bytes.
-func (d *Device) Used() int64 { return d.used }
-
 // Alloc reserves a named region of the given size.
 func (d *Device) Alloc(name string, size int64) (*Region, error) {
 	if size <= 0 {
@@ -89,23 +80,6 @@ func (d *Device) Alloc(name string, size int64) (*Region, error) {
 	d.used += size
 	return r, nil
 }
-
-// Free releases a region by name (no-op if absent).
-func (d *Device) Free(name string) {
-	if r, ok := d.regions[name]; ok {
-		d.used -= r.size
-		delete(d.regions, name)
-	}
-}
-
-// Region returns an allocated region by name.
-func (d *Device) Region(name string) (*Region, bool) {
-	r, ok := d.regions[name]
-	return r, ok
-}
-
-// Size returns the region size in bytes.
-func (r *Region) Size() int64 { return r.size }
 
 // Write RDMA-puts size bytes into the region from the calling rank's node,
 // parking the caller until the put completes. No CPU acts on the NAM side.
@@ -125,24 +99,4 @@ func (r *Region) SubmitWrite(dep ioev.Op, initiator *machine.Node, size int64) (
 		return ioev.Op{}, fmt.Errorf("nam: write of %d bytes exceeds region %q (%d)", size, r.name, r.size)
 	}
 	return ioev.At(r.dev.net.RDMAWrite(initiator, r.dev.endpoint, int(size), dep.Time())), nil
-}
-
-// Read RDMA-gets size bytes from the region to the calling rank's node,
-// parking the caller until the get completes.
-func (r *Region) Read(p ioev.Proc, size int64) error {
-	op, err := r.SubmitRead(ioev.Start(p), p.Node(), size)
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitRead issues the RDMA get after dep without parking, to the
-// initiator node.
-func (r *Region) SubmitRead(dep ioev.Op, initiator *machine.Node, size int64) (ioev.Op, error) {
-	if size < 0 || size > r.size {
-		return ioev.Op{}, fmt.Errorf("nam: read of %d bytes exceeds region %q (%d)", size, r.name, r.size)
-	}
-	return ioev.At(r.dev.net.RDMARead(initiator, r.dev.endpoint, int(size), dep.Time())), nil
 }

@@ -10,18 +10,18 @@ import (
 
 func testSetup() (*fabric.Network, *machine.System) {
 	sys := machine.New(2, 2)
-	return fabric.New(sys, fabric.Config{}), sys
+	return fabric.New(sys), sys
 }
 
 func TestPrototypePair(t *testing.T) {
 	net, _ := testSetup()
 	devs := NewPrototypePair(net)
 	for _, d := range devs {
-		if d.Capacity() != 2<<30 {
-			t.Errorf("%s capacity = %d, want 2 GiB", d.Name(), d.Capacity())
+		if d.capacity != 2<<30 {
+			t.Errorf("%s capacity = %d, want 2 GiB", d.name, d.capacity)
 		}
 	}
-	if devs[0].Name() == devs[1].Name() {
+	if devs[0].name == devs[1].name {
 		t.Error("devices share a name")
 	}
 }
@@ -33,8 +33,8 @@ func TestAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size() != 600 || d.Used() != 600 {
-		t.Fatalf("size/used = %d/%d", r.Size(), d.Used())
+	if r.size != 600 || d.used != 600 {
+		t.Fatalf("size/used = %d/%d", r.size, d.used)
 	}
 	if _, err := d.Alloc("ckpt", 100); err == nil {
 		t.Fatal("duplicate region name accepted")
@@ -42,18 +42,11 @@ func TestAllocFree(t *testing.T) {
 	if _, err := d.Alloc("big", 500); err == nil {
 		t.Fatal("overcommit accepted")
 	}
-	d.Free("ckpt")
-	if d.Used() != 0 {
-		t.Fatal("free did not release")
-	}
-	if _, ok := d.Region("ckpt"); ok {
-		t.Fatal("freed region still present")
-	}
 }
 
 func TestRDMAAccessFromAllNodes(t *testing.T) {
 	// The NAM is globally accessible: both Cluster and Booster nodes can
-	// read and write it directly.
+	// write it directly.
 	net, sys := testSetup()
 	d := New(net, "nam0", 1<<30)
 	r, err := d.Alloc("data", 1<<20)
@@ -64,10 +57,6 @@ func TestRDMAAccessFromAllNodes(t *testing.T) {
 		a := ioev.Detach(n, 0)
 		if err := r.Write(a, 1<<20); err != nil || a.Now() <= 0 {
 			t.Fatalf("node %s write: %v at %v", n.Name(), err, a.Now())
-		}
-		before := a.Now()
-		if err := r.Read(a, 1<<20); err != nil || a.Now() <= before {
-			t.Fatalf("node %s read: %v at %v", n.Name(), err, a.Now())
 		}
 	}
 }
@@ -80,11 +69,8 @@ func TestRegionBoundsChecked(t *testing.T) {
 	if err := r.Write(a, 200); err == nil {
 		t.Fatal("oversized write accepted")
 	}
-	if err := r.Read(a, 200); err == nil {
-		t.Fatal("oversized read accepted")
-	}
 	if a.Now() != 0 {
-		t.Errorf("rejected transfers advanced the clock to %v", a.Now())
+		t.Errorf("a rejected transfer advanced the clock to %v", a.Now())
 	}
 }
 

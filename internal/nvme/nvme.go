@@ -10,8 +10,8 @@
 // commands serialised through the device queue (a vclock.SharedClock), so
 // concurrent writers see realistic queueing delays.
 //
-// Device latencies are scheduled kernel events: Put/Get park the calling
-// ioev.Proc until the command completes, and SubmitPut/SubmitGet issue a
+// Device latencies are scheduled kernel events: Put parks the calling
+// ioev.Proc until the command completes, and the Submit* forms issue a
 // command against an ioev.Op dependency without parking, for composed paths
 // that join several operations before a single park. The device carries no
 // mutex — like the rest of the migrated I/O stack it relies on the
@@ -60,19 +60,10 @@ type Device struct {
 func New(spec Spec) *Device {
 	return &Device{
 		spec:  spec,
-		queue: vclock.NewSharedClock(0),
+		queue: vclock.NewSharedClock(),
 		blobs: map[string]int64{},
 	}
 }
-
-// Spec returns the device specification.
-func (d *Device) Spec() Spec { return d.spec }
-
-// Used returns the bytes currently stored.
-func (d *Device) Used() int64 { return d.used }
-
-// Free returns the remaining capacity in bytes.
-func (d *Device) Free() int64 { return d.spec.CapacityBytes - d.used }
 
 // writeTime models one write command of the given size.
 func (d *Device) writeTime(size int64) vclock.Time {
@@ -133,17 +124,6 @@ func (d *Device) SubmitUpdate(dep ioev.Op, name string, size, written int64) (io
 	return ioev.At(end), nil
 }
 
-// Get reads a named blob, parking the caller until the read command
-// completes, and returns its size.
-func (d *Device) Get(p ioev.Proc, name string) (int64, error) {
-	size, op, err := d.SubmitGet(ioev.Start(p), name)
-	if err != nil {
-		return 0, err
-	}
-	ioev.Await(p, op)
-	return size, nil
-}
-
 // SubmitGet issues a read command after dep without parking, returning the
 // blob size and the completion token.
 func (d *Device) SubmitGet(dep ioev.Op, name string) (int64, ioev.Op, error) {
@@ -155,26 +135,9 @@ func (d *Device) SubmitGet(dep ioev.Op, name string) (int64, ioev.Op, error) {
 	return size, ioev.At(end), nil
 }
 
-// Has reports whether a blob exists.
-func (d *Device) Has(name string) bool {
-	_, ok := d.blobs[name]
-	return ok
-}
-
-// Delete removes a blob (no-op if absent) at negligible cost.
-func (d *Device) Delete(name string) {
-	if size, ok := d.blobs[name]; ok {
-		d.used -= size
-		delete(d.blobs, name)
-	}
-}
-
 // DropAll clears the device — used by failure injection to model a node loss
 // taking its local checkpoints with it.
 func (d *Device) DropAll() {
 	d.blobs = map[string]int64{}
 	d.used = 0
 }
-
-// Blobs returns the number of stored blobs.
-func (d *Device) Blobs() int { return len(d.blobs) }

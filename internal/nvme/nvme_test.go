@@ -19,6 +19,15 @@ func TestP3700Spec(t *testing.T) {
 	}
 }
 
+// get reads a blob and parks the actor until the read completes.
+func get(d *Device, a ioev.Proc, name string) (int64, error) {
+	size, op, err := d.SubmitGet(ioev.Start(a), name)
+	if err == nil {
+		ioev.Await(a, op)
+	}
+	return size, err
+}
+
 func TestPutGetTiming(t *testing.T) {
 	d := New(P3700())
 	const size = 1900 * 1000 * 1000 // 1.9 GB: exactly 1 s at write bandwidth
@@ -29,7 +38,7 @@ func TestPutGetTiming(t *testing.T) {
 	if got := a.Now().Seconds(); math.Abs(got-1.0) > 0.01 {
 		t.Errorf("1.9 GB write took %vs, want ~1s", got)
 	}
-	n, err := d.Get(a, "ckpt")
+	n, err := get(d, a, "ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +64,8 @@ func TestCapacityEnforced(t *testing.T) {
 	if err := d.Put(a, "a", 90); err != nil {
 		t.Fatalf("overwrite rejected: %v", err)
 	}
-	if d.Used() != 90 {
-		t.Fatalf("used = %d, want 90", d.Used())
+	if d.used != 90 {
+		t.Fatalf("used = %d, want 90", d.used)
 	}
 }
 
@@ -65,23 +74,18 @@ func TestDeleteAndDropAll(t *testing.T) {
 	a := ioev.Detach(nil, 0)
 	d.Put(a, "x", 1000)
 	d.Put(a, "y", 2000)
-	if d.Blobs() != 2 {
-		t.Fatalf("blobs = %d", d.Blobs())
+	if len(d.blobs) != 2 {
+		t.Fatalf("blobs = %d", len(d.blobs))
 	}
-	d.Delete("x")
-	if d.Has("x") || !d.Has("y") || d.Used() != 2000 {
-		t.Fatal("delete broken")
-	}
-	d.Delete("x") // idempotent
 	d.DropAll()
-	if d.Blobs() != 0 || d.Used() != 0 {
+	if len(d.blobs) != 0 || d.used != 0 {
 		t.Fatal("DropAll left state")
 	}
 }
 
 func TestGetMissing(t *testing.T) {
 	d := New(P3700())
-	if _, err := d.Get(ioev.Detach(nil, 0), "nope"); err == nil {
+	if _, err := get(d, ioev.Detach(nil, 0), "nope"); err == nil {
 		t.Fatal("missing blob read succeeded")
 	}
 }
@@ -124,7 +128,7 @@ func TestQuickUsedNeverExceedsCapacity(t *testing.T) {
 		a := ioev.Detach(nil, 0)
 		for _, op := range ops {
 			d.Put(a, string(rune('a'+op.Name%8)), int64(op.Size)) // errors fine
-			if d.Used() > d.Spec().CapacityBytes || d.Used() < 0 {
+			if d.used > d.spec.CapacityBytes || d.used < 0 {
 				return false
 			}
 		}

@@ -148,8 +148,8 @@ func TestAllreduceCostGrowsWithRanks(t *testing.T) {
 func TestCollectivesOnBooster(t *testing.T) {
 	// Collectives work on Booster nodes and cost more (1.8µs latency).
 	rtC := testRuntime(4, 4)
-	cNodes := rtC.System().Module(machine.Cluster)
-	bNodes := rtC.System().Module(machine.Booster)
+	cNodes := rtC.sys.Module(machine.Cluster)
+	bNodes := rtC.sys.Module(machine.Booster)
 	resC, err := rtC.Launch(LaunchSpec{Nodes: cNodes, Main: func(p *Proc) error {
 		p.Barrier(p.World())
 		return nil
@@ -158,7 +158,7 @@ func TestCollectivesOnBooster(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtB := testRuntime(4, 4)
-	bNodes = rtB.System().Module(machine.Booster)
+	bNodes = rtB.sys.Module(machine.Booster)
 	resB, err := rtB.Launch(LaunchSpec{Nodes: bNodes, Main: func(p *Proc) error {
 		p.Barrier(p.World())
 		return nil

@@ -13,7 +13,7 @@ import (
 func TestDeadlockBecomesError(t *testing.T) {
 	rt := testRuntime(2, 0)
 	_, err := rt.Launch(LaunchSpec{
-		Nodes: rt.System().Module(machine.Cluster)[:2],
+		Nodes: rt.sys.Module(machine.Cluster)[:2],
 		Main: func(p *Proc) error {
 			p.Recv(p.World(), 1-p.Rank(), 0) // both wait, nobody sends
 			return nil

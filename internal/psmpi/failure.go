@@ -84,9 +84,6 @@ func NewFailureInjector(mtbf vclock.Time, seed int64, maxFailures int, pool []*m
 	}
 }
 
-// Fired returns how many failures the injector has injected so far.
-func (fi *FailureInjector) Fired() int { return fi.count }
-
 // arm schedules this launch's failure event (if the injector still has
 // failures to give): the system-MTBF exponential draw past start picks the
 // instant, a uniform draw the victim node. Called by Launch before Run.

@@ -215,9 +215,6 @@ func (p *Proc) send(c *Comm, dst, tag int, pl payload, bytes int, mode sendMode,
 }
 
 func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sendMode, blocking bool) *Request {
-	if p.rt.trace != nil {
-		defer p.record("send", p.clock.Now())
-	}
 	target := c.target(dst)
 	// Inter-communicator traffic is staged through the MPI layer on the
 	// sending side (see Config.InterCommStagingGBs).
@@ -311,9 +308,6 @@ func (p *Proc) IssendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
 
 // recvCommon matches a message, timing the receive. Returns the envelope.
 func (p *Proc) recvCommon(c *Comm, src, tag int) *envelope {
-	if p.rt.trace != nil {
-		defer p.record("recv", p.clock.Now())
-	}
 	mb := p.mbox
 	if e := mb.takeUnexpected(c.id, src, tag); e != nil {
 		p.completeRecvUnexpected(e)
@@ -480,9 +474,6 @@ type Status struct {
 func (p *Proc) wait(req *Request) (payload, Status) {
 	if req.p != p {
 		panic("psmpi: waiting on another rank's request")
-	}
-	if p.rt.trace != nil {
-		defer p.record("wait", p.clock.Now())
 	}
 	if req.isSend {
 		if !req.done {

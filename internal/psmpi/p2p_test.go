@@ -15,14 +15,14 @@ import (
 // testRuntime builds a runtime over c cluster and b booster nodes.
 func testRuntime(c, b int) *Runtime {
 	sys := machine.New(c, b)
-	return NewRuntime(sys, fabric.New(sys, fabric.Config{}), Config{})
+	return NewRuntime(sys, fabric.New(sys), Config{})
 }
 
 // runJob launches main over the first n cluster nodes and fails the test on
 // job error.
 func runJob(t *testing.T, rt *Runtime, n int, main MainFunc) Result {
 	t.Helper()
-	nodes := rt.System().Module(machine.Cluster)[:n]
+	nodes := rt.sys.Module(machine.Cluster)[:n]
 	res, err := rt.Launch(LaunchSpec{Nodes: nodes, Main: main})
 	if err != nil {
 		t.Fatalf("job failed: %v", err)
@@ -200,7 +200,7 @@ func TestEagerLatency(t *testing.T) {
 // TestBoosterLatency checks BN-BN latency (1.8 µs).
 func TestBoosterLatency(t *testing.T) {
 	rt := testRuntime(0, 2)
-	nodes := rt.System().Module(machine.Booster)
+	nodes := rt.sys.Module(machine.Booster)
 	var recvTime vclock.Time
 	_, err := rt.Launch(LaunchSpec{Nodes: nodes, Main: func(p *Proc) error {
 		w := p.World()
@@ -290,7 +290,7 @@ func TestEagerSendDoesNotBlock(t *testing.T) {
 // series of Fig. 3) and checks its latency sits between CN-CN and BN-BN.
 func TestCrossModuleMessage(t *testing.T) {
 	rt := testRuntime(1, 1)
-	nodes := []*machine.Node{rt.System().Node(0), rt.System().Node(1)}
+	nodes := []*machine.Node{rt.sys.Node(0), rt.sys.Node(1)}
 	var recvTime vclock.Time
 	_, err := rt.Launch(LaunchSpec{Nodes: nodes, Main: func(p *Proc) error {
 		w := p.World()
@@ -355,7 +355,7 @@ func TestMakespanIsMaxClock(t *testing.T) {
 func TestRankErrorPropagates(t *testing.T) {
 	rt := testRuntime(1, 0)
 	_, err := rt.Launch(LaunchSpec{
-		Nodes: rt.System().Module(machine.Cluster)[:1],
+		Nodes: rt.sys.Module(machine.Cluster)[:1],
 		Main: func(p *Proc) error {
 			return errTest
 		},
@@ -374,7 +374,7 @@ func (e errorString) Error() string { return string(e) }
 func TestPanicInRankBecomesError(t *testing.T) {
 	rt := testRuntime(1, 0)
 	_, err := rt.Launch(LaunchSpec{
-		Nodes: rt.System().Module(machine.Cluster)[:1],
+		Nodes: rt.sys.Module(machine.Cluster)[:1],
 		Main: func(p *Proc) error {
 			panic("kaboom")
 		},
@@ -399,7 +399,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 func TestUserTagRangeEnforced(t *testing.T) {
 	rt := testRuntime(2, 0)
 	_, err := rt.Launch(LaunchSpec{
-		Nodes: rt.System().Module(machine.Cluster)[:2],
+		Nodes: rt.sys.Module(machine.Cluster)[:2],
 		Main: func(p *Proc) error {
 			if p.Rank() == 0 {
 				p.Send(p.World(), 1, MaxUserTag, nil, 0) // must panic → error
@@ -571,7 +571,7 @@ func sameOutcome(t *testing.T, label string, serial, par Result) {
 func TestParallelMultiRankPerNode(t *testing.T) {
 	launch := func() (Result, error) {
 		rt := testRuntime(3, 0)
-		cluster := rt.System().Module(machine.Cluster)
+		cluster := rt.sys.Module(machine.Cluster)
 		nodes := []*machine.Node{cluster[0], cluster[0], cluster[1], cluster[1], cluster[2], cluster[2]}
 		return rt.Launch(LaunchSpec{Nodes: nodes, Main: exchangeMain(4)})
 	}
@@ -599,7 +599,7 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 		main := randomGraphMain(seed, n, rounds)
 		launch := func() (Result, error) {
 			rt := testRuntime(n, 0)
-			cluster := rt.System().Module(machine.Cluster)
+			cluster := rt.sys.Module(machine.Cluster)
 			nodes := make([]*machine.Node, n)
 			for i := range nodes {
 				if packed {

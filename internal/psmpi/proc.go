@@ -34,7 +34,6 @@ type Proc struct {
 	rank   int // rank in its world communicator
 	world  *Comm
 	parent *Comm // intercommunicator to the spawning job, nil at top level
-	args   any
 
 	commRank map[uint64]int // this proc's rank per communicator id
 	sendSeq  uint64
@@ -59,7 +58,7 @@ type Proc struct {
 
 // newProc builds a rank's state. Its kernel task is created later, by
 // startJob.
-func newProc(rt *Runtime, l *launch, node *machine.Node, rank int, args any) *Proc {
+func newProc(rt *Runtime, l *launch, node *machine.Node, rank int) *Proc {
 	p := &Proc{
 		rt:       rt,
 		l:        l,
@@ -67,7 +66,6 @@ func newProc(rt *Runtime, l *launch, node *machine.Node, rank int, args any) *Pr
 		clock:    vclock.NewClock(0),
 		mbox:     newMailbox(),
 		rank:     rank,
-		args:     args,
 		commRank: map[uint64]int{},
 	}
 	p.eagerDone = Request{p: p, isSend: true, done: true}
@@ -87,28 +85,15 @@ func (p *Proc) Parent() *Comm { return p.parent }
 // Node returns the node this rank runs on.
 func (p *Proc) Node() *machine.Node { return p.node }
 
-// Module returns the module (Cluster or Booster) this rank runs on.
-func (p *Proc) Module() machine.Module { return p.node.Module }
-
-// Args returns the opaque argument block passed at launch or spawn.
-func (p *Proc) Args() any { return p.args }
-
-// Runtime returns the owning runtime.
-func (p *Proc) Runtime() *Runtime { return p.rt }
-
 // Now returns this rank's current virtual time (MPI_Wtime).
 func (p *Proc) Now() vclock.Time { return p.clock.Now() }
 
 // Compute advances this rank's clock by the cost of the given work on its
 // node, and accounts it as compute time.
 func (p *Proc) Compute(w machine.Work) {
-	start := p.clock.Now()
 	d := p.node.Spec.ComputeTime(w)
 	p.clock.Advance(d)
 	p.Stats.ComputeTime += d
-	if p.rt.trace != nil {
-		p.record(traceComputeName(w.Class), start)
-	}
 }
 
 // Elapse advances the clock by an externally computed duration (device I/O,

@@ -78,7 +78,6 @@ type Runtime struct {
 	mu     sync.Mutex
 	binReg map[string]MainFunc
 	commID uint64
-	trace  *traceSink
 }
 
 // NewRuntime creates a runtime over the given system and network. A zero
@@ -97,12 +96,6 @@ func NewRuntime(sys *machine.System, net *fabric.Network, cfg Config) *Runtime {
 		binReg: map[string]MainFunc{},
 	}
 }
-
-// System returns the hardware inventory.
-func (rt *Runtime) System() *machine.System { return rt.sys }
-
-// Network returns the fabric.
-func (rt *Runtime) Network() *fabric.Network { return rt.net }
 
 // Register makes a binary name spawnable, like installing an executable on
 // the system. Registering an empty name or nil main panics.
@@ -259,8 +252,6 @@ type LaunchSpec struct {
 	Nodes []*machine.Node
 	// Main is the program every rank executes.
 	Main MainFunc
-	// Args is an opaque argument block visible to ranks via Proc.Args.
-	Args any
 	// StartTime is the virtual time at which the ranks boot (default 0).
 	StartTime vclock.Time
 	// Failures, if set, arms deterministic node-failure injection for this
@@ -306,7 +297,7 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 		return Result{}, errors.New("psmpi: launch with nil main")
 	}
 	l := &launch{eng: engine.New()}
-	world := rt.newWorld(l, spec.Nodes, spec.Args, spec.StartTime, nil)
+	world := rt.newWorld(l, spec.Nodes, spec.StartTime, nil)
 	rt.startJob(l, world, spec.Main, spec.StartTime)
 	spec.Failures.arm(l, spec.StartTime)
 	l.eng.Run()
@@ -334,10 +325,10 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 }
 
 // newWorld builds a world communicator with one fresh proc per node entry.
-func (rt *Runtime) newWorld(l *launch, nodes []*machine.Node, args any, start vclock.Time, parent *Comm) *Comm {
+func (rt *Runtime) newWorld(l *launch, nodes []*machine.Node, start vclock.Time, parent *Comm) *Comm {
 	world := &Comm{rt: rt, id: rt.nextCommID()}
 	for i, node := range nodes {
-		p := newProc(rt, l, node, i, args)
+		p := newProc(rt, l, node, i)
 		p.clock.AdvanceTo(start)
 		p.world = world
 		p.parent = parent

@@ -16,8 +16,6 @@ type SpawnSpec struct {
 	// Module selects where the children run (the "host" info key of the
 	// paper's setup: xPic starts on the Booster and spawns onto the Cluster).
 	Module machine.Module
-	// Args is the opaque argument block the children see via Proc.Args.
-	Args any
 }
 
 // spawnHandle is broadcast from the spawn root to the other parents.
@@ -86,7 +84,7 @@ func (p *Proc) spawnRoot(c *Comm, spec SpawnSpec) spawnHandle {
 	inter := &Comm{rt: p.rt, id: p.rt.nextCommID(), local: c.local}
 	childView := &Comm{rt: p.rt, id: inter.id, remote: c.local}
 
-	world := p.rt.newWorld(p.l, nodes, spec.Args, start, childView)
+	world := p.rt.newWorld(p.l, nodes, start, childView)
 	inter.remote = world.local
 	childView.local = world.local
 	for i, child := range world.local {

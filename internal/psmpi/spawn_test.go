@@ -23,8 +23,8 @@ func TestSpawnBasic(t *testing.T) {
 		if p.Parent().RemoteSize() != 2 {
 			t.Errorf("child sees %d parents, want 2", p.Parent().RemoteSize())
 		}
-		if p.Module() != machine.Booster {
-			t.Errorf("child on %v, want Booster", p.Module())
+		if p.Node().Module != machine.Booster {
+			t.Errorf("child on %v, want Booster", p.Node().Module)
 		}
 		if p.World().Size() != 3 {
 			t.Errorf("child world size = %d, want 3", p.World().Size())
@@ -152,14 +152,14 @@ func TestSpawnMakespanIncludesChildren(t *testing.T) {
 func TestSpawnReverseDirection(t *testing.T) {
 	rt := testRuntime(2, 2)
 	rt.Register("cluster_side", func(p *Proc) error {
-		if p.Module() != machine.Cluster {
-			t.Errorf("spawned child on %v, want Cluster", p.Module())
+		if p.Node().Module != machine.Cluster {
+			t.Errorf("spawned child on %v, want Cluster", p.Node().Module)
 		}
 		buf := make([]float64, 1)
 		p.RecvF64(p.Parent(), 0, 0, buf)
 		return nil
 	})
-	bNodes := rt.System().Module(machine.Booster)
+	bNodes := rt.sys.Module(machine.Booster)
 	_, err := rt.Launch(LaunchSpec{Nodes: bNodes, Main: func(p *Proc) error {
 		inter, err := p.Spawn(p.World(), SpawnSpec{Binary: "cluster_side", Procs: 2, Module: machine.Cluster})
 		if err != nil {
@@ -182,7 +182,7 @@ func TestSpawnChildError(t *testing.T) {
 	rt := testRuntime(1, 1)
 	rt.Register("bad", func(p *Proc) error { return errTest })
 	_, err := rt.Launch(LaunchSpec{
-		Nodes: rt.System().Module(machine.Cluster)[:1],
+		Nodes: rt.sys.Module(machine.Cluster)[:1],
 		Main: func(p *Proc) error {
 			_, err := p.Spawn(p.World(), SpawnSpec{Binary: "bad", Procs: 1, Module: machine.Booster})
 			return err
@@ -191,21 +191,6 @@ func TestSpawnChildError(t *testing.T) {
 	if err == nil {
 		t.Fatal("child error not propagated to launch result")
 	}
-}
-
-// TestSpawnArgsVisible checks argument passing to children.
-func TestSpawnArgsVisible(t *testing.T) {
-	rt := testRuntime(1, 1)
-	rt.Register("argchild", func(p *Proc) error {
-		if p.Args().(string) != "hello" {
-			t.Errorf("child args = %v", p.Args())
-		}
-		return nil
-	})
-	runJob(t, rt, 1, func(p *Proc) error {
-		_, err := p.Spawn(p.World(), SpawnSpec{Binary: "argchild", Procs: 1, Module: machine.Booster, Args: "hello"})
-		return err
-	})
 }
 
 // TestSpawnPlacement pins the one spawn placement: children land on the
@@ -236,7 +221,7 @@ func TestSpawnPlacement(t *testing.T) {
 				return nil
 			})
 			_, err := rt.Launch(LaunchSpec{
-				Nodes: rt.System().Module(machine.Cluster),
+				Nodes: rt.sys.Module(machine.Cluster),
 				Main: func(p *Proc) error {
 					_, err := p.Spawn(p.World(), SpawnSpec{Binary: "placed", Procs: tc.procs, Module: tc.module})
 					return err

@@ -8,10 +8,6 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-func newTestNet(sys *machine.System) *fabric.Network {
-	return fabric.New(sys, fabric.Config{})
-}
-
 // TestInterCommStagingCost verifies that inter-communicator traffic pays the
 // staged-path cost (the non-RDMA spawn-intercomm path of ParaStation) while
 // intra-communicator traffic does not.
@@ -64,7 +60,7 @@ func TestInterCommStagingCost(t *testing.T) {
 func TestInterCommStagingConfigurable(t *testing.T) {
 	sysTime := func(staging float64) vclock.Time {
 		sys := machine.New(1, 1)
-		rt := NewRuntime(sys, newTestNet(sys), Config{
+		rt := NewRuntime(sys, fabric.New(sys), Config{
 			SpawnOverhead:       vclock.Microsecond,
 			InterCommStagingGBs: staging,
 		})

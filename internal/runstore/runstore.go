@@ -99,12 +99,6 @@ func Open(dir, epoch string) (*Store, error) {
 	return &Store{dir: d, epoch: epoch}, nil
 }
 
-// Epoch returns the epoch the store was opened under.
-func (s *Store) Epoch() string { return s.epoch }
-
-// Dir returns the epoch-scoped directory the entries live in.
-func (s *Store) Dir() string { return s.dir }
-
 // path fans entries out over 256 subdirectories by key prefix, so
 // million-scenario grids do not pile every file into one directory.
 func (s *Store) path(key [sha256.Size]byte) string {

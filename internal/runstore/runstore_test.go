@@ -57,7 +57,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 func entryFile(t *testing.T, st *Store) string {
 	t.Helper()
 	var found string
-	err := filepath.WalkDir(st.Dir(), func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(st.dir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -67,7 +67,7 @@ func entryFile(t *testing.T, st *Store) string {
 		return nil
 	})
 	if err != nil || found == "" {
-		t.Fatalf("no entry file under %s (err %v)", st.Dir(), err)
+		t.Fatalf("no entry file under %s (err %v)", st.dir, err)
 	}
 	return found
 }

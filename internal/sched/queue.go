@@ -250,6 +250,7 @@ func simulateQueueFaults(sys *machine.System, jobs []Job, policy Policy, faults 
 	first, last := vclock.Time(0), vclock.Time(0)
 	if n := len(queue); n > 0 {
 		first, last = queue[0].Arrival, queue[n-1].Arrival
+		q.sched.Placed = make([]Placed, 0, n) // one entry per job unless faults requeue it
 	}
 	q.driver = eng.NewTask("queue")
 	q.driver.StartAt(first)

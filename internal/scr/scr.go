@@ -72,16 +72,6 @@ type Config struct {
 	// GlobalEvery takes a global-level checkpoint every k-th checkpoint
 	// (0 disables).
 	GlobalEvery int
-	// NodeMTBF is the per-node mean time between failures of the failure
-	// model the DEEP-ER SCR extension uses to plan checkpoints.
-	NodeMTBF vclock.Time
-}
-
-// DefaultConfig uses the cadence typical for SCR deployments: buddy every
-// 4th, global every 16th checkpoint, and an (aggressively short, prototype
-// scale) per-node MTBF of 12 h.
-func DefaultConfig() Config {
-	return Config{BuddyEvery: 4, GlobalEvery: 16, NodeMTBF: 12 * 3600 * vclock.Second}
 }
 
 // Manager is the per-job checkpoint coordinator.
@@ -145,9 +135,6 @@ func New(cfg Config, net *fabric.Network, fs *beegfs.FS, nodes []*machine.Node, 
 		buddy:   map[string][]byte{},
 	}, nil
 }
-
-// Ranks returns the number of ranks covered.
-func (m *Manager) Ranks() int { return len(m.nodes) }
 
 // BuddyOf returns the companion rank used for buddy checkpoints: the
 // neighbour in a ring over the ranks, guaranteed to live on another node
@@ -404,17 +391,6 @@ func (m *Manager) BestRestart() (step int, levels []Level, ok bool) {
 	return best, bestLv, true
 }
 
-// Restore fetches one rank's checkpoint of the given step from the given
-// level, parking the caller until the data has arrived on the rank's node.
-func (m *Manager) Restore(p ioev.Proc, rank, step int, lv Level) ([]byte, error) {
-	data, op, err := m.SubmitRestore(ioev.Start(p), rank, step, lv)
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return data, nil
-}
-
 // SubmitRestore issues one rank's restore after dep without parking,
 // returning the data and the arrival token.
 func (m *Manager) SubmitRestore(dep ioev.Op, rank, step int, lv Level) ([]byte, ioev.Op, error) {
@@ -460,19 +436,6 @@ func (m *Manager) SubmitRestore(dep ioev.Op, rank, step int, lv Level) ([]byte, 
 	default:
 		return nil, ioev.Op{}, fmt.Errorf("scr: unknown level %v", lv)
 	}
-}
-
-// SystemMTBF returns the failure model's mean time between failures for the
-// whole job (per-node MTBF divided by the node count).
-func (m *Manager) SystemMTBF() vclock.Time {
-	uniq := map[int]bool{}
-	for _, n := range m.nodes {
-		uniq[n.ID] = true
-	}
-	if len(uniq) == 0 || m.cfg.NodeMTBF == 0 {
-		return 0
-	}
-	return m.cfg.NodeMTBF / vclock.Time(len(uniq))
 }
 
 // OptimalInterval returns the Young/Daly checkpoint interval

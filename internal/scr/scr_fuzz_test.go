@@ -148,8 +148,8 @@ func FuzzBestRestart(f *testing.F) {
 		for _, n := range nodes {
 			devs[n.ID] = nvme.New(nvme.P3700())
 		}
-		net := fabric.New(sys, fabric.Config{})
-		fs := beegfs.New(net, beegfs.Config{})
+		net := fabric.New(sys)
+		fs := beegfs.New(net)
 		// Every checkpoint hits all three levels: the interesting state space
 		// is which copies survive, not the cadence.
 		m, err := New(Config{BuddyEvery: 1, GlobalEvery: 1}, net, fs, nodes, devs)
@@ -210,7 +210,7 @@ func FuzzBestRestart(f *testing.F) {
 			}
 			// Prove the plan: every rank restores its own bytes.
 			for rank := 0; rank < ranks; rank++ {
-				data, err := m.Restore(ioev.Detach(nil, now), rank, step, levels[rank])
+				data, err := restore(m, ioev.Detach(nil, now), rank, step, levels[rank])
 				if err != nil {
 					t.Fatalf("restore step %d rank %d from %v: %v", step, rank, levels[rank], err)
 				}

@@ -17,8 +17,8 @@ import (
 func testMgr(t *testing.T, ranks int, cfg Config) (*Manager, *machine.System) {
 	t.Helper()
 	sys := machine.New(ranks, 0)
-	net := fabric.New(sys, fabric.Config{})
-	fs := beegfs.New(net, beegfs.Config{})
+	net := fabric.New(sys)
+	fs := beegfs.New(net)
 	nodes := sys.Module(machine.Cluster)[:ranks]
 	devs := map[int]*nvme.Device{}
 	for _, n := range nodes {
@@ -31,11 +31,21 @@ func testMgr(t *testing.T, ranks int, cfg Config) (*Manager, *machine.System) {
 	return m, sys
 }
 
+// restore fetches one rank's checkpoint and parks the actor until the data
+// has arrived.
+func restore(m *Manager, a ioev.Proc, rank, step int, lv Level) ([]byte, error) {
+	data, op, err := m.SubmitRestore(ioev.Start(a), rank, step, lv)
+	if err == nil {
+		ioev.Await(a, op)
+	}
+	return data, err
+}
+
 func ckptAll(t *testing.T, m *Manager, step int, data []byte, ready vclock.Time) vclock.Time {
 	t.Helper()
 	levels := m.BeginCheckpoint(step)
 	var done vclock.Time
-	for rank := 0; rank < m.Ranks(); rank++ {
+	for rank := 0; rank < len(m.nodes); rank++ {
 		a := ioev.Detach(nil, ready)
 		if err := m.Checkpoint(a, rank, step, data, levels); err != nil {
 			t.Fatal(err)
@@ -84,7 +94,7 @@ func TestLocalRestore(t *testing.T) {
 			t.Errorf("rank %d level = %v, want local", rank, levels[rank])
 		}
 		a := ioev.Detach(nil, 0)
-		got, err := m.Restore(a, rank, step, levels[rank])
+		got, err := restore(m, a, rank, step, levels[rank])
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("restore rank %d: %q, %v", rank, got, err)
 		}
@@ -113,7 +123,7 @@ func TestBuddySurvivesNodeFailure(t *testing.T) {
 		// rank 1's local copy was untouched.
 		t.Errorf("rank 1 should restore locally, got %v", levels[1])
 	}
-	got, err := m.Restore(ioev.Detach(nil, 0), 0, step, LevelBuddy)
+	got, err := restore(m, ioev.Detach(nil, 0), 0, step, LevelBuddy)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("buddy restore: %q, %v", got, err)
 	}
@@ -135,7 +145,7 @@ func TestGlobalSurvivesEverything(t *testing.T) {
 		if levels[rank] != LevelGlobal {
 			t.Errorf("rank %d level = %v, want global", rank, levels[rank])
 		}
-		got, err := m.Restore(ioev.Detach(nil, 0), rank, step, LevelGlobal)
+		got, err := restore(m, ioev.Detach(nil, 0), rank, step, LevelGlobal)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("global restore rank %d: %v", rank, err)
 		}
@@ -207,13 +217,6 @@ func TestSingleNodeJobSkipsBuddy(t *testing.T) {
 	}
 }
 
-func TestSystemMTBF(t *testing.T) {
-	m, _ := testMgr(t, 4, Config{NodeMTBF: 40 * vclock.Second})
-	if got := m.SystemMTBF(); math.Abs(got.Seconds()-10) > 1e-9 {
-		t.Errorf("system MTBF = %v, want 10s", got)
-	}
-}
-
 func TestOptimalInterval(t *testing.T) {
 	// Young/Daly: δ=2s, M=10000s → √(2·2·10000) = 200s.
 	got := OptimalInterval(2*vclock.Second, 10000*vclock.Second)
@@ -238,7 +241,7 @@ func TestCheckpointWithoutBegin(t *testing.T) {
 
 func TestManagerValidation(t *testing.T) {
 	sys := machine.New(2, 0)
-	net := fabric.New(sys, fabric.Config{})
+	net := fabric.New(sys)
 	nodes := sys.Module(machine.Cluster)
 	if _, err := New(Config{}, net, nil, nil, nil); err == nil {
 		t.Error("no ranks accepted")
@@ -260,7 +263,7 @@ func TestManyStepsRetained(t *testing.T) {
 	if !ok || step != 10 {
 		t.Fatalf("best = %d", step)
 	}
-	got, err := m.Restore(ioev.Detach(nil, 0), 1, 4, LevelLocal)
+	got, err := restore(m, ioev.Detach(nil, 0), 1, 4, LevelLocal)
 	if err != nil || string(got) != "step 4" {
 		t.Fatalf("old step restore: %q %v", got, err)
 	}
@@ -276,7 +279,7 @@ func TestLocalAndBuddyRestoresAreIndependent(t *testing.T) {
 	data[0] = 'X' // the caller reusing its buffer must not reach the store
 	restore := func(lv Level) []byte {
 		t.Helper()
-		got, err := m.Restore(ioev.Detach(nil, vclock.Second), 0, 3, lv)
+		got, err := restore(m, ioev.Detach(nil, vclock.Second), 0, 3, lv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,9 +24,6 @@ func NewDeviceBackend(dev *nvme.Device) *DeviceBackend {
 	return &DeviceBackend{dev: dev, files: map[string]*ioev.Content{}}
 }
 
-// Device returns the underlying device.
-func (d *DeviceBackend) Device() *nvme.Device { return d.dev }
-
 // SubmitCreate makes an empty file on the device after dep; the node is
 // irrelevant for node-local storage.
 func (d *DeviceBackend) SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op {

@@ -22,8 +22,8 @@ func FuzzSIONRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p0, p1, p2 []byte, bs uint16) {
 		blockSize := int64(bs%1024) + 1
 		sys := machine.New(1, 0)
-		net := fabric.New(sys, fabric.Config{})
-		b := beegfs.New(net, beegfs.Config{})
+		net := fabric.New(sys)
+		b := beegfs.New(net)
 		a := ioev.Detach(sys.Node(0), 0)
 
 		w, err := Create(a, b, "/fuzz.sion", 3, blockSize)
@@ -63,8 +63,8 @@ func FuzzSIONRoundTrip(f *testing.F) {
 func fuzzContainerBytes(f *testing.F) []byte {
 	f.Helper()
 	sys := machine.New(1, 0)
-	net := fabric.New(sys, fabric.Config{})
-	b := beegfs.New(net, beegfs.Config{})
+	net := fabric.New(sys)
+	b := beegfs.New(net)
 	a := ioev.Detach(sys.Node(0), 0)
 	w, err := Create(a, b, "/seed.sion", 2, 32)
 	if err != nil {
@@ -76,7 +76,7 @@ func fuzzContainerBytes(f *testing.F) []byte {
 		f.Fatal(err)
 	}
 	size, _ := b.Size("/seed.sion")
-	raw, err := b.Read(a, "/seed.sion", 0, size)
+	raw, _, err := b.SubmitRead(ioev.Start(a), "/seed.sion", 0, size, a.Node())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func FuzzSIONOpenRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		sys := machine.New(1, 0)
-		net := fabric.New(sys, fabric.Config{})
-		b := beegfs.New(net, beegfs.Config{})
+		net := fabric.New(sys)
+		b := beegfs.New(net)
 		a := ioev.Detach(sys.Node(0), 0)
-		b.Create(a, "/in.sion")
+		created := b.SubmitCreate(ioev.Start(a), "/in.sion", a.Node())
 		if len(raw) > 0 {
-			if err := b.Write(a, "/in.sion", 0, raw); err != nil {
+			if _, err := b.SubmitWrite(created, "/in.sion", 0, raw, a.Node()); err != nil {
 				t.Skip() // over FS capacity: not a parser input
 			}
 		}
@@ -121,7 +121,7 @@ func FuzzSIONOpenRead(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — the required behaviour for bad input
 		}
-		for task := 0; task < r.NTasks(); task++ {
+		for task := 0; task < r.ntasks; task++ {
 			if _, err := r.ReadTask(a, task); err != nil {
 				return
 			}

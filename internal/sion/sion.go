@@ -110,9 +110,6 @@ func SubmitCreate(b Backend, path string, ntasks int, blockSize int64, node *mac
 	return w, done, nil
 }
 
-// NTasks returns the number of task streams.
-func (w *Writer) NTasks() int { return w.ntasks }
-
 // WriteTask appends data to one task's logical stream, flushing full blocks
 // to the backend and parking the caller until the flushes it issued are
 // durable (a fully buffered append costs only the scheduling point).
@@ -366,9 +363,6 @@ func (r *Reader) parseTable(raw []byte, tableOff int64) error {
 	}
 	return nil
 }
-
-// NTasks returns the number of task streams in the container.
-func (r *Reader) NTasks() int { return r.ntasks }
 
 // TaskSize returns the logical size of one task's stream.
 func (r *Reader) TaskSize(task int) int64 {

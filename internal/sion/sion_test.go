@@ -16,8 +16,8 @@ import (
 
 func testBackend() (Backend, *machine.System) {
 	sys := machine.New(4, 4)
-	net := fabric.New(sys, fabric.Config{})
-	return beegfs.New(net, beegfs.Config{}), sys
+	net := fabric.New(sys)
+	return beegfs.New(net), sys
 }
 
 func TestRoundTripSingleTask(t *testing.T) {
@@ -72,8 +72,8 @@ func TestRoundTripManyTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NTasks() != ntasks {
-		t.Fatalf("ntasks = %d", r.NTasks())
+	if r.ntasks != ntasks {
+		t.Fatalf("ntasks = %d", r.ntasks)
 	}
 	for task := 0; task < ntasks; task++ {
 		got, err := r.ReadTask(a, task)
@@ -168,9 +168,10 @@ func TestInvalidGeometry(t *testing.T) {
 func TestOpenReadRejectsGarbage(t *testing.T) {
 	b, sys := testBackend()
 	a := ioev.Detach(sys.Node(0), 0)
-	fs := b.(*beegfs.FS)
-	fs.Create(a, "/garbage")
-	fs.Write(a, "/garbage", 0, bytes.Repeat([]byte{7}, 128))
+	created := b.SubmitCreate(ioev.Start(a), "/garbage", a.Node())
+	if _, err := b.SubmitWrite(created, "/garbage", 0, bytes.Repeat([]byte{7}, 128), a.Node()); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := OpenRead(a, b, "/garbage"); err == nil {
 		t.Fatal("garbage accepted as container")
 	}
@@ -212,14 +213,14 @@ func TestDeviceBackendRoundTrip(t *testing.T) {
 	if string(got) != "local checkpoint" {
 		t.Fatalf("got %q", got)
 	}
-	if dev.Used() == 0 {
-		t.Error("device backend did not account capacity")
+	if size, _, err := dev.SubmitGet(ioev.At(0), "file:/local.sion"); err != nil || size == 0 {
+		t.Errorf("device backend did not account capacity: %d bytes (%v)", size, err)
 	}
 }
 
 func TestBuddyCopy(t *testing.T) {
 	sys := machine.New(2, 0)
-	net := fabric.New(sys, fabric.Config{})
+	net := fabric.New(sys)
 	buddyDev := nvme.New(nvme.P3700())
 	data := bytes.Repeat([]byte("ckpt"), 1<<20)
 	a := ioev.Detach(sys.Node(0), vclock.Second)
@@ -229,8 +230,8 @@ func TestBuddyCopy(t *testing.T) {
 	if a.Now() <= vclock.Second {
 		t.Error("buddy copy free of charge")
 	}
-	if !buddyDev.Has("ckpt/rank0/step5") {
-		t.Error("buddy device does not hold the copy")
+	if size, _, err := buddyDev.SubmitGet(ioev.At(0), "ckpt/rank0/step5"); err != nil || size != int64(len(data)) {
+		t.Errorf("buddy device does not hold the copy: %d bytes (%v)", size, err)
 	}
 	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", data); err == nil {
 		t.Error("self-buddy accepted")

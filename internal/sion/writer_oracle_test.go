@@ -48,7 +48,7 @@ func stagedWriteTask(w *Writer, dep ioev.Op, task int, data []byte, node *machin
 var backendKinds = map[string]func() (Backend, *machine.Node){
 	"beegfs": func() (Backend, *machine.Node) {
 		sys := machine.New(2, 0)
-		return beegfs.New(fabric.New(sys, fabric.Config{}), beegfs.Config{}), sys.Node(0)
+		return beegfs.New(fabric.New(sys)), sys.Node(0)
 	},
 	"device": func() (Backend, *machine.Node) {
 		return NewDeviceBackend(nvme.New(nvme.P3700())), machine.New(1, 0).Node(0)

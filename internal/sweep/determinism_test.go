@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 
@@ -31,11 +32,11 @@ func sweepJSON(t *testing.T, workers int) []byte {
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestWorkerCountInvariance is the determinism property of the execution

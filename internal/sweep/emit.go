@@ -1,32 +1,14 @@
-// Result-set emitters. Both forms (JSON, text) are deterministic: results
-// are ordered by scenario index and metric keys by name, so the same sweep
-// definition always serialises to the same bytes regardless of worker count
-// or host scheduling.
+// Result-set rendering. The text form, like a ResultSet's JSON encoding, is
+// deterministic: results are ordered by scenario index and metric keys by
+// name, so the same sweep definition always serialises to the same bytes
+// regardless of worker count or host scheduling.
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
-
-// JSON renders the result set as indented, deterministic JSON.
-func (rs ResultSet) JSON() ([]byte, error) {
-	return json.MarshalIndent(rs, "", "  ")
-}
-
-// WriteJSON writes the JSON form with a trailing newline.
-func (rs ResultSet) WriteJSON(w io.Writer) error {
-	b, err := rs.JSON()
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
 
 // RenderText renders a human-readable summary table: the key xPic columns
 // when present, otherwise the per-scenario metrics inline.

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 
@@ -29,11 +30,11 @@ func facilitySweepJSON(t *testing.T, workers int) []byte {
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // faultyFacilityScenarios is the failing-machine slice of the facility
@@ -72,11 +73,11 @@ func faultySweepJSON(t *testing.T, workers int) []byte {
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestFacilityFaultsWorkerCountInvariance extends the facility worker-

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"testing/quick"
 
@@ -45,11 +46,11 @@ func resilienceSweepJSON(t *testing.T, workers int) []byte {
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestResilienceWorkerCountInvariance extends the kernel's determinism

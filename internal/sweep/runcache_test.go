@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -57,11 +58,11 @@ func runToJSON(t *testing.T, scen []Scenario, workers int) []byte {
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // TestRunCacheTransparency is the cache's core property: the bytes a sweep
@@ -152,7 +153,8 @@ func TestRunCachePanicDoesNotPoison(t *testing.T) {
 // (same config, same deterministic failure), must never be persisted to the
 // disk store, and becomes re-attemptable after ResetRunCache.
 func TestRunCacheErrorRetention(t *testing.T) {
-	st, err := runstore.Open(t.TempDir(), "err-test")
+	dir := t.TempDir()
+	st, err := runstore.Open(dir, "err-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestRunCacheErrorRetention(t *testing.T) {
 	if s := st.Stats(); s.Puts != 0 {
 		t.Fatalf("errored computation was persisted: %d puts", s.Puts)
 	}
-	if n := countStoreEntries(t, st); n != 0 {
+	if n := len(storeEntryFiles(t, dir)); n != 0 {
 		t.Fatalf("errored computation left %d entry files on disk", n)
 	}
 
@@ -204,30 +206,11 @@ func TestRunCacheErrorRetention(t *testing.T) {
 	}
 }
 
-// countStoreEntries walks the store's epoch directory counting entry files.
-func countStoreEntries(t *testing.T, st *runstore.Store) int {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(st.Dir(), func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(p, ".json") {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// storeEntryFiles returns every entry file in the store's epoch directory.
-func storeEntryFiles(t *testing.T, st *runstore.Store) []string {
+// storeEntryFiles returns every store entry file under dir.
+func storeEntryFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var out []string
-	err := filepath.WalkDir(st.Dir(), func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -294,7 +277,7 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 
 	// Process 3: one entry truncated mid-file — a miss plus recompute, the
 	// other three still served from disk, bytes still identical, entry healed.
-	files := storeEntryFiles(t, st2)
+	files := storeEntryFiles(t, filepath.Join(dir, epoch))
 	if len(files) != 4 {
 		t.Fatalf("store holds %d entries, want 4", len(files))
 	}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -42,11 +43,11 @@ func TestDeterministicJSONUnderParallelism(t *testing.T) {
 		if rs.Failures != 0 {
 			t.Fatalf("workers=%d: %d failures, first: %v", workers, rs.Failures, rs.FirstError())
 		}
-		var buf bytes.Buffer
-		if err := rs.WriteJSON(&buf); err != nil {
+		b, err := json.MarshalIndent(rs, "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	serial := emit(1)
 	parallel := emit(8)

@@ -68,8 +68,8 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			live = append(live, refEntry{at: at, seq: seq})
 		}
-		if q.Len() != len(live) {
-			t.Fatalf("Len %d, model %d", q.Len(), len(live))
+		if len(q.h) != len(live) {
+			t.Fatalf("Len %d, model %d", len(q.h), len(live))
 		}
 		// Drain: the remainder must come out fully sorted by (At, Seq).
 		var drained []refEntry
@@ -91,8 +91,8 @@ func FuzzEventQueue(f *testing.F) {
 		}) {
 			t.Fatalf("drain not sorted by (At, Seq): %+v", drained)
 		}
-		if q.Len() != 0 {
-			t.Fatalf("Len %d after drain", q.Len())
+		if len(q.h) != 0 {
+			t.Fatalf("Len %d after drain", len(q.h))
 		}
 		if _, ok := q.Peek(); ok {
 			t.Fatal("Peek succeeded on a drained queue")

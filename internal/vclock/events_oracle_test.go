@@ -141,11 +141,11 @@ func runDifferential(t *testing.T, ops []diffOp) {
 		if qs != hs {
 			t.Fatalf("op %d: queue seq %d, heap seq %d", i, qs, hs)
 		}
-		if q.Len() != heap.Len() {
-			t.Fatalf("op %d: queue len %d, heap len %d", i, q.Len(), heap.Len())
+		if len(q.h) != heap.Len() {
+			t.Fatalf("op %d: queue len %d, heap len %d", i, len(q.h), heap.Len())
 		}
 	}
-	for q.Len() > 0 || heap.Len() > 0 {
+	for len(q.h) > 0 || heap.Len() > 0 {
 		step(-1)
 	}
 }

@@ -76,8 +76,8 @@ func TestEventQueueInterleavedFIFO(t *testing.T) {
 		}
 		live = append(live[:best], live[best+1:]...)
 	}
-	if q.Len() != len(live) {
-		t.Fatalf("queue length %d, reference %d", q.Len(), len(live))
+	if len(q.h) != len(live) {
+		t.Fatalf("queue length %d, reference %d", len(q.h), len(live))
 	}
 }
 
@@ -89,7 +89,7 @@ func TestEventQueuePeek(t *testing.T) {
 	q.Push(2*Second, "b")
 	q.Push(1*Second, "a")
 	e, ok := q.Peek()
-	if !ok || e.Payload.(string) != "a" || q.Len() != 2 {
-		t.Fatalf("peek = %v/%v len %d", e.Payload, ok, q.Len())
+	if !ok || e.Payload.(string) != "a" || len(q.h) != 2 {
+		t.Fatalf("peek = %v/%v len %d", e.Payload, ok, len(q.h))
 	}
 }

@@ -42,9 +42,6 @@ func (e Entry[P]) before(o Entry[P]) bool {
 // arity is the heap's fan-out.
 const arity = 4
 
-// Len returns the number of pending entries.
-func (q *Queue[P]) Len() int { return len(q.h) }
-
 // Push schedules payload at time at and returns the entry's sequence number.
 func (q *Queue[P]) Push(at Time, payload P) uint64 {
 	q.seq++

@@ -23,8 +23,8 @@ func TestQueuePopRun(t *testing.T) {
 			t.Fatalf("run not in seq order: %v", run)
 		}
 	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d after run, want 1", q.Len())
+	if len(q.h) != 1 {
+		t.Fatalf("len = %d after run, want 1", len(q.h))
 	}
 	run = q.PopRun(run[:0])
 	if len(run) != 1 || run[0].Payload != 3 {
@@ -43,8 +43,8 @@ func TestQueueReset(t *testing.T) {
 		q.Push(Time(i%13)*Microsecond, i)
 	}
 	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("len = %d after reset", q.Len())
+	if len(q.h) != 0 {
+		t.Fatalf("len = %d after reset", len(q.h))
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop succeeded on a reset queue")
@@ -77,7 +77,7 @@ func TestQueueWarmAllocs(t *testing.T) {
 		for i := 0; i < n/2; i++ {
 			q.Pop()
 		}
-		for q.Len() > 0 {
+		for len(q.h) > 0 {
 			buf = q.PopRun(buf[:0])
 		}
 		q.Reset()

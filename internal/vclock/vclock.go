@@ -37,9 +37,6 @@ func (t Time) Seconds() float64 { return float64(t) }
 // Micros returns t in microseconds.
 func (t Time) Micros() float64 { return float64(t) * 1e6 }
 
-// Millis returns t in milliseconds.
-func (t Time) Millis() float64 { return float64(t) * 1e3 }
-
 // String formats the time with an auto-selected unit, e.g. "1.80µs", "34.2s".
 func (t Time) String() string {
 	a := math.Abs(float64(t))
@@ -60,14 +57,6 @@ func (t Time) String() string {
 // Max returns the later of a and b.
 func Max(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b
@@ -127,9 +116,9 @@ type SharedClock struct {
 
 type interval struct{ Start, End Time }
 
-// NewSharedClock returns a shared resource clock that is fully free from
-// start onwards (and, like an idle device, also before it).
-func NewSharedClock(start Time) *SharedClock { return &SharedClock{} }
+// NewSharedClock returns a shared resource clock that is free at every
+// instant.
+func NewSharedClock() *SharedClock { return &SharedClock{} }
 
 // Reserve books the resource for dur starting no earlier than ready, and
 // returns the start and end of the granted window. dur must be >= 0.
@@ -189,12 +178,4 @@ func (s *SharedClock) insert(iv interval, i int) {
 	s.busy = append(s.busy, interval{})
 	copy(s.busy[i+1:], s.busy[i:])
 	s.busy[i] = iv
-}
-
-// FreeAt reports the end of the last booked window (0 if none).
-func (s *SharedClock) FreeAt() Time {
-	if len(s.busy) == 0 {
-		return 0
-	}
-	return s.busy[len(s.busy)-1].End
 }

@@ -13,9 +13,6 @@ func TestTimeUnits(t *testing.T) {
 	if got := (2 * Millisecond).Micros(); math.Abs(got-2000) > 1e-9 {
 		t.Fatalf("2ms = %v µs, want 2000", got)
 	}
-	if got := (1500 * Microsecond).Millis(); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("1500µs = %v ms, want 1.5", got)
-	}
 }
 
 func TestTimeString(t *testing.T) {
@@ -39,9 +36,6 @@ func TestTimeString(t *testing.T) {
 func TestMaxMin(t *testing.T) {
 	if Max(1, 2) != 2 || Max(2, 1) != 2 {
 		t.Fatal("Max broken")
-	}
-	if Min(1, 2) != 1 || Min(2, 1) != 1 {
-		t.Fatal("Min broken")
 	}
 }
 
@@ -79,7 +73,7 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 }
 
 func TestSharedClockReserveSerialises(t *testing.T) {
-	s := NewSharedClock(0)
+	s := NewSharedClock()
 	// First transfer: ready at 0, takes 10.
 	st, en := s.Reserve(0, 10)
 	if st != 0 || en != 10 {
@@ -101,7 +95,7 @@ func TestSharedClockSerialisesEqualRequests(t *testing.T) {
 	// SharedClock is an execution-kernel resource: requests arrive one at a
 	// time (task-schedule order). Equal ready times must serialise into
 	// adjacent, non-overlapping windows covering the total duration.
-	s := NewSharedClock(0)
+	s := NewSharedClock()
 	const n = 64
 	seen := make(map[Time]bool)
 	for i := 0; i < n; i++ {
@@ -114,7 +108,7 @@ func TestSharedClockSerialisesEqualRequests(t *testing.T) {
 		}
 		seen[st] = true
 	}
-	if got := s.FreeAt(); got != n {
+	if got := s.busy[len(s.busy)-1].End; got != n {
 		t.Fatalf("free at %v, want %v", got, Time(n))
 	}
 }
@@ -145,7 +139,7 @@ func TestQuickSharedClockNonOverlap(t *testing.T) {
 	// Property: reservations with arbitrary ready times and durations always
 	// produce pairwise-disjoint windows starting no earlier than ready.
 	f := func(readies []uint16, durs []uint8) bool {
-		s := NewSharedClock(0)
+		s := NewSharedClock()
 		type win struct{ st, en Time }
 		var wins []win
 		n := len(readies)
@@ -175,7 +169,7 @@ func TestSharedClockGapFilling(t *testing.T) {
 	// A request that is ready early must be able to fill a gap before a
 	// window that was booked earlier in real time but later in virtual time
 	// — goroutines reach shared resources in arbitrary real-time order.
-	s := NewSharedClock(0)
+	s := NewSharedClock()
 	st, en := s.Reserve(100, 10) // late-virtual window booked first
 	if st != 100 || en != 110 {
 		t.Fatalf("first window [%v,%v]", st, en)

@@ -37,12 +37,12 @@ func runAllocs(t *testing.T, mode Mode, steps int) allocs {
 	t.Helper()
 	const ranks = 16
 	run := func() {
-		rt := newRuntime(ranks, ranks)
+		rt, sys := newRuntime(ranks, ranks)
 		var err error
 		if mode == SplitCB {
-			_, err = RunSplit(rt, boosterNodes(rt, ranks), ranks, allocConfig(steps))
+			_, err = RunSplit(rt, boosterNodes(sys, ranks), ranks, allocConfig(steps))
 		} else {
-			_, err = RunMono(rt, boosterNodes(rt, ranks), allocConfig(steps))
+			_, err = RunMono(rt, boosterNodes(sys, ranks), allocConfig(steps))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"clusterbooster/internal/beegfs"
+	"clusterbooster/internal/fabric"
 	"clusterbooster/internal/ioev"
+	"clusterbooster/internal/machine"
 	"clusterbooster/internal/nvme"
 	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/scr"
@@ -14,10 +16,10 @@ import (
 
 // TestSnapshotRoundTrip checks that Restore(Snapshot()) is the identity.
 func TestSnapshotRoundTrip(t *testing.T) {
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(5)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			comm := p.World()
 			sim := NewSim(p, comm, cfg)
@@ -56,11 +58,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestRestartEquivalence(t *testing.T) {
 	cfg := QuickConfig(12)
 	run := func(interrupted bool) float64 {
-		rt := newRuntime(2, 0)
+		rt, sys := newRuntime(2, 0)
 		var sum float64
 		results := make(chan float64, 2)
 		_, err := rt.Launch(psmpi.LaunchSpec{
-			Nodes: clusterNodes(rt, 2),
+			Nodes: clusterNodes(sys, 2),
 			Main: func(p *psmpi.Proc) error {
 				comm := p.World()
 				sim := NewSim(p, comm, cfg)
@@ -101,15 +103,16 @@ func TestRestartEquivalence(t *testing.T) {
 // TestCheckpointThroughSCR stores xPic snapshots through the full SCR stack
 // (local NVMe level) and restores them.
 func TestCheckpointThroughSCR(t *testing.T) {
-	rt := newRuntime(2, 0)
+	sys := machine.New(2, 0)
 	cfg := QuickConfig(4)
-	nodes := clusterNodes(rt, 2)
+	nodes := clusterNodes(sys, 2)
 	devs := map[int]*nvme.Device{}
 	for _, n := range nodes {
 		devs[n.ID] = nvme.New(nvme.P3700())
 	}
-	fs := beegfs.New(rt.Network(), beegfs.Config{})
-	mgr, err := scr.New(scr.Config{BuddyEvery: 1}, rt.Network(), fs, nodes, devs)
+	net := fabric.New(sys)
+	rt := psmpi.NewRuntime(sys, net, psmpi.Config{})
+	mgr, err := scr.New(scr.Config{BuddyEvery: 1}, net, beegfs.New(net), nodes, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestCheckpointThroughSCR(t *testing.T) {
 	if !ok || step != 4 {
 		t.Fatalf("restart unavailable: %v", ok)
 	}
-	got, err := mgr.Restore(ioev.Detach(nil, 0), 0, 4, lvls[0])
+	got, _, err := mgr.SubmitRestore(ioev.At(0), 0, 4, lvls[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +171,10 @@ func TestCheckpointThroughSCR(t *testing.T) {
 
 // TestRestoreRejectsGarbage checks the error paths of the snapshot decoder.
 func TestRestoreRejectsGarbage(t *testing.T) {
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(1)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			sim := NewSim(p, p.World(), cfg)
 			if err := sim.Restore([]byte("not a snapshot")); err == nil {

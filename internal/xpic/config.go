@@ -177,6 +177,3 @@ type Times struct {
 	Exchange vclock.Time // interface-buffer exchange (intercomm in C+B mode)
 	Aux      vclock.Time // auxiliary computations (energies, diagnostics)
 }
-
-// Busy returns the sum of all phases.
-func (t Times) Total() vclock.Time { return t.Field + t.Particle + t.Exchange + t.Aux }

@@ -336,21 +336,3 @@ func (fs *FieldSolver) FieldEnergy(p *psmpi.Proc) float64 {
 	p.Compute(machine.Work{Class: machine.KernelStream, Bytes: 6 * 8 * float64(g.NX*g.LY)})
 	return 0.5 * sum
 }
-
-// MaxField returns the largest |component| over the slab (diagnostic).
-func (fs *FieldSolver) MaxField() float64 {
-	g := fs.g
-	var m float64
-	for _, name := range FieldNames {
-		a := g.F(name)
-		for iy := 1; iy <= g.LY; iy++ {
-			base := g.Idx(0, iy)
-			for ix := 0; ix < g.NX; ix++ {
-				if v := math.Abs(a[base+ix]); v > m {
-					m = v
-				}
-			}
-		}
-	}
-	return m
-}

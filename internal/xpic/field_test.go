@@ -13,7 +13,7 @@ import (
 func withRank(t *testing.T, body func(p *psmpi.Proc) error) {
 	t.Helper()
 	sys := machine.New(1, 0)
-	rt := psmpi.NewRuntime(sys, fabric.New(sys, fabric.Config{}), psmpi.Config{})
+	rt := psmpi.NewRuntime(sys, fabric.New(sys), psmpi.Config{})
 	if _, err := rt.Launch(psmpi.LaunchSpec{
 		Nodes: sys.Module(machine.Cluster)[:1],
 		Main:  body,
@@ -114,12 +114,12 @@ func TestCGSolvesManufacturedSystem(t *testing.T) {
 	// and verify the recovered field. We drive SolveE directly by planting
 	// the RHS through B and J: simpler — check the residual of the solve on
 	// a random thermal state after a few steps instead.
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(3)
 	cfg.CGTol = 1e-12
 	var finalIters int
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			comm := p.World()
 			g := NewGrid(cfg.NX, cfg.NY, 0, 1)
@@ -146,9 +146,9 @@ func TestCGSolvesManufacturedSystem(t *testing.T) {
 
 func TestSolveBFaradayUniformE(t *testing.T) {
 	// A spatially uniform E has zero curl: B must not change.
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			cfg := QuickConfig(1)
 			g := NewGrid(16, 16, 0, 1)
@@ -182,9 +182,9 @@ func TestSolveBFaradayUniformE(t *testing.T) {
 }
 
 func TestSusceptibilityNonNegative(t *testing.T) {
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			cfg := QuickConfig(1)
 			g := NewGrid(16, 16, 0, 1)
@@ -220,9 +220,9 @@ func TestSusceptibilityNonNegative(t *testing.T) {
 }
 
 func TestFieldSolverCostsTime(t *testing.T) {
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			cfg := QuickConfig(1)
 			g := NewGrid(16, 16, 0, 1)

@@ -17,7 +17,7 @@ func TestLangmuirOscillation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("120-step plasma-frequency integration; covered in default mode")
 	}
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(1)
 	cfg.NX, cfg.NY = 32, 8
 	cfg.Dt = 0.25
@@ -26,7 +26,7 @@ func TestLangmuirOscillation(t *testing.T) {
 
 	var signal []float64
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 1),
+		Nodes: clusterNodes(sys, 1),
 		Main: func(p *psmpi.Proc) error {
 			comm := p.World()
 			g := NewGrid(cfg.NX, cfg.NY, 0, 1)

@@ -156,10 +156,10 @@ func TestQuickInterpDepositAdjoint(t *testing.T) {
 func TestMigrationDelivery(t *testing.T) {
 	// Across 4 ranks: place particles just past the slab edges and verify
 	// they arrive on the right rank, preserving total count.
-	rt := newRuntime(4, 0)
+	rt, sys := newRuntime(4, 0)
 	total := make(chan int, 4)
 	_, err := rt.Launch(psmpi.LaunchSpec{
-		Nodes: clusterNodes(rt, 4),
+		Nodes: clusterNodes(sys, 4),
 		Main: func(p *psmpi.Proc) error {
 			cfg := QuickConfig(1)
 			g := NewGrid(16, 16, p.Rank(), 4) // 4 rows per slab

@@ -46,14 +46,14 @@ func (m *memStore) Load(p *psmpi.Proc, rank int) ([]byte, error) {
 // checkpoints or failures reproduces RunMono bit-for-bit.
 func TestResilientMonoMatchesRunMono(t *testing.T) {
 	cfg := QuickConfig(6)
-	rt1 := newRuntime(2, 0)
-	plain, err := RunMono(rt1, clusterNodes(rt1, 2), cfg)
+	rt1, sys1 := newRuntime(2, 0)
+	plain, err := RunMono(rt1, clusterNodes(sys1, 2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt2 := newRuntime(2, 0)
+	rt2, sys2 := newRuntime(2, 0)
 	res, err := RunResilient(rt2, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(rt2, 2), RanksPerSolver: 2, Cfg: cfg,
+		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +70,9 @@ func TestResilientMonoRestartEquivalence(t *testing.T) {
 	cfg := QuickConfig(9)
 	store := newMemStore()
 
-	rt1 := newRuntime(2, 0)
+	rt1, sys1 := newRuntime(2, 0)
 	full, err := RunResilient(rt1, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(rt1, 2), RanksPerSolver: 2, Cfg: cfg,
+		Mode: ClusterOnly, Nodes: clusterNodes(sys1, 2), RanksPerSolver: 2, Cfg: cfg,
 		CheckpointEvery: 3, Store: store,
 	})
 	if err != nil {
@@ -85,9 +85,9 @@ func TestResilientMonoRestartEquivalence(t *testing.T) {
 	// Restart from step 6 on a fresh system, as a post-failure attempt would.
 	store.loadStep = 6
 	const resumeAt = 123 * vclock.Second
-	rt2 := newRuntime(2, 0)
+	rt2, sys2 := newRuntime(2, 0)
 	tail, err := RunResilient(rt2, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(rt2, 2), RanksPerSolver: 2, Cfg: cfg,
+		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
 		CheckpointEvery: 3, Store: store, StartStep: 6, StartTime: resumeAt,
 	})
 	if err != nil {
@@ -116,9 +116,9 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 	cfg := QuickConfig(6)
 	store := newMemStore()
 
-	rt1 := newRuntime(2, 2)
+	rt1, sys1 := newRuntime(2, 2)
 	full, err := RunResilient(rt1, ResilientSpec{
-		Mode: SplitCB, Nodes: boosterNodes(rt1, 2), RanksPerSolver: 2, Cfg: cfg,
+		Mode: SplitCB, Nodes: boosterNodes(sys1, 2), RanksPerSolver: 2, Cfg: cfg,
 		CheckpointEvery: 2, Store: store,
 	})
 	if err != nil {
@@ -130,9 +130,9 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 	}
 
 	store.loadStep = 4
-	rt2 := newRuntime(2, 2)
+	rt2, sys2 := newRuntime(2, 2)
 	tail, err := RunResilient(rt2, ResilientSpec{
-		Mode: SplitCB, Nodes: boosterNodes(rt2, 2), RanksPerSolver: 2, Cfg: cfg,
+		Mode: SplitCB, Nodes: boosterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
 		CheckpointEvery: 2, Store: store, StartStep: 4, StartTime: 10 * vclock.Second,
 	})
 	if err != nil {
@@ -182,8 +182,8 @@ func TestDecodersRejectHugeLength(t *testing.T) {
 // dies with a recoverable NodeFailure.
 func TestResilientFailureAborts(t *testing.T) {
 	cfg := QuickConfig(50)
-	rt := newRuntime(2, 0)
-	nodes := clusterNodes(rt, 2)
+	rt, sys := newRuntime(2, 0)
+	nodes := clusterNodes(sys, 2)
 	inj := psmpi.NewFailureInjector(40*vclock.Millisecond, 11, 1, nodes)
 	_, err := RunResilient(rt, ResilientSpec{
 		Mode: ClusterOnly, Nodes: nodes, RanksPerSolver: 2, Cfg: cfg,

@@ -10,26 +10,26 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-func newRuntime(c, b int) *psmpi.Runtime {
+func newRuntime(c, b int) (*psmpi.Runtime, *machine.System) {
 	sys := machine.New(c, b)
-	return psmpi.NewRuntime(sys, fabric.New(sys, fabric.Config{}), psmpi.Config{})
+	return psmpi.NewRuntime(sys, fabric.New(sys), psmpi.Config{}), sys
 }
 
 // newRuntimeFastSpawn shrinks the spawn overhead so short test runs are not
 // dominated by job startup (the real benches run hundreds of steps where the
 // 25 ms spawn is negligible, as on the prototype).
-func newRuntimeFastSpawn(c, b int) *psmpi.Runtime {
+func newRuntimeFastSpawn(c, b int) (*psmpi.Runtime, *machine.System) {
 	sys := machine.New(c, b)
-	return psmpi.NewRuntime(sys, fabric.New(sys, fabric.Config{}),
-		psmpi.Config{SpawnOverhead: vclock.Microsecond})
+	return psmpi.NewRuntime(sys, fabric.New(sys),
+		psmpi.Config{SpawnOverhead: vclock.Microsecond}), sys
 }
 
-func clusterNodes(rt *psmpi.Runtime, n int) []*machine.Node {
-	return rt.System().Module(machine.Cluster)[:n]
+func clusterNodes(sys *machine.System, n int) []*machine.Node {
+	return sys.Module(machine.Cluster)[:n]
 }
 
-func boosterNodes(rt *psmpi.Runtime, n int) []*machine.Node {
-	return rt.System().Module(machine.Booster)[:n]
+func boosterNodes(sys *machine.System, n int) []*machine.Node {
+	return sys.Module(machine.Booster)[:n]
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -69,9 +69,9 @@ func TestTable2Numbers(t *testing.T) {
 }
 
 func TestMonoRunsAndConservesCharge(t *testing.T) {
-	rt := newRuntime(2, 2)
+	rt, sys := newRuntime(2, 2)
 	cfg := QuickConfig(10)
-	rep, err := RunMono(rt, clusterNodes(rt, 1), cfg)
+	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,9 @@ func TestMonoRunsAndConservesCharge(t *testing.T) {
 }
 
 func TestEnergiesFiniteAndBounded(t *testing.T) {
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(30)
-	rep, err := RunMono(rt, clusterNodes(rt, 1), cfg)
+	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestEnergiesFiniteAndBounded(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := QuickConfig(8)
 	run := func() Report {
-		rt := newRuntime(2, 0)
-		rep, err := RunMono(rt, clusterNodes(rt, 2), cfg)
+		rt, sys := newRuntime(2, 0)
+		rep, err := RunMono(rt, clusterNodes(sys, 2), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +142,8 @@ func TestScaleInvariantTiming(t *testing.T) {
 	for _, scale := range []int{2, 4, 8} {
 		cfg := base
 		cfg.ParticleScale = scale
-		rt := newRuntime(1, 0)
-		rep, err := RunMono(rt, clusterNodes(rt, 1), cfg)
+		rt, sys := newRuntime(1, 0)
+		rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +161,13 @@ func TestScaleInvariantTiming(t *testing.T) {
 func TestSplitMatchesMonoPhysics(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		cfg := QuickConfig(6)
-		rtM := newRuntime(4, 4)
-		mono, err := RunMono(rtM, clusterNodes(rtM, ranks), cfg)
+		rtM, sysM := newRuntime(4, 4)
+		mono, err := RunMono(rtM, clusterNodes(sysM, ranks), cfg)
 		if err != nil {
 			t.Fatalf("mono/%d: %v", ranks, err)
 		}
-		rtS := newRuntime(4, 4)
-		split, err := RunSplit(rtS, boosterNodes(rtS, ranks), ranks, cfg)
+		rtS, sysS := newRuntime(4, 4)
+		split, err := RunSplit(rtS, boosterNodes(sysS, ranks), ranks, cfg)
 		if err != nil {
 			t.Fatalf("split/%d: %v", ranks, err)
 		}
@@ -190,13 +190,13 @@ func TestSplitMatchesMonoPhysics(t *testing.T) {
 // solver runs ~6× faster on a Cluster node than on a Booster node.
 func TestFieldSolverFasterOnCluster(t *testing.T) {
 	cfg := QuickConfig(10)
-	rtC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(rtC, 1), cfg)
+	rtC, sysC := newRuntime(1, 1)
+	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(rtB, 1), cfg)
+	rtB, sysB := newRuntime(1, 1)
+	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +209,13 @@ func TestFieldSolverFasterOnCluster(t *testing.T) {
 // TestParticleSolverFasterOnBooster verifies the 1.35× Booster advantage.
 func TestParticleSolverFasterOnBooster(t *testing.T) {
 	cfg := QuickConfig(10)
-	rtC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(rtC, 1), cfg)
+	rtC, sysC := newRuntime(1, 1)
+	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(rtB, 1), cfg)
+	rtB, sysB := newRuntime(1, 1)
+	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +230,18 @@ func TestParticleSolverFasterOnBooster(t *testing.T) {
 func TestSplitBeatsBothMonoModes(t *testing.T) {
 	cfg := QuickConfig(12)
 	cfg.PPC = 256 // enough particle weight for the realistic ratio
-	rtC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(rtC, 1), cfg)
+	rtC, sysC := newRuntime(1, 1)
+	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(rtB, 1), cfg)
+	rtB, sysB := newRuntime(1, 1)
+	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtS := newRuntimeFastSpawn(1, 1)
-	s, err := RunSplit(rtS, boosterNodes(rtS, 1), 1, cfg)
+	rtS, sysS := newRuntimeFastSpawn(1, 1)
+	s, err := RunSplit(rtS, boosterNodes(sysS, 1), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +254,9 @@ func TestSplitBeatsBothMonoModes(t *testing.T) {
 }
 
 func TestParticleMigrationKeepsCount(t *testing.T) {
-	rt := newRuntime(4, 0)
+	rt, sys := newRuntime(4, 0)
 	cfg := QuickConfig(15)
-	rep, err := RunMono(rt, clusterNodes(rt, 4), cfg)
+	rep, err := RunMono(rt, clusterNodes(sys, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +301,9 @@ func TestWrapX(t *testing.T) {
 func TestCGConverges(t *testing.T) {
 	// The field solve must converge well below the iteration cap on the
 	// quick workload.
-	rt := newRuntime(1, 0)
+	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(5)
-	rep, err := RunMono(rt, clusterNodes(rt, 1), cfg)
+	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCGConverges(t *testing.T) {
 
 func TestExchangeFractionSmall(t *testing.T) {
 	// §IV-C: the Cluster↔Booster exchange is a small fraction of the total.
-	rt := newRuntimeFastSpawn(1, 1)
+	rt, sys := newRuntimeFastSpawn(1, 1)
 	cfg := QuickConfig(12)
 	cfg.PPC = 2048 // particle-heavy, like the real Table II workload
 	if testing.Short() {
@@ -323,7 +323,7 @@ func TestExchangeFractionSmall(t *testing.T) {
 		// -short checks the same property on a lighter particle load.
 		cfg.PPC = 512
 	}
-	rep, err := RunSplit(rt, boosterNodes(rt, 1), 1, cfg)
+	rep, err := RunSplit(rt, boosterNodes(sys, 1), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
