@@ -63,7 +63,8 @@ func NewCache(fs *FS, mode CacheMode, devs map[int]*nvme.Device) *Cache {
 // (Drain waits for it); in sync mode the caller parks until the global FS
 // has the data. A flush still in flight when the job's last rank exits
 // never completes — its completion event, like any pending callback, is
-// dropped with the kernel.
+// dropped with the kernel. data is read only before the caller parks and is
+// never retained, so the buffer may be refilled while the caller waits.
 func (c *Cache) Write(p ioev.Proc, path string, data []byte) error {
 	node := p.Node()
 	dev, ok := c.devs[node.ID]

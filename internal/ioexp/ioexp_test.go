@@ -1,6 +1,15 @@
 package ioexp
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"clusterbooster/internal/core"
+	"clusterbooster/internal/ioev"
+	"clusterbooster/internal/sion"
+)
 
 // TestStrategiesOrderReturnAndDurable runs every strategy on a small job and
 // checks the two instants each one reports: the data can be safe no earlier
@@ -43,5 +52,59 @@ func TestRunRejectsBadParams(t *testing.T) {
 		if _, err := Run(p); err == nil {
 			t.Errorf("Run(%+v) succeeded", p)
 		}
+	}
+}
+
+// TestEveryRankStoresItsOwnBytes reads each rank's stored payload back from
+// the run's file system. The ranks share one payload buffer, so a write
+// path that kept the caller's bytes past its first park would show another
+// rank's letter here. The size leaves a partial SION block per rank.
+func TestEveryRankStoresItsOwnBytes(t *testing.T) {
+	const nodes, size = 4, 3<<18 + 5
+	for _, s := range []Strategy{SIONGlobal, CacheSync, CacheAsync} {
+		sys := core.New(nodes, 0, core.Options{})
+		if _, err := run(sys, Params{Strategy: s, Nodes: nodes, Size: size}); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		reader := ioev.Detach(sys.Machine.Node(0), 0)
+		var r *sion.Reader
+		if s == SIONGlobal {
+			var err error
+			if r, err = sion.OpenRead(reader, sys.FS, "/io/all.sion"); err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+		}
+		for rank := 0; rank < nodes; rank++ {
+			var got []byte
+			var err error
+			if r != nil {
+				got, err = r.ReadTask(reader, rank)
+			} else {
+				got, _, err = sys.FS.SubmitRead(ioev.At(0), fmt.Sprintf("/io/rank%d", rank), 0, size, reader.Node())
+			}
+			if err != nil {
+				t.Fatalf("%s rank %d: %v", s, rank, err)
+			}
+			if want := bytes.Repeat([]byte{byte('a' + rank)}, size); !bytes.Equal(got, want) {
+				t.Errorf("%s rank %d: stored bytes are not %d copies of %q", s, rank, size, want[0])
+			}
+		}
+	}
+}
+
+// TestRunAllocatesOnePayload bounds what one cache-async run allocates: the
+// content the global file system stores plus one shared payload buffer, with
+// one more payload's worth of slack for the system and the job. A payload
+// per rank would add Nodes buffers.
+func TestRunAllocatesOnePayload(t *testing.T) {
+	const nodes, size = 16, 8 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(Params{Strategy: CacheAsync, Nodes: nodes, Size: size}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(nodes*size+2*size); got >= limit {
+		t.Errorf("run allocated %d MiB, want < %d MiB", got>>20, limit>>20)
 	}
 }

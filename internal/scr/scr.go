@@ -226,7 +226,7 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 				// Single-node job: a buddy copy adds nothing.
 				continue
 			}
-			op, err := sion.SubmitBuddy(m.net, node, bn, m.devs[bn.ID], key(step, rank)+"/buddy", data, start)
+			op, err := sion.SubmitBuddy(m.net, node, bn, m.devs[bn.ID], key(step, rank)+"/buddy", int64(len(data)), start)
 			if err != nil {
 				return ioev.Op{}, fmt.Errorf("scr: buddy level: %w", err)
 			}

@@ -79,11 +79,11 @@ func (d *DeviceBackend) Size(path string) (int64, error) {
 	return f.Size(), nil
 }
 
-// Buddy copies a task's local checkpoint data into the NVMe of a companion
-// node — the SIONlib buddy-checkpointing path of §III-C — parking the
-// caller until the redundant copy is safe.
-func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme.Device, name string, data []byte) error {
-	op, err := SubmitBuddy(net, p.Node(), buddy, buddyDev, name, data, ioev.Start(p))
+// Buddy copies a task's size-byte local checkpoint into the NVMe of a
+// companion node — the SIONlib buddy-checkpointing path of §III-C — parking
+// the caller until the redundant copy is safe.
+func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64) error {
+	op, err := SubmitBuddy(net, p.Node(), buddy, buddyDev, name, size, ioev.Start(p))
 	if err != nil {
 		return err
 	}
@@ -95,14 +95,15 @@ func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme
 // crosses the fabric from the owner to the buddy and then commits to the
 // buddy's device queue at its arrival instant — all priced during the
 // owner's turn, so the redundant copy overlaps whatever else the owner
-// submits. The returned token is when the copy is safe.
-func SubmitBuddy(net *fabric.Network, owner, buddy *machine.Node, buddyDev *nvme.Device, name string, data []byte, dep ioev.Op) (ioev.Op, error) {
+// submits. The device model keeps sizes, not bytes, so only the size is
+// passed. The returned token is when the copy is safe.
+func SubmitBuddy(net *fabric.Network, owner, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64, dep ioev.Op) (ioev.Op, error) {
 	if owner.ID == buddy.ID {
 		return ioev.Op{}, fmt.Errorf("sion: buddy of %s is itself", owner.Name())
 	}
 	// Fabric transfer owner → buddy (rendezvous bulk path).
-	_, arrival := net.Rendezvous(owner, buddy, len(data), dep.Time(), dep.Time())
-	op, err := buddyDev.SubmitPut(ioev.At(arrival), name, int64(len(data)))
+	_, arrival := net.Rendezvous(owner, buddy, int(size), dep.Time(), dep.Time())
+	op, err := buddyDev.SubmitPut(ioev.At(arrival), name, size)
 	if err != nil {
 		return ioev.Op{}, fmt.Errorf("sion: buddy store on %s: %w", buddy.Name(), err)
 	}

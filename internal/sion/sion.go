@@ -38,9 +38,11 @@ import (
 // completion token without parking. *beegfs.FS satisfies it; DeviceBackend
 // adapts a node-local NVMe device.
 //
-// SubmitWrite must not retain data after it returns: the writer flushes
-// full blocks straight from the caller's buffer and reuses its own tail
-// buffer, so an implementation that keeps bytes copies them.
+// SubmitWrite reads data only before it returns and never retains it: the
+// writer flushes full blocks straight from the caller's buffer and reuses
+// its own tail buffer, so an implementation that keeps bytes copies them.
+// No Submit method parks, so WriteTask's caller gets the same guarantee:
+// its buffer is read only before it first parks.
 type Backend interface {
 	SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op
 	SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error)
@@ -112,7 +114,10 @@ func SubmitCreate(b Backend, path string, ntasks int, blockSize int64, node *mac
 
 // WriteTask appends data to one task's logical stream, flushing full blocks
 // to the backend and parking the caller until the flushes it issued are
-// durable (a fully buffered append costs only the scheduling point).
+// durable (a fully buffered append costs only the scheduling point). data
+// is read only before the caller parks and is never retained: the
+// backend copies flushed blocks and the writer copies the tail, so the
+// buffer may be refilled, e.g. by another rank, while the caller waits.
 func (w *Writer) WriteTask(p ioev.Proc, task int, data []byte) error {
 	op, err := w.SubmitWriteTask(ioev.Start(p), task, data, p.Node())
 	if err != nil {

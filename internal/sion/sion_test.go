@@ -224,7 +224,7 @@ func TestBuddyCopy(t *testing.T) {
 	buddyDev := nvme.New(nvme.P3700())
 	data := bytes.Repeat([]byte("ckpt"), 1<<20)
 	a := ioev.Detach(sys.Node(0), vclock.Second)
-	if err := Buddy(a, net, sys.Node(1), buddyDev, "ckpt/rank0/step5", data); err != nil {
+	if err := Buddy(a, net, sys.Node(1), buddyDev, "ckpt/rank0/step5", int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	if a.Now() <= vclock.Second {
@@ -233,7 +233,7 @@ func TestBuddyCopy(t *testing.T) {
 	if size, _, err := buddyDev.SubmitGet(ioev.At(0), "ckpt/rank0/step5"); err != nil || size != int64(len(data)) {
 		t.Errorf("buddy device does not hold the copy: %d bytes (%v)", size, err)
 	}
-	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", data); err == nil {
+	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", int64(len(data))); err == nil {
 		t.Error("self-buddy accepted")
 	}
 }

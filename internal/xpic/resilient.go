@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/psmpi"
@@ -353,19 +354,12 @@ const (
 
 type snapEnc struct{ out []byte }
 
-func (e *snapEnc) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.out = append(e.out, b[:]...)
-}
+func (e *snapEnc) u32(v uint32) { e.out = binary.LittleEndian.AppendUint32(e.out, v) }
 
-func (e *snapEnc) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.out = append(e.out, b[:]...)
-}
+func (e *snapEnc) u64(v uint64) { e.out = binary.LittleEndian.AppendUint64(e.out, v) }
 
 func (e *snapEnc) f64s(a []float64) {
+	e.out = slices.Grow(e.out, 8+8*len(a))
 	e.u64(uint64(len(a)))
 	for _, v := range a {
 		e.u64(math.Float64bits(v))
@@ -467,11 +461,16 @@ func (d *snapDec) arrays(g *Grid, fields []Field) error {
 		return d.fail("array count")
 	}
 	for _, f := range fields {
-		a, ok := d.f64s()
-		if !ok || len(a) != len(g.F(f)) {
+		dst := g.F(f)
+		n, ok := d.u64()
+		if !ok || n != uint64(len(dst)) || len(dst) > (len(d.data)-d.pos)/8 {
 			return d.fail("array " + f.String())
 		}
-		copy(g.F(f), a)
+		src := d.data[d.pos:]
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+		d.pos += 8 * len(dst)
 	}
 	return nil
 }
