@@ -283,7 +283,9 @@ func (p *Proc) waitSendEnv(e *envelope) {
 
 // Send is a blocking standard-mode send (MPI_Send): it returns when the send
 // buffer is reusable — immediately after injection for eager messages, after
-// the transfer for rendezvous messages.
+// the transfer for rendezvous messages. The message is priced by bytes alone
+// and data is never read, so data may be nil for a sizes-only message; the
+// matching Recv then returns a nil body with Status.Bytes == bytes.
 func (p *Proc) Send(c *Comm, dst, tag int, data any, bytes int) {
 	p.send(c, dst, tag, payload{val: data}, bytes, modeStandard, true)
 }

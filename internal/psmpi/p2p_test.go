@@ -616,3 +616,35 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestSendPriceDependsOnlyOnSize sends one message with a nil body and one
+// with a []float64 body of the same byte count, at an eager and a rendezvous
+// size: both ranks must end at the same virtual time, and the sizes-only
+// message must arrive as a nil body of the sent byte count.
+func TestSendPriceDependsOnlyOnSize(t *testing.T) {
+	for _, size := range []int{1 << 10, 16 << 20} {
+		run := func(body any) [2]vclock.Time {
+			var now [2]vclock.Time
+			runJob(t, testRuntime(2, 0), 2, func(p *Proc) error {
+				if p.Rank() == 0 {
+					p.Send(p.World(), 1, 5, body, size)
+				} else {
+					data, st := p.Recv(p.World(), 0, 5)
+					if st.Bytes != size {
+						t.Errorf("size %d: Status.Bytes = %d", size, st.Bytes)
+					}
+					if body == nil && data != nil {
+						t.Errorf("size %d: sizes-only message arrived with body %T", size, data)
+					}
+				}
+				now[p.Rank()] = p.Now()
+				return nil
+			})
+			return now
+		}
+		sized, full := run(nil), run(make([]float64, size/8))
+		if sized != full {
+			t.Errorf("size %d: nil body ends at %v, []float64 body at %v", size, sized, full)
+		}
+	}
+}

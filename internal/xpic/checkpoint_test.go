@@ -212,3 +212,93 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotAllocatesOnce pins that each snapshot encoder sizes its output
+// exactly, up front: one allocation per snapshot, whatever the array count.
+func TestSnapshotAllocatesOnce(t *testing.T) {
+	rt, sys := newRuntime(1, 0)
+	cfg := QuickConfig(2)
+	_, err := rt.Launch(psmpi.LaunchSpec{
+		Nodes: clusterNodes(sys, 1),
+		Main: func(p *psmpi.Proc) error {
+			comm := p.World()
+			sim := NewSim(p, comm, cfg)
+			for sim.Step < 2 {
+				sim.Advance(p, comm)
+			}
+			for _, c := range []struct {
+				name string
+				snap func() []byte
+			}{
+				{"Sim.Snapshot", sim.Snapshot},
+				{"snapParticles", func() []byte { return snapParticles(sim.Pcl, sim.Step) }},
+				{"snapGrid", func() []byte { return snapGrid(sim.G, allFields, sim.Step) }},
+			} {
+				if n := testing.AllocsPerRun(10, func() { c.snap() }); n != 1 {
+					t.Errorf("%s: %v allocations per snapshot, want 1", c.name, n)
+				}
+				if b := c.snap(); len(b) != cap(b) {
+					t.Errorf("%s: %d bytes in a %d-byte buffer", c.name, len(b), cap(b))
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes to the three snapshot decoders
+// on a QuickConfig rank. Each must return an error or succeed, never panic;
+// a decoder that succeeds must have read a snapshot its encoder writes back
+// as a prefix of the input.
+func FuzzSnapshotRestore(f *testing.F) {
+	cfg := QuickConfig(1)
+	// withSim runs fn on a fresh one-rank Sim inside a job.
+	withSim := func(t testing.TB, fn func(*Sim)) {
+		rt, sys := newRuntime(1, 0)
+		if _, err := rt.Launch(psmpi.LaunchSpec{
+			Nodes: clusterNodes(sys, 1),
+			Main: func(p *psmpi.Proc) error {
+				fn(NewSim(p, p.World(), cfg))
+				return nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withSim(f, func(sim *Sim) {
+		sim.Step = 1
+		// lenAt is the offset of each snapshot's first array length field.
+		for _, c := range []struct {
+			snap  []byte
+			lenAt int
+		}{
+			{sim.Snapshot(), 24},
+			{snapParticles(sim.Pcl, sim.Step), 32},
+			{snapGrid(sim.G, allFields, sim.Step), 24},
+		} {
+			f.Add(c.snap)
+			f.Add(c.snap[:len(c.snap)/2])
+			corrupt := append([]byte(nil), c.snap...)
+			binary.LittleEndian.PutUint64(corrupt[c.lenAt:], 1<<60)
+			f.Add(corrupt)
+		}
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		withSim(t, func(sim *Sim) {
+			if sim.Restore(data) == nil && !bytes.HasPrefix(data, sim.Snapshot()) {
+				t.Error("Sim.Restore accepted bytes it does not write back")
+			}
+			if step, err := restoreParticles(sim.Pcl, data); err == nil &&
+				!bytes.HasPrefix(data, snapParticles(sim.Pcl, step)) {
+				t.Error("restoreParticles accepted bytes it does not write back")
+			}
+			if step, err := restoreGrid(sim.G, allFields, data); err == nil &&
+				!bytes.HasPrefix(data, snapGrid(sim.G, allFields, step)) {
+				t.Error("restoreGrid accepted bytes it does not write back")
+			}
+		})
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/psmpi"
@@ -352,6 +351,8 @@ const (
 	snapMagicGrid      = uint32(0x78504347) // "xPCG"
 )
 
+// snapEnc appends to out, which the snapshot functions allocate once at the
+// snapshot's exact size (snapHeaderLen, arraysLen, speciesLen).
 type snapEnc struct{ out []byte }
 
 func (e *snapEnc) u32(v uint32) { e.out = binary.LittleEndian.AppendUint32(e.out, v) }
@@ -359,7 +360,6 @@ func (e *snapEnc) u32(v uint32) { e.out = binary.LittleEndian.AppendUint32(e.out
 func (e *snapEnc) u64(v uint64) { e.out = binary.LittleEndian.AppendUint64(e.out, v) }
 
 func (e *snapEnc) f64s(a []float64) {
-	e.out = slices.Grow(e.out, 8+8*len(a))
 	e.u64(uint64(len(a)))
 	for _, v := range a {
 		e.u64(math.Float64bits(v))
@@ -410,11 +410,23 @@ func (d *snapDec) f64s() ([]float64, bool) {
 	return out, true
 }
 
+// snapHeaderLen is the byte length of snapEnc.header.
+const snapHeaderLen = 4 + 4 + 8
+
 // header encodes a snapshot's magic, format version and step.
 func (e *snapEnc) header(magic uint32, step int) {
 	e.u32(magic)
 	e.u32(snapVersion)
 	e.u64(uint64(step))
+}
+
+// arraysLen is the byte length of snapEnc.arrays.
+func arraysLen(g *Grid, fields []Field) int {
+	n := 8
+	for _, f := range fields {
+		n += 8 + 8*len(g.F(f))
+	}
+	return n
 }
 
 // arrays encodes the grid arrays of fields.
@@ -423,6 +435,15 @@ func (e *snapEnc) arrays(g *Grid, fields []Field) {
 	for _, f := range fields {
 		e.f64s(g.F(f))
 	}
+}
+
+// speciesLen is the byte length of snapEnc.species.
+func speciesLen(pcl *ParticleSolver) int {
+	n := 8
+	for _, sp := range pcl.Species {
+		n += 8 + 5*8 + 8*(len(sp.X)+len(sp.Y)+len(sp.VX)+len(sp.VY)+len(sp.VZ))
+	}
+	return n
 }
 
 // species encodes every species' charge and particle columns.
@@ -506,7 +527,7 @@ func (d *snapDec) species(pcl *ParticleSolver) error {
 // snapParticles serialises the particle solver's restart state (the booster
 // side's checkpoint payload).
 func snapParticles(pcl *ParticleSolver, step int) []byte {
-	var e snapEnc
+	e := snapEnc{make([]byte, 0, snapHeaderLen+speciesLen(pcl))}
 	e.header(snapMagicParticles, step)
 	e.species(pcl)
 	return e.out
@@ -525,7 +546,7 @@ func restoreParticles(pcl *ParticleSolver, data []byte) (int, error) {
 // snapGrid serialises the grid arrays of fields (the cluster side's
 // checkpoint payload: fields plus the moments feeding the next solve).
 func snapGrid(g *Grid, fields []Field, step int) []byte {
-	var e snapEnc
+	e := snapEnc{make([]byte, 0, snapHeaderLen+arraysLen(g, fields))}
 	e.header(snapMagicGrid, step)
 	e.arrays(g, fields)
 	return e.out

@@ -78,7 +78,7 @@ const (
 // Snapshot serialises this rank's full physics state (step, fields, moments,
 // particles) — the checkpoint payload.
 func (s *Sim) Snapshot() []byte {
-	var e snapEnc
+	e := snapEnc{make([]byte, 0, snapHeaderLen+arraysLen(s.G, allFields)+speciesLen(s.Pcl))}
 	e.header(snapMagic, s.Step)
 	e.arrays(s.G, allFields)
 	e.species(s.Pcl)
