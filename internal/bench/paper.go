@@ -11,15 +11,11 @@ var PaperFig7 = struct {
 	ParticleAdvantage float64 // particle solver 1.35× faster on the Booster
 	GainVsCluster     float64 // C+B 1.28× faster than Cluster-only
 	GainVsBooster     float64 // C+B 1.21× faster than Booster-only
-	OverheadLow       float64 // 3 % …
-	OverheadHigh      float64 // … 4 % communication overhead per solver
 }{
 	FieldAdvantage:    6.0,
 	ParticleAdvantage: 1.35,
 	GainVsCluster:     1.28,
 	GainVsBooster:     1.21,
-	OverheadLow:       0.03,
-	OverheadHigh:      0.04,
 }
 
 // PaperFig8 holds the 8-nodes-per-solver statements of §IV-C.
@@ -41,13 +37,7 @@ var PaperFig8 = struct {
 var PaperFig3 = struct {
 	LatencyCNCNus float64 // 1.0 µs CN-CN (Table I)
 	LatencyBNBNus float64 // 1.8 µs BN-BN (Table I)
-	// Large messages: all pairs converge to fabric-limited bandwidth
-	// (~10-11 GB/s payload on the 100 Gbit/s Tourmalet links).
-	ConvergedBandwidthMBsLow  float64
-	ConvergedBandwidthMBsHigh float64
 }{
-	LatencyCNCNus:             1.0,
-	LatencyBNBNus:             1.8,
-	ConvergedBandwidthMBsLow:  9000,
-	ConvergedBandwidthMBsHigh: 12500,
+	LatencyCNCNus: 1.0,
+	LatencyBNBNus: 1.8,
 }

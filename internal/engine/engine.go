@@ -88,7 +88,6 @@ type Engine struct {
 	bi      int                 // next unconsumed batch index
 	blocked []*Task             // tasks parked without a pending event
 	live    int                 // registered, not yet exited
-	poison  bool                // deadlock detected: blocked tasks fail on resume
 	done    chan struct{}
 
 	cbs    []func() // callback registry, indexed by kev.cb-1
@@ -112,8 +111,8 @@ func New() *Engine {
 }
 
 // Recycle returns a finished kernel to the pool for the next launch. Only
-// call it after Run has returned and every result (Stats included) has been
-// read; the engine and all its tasks are dead to the caller afterwards.
+// call it after Run has returned; the engine and all its tasks are dead to the
+// caller afterwards.
 func (e *Engine) Recycle() {
 	e.queue.Reset()
 	for i := range e.batch {
@@ -136,7 +135,6 @@ func (e *Engine) Recycle() {
 	}
 	e.tasks = e.tasks[:0]
 	e.live = 0
-	e.poison = false
 	e.done = nil
 	e.stats = Stats{}
 	enginePool.Put(e)
@@ -436,7 +434,6 @@ func (e *Engine) dispatch() {
 	if len(e.blocked) == 0 {
 		panic(fmt.Sprintf("engine: %d live tasks but none blocked and no events", e.live))
 	}
-	e.poison = true
 	t := e.blocked[0]
 	e.unblock(t)
 	t.state = stateRunning
@@ -477,6 +474,3 @@ func (e *Engine) notePeak() {
 		e.stats.PeakParked = parked
 	}
 }
-
-// Stats returns this kernel's counters. Valid after Run returns.
-func (e *Engine) Stats() Stats { return e.stats }

@@ -106,7 +106,7 @@ func TestParkWake(t *testing.T) {
 	if got != want {
 		t.Fatalf("schedule order %q, want %q", got, want)
 	}
-	st := e.Stats()
+	st := e.stats
 	if st.Tasks != 2 || st.Events == 0 || st.PeakParked != 1 {
 		t.Fatalf("stats = %+v", st)
 	}

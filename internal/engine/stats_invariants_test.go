@@ -61,7 +61,7 @@ func TestStatsInvariantsPingPong(t *testing.T) {
 	}()
 	e.Run()
 	wg.Wait()
-	st := e.Stats()
+	st := e.stats
 	checkInvariants(t, st)
 	if st.Kept != 0 {
 		t.Fatalf("pure park/wake run kept the baton %d times", st.Kept)
@@ -92,7 +92,7 @@ func TestStatsInvariantsSleepAndCallbacks(t *testing.T) {
 	}()
 	e.Run()
 	wg.Wait()
-	st := e.Stats()
+	st := e.stats
 	checkInvariants(t, st)
 	if ran != 2 {
 		t.Fatalf("callbacks ran %d times, want 2", ran)
@@ -155,7 +155,7 @@ func TestPeakParkedCountsBlockedOnly(t *testing.T) {
 	}
 	e.Run()
 	wg.Wait()
-	st := e.Stats()
+	st := e.stats
 	checkInvariants(t, st)
 	if st.PeakParked != 1 {
 		t.Fatalf("peak_parked = %d, want 1: %d ready sleepers are runnable, not parked (stats: %+v)",
@@ -188,9 +188,9 @@ func TestEngineRecycle(t *testing.T) {
 		if shared != 2*n {
 			t.Fatalf("shared = %d, want %d", shared, 2*n)
 		}
-		checkInvariants(t, e.Stats())
-		if e.Stats().Tasks != n {
-			t.Fatalf("tasks = %d, want %d (stale count from a previous launch?)", e.Stats().Tasks, n)
+		checkInvariants(t, e.stats)
+		if e.stats.Tasks != n {
+			t.Fatalf("tasks = %d, want %d (stale count from a previous launch?)", e.stats.Tasks, n)
 		}
 		e.Recycle()
 	}

@@ -62,8 +62,7 @@ func (d Drift) String() string {
 
 // DiffReport is the outcome of comparing one fresh run against its golden.
 type DiffReport struct {
-	Experiment string
-	Status     DiffStatus
+	Status DiffStatus
 	// Drifts are the differences that fail the comparison.
 	Drifts []Drift
 	// Tolerated are numeric differences absorbed by tolerance mode.
@@ -83,7 +82,7 @@ func (r DiffReport) Clean() bool {
 // tolerant enables the experiment's per-metric relative tolerances; the
 // default is byte-for-byte.
 func Diff(e Experiment, golden, fresh []byte, tolerant bool) (DiffReport, error) {
-	rep := DiffReport{Experiment: e.Name}
+	var rep DiffReport
 
 	doc, err := ParseDocument(fresh)
 	if err != nil {

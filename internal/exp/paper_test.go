@@ -56,13 +56,14 @@ func TestFig3Shape(t *testing.T) {
 	if l := first.LatencyUs[bnbn]; l < 0.9*ref.LatencyBNBNus || l > 1.1*ref.LatencyBNBNus {
 		t.Errorf("BN-BN latency %v µs, want ≈%v", l, ref.LatencyBNBNus)
 	}
-	// Large messages converge to fabric-limited bandwidth.
+	// Large messages converge to fabric-limited bandwidth (~10-11 GB/s
+	// payload on the 100 Gbit/s Tourmalet links).
+	const bwLow, bwHigh = 9000, 12500
 	last := rows[len(rows)-1]
 	for _, k := range []bench.PairKind{cncn, bnbn, cnbn} {
 		bw := last.BandwidthMBs[k]
-		if bw < ref.ConvergedBandwidthMBsLow || bw > ref.ConvergedBandwidthMBsHigh {
-			t.Errorf("%v converged bandwidth %v MB/s outside [%v, %v]",
-				k, bw, ref.ConvergedBandwidthMBsLow, ref.ConvergedBandwidthMBsHigh)
+		if bw < bwLow || bw > bwHigh {
+			t.Errorf("%v converged bandwidth %v MB/s outside [%v, %v]", k, bw, bwLow, bwHigh)
 		}
 	}
 	// Mid-size asymmetry: Booster endpoints slower.

@@ -65,10 +65,8 @@ type NodeSpec struct {
 	Cores       int     // cores per node (all sockets)
 	Threads     int     // hardware threads per node
 	FreqGHz     float64 // nominal core frequency
-	VectorBits  int     // SIMD width: 256 (AVX2) or 512 (AVX-512)
 	RAMBytes    int64   // main memory (DDR4)
 	MCDRAMBytes int64   // on-package high-bandwidth memory (KNL only)
-	NVMeBytes   int64   // node-local NVMe capacity
 	MemBWGBs    float64 // sustainable memory bandwidth (GB/s), STREAM-like
 	// MPIBaseLatency is the end-to-end small-message MPI latency between two
 	// nodes of this type (Table I: 1.0 µs Cluster, 1.8 µs Booster). The
@@ -96,10 +94,8 @@ func ClusterNode() NodeSpec {
 		Cores:          24,
 		Threads:        48,
 		FreqGHz:        2.5,
-		VectorBits:     256,
 		RAMBytes:       128 * gb,
 		MCDRAMBytes:    0,
-		NVMeBytes:      400 * 1000 * 1000 * 1000, // 400 GB (decimal, as sold)
 		MemBWGBs:       110,
 		MPIBaseLatency: 1.0 * vclock.Microsecond,
 		LinkGbits:      100,
@@ -118,10 +114,8 @@ func BoosterNode() NodeSpec {
 		Cores:          64,
 		Threads:        256,
 		FreqGHz:        1.3,
-		VectorBits:     512,
 		RAMBytes:       96 * gb,
 		MCDRAMBytes:    16 * gb,
-		NVMeBytes:      400 * 1000 * 1000 * 1000,
 		MemBWGBs:       400, // MCDRAM-backed
 		MPIBaseLatency: 1.8 * vclock.Microsecond,
 		LinkGbits:      100,

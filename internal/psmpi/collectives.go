@@ -74,7 +74,6 @@ const collTagBlock = 1 << 16
 // algorithm: ⌈log2 p⌉ rounds of zero-byte messages). On return every rank's
 // clock is at least the maximum pre-barrier clock plus the network rounds.
 func (p *Proc) Barrier(c *Comm) {
-	p.Stats.Collectives++
 	base := p.collTag(c)
 	me := p.rankIn(c)
 	n := c.Size()
@@ -126,7 +125,6 @@ func (p *Proc) bcastTree(c *Comm, root int, recv func(src int), forward func(dst
 // Bcast broadcasts data (of the given wire size) from root to all ranks using
 // a binomial tree, and returns the value each rank ends up with.
 func (p *Proc) Bcast(c *Comm, root int, data any, bytes int) any {
-	p.Stats.Collectives++
 	base := p.collTag(c)
 	p.bcastTree(c, root,
 		func(src int) { data = p.recvTagged(c, src, base).value() },
@@ -140,7 +138,6 @@ func (p *Proc) Bcast(c *Comm, root int, data any, bytes int) any {
 // copy from the launch's buffer pool, which its receiver returns after
 // copying out.
 func (p *Proc) BcastF64(c *Comm, root int, buf []float64) {
-	p.Stats.Collectives++
 	base := p.collTag(c)
 	p.bcastTree(c, root,
 		func(src int) {
@@ -162,7 +159,6 @@ func (p *Proc) BcastF64(c *Comm, root int, buf []float64) {
 // accumulator is recycled by its receiver after the reduction step, the
 // root's after the final copy-out.
 func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
-	p.Stats.Collectives++
 	base := p.collTag(c)
 	me := p.rankIn(c)
 	n := c.Size()

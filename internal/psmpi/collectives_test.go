@@ -15,6 +15,55 @@ func collJob(t *testing.T, n int, main MainFunc) Result {
 	return runJob(t, rt, n, main)
 }
 
+// TestCollectiveTagsStayInTheirBlock: each collective invocation reserves
+// the next block of tags above the user range, and all of Barrier's rounds
+// stay inside its block. Rank 0 enters every collective late, so the other
+// ranks' messages to it wait in its unexpected queue, where the test reads
+// their tags.
+func TestCollectiveTagsStayInTheirBlock(t *testing.T) {
+	const n = 8        // three barrier rounds, one message to rank 0 in each
+	var queued [][]int // per invocation, the tags waiting for rank 0
+	collJob(t, n, func(p *Proc) error {
+		w := p.World()
+		buf := make([]float64, 1)
+		ops := []func(){
+			func() { p.Barrier(w) },
+			func() { p.BcastF64(w, 0, buf) }, // rank 0 only sends
+			func() { p.Barrier(w) },
+			func() { p.Barrier(w) },
+		}
+		for _, op := range ops {
+			if p.Rank() == 0 {
+				p.Elapse(vclock.Millisecond)
+				var tags []int
+				for _, e := range p.mbox.unexpected {
+					tags = append(tags, e.tag)
+				}
+				queued = append(queued, tags)
+			}
+			op()
+		}
+		return nil
+	})
+	for i, want := range []int{3, 0, 3, 3} {
+		tags := queued[i]
+		if len(tags) != want {
+			t.Errorf("invocation %d: rank 0 found %d messages waiting, want %d", i, len(tags), want)
+		}
+		seen := map[int]bool{}
+		for _, tag := range tags {
+			if tag < MaxUserTag || (tag-MaxUserTag)/collTagBlock != i {
+				t.Errorf("invocation %d: tag %d outside its block [%d, %d)", i, tag,
+					MaxUserTag+i*collTagBlock, MaxUserTag+(i+1)*collTagBlock)
+			}
+			if seen[tag] {
+				t.Errorf("invocation %d: two rounds share tag %d", i, tag)
+			}
+			seen[tag] = true
+		}
+	}
+}
+
 func TestBarrierSynchronisesClocks(t *testing.T) {
 	// After a barrier, every clock must be >= the straggler's pre-barrier
 	// time.

@@ -5,7 +5,6 @@ package psmpi
 // inter-communicator (produced by Spawn) additionally has a remote group, and
 // point-to-point ranks address the remote group, as in MPI.
 type Comm struct {
-	rt     *Runtime
 	id     uint64
 	local  []*Proc // the local group, indexed by rank
 	remote []*Proc // remote group for inter-communicators, else nil
@@ -27,15 +26,28 @@ func (c *Comm) RemoteSize() int { return len(c.remote) }
 // IsInter reports whether c is an inter-communicator.
 func (c *Comm) IsInter() bool { return c.remote != nil }
 
-// target resolves the destination proc for a p2p operation: rank addresses
-// the remote group on an inter-communicator, the local group otherwise.
-func (c *Comm) target(rank int) *Proc {
-	grp := c.local
+// peers is the group that p2p ranks on c address: the remote group of an
+// inter-communicator, the local group otherwise.
+func (c *Comm) peers() []*Proc {
 	if c.IsInter() {
-		grp = c.remote
+		return c.remote
 	}
+	return c.local
+}
+
+// target resolves the destination proc for a p2p operation.
+func (c *Comm) target(rank int) *Proc {
+	grp := c.peers()
 	if rank < 0 || rank >= len(grp) {
 		panic("psmpi: destination rank out of range")
 	}
 	return grp[rank]
+}
+
+// checkSource panics unless src is a rank of c's peer group: a receive from
+// outside it could never match.
+func (c *Comm) checkSource(src int) {
+	if src < 0 || src >= len(c.peers()) {
+		panic("psmpi: source rank out of range")
+	}
 }

@@ -26,24 +26,3 @@ func TestDeadlockBecomesError(t *testing.T) {
 		t.Fatalf("error does not name the deadlock: %v", err)
 	}
 }
-
-// TestResultCarriesEngineStats: every launch reports its kernel counters.
-func TestResultCarriesEngineStats(t *testing.T) {
-	rt := testRuntime(2, 0)
-	res := runJob(t, rt, 2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			p.SendF64(p.World(), 1, 0, []float64{1})
-			return nil
-		}
-		buf := make([]float64, 1)
-		p.RecvF64(p.World(), 0, 0, buf)
-		return nil
-	})
-	st := res.Engine
-	if st.Tasks != 2 || st.Events == 0 {
-		t.Fatalf("engine stats = %+v", st)
-	}
-	if st.EventsPerSec() < 0 || st.String() == "" {
-		t.Fatalf("stats rendering broken: %+v", st)
-	}
-}

@@ -16,8 +16,6 @@ import (
 type NodeFailure struct {
 	// Node is the name of the failed node.
 	Node string
-	// NodeID is the failed node's machine ID.
-	NodeID int
 	// At is the virtual time the failure struck.
 	At vclock.Time
 }
@@ -99,7 +97,7 @@ func (fi *FailureInjector) arm(l *launch, start vclock.Time) {
 		if fi.OnFailure != nil {
 			fi.OnFailure(victim, at)
 		}
-		l.abort(&NodeFailure{Node: victim.Name(), NodeID: victim.ID, At: at})
+		l.abort(&NodeFailure{Node: victim.Name(), At: at})
 	})
 }
 

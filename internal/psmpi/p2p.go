@@ -52,7 +52,6 @@ type envelope struct {
 	tag       int
 	pl        payload
 	bytes     int
-	seq       uint64
 	refs      int32
 	eager     bool
 	interComm bool        // sent on an inter-communicator (staged path)
@@ -73,8 +72,8 @@ type envelope struct {
 // postedRecv is a receive posted before its message arrived.
 type postedRecv struct {
 	commID uint64
-	src    int // AnySource allowed
-	tag    int // AnyTag allowed
+	src    int
+	tag    int
 	posted vclock.Time
 	env    *envelope // set when matched
 	done   bool
@@ -82,9 +81,7 @@ type postedRecv struct {
 }
 
 func (pr *postedRecv) matches(e *envelope) bool {
-	return pr.commID == e.commID &&
-		(pr.src == AnySource || pr.src == e.src) &&
-		(pr.tag == AnyTag || pr.tag == e.tag)
+	return pr.commID == e.commID && pr.src == e.src && pr.tag == e.tag
 }
 
 // mailbox holds a rank's unexpected-message queue and posted-receive queue,
@@ -171,9 +168,8 @@ func recvWake(pr *postedRecv, e *envelope) vclock.Time {
 // takeUnexpected removes and returns the first unexpected envelope matching
 // (commID, src, tag), or nil.
 func (mb *mailbox) takeUnexpected(commID uint64, src, tag int) *envelope {
-	probe := postedRecv{commID: commID, src: src, tag: tag}
 	for i, e := range mb.unexpected {
-		if probe.matches(e) {
+		if e.commID == commID && e.src == src && e.tag == tag {
 			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
 			return e
 		}
@@ -219,12 +215,9 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 	// Inter-communicator traffic is staged through the MPI layer on the
 	// sending side (see Config.InterCommStagingGBs).
 	if c.IsInter() && bytes > 0 {
-		p.addComm(vclock.Time(float64(bytes) / (p.rt.cfg.InterCommStagingGBs * 1e9)))
+		p.clock.Advance(vclock.Time(float64(bytes) / (p.rt.cfg.InterCommStagingGBs * 1e9)))
 	}
 	begin := p.clock.Now()
-	p.Stats.Sends++
-	p.Stats.BytesSent += int64(bytes)
-	p.sendSeq++
 
 	e := p.newEnv()
 	*e = envelope{
@@ -233,7 +226,6 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 		tag:       tag,
 		pl:        pl,
 		bytes:     bytes,
-		seq:       p.sendSeq,
 		refs:      1, // the receiver
 		srcNode:   p.node,
 		interComm: c.IsInter(),
@@ -245,7 +237,7 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 		e.arrival = nicArrival
 		target.mbox.deliver(e, target)
 		// The sending CPU is busy until the NIC has the data, then free.
-		p.elapseComm(senderFree)
+		p.clock.AdvanceTo(senderFree)
 		if blocking {
 			return nil
 		}
@@ -259,7 +251,7 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, pl payload, bytes int, mode sen
 	target.mbox.deliver(e, target)
 	// Rendezvous: the sender's CPU pays the issue overhead (posting the RTS)
 	// and may then continue; completion arrives through the handshake.
-	p.addComm(p.rt.net.SendOverheadOf(p.node))
+	p.clock.Advance(p.rt.net.SendOverheadOf(p.node))
 	if blocking {
 		p.waitSendEnv(e)
 		return nil
@@ -277,7 +269,7 @@ func (p *Proc) waitSendEnv(e *envelope) {
 		e.senderWaiter = p.task
 		p.task.Park()
 	}
-	p.elapseComm(e.dmaEnd)
+	p.clock.AdvanceTo(e.dmaEnd)
 	p.releaseEnv(e)
 }
 
@@ -285,7 +277,7 @@ func (p *Proc) waitSendEnv(e *envelope) {
 // buffer is reusable — immediately after injection for eager messages, after
 // the transfer for rendezvous messages. The message is priced by bytes alone
 // and data is never read, so data may be nil for a sizes-only message; the
-// matching Recv then returns a nil body with Status.Bytes == bytes.
+// matching Recv then returns a nil body.
 func (p *Proc) Send(c *Comm, dst, tag int, data any, bytes int) {
 	p.send(c, dst, tag, payload{val: data}, bytes, modeStandard, true)
 }
@@ -310,6 +302,7 @@ func (p *Proc) IssendF64Pooled(c *Comm, dst, tag int, buf []float64) *Request {
 
 // recvCommon matches a message, timing the receive. Returns the envelope.
 func (p *Proc) recvCommon(c *Comm, src, tag int) *envelope {
+	c.checkSource(src)
 	mb := p.mbox
 	if e := mb.takeUnexpected(c.id, src, tag); e != nil {
 		p.completeRecvUnexpected(e)
@@ -339,32 +332,28 @@ func (mb *mailbox) removePosted(pr *postedRecv) {
 // completeRecvUnexpected times a receive that found its message already
 // queued (sender was first).
 func (p *Proc) completeRecvUnexpected(e *envelope) {
-	p.Stats.Recvs++
-	p.Stats.BytesRecv += int64(e.bytes)
 	if e.eager {
-		p.elapseComm(p.eagerArrival(e))
-		p.addComm(p.rt.net.EagerRecvCost(p.node, e.bytes))
+		p.clock.AdvanceTo(p.eagerArrival(e))
+		p.clock.Advance(p.rt.net.EagerRecvCost(p.node, e.bytes))
 		p.stageInterRecv(e)
 		return
 	}
 	commitSenderDone(e, p.rt.net.RendezvousMatch(
 		e.srcNode, p.node, e.bytes, e.rts, e.injEnd, p.clock.Now()))
-	p.elapseComm(p.rendezvousArrival(e))
+	p.clock.AdvanceTo(p.rendezvousArrival(e))
 	p.stageInterRecv(e)
 }
 
 // completeRecvPosted times a receive whose posting preceded the message.
 func (p *Proc) completeRecvPosted(pr *postedRecv) {
 	e := pr.env
-	p.Stats.Recvs++
-	p.Stats.BytesRecv += int64(e.bytes)
 	if e.eager {
-		p.elapseComm(p.eagerArrival(e))
-		p.addComm(p.rt.net.EagerRecvCost(p.node, e.bytes))
+		p.clock.AdvanceTo(p.eagerArrival(e))
+		p.clock.Advance(p.rt.net.EagerRecvCost(p.node, e.bytes))
 		p.stageInterRecv(e)
 		return
 	}
-	p.elapseComm(p.rendezvousArrival(e))
+	p.clock.AdvanceTo(p.rendezvousArrival(e))
 	p.stageInterRecv(e)
 }
 
@@ -391,27 +380,27 @@ func (p *Proc) rendezvousArrival(e *envelope) vclock.Time {
 // inter-communicator messages (the non-RDMA spawn-intercomm path).
 func (p *Proc) stageInterRecv(e *envelope) {
 	if e.interComm && e.bytes > 0 {
-		p.addComm(vclock.Time(float64(e.bytes) / (p.rt.cfg.InterCommStagingGBs * 1e9)))
+		p.clock.Advance(vclock.Time(float64(e.bytes) / (p.rt.cfg.InterCommStagingGBs * 1e9)))
 	}
 }
 
-// Recv is a blocking receive (MPI_Recv). It returns the message payload and
-// its status. src may be AnySource and tag may be AnyTag.
-func (p *Proc) Recv(c *Comm, src, tag int) (any, Status) {
+// Recv is a blocking receive (MPI_Recv) of the next message from rank src
+// with the given tag. It returns the message payload.
+func (p *Proc) Recv(c *Comm, src, tag int) any {
 	e := p.recvCommon(c, src, tag)
-	data, st := e.pl.value(), Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
+	data := e.pl.value()
 	p.releaseEnv(e)
-	return data, st
+	return data
 }
 
 // RecvF64Pooled is a blocking receive of a message sent by IsendF64Pooled or
 // IssendF64Pooled. The buffer is returned by reference and now belongs to
 // the caller, which returns it with PutF64 once it has read it.
-func (p *Proc) RecvF64Pooled(c *Comm, src, tag int) ([]float64, Status) {
+func (p *Proc) RecvF64Pooled(c *Comm, src, tag int) []float64 {
 	e := p.recvCommon(c, src, tag)
-	v, st := e.pl.slice(), Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
+	v := e.pl.slice()
 	p.releaseEnv(e)
-	return v, st
+	return v
 }
 
 // newPR takes a posting record from the rank's free list (or allocates one);
@@ -450,6 +439,7 @@ func (p *Proc) freeReq(req *Request) {
 
 // Irecv posts a non-blocking receive (MPI_Irecv); complete it with Wait.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
+	c.checkSource(src)
 	mb := p.mbox
 	pr := p.newPR()
 	*pr = postedRecv{commID: c.id, src: src, tag: tag, posted: p.clock.Now()}
@@ -463,17 +453,10 @@ func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
 	return req
 }
 
-// Status describes a completed receive.
-type Status struct {
-	Source int
-	Tag    int
-	Bytes  int
-}
-
-// wait drives the request to completion, returns a receive's body and
-// status, and frees the request. As MPI_Wait sets the handle to
-// MPI_REQUEST_NULL, a waited request must not be used again.
-func (p *Proc) wait(req *Request) (payload, Status) {
+// wait drives the request to completion, returns a receive's body, and
+// frees the request. As MPI_Wait sets the handle to MPI_REQUEST_NULL, a
+// waited request must not be used again.
+func (p *Proc) wait(req *Request) payload {
 	if req.p != p {
 		panic("psmpi: waiting on another rank's request")
 	}
@@ -482,7 +465,7 @@ func (p *Proc) wait(req *Request) (payload, Status) {
 			p.waitSendEnv(req.env)
 		}
 		p.freeReq(req)
-		return payload{}, Status{}
+		return payload{}
 	}
 	pr := req.pr
 	if !pr.done {
@@ -492,28 +475,26 @@ func (p *Proc) wait(req *Request) (payload, Status) {
 	req.mb.removePosted(pr)
 	p.completeRecvPosted(pr)
 	e := pr.env
-	pl, st := e.pl, Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
+	pl := e.pl
 	*pr = postedRecv{}
 	p.prFree = append(p.prFree, pr)
 	p.releaseEnv(e)
 	p.freeReq(req)
-	return pl, st
+	return pl
 }
 
 // Wait blocks until the request completes (MPI_Wait) and returns the received
-// payload and status for receives (nil payload for sends). The request is
-// freed: it must not be used again.
-func (p *Proc) Wait(req *Request) (any, Status) {
-	pl, st := p.wait(req)
-	return pl.value(), st
+// payload for receives (nil for sends). The request is freed: it must not be
+// used again.
+func (p *Proc) Wait(req *Request) any {
+	return p.wait(req).value()
 }
 
 // WaitF64 is Wait for receives of []float64 payloads, returned by reference
 // and unboxed. A pooled payload (IsendF64Pooled, IssendF64Pooled) now
 // belongs to the caller, which returns it with PutF64 once it has read it.
-func (p *Proc) WaitF64(req *Request) ([]float64, Status) {
-	pl, st := p.wait(req)
-	return pl.slice(), st
+func (p *Proc) WaitF64(req *Request) []float64 {
+	return p.wait(req).slice()
 }
 
 // Waitall completes all requests (MPI_Waitall).
@@ -539,10 +520,9 @@ func (p *Proc) SendF64(c *Comm, dst, tag int, buf []float64) {
 // RecvF64 receives a []float64 payload into buf (which must be large enough)
 // and returns the element count. Pool-copied payloads (SendF64) are recycled
 // here — the receiver is their last reader.
-func (p *Proc) RecvF64(c *Comm, src, tag int, buf []float64) (int, Status) {
+func (p *Proc) RecvF64(c *Comm, src, tag int, buf []float64) int {
 	e := p.recvCommon(c, src, tag)
 	v := e.pl.slice()
-	st := Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
 	n := copy(buf, v)
 	if n < len(v) {
 		panic(fmt.Sprintf("psmpi: receive buffer too small: %d < %d", len(buf), len(v)))
@@ -551,5 +531,5 @@ func (p *Proc) RecvF64(c *Comm, src, tag int, buf []float64) (int, Status) {
 		p.PutF64(v)
 	}
 	p.releaseEnv(e)
-	return n, st
+	return n
 }

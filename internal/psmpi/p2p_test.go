@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,12 +39,9 @@ func TestSendRecvValue(t *testing.T) {
 			return nil
 		}
 		buf := make([]float64, 3)
-		n, st := p.RecvF64(p.World(), 0, 7, buf)
+		n := p.RecvF64(p.World(), 0, 7, buf)
 		if n != 3 || buf[0] != 1 || buf[2] != 3 {
 			t.Errorf("recv got %v (n=%d)", buf, n)
-		}
-		if st.Source != 0 || st.Tag != 7 || st.Bytes != 24 {
-			t.Errorf("status = %+v", st)
 		}
 		return nil
 	})
@@ -116,29 +114,6 @@ func TestTagSelectivity(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	rt := testRuntime(3, 0)
-	runJob(t, rt, 3, func(p *Proc) error {
-		if p.Rank() != 0 {
-			p.SendF64(p.World(), 0, p.Rank(), []float64{float64(p.Rank())})
-			return nil
-		}
-		seen := map[int]bool{}
-		for i := 0; i < 2; i++ {
-			data, st := p.Recv(p.World(), AnySource, AnyTag)
-			v := data.([]float64)[0]
-			if int(v) != st.Source || st.Tag != st.Source {
-				t.Errorf("wildcard recv mismatch: v=%v st=%+v", v, st)
-			}
-			seen[st.Source] = true
-		}
-		if !seen[1] || !seen[2] {
-			t.Errorf("sources seen: %v", seen)
-		}
-		return nil
-	})
-}
-
 func TestIsendIrecvWait(t *testing.T) {
 	rt := testRuntime(2, 0)
 	runJob(t, rt, 2, func(p *Proc) error {
@@ -150,9 +125,9 @@ func TestIsendIrecvWait(t *testing.T) {
 			return nil
 		}
 		req := p.Irecv(w, 0, 5)
-		data, st := p.WaitF64(req)
-		if data[0] != 9 || st.Source != 0 {
-			t.Errorf("irecv got %v / %+v", data, st)
+		data := p.WaitF64(req)
+		if data[0] != 9 {
+			t.Errorf("irecv got %v", data)
 		}
 		p.PutF64(data)
 		return nil
@@ -166,7 +141,7 @@ func TestPostedRecvBeforeSend(t *testing.T) {
 		w := p.World()
 		if p.Rank() == 1 {
 			req := p.Irecv(w, 0, 1)
-			data, _ := p.Wait(req)
+			data := p.Wait(req)
 			if data.([]float64)[0] != 3 {
 				t.Errorf("got %v", data)
 			}
@@ -310,35 +285,6 @@ func TestCrossModuleMessage(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
-	rt := testRuntime(2, 0)
-	res := runJob(t, rt, 2, func(p *Proc) error {
-		w := p.World()
-		p.Compute(machine.Work{Class: machine.KernelParticle, Flops: 3e7})
-		if p.Rank() == 0 {
-			p.SendF64(w, 1, 0, make([]float64, 100))
-		} else {
-			buf := make([]float64, 100)
-			p.RecvF64(w, 0, 0, buf)
-		}
-		return nil
-	})
-	for _, r := range res.Ranks {
-		if r.Stats.ComputeTime <= 0 {
-			t.Errorf("rank %d: no compute time", r.Rank)
-		}
-		if r.Stats.CommTime <= 0 {
-			t.Errorf("rank %d: no comm time", r.Rank)
-		}
-	}
-	if res.Ranks[0].Stats.BytesSent != 800 {
-		t.Errorf("bytes sent = %d, want 800", res.Ranks[0].Stats.BytesSent)
-	}
-	if res.Ranks[1].Stats.BytesRecv != 800 {
-		t.Errorf("bytes recv = %d, want 800", res.Ranks[1].Stats.BytesRecv)
-	}
-}
-
 func TestMakespanIsMaxClock(t *testing.T) {
 	rt := testRuntime(2, 0)
 	res := runJob(t, rt, 2, func(p *Proc) error {
@@ -412,6 +358,102 @@ func TestUserTagRangeEnforced(t *testing.T) {
 	}
 }
 
+// TestRankOutOfRange: a receive from, or a send to, a rank outside the
+// communicator ends the job with an error at once. A receive could never
+// match, so without the check it would wait for the kernel's deadlock
+// report.
+func TestRankOutOfRange(t *testing.T) {
+	ops := []struct {
+		name, want string
+		op         func(p *Proc, rank int)
+	}{
+		{"Recv", "psmpi: source rank out of range", func(p *Proc, r int) { p.Recv(p.World(), r, 0) }},
+		{"Irecv", "psmpi: source rank out of range", func(p *Proc, r int) { p.Irecv(p.World(), r, 0) }},
+		{"Send", "psmpi: destination rank out of range", func(p *Proc, r int) { p.Send(p.World(), r, 0, nil, 0) }},
+	}
+	for _, o := range ops {
+		for _, rank := range []int{-1, 2} {
+			rt := testRuntime(2, 0)
+			_, err := rt.Launch(LaunchSpec{
+				Nodes: rt.sys.Module(machine.Cluster)[:2],
+				Main: func(p *Proc) error {
+					if p.Rank() == 0 {
+						o.op(p, rank)
+					}
+					return nil
+				},
+			})
+			if err == nil || !strings.Contains(err.Error(), o.want) || strings.Contains(err.Error(), "deadlock") {
+				t.Errorf("%s with rank %d of 2: error %v, want %q", o.name, rank, err, o.want)
+			}
+		}
+	}
+}
+
+// TestWaitallParksOnPendingIrecv: Waitall on a receive whose message has
+// not been sent yet parks the rank until it arrives.
+func TestWaitallParksOnPendingIrecv(t *testing.T) {
+	const late = vclock.Millisecond
+	runJob(t, testRuntime(2, 0), 2, func(p *Proc) error {
+		w := p.World()
+		if p.Rank() == 0 {
+			p.Elapse(late)
+			p.SendF64(w, 1, 0, []float64{1})
+			return nil
+		}
+		p.Waitall(p.Irecv(w, 0, 0))
+		if p.Now() < late {
+			t.Errorf("Waitall returned at %v, before the message was sent at %v", p.Now(), late)
+		}
+		return nil
+	})
+}
+
+// TestMatchingIsPerCommunicator: a message never matches a receive on
+// another communicator, even from the same source rank with the same tag.
+// The parent's rank 0 sends to child 1 on the inter-communicator, and child
+// 0 sends to it on the children's world, with tag 5 and then tag 6. Child 1
+// posts its tag-5 world receive before either message arrives (the posted
+// path), and asks for tag 6 only once both wait in its queue (the
+// unexpected path), the parent's first.
+func TestMatchingIsPerCommunicator(t *testing.T) {
+	rt := testRuntime(1, 2)
+	rt.Register("child", func(p *Proc) error {
+		w := p.World()
+		if p.Rank() == 0 {
+			p.Elapse(vclock.Millisecond)
+			p.Send(w, 1, 5, "sibling 5", 8)
+			p.Send(w, 1, 6, "sibling 6", 8)
+			return nil
+		}
+		req := p.Irecv(w, 0, 5)
+		if got := p.Recv(p.Parent(), 0, 5); got != "parent 5" {
+			t.Errorf("inter-communicator tag 5 got %v", got)
+		}
+		if got := p.Wait(req); got != "sibling 5" {
+			t.Errorf("world tag 5 got %v", got)
+		}
+		p.Elapse(vclock.Millisecond)
+		if got := p.Recv(w, 0, 6); got != "sibling 6" {
+			t.Errorf("world tag 6 got %v", got)
+		}
+		if got := p.Recv(p.Parent(), 0, 6); got != "parent 6" {
+			t.Errorf("inter-communicator tag 6 got %v", got)
+		}
+		return nil
+	})
+	runJob(t, rt, 1, func(p *Proc) error {
+		inter, err := p.Spawn(p.World(), SpawnSpec{Binary: "child", Procs: 2, Module: machine.Booster})
+		if err != nil {
+			return err
+		}
+		p.Elapse(10 * vclock.Microsecond)
+		p.Send(inter, 1, 5, "parent 5", 8)
+		p.Send(inter, 1, 6, "parent 6", 8)
+		return nil
+	})
+}
+
 // randomGraphMain builds a deterministic random message program from seed:
 // every round each rank elapses a random skew, fires the round's random edge
 // set (nonblocking sends first, then receives in edge order), and every few
@@ -461,7 +503,7 @@ func randomGraphMain(seed uint64, n, rounds int) MainFunc {
 				if e.dst != me {
 					continue
 				}
-				got, _ := p.RecvF64Pooled(w, e.src, 1000+i)
+				got := p.RecvF64Pooled(w, e.src, 1000+i)
 				if len(got) != e.elems || got[0] != float64(r*1000+i) {
 					return fmt.Errorf("round %d edge %d: got %d elems starting %v", r, i, len(got), got[0])
 				}
@@ -496,7 +538,7 @@ func exchangeMain(rounds int) MainFunc {
 			out := p.GetF64(len(small))
 			copy(out, small)
 			sreq := p.IsendF64Pooled(w, right, 10+r, out)
-			got, _ := p.RecvF64Pooled(w, left, 10+r)
+			got := p.RecvF64Pooled(w, left, 10+r)
 			if len(got) != len(small) || got[1] != float64(left*100+1) {
 				return fmt.Errorf("round %d: ring message from %d corrupted", r, left)
 			}
@@ -518,16 +560,36 @@ func exchangeMain(rounds int) MainFunc {
 	}
 }
 
+// outcome is what one launch of a job ends with: its makespan and each
+// initial rank's final clock.
+type outcome struct {
+	makespan vclock.Time
+	clocks   []vclock.Time
+}
+
+// launchOutcome launches main on nodes and records each rank's clock as
+// its main returns.
+func launchOutcome(rt *Runtime, nodes []*machine.Node, main MainFunc) (outcome, error) {
+	o := outcome{clocks: make([]vclock.Time, len(nodes))}
+	res, err := rt.Launch(LaunchSpec{Nodes: nodes, Main: func(p *Proc) error {
+		err := main(p)
+		o.clocks[p.Rank()] = p.Now()
+		return err
+	}})
+	o.makespan = res.Makespan
+	return o, err
+}
+
 // launchSerialAndParallel runs launch once on its own, then k more times at
 // once on host goroutines, the way a sweep's worker pool runs scenarios. It
 // fails the test on any launch error and returns the lone run first.
-func launchSerialAndParallel(t *testing.T, k int, launch func() (Result, error)) (Result, []Result) {
+func launchSerialAndParallel(t *testing.T, k int, launch func() (outcome, error)) (outcome, []outcome) {
 	t.Helper()
 	serial, err := launch()
 	if err != nil {
 		t.Fatalf("serial launch: %v", err)
 	}
-	par := make([]Result, k)
+	par := make([]outcome, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	wg.Add(k)
@@ -546,20 +608,16 @@ func launchSerialAndParallel(t *testing.T, k int, launch func() (Result, error))
 	return serial, par
 }
 
-// sameOutcome reports every difference in makespan or final rank state
+// sameOutcome reports every difference in makespan or final rank clock
 // between two runs of one job.
-func sameOutcome(t *testing.T, label string, serial, par Result) {
+func sameOutcome(t *testing.T, label string, serial, par outcome) {
 	t.Helper()
-	if serial.Makespan != par.Makespan {
-		t.Errorf("%s: makespan %v (serial) != %v (parallel)", label, serial.Makespan, par.Makespan)
+	if serial.makespan != par.makespan {
+		t.Errorf("%s: makespan %v (serial) != %v (parallel)", label, serial.makespan, par.makespan)
 	}
-	if len(serial.Ranks) != len(par.Ranks) {
-		t.Fatalf("%s: rank count %d != %d", label, len(serial.Ranks), len(par.Ranks))
-	}
-	for i := range serial.Ranks {
-		if serial.Ranks[i] != par.Ranks[i] {
-			t.Errorf("%s: rank %d state differs:\n serial   %+v\n parallel %+v",
-				label, i, serial.Ranks[i], par.Ranks[i])
+	for i := range serial.clocks {
+		if serial.clocks[i] != par.clocks[i] {
+			t.Errorf("%s: rank %d clock %v (serial) != %v (parallel)", label, i, serial.clocks[i], par.clocks[i])
 		}
 	}
 }
@@ -569,11 +627,11 @@ func sameOutcome(t *testing.T, label string, serial, par Result) {
 // links. A run on its own and three runs side by side on host goroutines
 // must agree exactly.
 func TestParallelMultiRankPerNode(t *testing.T) {
-	launch := func() (Result, error) {
+	launch := func() (outcome, error) {
 		rt := testRuntime(3, 0)
 		cluster := rt.sys.Module(machine.Cluster)
 		nodes := []*machine.Node{cluster[0], cluster[0], cluster[1], cluster[1], cluster[2], cluster[2]}
-		return rt.Launch(LaunchSpec{Nodes: nodes, Main: exchangeMain(4)})
+		return launchOutcome(rt, nodes, exchangeMain(4))
 	}
 	serial, par := launchSerialAndParallel(t, 3, launch)
 	for i, res := range par {
@@ -585,7 +643,7 @@ func TestParallelMultiRankPerNode(t *testing.T) {
 // rendezvous sizes, skewed clocks, collectives — through the kernel: every
 // payload must arrive intact, and a launch on its own must agree with two
 // launches of the same graph running side by side on host goroutines on the
-// makespan and on every rank's final clock and accounting. packed puts two
+// makespan and on every rank's final clock. packed puts two
 // ranks on each node, so co-located ranks share their node's links and
 // exchange over the intra-node path.
 func FuzzSerialParallelEquivalence(f *testing.F) {
@@ -597,7 +655,7 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 		n := 2 + int(seed%7)
 		rounds := 2 + int((seed>>8)%5)
 		main := randomGraphMain(seed, n, rounds)
-		launch := func() (Result, error) {
+		launch := func() (outcome, error) {
 			rt := testRuntime(n, 0)
 			cluster := rt.sys.Module(machine.Cluster)
 			nodes := make([]*machine.Node, n)
@@ -608,7 +666,7 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 					nodes[i] = cluster[i]
 				}
 			}
-			return rt.Launch(LaunchSpec{Nodes: nodes, Main: main})
+			return launchOutcome(rt, nodes, main)
 		}
 		serial, par := launchSerialAndParallel(t, 2, launch)
 		for i, res := range par {
@@ -620,7 +678,7 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 // TestSendPriceDependsOnlyOnSize sends one message with a nil body and one
 // with a []float64 body of the same byte count, at an eager and a rendezvous
 // size: both ranks must end at the same virtual time, and the sizes-only
-// message must arrive as a nil body of the sent byte count.
+// message must arrive as a nil body.
 func TestSendPriceDependsOnlyOnSize(t *testing.T) {
 	for _, size := range []int{1 << 10, 16 << 20} {
 		run := func(body any) [2]vclock.Time {
@@ -629,10 +687,7 @@ func TestSendPriceDependsOnlyOnSize(t *testing.T) {
 				if p.Rank() == 0 {
 					p.Send(p.World(), 1, 5, body, size)
 				} else {
-					data, st := p.Recv(p.World(), 0, 5)
-					if st.Bytes != size {
-						t.Errorf("size %d: Status.Bytes = %d", size, st.Bytes)
-					}
+					data := p.Recv(p.World(), 0, 5)
 					if body == nil && data != nil {
 						t.Errorf("size %d: sizes-only message arrived with body %T", size, data)
 					}

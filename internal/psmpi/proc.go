@@ -6,20 +6,6 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-// Stats accumulates per-rank accounting, used by the experiments to report
-// communication overhead (the paper quotes 3–4 % per solver for xPic).
-type Stats struct {
-	ComputeTime vclock.Time // time spent in Compute
-	CommTime    vclock.Time // time spent inside communication calls
-	OtherTime   vclock.Time // explicit Elapse (I/O waits, etc.)
-	BytesSent   int64
-	BytesRecv   int64
-	Sends       int64
-	Recvs       int64
-	Collectives int64
-	Spawns      int64
-}
-
 // Proc is one MPI process (rank). All methods must be called from the rank's
 // own goroutine — exactly like an MPI rank, a Proc is single-threaded. The
 // goroutine runs under the job's execution kernel (internal/engine), which
@@ -36,7 +22,6 @@ type Proc struct {
 	parent *Comm // intercommunicator to the spawning job, nil at top level
 
 	commRank map[uint64]int // this proc's rank per communicator id
-	sendSeq  uint64
 	// recvScratch is the reusable posting record of blocking receives (at
 	// most one is pending per rank — a rank is single-threaded).
 	recvScratch postedRecv
@@ -50,10 +35,6 @@ type Proc struct {
 	eagerDone Request
 	// scalarBuf is AllreduceScalar's reusable one-element working buffer.
 	scalarBuf []float64
-
-	// Stats is public for post-run inspection; during the run only the
-	// owning goroutine touches it.
-	Stats Stats
 }
 
 // newProc builds a rank's state. Its kernel task is created later, by
@@ -89,22 +70,19 @@ func (p *Proc) Node() *machine.Node { return p.node }
 func (p *Proc) Now() vclock.Time { return p.clock.Now() }
 
 // Compute advances this rank's clock by the cost of the given work on its
-// node, and accounts it as compute time.
+// node.
 func (p *Proc) Compute(w machine.Work) {
-	d := p.node.Spec.ComputeTime(w)
-	p.clock.Advance(d)
-	p.Stats.ComputeTime += d
+	p.clock.Advance(p.node.Spec.ComputeTime(w))
 }
 
 // Elapse advances the clock by an externally computed duration (device I/O,
-// file-system time) and accounts it as other time. The wait is a scheduled
-// kernel event: the rank parks until the completion instant fires, so device
-// latencies take their place in the global event order. (When the completion
-// is the earliest pending event the kernel returns immediately — a device
-// wait with nothing concurrent costs two queue operations.)
+// file-system time). The wait is a scheduled kernel event: the rank parks
+// until the completion instant fires, so device latencies take their place
+// in the global event order. (When the completion is the earliest pending
+// event the kernel returns immediately — a device wait with nothing
+// concurrent costs two queue operations.)
 func (p *Proc) Elapse(d vclock.Time) {
 	p.clock.Advance(d)
-	p.Stats.OtherTime += d
 	p.task.SleepUntil(p.clock.Now())
 }
 
@@ -116,21 +94,6 @@ func (p *Proc) Elapse(d vclock.Time) {
 // pending when the job's last rank exits never runs.
 func (p *Proc) CallAt(at vclock.Time, fn func()) {
 	p.l.eng.CallAt(at, fn)
-}
-
-// elapseComm advances the clock to t (if later) and accounts the delta as
-// communication time.
-func (p *Proc) elapseComm(t vclock.Time) {
-	if t > p.clock.Now() {
-		p.Stats.CommTime += t - p.clock.Now()
-		p.clock.AdvanceTo(t)
-	}
-}
-
-// addComm advances the clock by d and accounts it as communication time.
-func (p *Proc) addComm(d vclock.Time) {
-	p.clock.Advance(d)
-	p.Stats.CommTime += d
 }
 
 // rankIn returns this proc's rank in the given communicator, panicking if the

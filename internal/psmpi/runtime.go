@@ -12,11 +12,12 @@
 // connecting parents and children.
 //
 // Semantics follow MPI where it matters for the reproduced application:
-// matching by (communicator, source, tag) with wildcards, per-pair
-// non-overtaking order, eager vs rendezvous protocol selection by size,
-// synchronous sends (IssendF64Pooled, xPic's MPI_Issend) completing only
-// after the match, and collective operations that synchronise the
-// participants' virtual clocks.
+// matching by exact (communicator, source, tag), per-pair non-overtaking
+// order, eager vs rendezvous protocol selection by size, synchronous sends
+// (IssendF64Pooled, xPic's MPI_Issend) completing only after the match, and
+// collective operations that synchronise the participants' virtual clocks.
+// There are no wildcard receives and no receive status: every receive names
+// a source rank of the communicator's peer group, and returns the body only.
 package psmpi
 
 import (
@@ -30,12 +31,6 @@ import (
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/vclock"
 )
-
-// AnySource matches messages from any source rank.
-const AnySource = -1
-
-// AnyTag matches messages with any tag.
-const AnyTag = -1
 
 // MaxUserTag is the largest tag application code may use; larger tags are
 // reserved for the runtime's internal protocols (collectives, spawn).
@@ -267,21 +262,8 @@ type Result struct {
 	// Makespan is the latest final virtual clock over all ranks, including
 	// spawned children — the job's virtual wall time.
 	Makespan vclock.Time
-	// Ranks holds the final per-rank state of the initial job (not children).
-	Ranks []RankResult
-	// Engine reports the execution kernel's runtime counters for this job
-	// (events processed, parks, peak parked ranks, host wall time).
-	Engine engine.Stats
 	// Err aggregates rank errors (nil if all ranks succeeded).
 	Err error
-}
-
-// RankResult is the end-of-job state of one rank.
-type RankResult struct {
-	Rank  int
-	Node  string
-	Clock vclock.Time
-	Stats Stats
 }
 
 // Launch runs a job to completion (including any jobs it spawns) and returns
@@ -303,15 +285,7 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 	l.eng.Run()
 	l.wg.Wait()
 
-	res := Result{Makespan: l.max, Engine: l.eng.Stats()}
-	for _, p := range world.local {
-		res.Ranks = append(res.Ranks, RankResult{
-			Rank:  p.rank,
-			Node:  p.node.Name(),
-			Clock: p.clock.Now(),
-			Stats: p.Stats,
-		})
-	}
+	res := Result{Makespan: l.max}
 	l.mu.Lock()
 	if len(l.errs) > 0 {
 		res.Err = errors.Join(l.errs...)
@@ -326,7 +300,7 @@ func (rt *Runtime) Launch(spec LaunchSpec) (Result, error) {
 
 // newWorld builds a world communicator with one fresh proc per node entry.
 func (rt *Runtime) newWorld(l *launch, nodes []*machine.Node, start vclock.Time, parent *Comm) *Comm {
-	world := &Comm{rt: rt, id: rt.nextCommID()}
+	world := &Comm{id: rt.nextCommID()}
 	for i, node := range nodes {
 		p := newProc(rt, l, node, i)
 		p.clock.AdvanceTo(start)

@@ -40,7 +40,6 @@ func (p *Proc) Spawn(c *Comm, spec SpawnSpec) (*Comm, error) {
 	if spec.Procs <= 0 {
 		return nil, fmt.Errorf("psmpi: spawn of %d procs", spec.Procs)
 	}
-	p.Stats.Spawns++
 
 	// Synchronise the parents: the spawn completes collectively.
 	p.Barrier(c)
@@ -57,7 +56,7 @@ func (p *Proc) Spawn(c *Comm, spec SpawnSpec) (*Comm, error) {
 		return nil, h.err
 	}
 	// Booting the children takes the configured overhead on every parent.
-	p.addComm(p.rt.cfg.SpawnOverhead)
+	p.clock.Advance(p.rt.cfg.SpawnOverhead)
 	// Register this parent's rank in the inter-communicator.
 	p.commRank[h.inter.id] = me
 	return h.inter, nil
@@ -81,8 +80,8 @@ func (p *Proc) spawnRoot(c *Comm, spec SpawnSpec) spawnHandle {
 
 	// Parents' view: local = parents, remote = children. Children's view:
 	// the reverse. Both share one id, so matching is symmetric.
-	inter := &Comm{rt: p.rt, id: p.rt.nextCommID(), local: c.local}
-	childView := &Comm{rt: p.rt, id: inter.id, remote: c.local}
+	inter := &Comm{id: p.rt.nextCommID(), local: c.local}
+	childView := &Comm{id: inter.id, remote: c.local}
 
 	world := p.rt.newWorld(p.l, nodes, start, childView)
 	inter.remote = world.local

@@ -33,7 +33,6 @@ func (q *oracleQueue) backfill(now vclock.Time) {
 	kept := q.pending[:1]
 	for _, cand := range q.pending[1:] {
 		if cand.job.Cluster <= q.freeC && cand.job.Booster <= q.freeB && now+cand.job.Duration <= headStart {
-			cand.backfilled = true
 			q.cnt.backfilled++
 			q.grant(cand)
 		} else {
@@ -135,7 +134,6 @@ func drawBackfillState(rng *rand.Rand) backfillState {
 		allocB -= gb
 		s.running = append(s.running, qjob{
 			job:      Job{ID: id, Cluster: gc, Booster: gb},
-			granted:  true,
 			grantedC: gc, grantedB: gb,
 			end: grid(8),
 		})
@@ -188,9 +186,8 @@ func drawBackfillState(rng *rand.Rand) backfillState {
 
 // backfillOutcome is what one backfill pass decided.
 type backfillOutcome struct {
-	grants       []int        // job IDs in grant order
-	backfilled   map[int]bool // job ID -> backfilled flag, every job
-	remaining    []int        // pending job IDs left, in queue order
+	grants       []int // job IDs in grant order
+	remaining    []int // pending job IDs left, in queue order
 	freeC, freeB int
 	counted      int // queueCounters.backfilled
 }
@@ -201,7 +198,6 @@ func grantRecorder(freeC, freeB *int, running *[]*qjob, now, overhead vclock.Tim
 	return func(j *qjob) {
 		*freeC -= j.job.Cluster
 		*freeB -= j.job.Booster
-		j.granted = true
 		j.grantedC, j.grantedB = j.job.Cluster, j.job.Booster
 		j.start, j.end = now, now+j.job.Duration+overhead
 		*running = append(*running, j)
@@ -210,8 +206,8 @@ func grantRecorder(freeC, freeB *int, running *[]*qjob, now, overhead vclock.Tim
 }
 
 // instantiate builds fresh job records for the state and returns the
-// pending and running sets over them, and all of them in one list.
-func (s backfillState) instantiate() (pending, running []*qjob, all []*qjob) {
+// pending and running sets over them.
+func (s backfillState) instantiate() (pending, running []*qjob) {
 	for i := range s.running {
 		r := s.running[i]
 		running = append(running, &r)
@@ -219,8 +215,7 @@ func (s backfillState) instantiate() (pending, running []*qjob, all []*qjob) {
 	for _, j := range s.pending {
 		pending = append(pending, &qjob{job: j, work: j.Duration, stretch: 1})
 	}
-	all = append(append(all, running...), pending...)
-	return pending, running, all
+	return pending, running
 }
 
 // faultRun carries the state's pending repairs, the only fault-mode state
@@ -233,11 +228,8 @@ func (s backfillState) faultRun() *faultRun {
 }
 
 // outcome collects a finished pass into its comparable form.
-func outcome(grants []int, pending []*qjob, all []*qjob, freeC, freeB, counted int) backfillOutcome {
-	o := backfillOutcome{grants: grants, backfilled: map[int]bool{}, freeC: freeC, freeB: freeB, counted: counted}
-	for _, j := range all {
-		o.backfilled[j.job.ID] = j.backfilled
-	}
+func outcome(grants []int, pending []*qjob, freeC, freeB, counted int) backfillOutcome {
+	o := backfillOutcome{grants: grants, freeC: freeC, freeB: freeB, counted: counted}
 	for _, j := range pending {
 		o.remaining = append(o.remaining, j.job.ID)
 	}
@@ -246,18 +238,18 @@ func outcome(grants []int, pending []*qjob, all []*qjob, freeC, freeB, counted i
 
 // runOracleBackfill runs the reference step on the state.
 func runOracleBackfill(s backfillState) backfillOutcome {
-	pending, running, all := s.instantiate()
+	pending, running := s.instantiate()
 	q := &oracleQueue{freeC: s.freeC, freeB: s.freeB, pending: pending, running: running, faults: s.faultRun()}
 	var grants []int
 	q.grant = grantRecorder(&q.freeC, &q.freeB, &q.running, s.now, s.overhead, &grants)
 	q.backfill(s.now)
-	return outcome(grants, q.pending, all, q.freeC, q.freeB, q.cnt.backfilled)
+	return outcome(grants, q.pending, q.freeC, q.freeB, q.cnt.backfilled)
 }
 
 // runQueueBackfill runs queueRun.backfill on the state. The queue is built
 // with enqueue, so the entries carry their demand exactly as in a run.
 func runQueueBackfill(t *testing.T, s backfillState) backfillOutcome {
-	pending, running, all := s.instantiate()
+	pending, running := s.instantiate()
 	q := &queueRun{policy: Backfill, freeC: s.freeC, freeB: s.freeB, running: running, faults: s.faultRun()}
 	for _, j := range pending {
 		q.enqueue(j)
@@ -276,13 +268,12 @@ func runQueueBackfill(t *testing.T, s backfillState) backfillOutcome {
 			t.Fatalf("compacted tail entry %d still holds job %d", i, e.j.job.ID)
 		}
 	}
-	return outcome(grants, left, all, q.freeC, q.freeB, q.cnt.backfilled)
+	return outcome(grants, left, q.freeC, q.freeB, q.cnt.backfilled)
 }
 
 // TestBackfillMatchesOracle drives the reference backfill step and
 // queueRun.backfill from the same seeded random states and requires the
-// same grants in the same order, the same backfilled flags and the same
-// surviving queue order.
+// same grants in the same order and the same surviving queue order.
 func TestBackfillMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180521))
 	states := 20000
@@ -331,7 +322,7 @@ func TestBackfillMatchesOracle(t *testing.T) {
 
 // runOracleHeadStart is the reference reservation of the state's head.
 func runOracleHeadStart(s backfillState) vclock.Time {
-	pending, running, _ := s.instantiate()
+	pending, running := s.instantiate()
 	q := &oracleQueue{freeC: s.freeC, freeB: s.freeB, pending: pending, running: running, faults: s.faultRun()}
 	return q.headStartEstimate(pending[0].job, s.now)
 }

@@ -22,10 +22,9 @@ import (
 
 // seqGrant is one grant of a dispatch.
 type seqGrant struct {
-	id         int
-	gc, gb     int
-	end        vclock.Time
-	backfilled bool
+	id     int
+	gc, gb int
+	end    vclock.Time
 }
 
 // seqOutcome is what one dispatch decided.
@@ -223,7 +222,7 @@ func (d *seqDriver) fail() {
 	if idx, free := d.rng.Intn(up), q.free(mod); idx >= free {
 		j := f.victim(mod, idx-free)
 		f.revoke(j, d.now)
-		if !j.abandoned {
+		if j.retries <= f.cfg.maxRetries() {
 			d.requeued = append(d.requeued, seqRequeue{at: d.now + vclock.Time(float64(j.retries)*f.cfg.requeueDelay().Seconds()), j: j})
 		}
 	}
@@ -242,7 +241,7 @@ func (d *seqDriver) dispatch() error {
 	q.dispatch(d.now)
 	got := seqOutcome{freeC: q.freeC, freeB: q.freeB, counted: q.cnt.backfilled - backfilled}
 	for _, j := range q.running[ran:] {
-		got.grants = append(got.grants, seqGrant{j.job.ID, j.grantedC, j.grantedB, j.end, j.backfilled})
+		got.grants = append(got.grants, seqGrant{j.job.ID, j.grantedC, j.grantedB, j.end})
 	}
 	for _, e := range q.pending {
 		got.remaining = append(got.remaining, e.j.job.ID)
@@ -290,11 +289,10 @@ func (d *seqDriver) reference() seqOutcome {
 		if f := q.faults; f != nil {
 			dur = f.attemptRuntime(dur, j.resumed)
 		}
-		j.granted = true
 		j.grantedC, j.grantedB = gc, gb
 		j.start, j.end = d.now, d.now+dur
 		o.running = append(o.running, j)
-		out.grants = append(out.grants, seqGrant{j.job.ID, gc, gb, j.end, j.backfilled})
+		out.grants = append(out.grants, seqGrant{j.job.ID, gc, gb, j.end})
 	}
 	o.grant = func(j *qjob) { start(j, j.job.Cluster, j.job.Booster, 1) }
 	for len(o.pending) > 0 && referenceHeadStart(o, o.pending[0], start) {
@@ -400,7 +398,7 @@ func TestBackfillScansOnlyWhenGranting(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180521))
 	for n := 0; n < 4000; n++ {
 		s := drawBackfillState(rng)
-		pending, running, _ := s.instantiate()
+		pending, running := s.instantiate()
 		q := &queueRun{policy: Backfill, freeC: s.freeC, freeB: s.freeB, running: running, faults: s.faultRun()}
 		for _, j := range pending {
 			q.enqueue(j)

@@ -80,11 +80,10 @@ type FacilityOutcome struct {
 	MeanSlowdown float64
 	P95Slowdown  float64
 	// Backfilled and Shrunk count scheduler decisions; PeakQueue is the
-	// high-water mark of waiting jobs; Events is the kernel event count.
+	// high-water mark of waiting jobs.
 	Backfilled int
 	Shrunk     int
 	PeakQueue  int
-	Events     uint64
 
 	// Fault-mode results (zero on failure-free runs). Jobs counts completed
 	// jobs only; Abandoned jobs exhausted their retry budget and never
@@ -238,7 +237,6 @@ func RunFacility(p FacilityParams) (FacilityOutcome, error) {
 		Backfilled:  cnt.backfilled,
 		Shrunk:      cnt.shrunk,
 		PeakQueue:   cnt.peakQueue,
-		Events:      cnt.events,
 	}
 	if faults != nil {
 		out.Failures = cnt.failures

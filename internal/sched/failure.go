@@ -280,7 +280,6 @@ func (f *faultRun) revoke(j *qjob, at vclock.Time) {
 	q.freeB += j.grantedB
 	q.removeRunning(j)
 	j.gen++ // retire the completion callback of this attempt
-	j.granted = false
 	held := float64(j.grantedC + j.grantedB)
 
 	elapsed := at - j.start
@@ -304,7 +303,6 @@ func (f *faultRun) revoke(j *qjob, at vclock.Time) {
 	j.retries++
 	if j.retries > f.cfg.maxRetries() {
 		f.abandoned++
-		j.abandoned = true
 		// The surviving work of earlier attempts is discarded with the job:
 		// retroactively it bought nothing, so it counts as lost too.
 		f.lostNodeSec += j.salvaged

@@ -51,11 +51,13 @@ func capacityOracle(totalC, totalB int) (func(q *queueRun, now vclock.Time, wher
 				"t=%v %s: booster %d free + %d allocated + %d failed = %d, want %d",
 				now, where, q.freeB, allocB, failedB, got, totalB))
 		}
+		seen := map[*qjob]bool{}
 		for _, r := range q.running {
-			if !r.granted {
+			if seen[r] {
 				violations = append(violations, fmt.Sprintf(
-					"t=%v %s: job %d in running set without a grant", now, where, r.job.ID))
+					"t=%v %s: job %d in running set twice", now, where, r.job.ID))
 			}
+			seen[r] = true
 		}
 	}, &violations
 }

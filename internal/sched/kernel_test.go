@@ -192,9 +192,6 @@ func TestFacilityThousandJobs(t *testing.T) {
 	if out.UtilCluster <= 0.3 || out.UtilBooster <= 0.3 {
 		t.Fatalf("utilization %.2f/%.2f suspiciously low at load 1.0", out.UtilCluster, out.UtilBooster)
 	}
-	if out.Events < 1000 {
-		t.Fatalf("only %d kernel events for a 1000-job stream", out.Events)
-	}
 }
 
 // TestFacilityOneTaskPerRun pins the queue's kernel design: jobs are

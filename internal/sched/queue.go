@@ -121,24 +121,20 @@ type demandClass struct {
 type qjob struct {
 	job Job
 
-	granted    bool
 	grantedC   int
 	grantedB   int
 	start, end vclock.Time
-	backfilled bool
-	shrunk     bool
 
 	// A job may run several attempts when the run has faults: node failures
 	// revoke its allocation, rewind its progress to the best surviving
 	// checkpoint and requeue it. A failure-free job runs exactly one.
-	work      vclock.Time // remaining nominal (unstretched) work
-	stretch   float64     // current attempt's malleable stretch factor
-	resumed   bool        // next attempt restores from a checkpoint
-	retries   int         // revocations suffered so far
-	gen       int         // attempt generation; retires stale completions
-	done      bool        // completed (terminal)
-	abandoned bool        // retry budget exhausted (terminal)
-	salvaged  float64     // checkpointed node-seconds carried across attempts
+	work     vclock.Time // remaining nominal (unstretched) work
+	stretch  float64     // current attempt's malleable stretch factor
+	resumed  bool        // next attempt restores from a checkpoint
+	retries  int         // revocations suffered so far
+	gen      int         // attempt generation; retires stale completions
+	done     bool        // completed (terminal)
+	salvaged float64     // checkpointed node-seconds carried across attempts
 }
 
 // queueCounters aggregates one queue run's scheduler activity; the totals
@@ -149,7 +145,6 @@ type queueCounters struct {
 	backfilled int
 	shrunk     int
 	peakQueue  int // high-water mark of jobs waiting in the queue
-	events     uint64
 	// Backfill cost: passes run, passes that scanned the queue (the rest
 	// were proven grantless by the demand index) and queue entries those
 	// scans visited.
@@ -265,7 +260,6 @@ func simulateQueueFaults(sys *machine.System, jobs []Job, policy Policy, faults 
 	var err error
 	go q.drive(&err)
 	eng.Run()
-	q.cnt.events = eng.Stats().Events
 	eng.Recycle()
 	if f := q.faults; f != nil {
 		q.cnt.failures = f.failures
@@ -409,7 +403,6 @@ func (q *queueRun) backfill(now vclock.Time, start func(j *qjob)) {
 	for ; i < len(p); i++ {
 		c := p[i]
 		if c.cluster <= q.freeC && c.booster <= q.freeB && now+c.dur <= headStart {
-			c.j.backfilled = true
 			q.cnt.backfilled++
 			q.unindex(c)
 			start(c.j)
@@ -492,12 +485,10 @@ func (q *queueRun) grant(j *qjob, gc, gb int, stretch float64, now vclock.Time) 
 		f.snap(now)
 		dur = f.attemptRuntime(dur, j.resumed)
 	}
-	j.granted = true
 	j.grantedC, j.grantedB = gc, gb
 	j.stretch = stretch
 	j.start, j.end = now, now+dur
 	if gc < j.job.Cluster || gb < j.job.Booster {
-		j.shrunk = true
 		q.cnt.shrunk++
 	}
 	q.freeC -= gc

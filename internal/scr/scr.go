@@ -180,7 +180,7 @@ func (m *Manager) BeginCheckpoint(step int) []Level {
 // put, a buddy copy and a global container write all overlap, joining at a
 // single park — and the rank's node is taken from the manager's rank map,
 // so detached actors (sweep post-run pricing, tests) need no node of their
-// own.
+// own. data is handed over as in SubmitCheckpoint.
 func (m *Manager) Checkpoint(p ioev.Proc, rank, step int, data []byte, levels []Level) error {
 	op, err := m.SubmitCheckpoint(ioev.Start(p), rank, step, data, levels)
 	if err != nil {
@@ -194,6 +194,11 @@ func (m *Manager) Checkpoint(p ioev.Proc, rank, step int, data []byte, levels []
 // returning the token of the slowest requested level. Callers that must
 // record the durable instant before yielding — a failure may kill the rank
 // mid-park — use this form and Await themselves.
+//
+// The manager keeps data itself, not a copy, for the local and buddy
+// levels: the caller hands it over and must not write to it again. Several
+// ranks and steps may share one buffer under that rule. SubmitRestore
+// returns a copy, so a restored rank never writes into a stored checkpoint.
 func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, levels []Level) (ioev.Op, error) {
 	rec, ok := m.records[step]
 	if !ok {
@@ -202,13 +207,6 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 	node := m.nodes[rank]
 	start := dep
 	done := start
-	var snap []byte // data, cloned on first use
-	snapshot := func() []byte {
-		if snap == nil {
-			snap = append([]byte(nil), data...)
-		}
-		return snap
-	}
 	for _, lv := range levels {
 		switch lv {
 		case LevelLocal:
@@ -216,7 +214,7 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 			if err != nil {
 				return ioev.Op{}, fmt.Errorf("scr: local level: %w", err)
 			}
-			m.local[key(step, rank)] = snapshot()
+			m.local[key(step, rank)] = data
 			rec.localValid[rank] = true
 			done = ioev.After(done, op)
 		case LevelBuddy:
@@ -230,7 +228,7 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 			if err != nil {
 				return ioev.Op{}, fmt.Errorf("scr: buddy level: %w", err)
 			}
-			m.buddy[key(step, rank)] = snapshot()
+			m.buddy[key(step, rank)] = data
 			rec.buddyValid[rank] = true
 			done = ioev.After(done, op)
 		case LevelGlobal:

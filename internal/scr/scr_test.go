@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"clusterbooster/internal/beegfs"
@@ -269,14 +270,29 @@ func TestManyStepsRetained(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsCallerBuffer pins SubmitCheckpoint's ownership
+// contract: the local and buddy levels keep the caller's buffer instead of
+// a copy, so sixteen 1 MiB checkpoints allocate less than one of them.
+func TestCheckpointKeepsCallerBuffer(t *testing.T) {
+	m, _ := testMgr(t, 2, Config{BuddyEvery: 1})
+	data := make([]byte, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 1; s <= 8; s++ {
+		ckptAll(t, m, s, data, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(data)) {
+		t.Fatalf("16 checkpoints of %d bytes allocated %d bytes", len(data), got)
+	}
+}
+
 func TestLocalAndBuddyRestoresAreIndependent(t *testing.T) {
 	// A step checkpointed at both levels stores one snapshot for both;
 	// every restore must still hand out its own copy.
 	m, _ := testMgr(t, 2, Config{BuddyEvery: 1})
-	data := []byte("state at step 3")
-	want := append([]byte(nil), data...)
-	ckptAll(t, m, 3, data, 0)
-	data[0] = 'X' // the caller reusing its buffer must not reach the store
+	want := []byte("state at step 3")
+	ckptAll(t, m, 3, append([]byte(nil), want...), 0)
 	restore := func(lv Level) []byte {
 		t.Helper()
 		got, err := restore(m, ioev.Detach(nil, vclock.Second), 0, 3, lv)

@@ -29,7 +29,7 @@
 // encoding), so a disk-served report yields byte-identical documents; the
 // golden gate replays the catalog cold and warm to hold that line. Failed
 // computations are never persisted: errors are memoized in-process only and
-// become re-attemptable after ResetRunCache.
+// become re-attemptable after resetRunCache.
 package sweep
 
 import (
@@ -88,17 +88,17 @@ func RunCacheStats() CacheStats {
 	return CacheStats{Hits: cacheHits.Load(), Misses: cacheMisses.Load()}
 }
 
-// SetRunCache enables or disables the scenario cache (enabled by default).
+// setRunCache enables or disables the scenario cache (enabled by default).
 // With the cache off every scenario boots and runs its own system, exactly
 // the pre-cache behaviour; results are byte-identical either way.
-func SetRunCache(enabled bool) { cacheDisabled.Store(!enabled) }
+func setRunCache(enabled bool) { cacheDisabled.Store(!enabled) }
 
-// ResetRunCache drops every memoized run and zeroes the counters. Dropping
+// resetRunCache drops every memoized run and zeroes the counters. Dropping
 // the map is also the retry path for errored computations: error entries are
 // memoized in-process (a deterministic simulation fails the same way every
 // time) but never persisted, so after a reset the next request genuinely
 // recomputes.
-func ResetRunCache() {
+func resetRunCache() {
 	runCache.mu.Lock()
 	runCache.m = map[[sha256.Size]byte]*runCacheEntry{}
 	runCache.mu.Unlock()

@@ -77,13 +77,13 @@ func TestRunCacheTransparency(t *testing.T) {
 	}
 	scen := cacheTestScenarios(t)
 
-	SetRunCache(false)
-	defer SetRunCache(true)
+	setRunCache(false)
+	defer setRunCache(true)
 	want := runToJSON(t, scen, 1)
 
 	for _, workers := range []int{1, 3, 8} {
-		SetRunCache(true)
-		ResetRunCache()
+		setRunCache(true)
+		resetRunCache()
 		got := runToJSON(t, scen, workers)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("cached run (workers=%d) diverges from uncached bytes", workers)
@@ -107,8 +107,8 @@ func TestRunCacheTransparency(t *testing.T) {
 // panicking computation pending — the panic propagates (the sweep layer
 // records it per scenario) and the next caller genuinely recomputes.
 func TestRunCachePanicDoesNotPoison(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	resetRunCache()
+	defer resetRunCache()
 	key := sha256.Sum256([]byte("panic-regression"))
 
 	calls := 0
@@ -151,7 +151,7 @@ func TestRunCachePanicDoesNotPoison(t *testing.T) {
 
 // TestRunCacheErrorRetention: an errored computation is memoized in-process
 // (same config, same deterministic failure), must never be persisted to the
-// disk store, and becomes re-attemptable after ResetRunCache.
+// disk store, and becomes re-attemptable after resetRunCache.
 func TestRunCacheErrorRetention(t *testing.T) {
 	dir := t.TempDir()
 	st, err := runstore.Open(dir, "err-test")
@@ -160,8 +160,8 @@ func TestRunCacheErrorRetention(t *testing.T) {
 	}
 	SetDiskRunStore(st)
 	defer SetDiskRunStore(nil)
-	ResetRunCache()
-	defer ResetRunCache()
+	resetRunCache()
+	defer resetRunCache()
 	key := sha256.Sum256([]byte("error-retention"))
 
 	calls := 0
@@ -187,9 +187,9 @@ func TestRunCacheErrorRetention(t *testing.T) {
 		t.Fatalf("errored computation left %d entry files on disk", n)
 	}
 
-	// ResetRunCache is the retry path: the point recomputes, and a success
+	// resetRunCache is the retry path: the point recomputes, and a success
 	// this time is persisted.
-	ResetRunCache()
+	resetRunCache()
 	want := xpic.Report{Makespan: 1}
 	got, err := cachedCompute(key, func() (xpic.Report, error) {
 		calls++
@@ -236,9 +236,9 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 	}
 	scen := cacheTestScenarios(t)
 
-	SetRunCache(false)
+	setRunCache(false)
 	want := runToJSON(t, scen, 1)
-	SetRunCache(true)
+	setRunCache(true)
 
 	dir := t.TempDir()
 	const epoch = "transparency-test"
@@ -250,7 +250,7 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetDiskRunStore(st1)
-	ResetRunCache()
+	resetRunCache()
 	if got := runToJSON(t, scen, 4); !bytes.Equal(want, got) {
 		t.Fatal("cold disk-store run diverges from uncached bytes")
 	}
@@ -264,7 +264,7 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetDiskRunStore(st2)
-	ResetRunCache()
+	resetRunCache()
 	if got := runToJSON(t, scen, 4); !bytes.Equal(want, got) {
 		t.Fatal("warm disk-store run diverges from uncached bytes")
 	}
@@ -293,7 +293,7 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetDiskRunStore(st3)
-	ResetRunCache()
+	resetRunCache()
 	if got := runToJSON(t, scen, 4); !bytes.Equal(want, got) {
 		t.Fatal("run over a corrupted entry diverges from uncached bytes")
 	}
@@ -307,7 +307,7 @@ func TestRunCacheDiskTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetDiskRunStore(st4)
-	ResetRunCache()
+	resetRunCache()
 	if got := runToJSON(t, scen, 4); !bytes.Equal(want, got) {
 		t.Fatal("post-epoch-bump run diverges from uncached bytes")
 	}

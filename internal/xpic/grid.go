@@ -148,9 +148,9 @@ func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, fields ...Field) {
 	// bottom real row travels down (becomes down-neighbour's ghost LY+1).
 	reqUp := p.IsendF64Pooled(comm, g.up(), tagHaloUp, g.packRows(p, fields, g.LY))
 	reqDn := p.IsendF64Pooled(comm, g.down(), tagHaloDown, g.packRows(p, fields, 1))
-	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagHaloUp)
+	fromDn := p.RecvF64Pooled(comm, g.down(), tagHaloUp)
 	g.unpackRows(p, fields, 0, fromDn, false)
-	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagHaloDown)
+	fromUp := p.RecvF64Pooled(comm, g.up(), tagHaloDown)
 	g.unpackRows(p, fields, g.LY+1, fromUp, false)
 	p.Waitall(reqUp, reqDn)
 }
@@ -200,9 +200,9 @@ func (g *Grid) ReduceMomentHalos(p *psmpi.Proc, comm *psmpi.Comm) {
 	// ghost 0 belongs to the down-neighbour's row LY.
 	reqUp := p.IsendF64Pooled(comm, g.up(), tagMomUp, g.packRows(p, fields, g.LY+1))
 	reqDn := p.IsendF64Pooled(comm, g.down(), tagMomDown, g.packRows(p, fields, 0))
-	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagMomUp)
+	fromDn := p.RecvF64Pooled(comm, g.down(), tagMomUp)
 	g.unpackRows(p, fields, 1, fromDn, true)
-	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagMomDown)
+	fromUp := p.RecvF64Pooled(comm, g.up(), tagMomDown)
 	g.unpackRows(p, fields, g.LY, fromUp, true)
 	p.Waitall(reqUp, reqDn)
 	g.ClearGhosts(fields...)

@@ -352,10 +352,10 @@ func (ps *ParticleSolver) Migrate(p *psmpi.Proc, comm *psmpi.Comm) {
 	// receiver returns the buffer to the pool after absorbing it.
 	reqUp := p.IsendF64Pooled(comm, g.up(), tagPartUp, upBuf)
 	reqDn := p.IsendF64Pooled(comm, g.down(), tagPartDown, dnBuf)
-	fromDn, _ := p.RecvF64Pooled(comm, g.down(), tagPartUp)
+	fromDn := p.RecvF64Pooled(comm, g.down(), tagPartUp)
 	ps.absorb(fromDn)
 	p.PutF64(fromDn)
-	fromUp, _ := p.RecvF64Pooled(comm, g.up(), tagPartDown)
+	fromUp := p.RecvF64Pooled(comm, g.up(), tagPartDown)
 	ps.absorb(fromUp)
 	p.PutF64(fromUp)
 	p.Waitall(reqUp, reqDn)

@@ -21,7 +21,9 @@ import (
 // rank RanksPerSolver+i.
 type CheckpointStore interface {
 	// Save persists one rank's snapshot of a completed step. Called
-	// collectively: every rank of the job saves the same step.
+	// collectively: every rank of the job saves the same step. The store
+	// may keep data without copying it: the caller makes a fresh snapshot
+	// per call and never writes to it again.
 	Save(p *psmpi.Proc, rank, step int, data []byte) error
 	// Complete finishes the collective checkpoint of a step (e.g. closes a
 	// global SION container). Called by global rank 0 after all Saves.
@@ -234,7 +236,7 @@ func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBi
 					kinE = p.AllreduceScalar(comm, pcl.KineticEnergy(p), psmpi.OpSum)
 				})
 			}
-			fbuf, _ = p.WaitF64(req)
+			fbuf = p.WaitF64(req)
 		})
 		t.Exchange -= t.Aux - auxBefore
 
@@ -322,7 +324,7 @@ func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
 
 		phase(p, &t.Exchange, func() {
 			req := p.Irecv(inter, peer, tagIfaceM)
-			data, _ := p.WaitF64(req)
+			data := p.WaitF64(req)
 			unpackFields(p, g, MomentNames, data)
 		})
 
