@@ -24,11 +24,11 @@ func main() {
 	// Install the "binary" the Booster side will run.
 	sys.Runtime.Register("hello_booster", func(p *psmpi.Proc) error {
 		parent := p.Parent()
-		buf := make([]float64, 1)
-		p.RecvF64(parent, 0, 1, buf)
+		buf := p.Recv(parent, 0, 1) // the body now belongs to this rank
 		fmt.Printf("  booster rank %d on %s got %.0f from the cluster (at virtual t=%v)\n",
 			p.Rank(), p.Node().Name(), buf[0], p.Now())
-		p.SendF64(parent, 0, 2, []float64{buf[0] * 10})
+		buf[0] *= 10
+		p.Send(parent, 0, 2, buf, 8) // and now to the cluster rank
 		return nil
 	})
 
@@ -51,13 +51,11 @@ func main() {
 				return nil
 			}
 			for child := 0; child < inter.RemoteSize(); child++ {
-				p.SendF64(inter, child, 1, []float64{float64(child + 1)})
+				p.Send(inter, child, 1, []float64{float64(child + 1)}, 8)
 			}
 			sum := 0.0
 			for child := 0; child < inter.RemoteSize(); child++ {
-				buf := make([]float64, 1)
-				p.RecvF64(inter, child, 2, buf)
-				sum += buf[0]
+				sum += p.Recv(inter, child, 2)[0]
 			}
 			fmt.Printf("cluster rank 0 collected %.0f from the booster children\n", sum)
 			return nil

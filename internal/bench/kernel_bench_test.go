@@ -50,13 +50,26 @@ func benchPingPong(b *testing.B, bytes int) {
 		_, err := rt.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
 			w := p.World()
 			buf := make([]float64, len(payload))
+			// Each hop carries a copy of payload from the job's pool, which
+			// the receiver copies out and returns: MPI value semantics at
+			// no steady-state allocation.
+			send := func(dst, tag int) {
+				out := p.GetF64(len(payload))
+				copy(out, payload)
+				p.Send(w, dst, tag, out, bytes)
+			}
+			recv := func(src, tag int) {
+				in := p.Recv(w, src, tag)
+				copy(buf, in)
+				p.PutF64(in)
+			}
 			for i := 0; i < iters; i++ {
 				if p.Rank() == 0 {
-					p.SendF64(w, 1, 0, payload)
-					p.RecvF64(w, 1, 1, buf)
+					send(1, 0)
+					recv(1, 1)
 				} else {
-					p.RecvF64(w, 0, 0, buf)
-					p.SendF64(w, 0, 1, payload)
+					recv(0, 0)
+					send(0, 1)
 				}
 			}
 			return nil

@@ -16,10 +16,13 @@
 //
 // Each node has an injection and an ejection link modelled as shared
 // resources (vclock.SharedClock), which serialises overlapping transfers and
-// yields contention behaviour for free. Link clocks are execution-kernel
-// resources: the discrete-event kernel (internal/engine) runs one simulated
-// task at a time, so reservations arrive pre-serialised in virtual-time
-// order and the model needs no locking and no ownership discipline.
+// yields contention behaviour for free. Every transfer books the sender's
+// injection link; only rendezvous transfers book the receiver's ejection
+// link — an eager message is complete when it reaches the receiver's NIC.
+// Link clocks are execution-kernel resources: the discrete-event kernel
+// (internal/engine) runs one simulated task at a time, so reservations
+// arrive pre-serialised in virtual-time order and the model needs no
+// locking and no ownership discipline.
 package fabric
 
 import (
@@ -106,18 +109,21 @@ func (n *Network) SendOverheadOf(node *machine.Node) vclock.Time {
 
 // Link determinism: reservations are booked at the modelled instant they
 // happen on the hardware — injection at send/issue time in the sender's
-// program order, ejection at receive-completion time in the receiver's
-// program order — and the execution kernel schedules those program points in
-// virtual-time order, one task at a time. Determinism is therefore by
-// construction; the per-link ownership protocol that used to enforce it
-// under free-running rank goroutines is gone. See DESIGN.md decision 1.
+// program order, a rendezvous transfer's ejection at receive-completion
+// time in the receiver's program order — and the execution kernel
+// schedules those program points in virtual-time order, one task at a time.
+// Determinism is therefore by construction; the per-link ownership protocol
+// that used to enforce it under free-running rank goroutines is gone. See
+// DESIGN.md decision 1.
 
 // EagerSend models the sender side of an eager transfer of size bytes that
 // becomes ready (sender CPU available) at ready. It returns:
 //
 //	senderFree — when the sending CPU may continue (eager sends are buffered)
-//	nicArrival — when the full message is available at the destination NIC,
-//	             before ejection-link serialisation (EagerEject, receiver side)
+//	nicArrival — when the full message is available at the destination NIC;
+//	             an eager message books no ejection-link interval, so this
+//	             is its arrival, and the receiver's copy-out follows it
+//	             (EagerRecvCost)
 func (n *Network) EagerSend(src, dst *machine.Node, size int, ready vclock.Time) (senderFree, nicArrival vclock.Time) {
 	if size < 0 {
 		panic(fmt.Sprintf("fabric: negative size %d", size))
@@ -135,15 +141,6 @@ func (n *Network) EagerSend(src, dst *machine.Node, size int, ready vclock.Time)
 	_, injEnd := n.inject[src.ID].Reserve(senderFree, wireTime)
 	nicArrival = injEnd + n.cfg.WireLatency
 	return senderFree, nicArrival
-}
-
-// EagerEject serialises an eager message on the destination's ejection link
-// and returns the effective arrival. Called at receive-completion time.
-// Intra-node messages skip it.
-func (n *Network) EagerEject(dst *machine.Node, size int, nicArrival vclock.Time) vclock.Time {
-	wireTime := vclock.Time(float64(size) / (n.cfg.LinkGBs * 1e9))
-	_, ejEnd := n.eject[dst.ID].Reserve(nicArrival-wireTime, wireTime)
-	return vclock.Max(nicArrival, ejEnd)
 }
 
 // EagerRecvCost is the receiver-side CPU cost to complete an eager message of

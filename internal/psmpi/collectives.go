@@ -80,26 +80,17 @@ func (p *Proc) Barrier(c *Comm) {
 	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
 		dst := (me + k) % n
 		src := (me - k + n) % n
-		req := p.sendTagged(c, dst, base+round, payload{}, 0, modeStandard, false)
-		p.recvTagged(c, src, base+round)
-		p.wait(req)
+		req := p.sendTagged(c, dst, base+round, nil, 0, modeStandard)
+		p.Recv(c, src, base+round)
+		p.Wait(req)
 	}
-}
-
-// recvTagged is Recv for internal (reserved-tag) traffic; it returns the
-// body unboxed.
-func (p *Proc) recvTagged(c *Comm, src, tag int) payload {
-	e := p.recvCommon(c, src, tag)
-	pl := e.pl
-	p.releaseEnv(e)
-	return pl
 }
 
 // bcastTree walks the binomial broadcast tree for this rank: receive once
 // from the parent (every rank but the root has exactly one), then forward
-// down the subtree in decreasing-mask order. Both broadcast flavours share
-// this traversal so the tree topology cannot diverge between them; only the
-// payload handling differs.
+// down the subtree in decreasing-mask order. BcastF64 and Spawn's handle
+// distribution share this traversal so the tree topology cannot diverge
+// between them; only the body handling differs.
 func (p *Proc) bcastTree(c *Comm, root int, recv func(src int), forward func(dst int)) {
 	me := p.rankIn(c)
 	n := c.Size()
@@ -122,16 +113,6 @@ func (p *Proc) bcastTree(c *Comm, root int, recv func(src int), forward func(dst
 	}
 }
 
-// Bcast broadcasts data (of the given wire size) from root to all ranks using
-// a binomial tree, and returns the value each rank ends up with.
-func (p *Proc) Bcast(c *Comm, root int, data any, bytes int) any {
-	base := p.collTag(c)
-	p.bcastTree(c, root,
-		func(src int) { data = p.recvTagged(c, src, base).value() },
-		func(dst int) { p.sendTagged(c, dst, base, payload{val: data}, bytes, modeStandard, true) })
-	return data
-}
-
 // BcastF64 broadcasts a float64 slice from root; every rank receives a copy
 // into buf (root's buf is the source). A rank's own buf may be rewritten the
 // moment the collective returns, so each hop of the binomial tree carries a
@@ -141,14 +122,14 @@ func (p *Proc) BcastF64(c *Comm, root int, buf []float64) {
 	base := p.collTag(c)
 	p.bcastTree(c, root,
 		func(src int) {
-			blk := p.recvTagged(c, src, base).f64
+			blk := p.Recv(c, src, base)
 			copy(buf, blk)
 			p.PutF64(blk)
 		},
 		func(dst int) {
 			blk := p.GetF64(len(buf))
 			copy(blk, buf)
-			p.sendTagged(c, dst, base, payload{f64: blk, pooled: true}, 8*len(blk), modeStandard, true)
+			p.Wait(p.sendTagged(c, dst, base, blk, 8*len(blk), modeStandard))
 		})
 }
 
@@ -172,14 +153,14 @@ func (p *Proc) ReduceF64(c *Comm, root int, buf []float64, op Op) {
 			srcRel := rel | mask
 			if srcRel < n {
 				src := (srcRel + root) % n
-				part := p.recvTagged(c, src, base).slice()
+				part := p.Recv(c, src, base)
 				op.apply(acc, part)
 				p.PutF64(part)
 			}
 		} else {
 			dstRel := rel &^ mask
 			dst := (dstRel + root) % n
-			p.sendTagged(c, dst, base, payload{f64: acc}, 8*len(acc), modeStandard, true)
+			p.Wait(p.sendTagged(c, dst, base, acc, 8*len(acc), modeStandard))
 			sent = true
 			break
 		}

@@ -81,19 +81,37 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 	_ = res
 }
 
+// TestBarrierCostLogP: a barrier that all ranks enter together, one rank
+// per node, costs exactly one zero-byte message latency per dissemination
+// round, ⌈log2 n⌉ in all. An extra round on a power-of-two communicator
+// would address each rank to itself: its message never waits in a queue,
+// so only the clock shows it.
 func TestBarrierCostLogP(t *testing.T) {
-	// An 8-rank barrier needs 3 dissemination rounds; cost should be a few
-	// network latencies, not tens.
-	res := collJob(t, 8, func(p *Proc) error {
-		p.Barrier(p.World())
+	var latency vclock.Time
+	collJob(t, 2, func(p *Proc) error {
+		if p.Rank() == 0 {
+			p.Send(p.World(), 1, 0, nil, 0)
+		} else {
+			p.Recv(p.World(), 0, 0)
+			latency = p.Now()
+		}
 		return nil
 	})
-	us := res.Makespan.Micros()
-	if us < 2 || us > 20 {
-		t.Errorf("8-rank barrier took %vµs, want a few µs", us)
+	for _, tc := range []struct{ n, rounds int }{{2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}} {
+		res := collJob(t, tc.n, func(p *Proc) error {
+			p.Barrier(p.World())
+			return nil
+		})
+		want := vclock.Time(tc.rounds) * latency
+		if math.Abs((res.Makespan - want).Seconds()) > 1e-15 {
+			t.Errorf("%d-rank barrier took %v, want %d rounds of %v = %v", tc.n, res.Makespan, tc.rounds, latency, want)
+		}
 	}
 }
 
+// TestBcastValues also checks that the broadcast tree sends nothing beyond
+// its n-1 edges: after a closing barrier, by which every rank's broadcast
+// sends are delivered, no rank holds an unreceived message.
 func TestBcastValues(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
 		collJob(t, n, func(p *Proc) error {
@@ -109,6 +127,11 @@ func TestBcastValues(t *testing.T) {
 					t.Errorf("n=%d rank %d: bcast buf = %v", n, p.Rank(), buf)
 					return nil
 				}
+			}
+			p.Barrier(p.World())
+			if q := p.mbox.unexpected; len(q) != 0 {
+				t.Errorf("n=%d rank %d: %d unreceived messages after the broadcast, first from rank %d",
+					n, p.Rank(), len(q), q[0].src)
 			}
 			return nil
 		})

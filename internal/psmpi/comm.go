@@ -14,6 +14,11 @@ type Comm struct {
 	// order, so the counters agree and tag blocks match without any
 	// cross-rank coordination.
 	collSeq []uint64
+
+	// spawned is the handle of the latest Spawn over this communicator,
+	// written by its root before the handle's broadcast and read by every
+	// parent after it.
+	spawned spawnHandle
 }
 
 // Size returns the number of processes in the local group.

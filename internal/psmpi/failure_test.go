@@ -26,11 +26,11 @@ func failureFixture(t *testing.T, mtbf vclock.Time, seed int64, maxFailures int)
 			prev := (p.Rank() - 1 + c.Size()) % c.Size()
 			for i := 0; i < 400; i++ {
 				if p.Rank() == 0 {
-					p.Send(c, next, 1, i, 8)
+					p.Send(c, next, 1, nil, 8)
 					p.Recv(c, prev, 1)
 				} else {
 					p.Recv(c, prev, 1)
-					p.Send(c, next, 1, i, 8)
+					p.Send(c, next, 1, nil, 8)
 				}
 				p.Elapse(vclock.Millisecond)
 			}
@@ -112,7 +112,7 @@ func TestFailureSpansSpawnedChildren(t *testing.T) {
 		inter := p.Parent()
 		for i := 0; i < 400; i++ {
 			p.Recv(inter, p.Rank(), 5)
-			p.Send(inter, p.Rank(), 6, i, 8)
+			p.Send(inter, p.Rank(), 6, nil, 8)
 		}
 		return nil
 	})
@@ -125,7 +125,7 @@ func TestFailureSpansSpawnedChildren(t *testing.T) {
 				return err
 			}
 			for i := 0; i < 400; i++ {
-				p.Send(inter, p.Rank(), 5, i, 8)
+				p.Send(inter, p.Rank(), 5, nil, 8)
 				p.Recv(inter, p.Rank(), 6)
 			}
 			return nil

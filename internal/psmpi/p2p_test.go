@@ -35,36 +35,34 @@ func TestSendRecvValue(t *testing.T) {
 	rt := testRuntime(2, 0)
 	runJob(t, rt, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.SendF64(p.World(), 1, 7, []float64{1, 2, 3})
+			p.Send(p.World(), 1, 7, []float64{1, 2, 3}, 24)
 			return nil
 		}
-		buf := make([]float64, 3)
-		n := p.RecvF64(p.World(), 0, 7, buf)
-		if n != 3 || buf[0] != 1 || buf[2] != 3 {
-			t.Errorf("recv got %v (n=%d)", buf, n)
+		buf := p.Recv(p.World(), 0, 7)
+		if len(buf) != 3 || buf[0] != 1 || buf[2] != 3 {
+			t.Errorf("recv got %v", buf)
 		}
 		return nil
 	})
 }
 
-func TestSendCopiesBuffer(t *testing.T) {
-	// MPI value semantics: mutating the buffer after SendF64 must not affect
-	// the received data.
-	rt := testRuntime(2, 0)
-	runJob(t, rt, 2, func(p *Proc) error {
-		if p.Rank() == 0 {
-			buf := []float64{42}
-			p.SendF64(p.World(), 1, 0, buf)
-			buf[0] = -1
+// TestSendHandsOverBuffer: a body travels by reference, so the receiver
+// gets the sender's own buffer, at an eager and at a rendezvous size.
+func TestSendHandsOverBuffer(t *testing.T) {
+	for _, n := range []int{1, 1 << 16} {
+		rt := testRuntime(2, 0)
+		sent := make([]float64, n)
+		runJob(t, rt, 2, func(p *Proc) error {
+			if p.Rank() == 0 {
+				p.Send(p.World(), 1, 0, sent, 8*n)
+				return nil
+			}
+			if got := p.Recv(p.World(), 0, 0); len(got) != n || &got[0] != &sent[0] {
+				t.Errorf("%d elements: received a buffer other than the one sent", n)
+			}
 			return nil
-		}
-		buf := make([]float64, 1)
-		p.RecvF64(p.World(), 0, 0, buf)
-		if buf[0] != 42 {
-			t.Errorf("received %v, want 42 (send did not copy)", buf[0])
-		}
-		return nil
-	})
+		})
+	}
 }
 
 func TestNonOvertaking(t *testing.T) {
@@ -74,13 +72,12 @@ func TestNonOvertaking(t *testing.T) {
 	runJob(t, rt, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
 			for i := 0; i < k; i++ {
-				p.SendF64(p.World(), 1, 3, []float64{float64(i)})
+				p.Send(p.World(), 1, 3, []float64{float64(i)}, 8)
 			}
 			return nil
 		}
-		buf := make([]float64, 1)
 		for i := 0; i < k; i++ {
-			p.RecvF64(p.World(), 0, 3, buf)
+			buf := p.Recv(p.World(), 0, 3)
 			if buf[0] != float64(i) {
 				t.Errorf("message %d out of order: got %v", i, buf[0])
 				return nil
@@ -95,18 +92,17 @@ func TestTagSelectivity(t *testing.T) {
 	rt := testRuntime(2, 0)
 	runJob(t, rt, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			p.SendF64(p.World(), 1, 1, []float64{1})
-			p.SendF64(p.World(), 1, 2, []float64{2})
+			p.Send(p.World(), 1, 1, []float64{1}, 8)
+			p.Send(p.World(), 1, 2, []float64{2}, 8)
 			return nil
 		}
-		buf := make([]float64, 1)
 		// Ensure both are queued before receiving out of order.
 		p.Elapse(vclock.Millisecond)
-		p.RecvF64(p.World(), 0, 2, buf)
+		buf := p.Recv(p.World(), 0, 2)
 		if buf[0] != 2 {
 			t.Errorf("tag-2 recv got %v", buf[0])
 		}
-		p.RecvF64(p.World(), 0, 1, buf)
+		buf = p.Recv(p.World(), 0, 1)
 		if buf[0] != 1 {
 			t.Errorf("tag-1 recv got %v", buf[0])
 		}
@@ -121,11 +117,11 @@ func TestIsendIrecvWait(t *testing.T) {
 		if p.Rank() == 0 {
 			buf := p.GetF64(1)
 			buf[0] = 9
-			p.Wait(p.IsendF64Pooled(w, 1, 5, buf))
+			p.Wait(p.Isend(w, 1, 5, buf))
 			return nil
 		}
 		req := p.Irecv(w, 0, 5)
-		data := p.WaitF64(req)
+		data := p.Wait(req)
 		if data[0] != 9 {
 			t.Errorf("irecv got %v", data)
 		}
@@ -142,13 +138,13 @@ func TestPostedRecvBeforeSend(t *testing.T) {
 		if p.Rank() == 1 {
 			req := p.Irecv(w, 0, 1)
 			data := p.Wait(req)
-			if data.([]float64)[0] != 3 {
+			if data[0] != 3 {
 				t.Errorf("got %v", data)
 			}
 			return nil
 		}
 		p.Elapse(10 * vclock.Microsecond) // give rank 1 a head start in virtual time
-		p.SendF64(w, 1, 1, []float64{3})
+		p.Send(w, 1, 1, []float64{3}, 8)
 		return nil
 	})
 }
@@ -205,12 +201,12 @@ func TestRendezvousSynchronises(t *testing.T) {
 		w := p.World()
 		big := make([]float64, 1<<16) // 512 KiB: rendezvous
 		if p.Rank() == 0 {
-			p.SendF64(w, 1, 0, big)
+			p.Send(w, 1, 0, big, 8*len(big))
 			senderEnd = p.Now()
 			return nil
 		}
 		p.Elapse(lateness)
-		p.RecvF64(w, 0, 0, big)
+		p.Recv(w, 0, 0)
 		return nil
 	})
 	if senderEnd < lateness {
@@ -229,13 +225,12 @@ func TestIssendCompletesAfterMatch(t *testing.T) {
 		if p.Rank() == 0 {
 			buf := p.GetF64(1) // 8 bytes: still synchronous
 			buf[0] = 1
-			p.Wait(p.IssendF64Pooled(w, 1, 0, buf))
+			p.Wait(p.Issend(w, 1, 0, buf))
 			senderEnd = p.Now()
 			return nil
 		}
 		p.Elapse(lateness)
-		buf := make([]float64, 1)
-		p.RecvF64(w, 0, 0, buf)
+		p.PutF64(p.Recv(w, 0, 0))
 		return nil
 	})
 	if senderEnd < lateness {
@@ -250,13 +245,12 @@ func TestEagerSendDoesNotBlock(t *testing.T) {
 	runJob(t, rt, 2, func(p *Proc) error {
 		w := p.World()
 		if p.Rank() == 0 {
-			p.SendF64(w, 1, 0, []float64{1}) // must not deadlock
-			p.SendF64(w, 1, 0, []float64{2})
+			p.Send(w, 1, 0, []float64{1}, 8) // must not deadlock
+			p.Send(w, 1, 0, []float64{2}, 8)
 			return nil
 		}
-		buf := make([]float64, 1)
-		p.RecvF64(w, 0, 0, buf)
-		p.RecvF64(w, 0, 0, buf)
+		p.Recv(w, 0, 0)
+		p.Recv(w, 0, 0)
 		return nil
 	})
 }
@@ -398,7 +392,7 @@ func TestWaitallParksOnPendingIrecv(t *testing.T) {
 		w := p.World()
 		if p.Rank() == 0 {
 			p.Elapse(late)
-			p.SendF64(w, 1, 0, []float64{1})
+			p.Send(w, 1, 0, []float64{1}, 8)
 			return nil
 		}
 		p.Waitall(p.Irecv(w, 0, 0))
@@ -417,27 +411,28 @@ func TestWaitallParksOnPendingIrecv(t *testing.T) {
 // path), and asks for tag 6 only once both wait in its queue (the
 // unexpected path), the parent's first.
 func TestMatchingIsPerCommunicator(t *testing.T) {
+	const parent5, parent6, sibling5, sibling6 = 5, 6, 105, 106
 	rt := testRuntime(1, 2)
 	rt.Register("child", func(p *Proc) error {
 		w := p.World()
 		if p.Rank() == 0 {
 			p.Elapse(vclock.Millisecond)
-			p.Send(w, 1, 5, "sibling 5", 8)
-			p.Send(w, 1, 6, "sibling 6", 8)
+			p.Send(w, 1, 5, []float64{sibling5}, 8)
+			p.Send(w, 1, 6, []float64{sibling6}, 8)
 			return nil
 		}
 		req := p.Irecv(w, 0, 5)
-		if got := p.Recv(p.Parent(), 0, 5); got != "parent 5" {
+		if got := p.Recv(p.Parent(), 0, 5)[0]; got != parent5 {
 			t.Errorf("inter-communicator tag 5 got %v", got)
 		}
-		if got := p.Wait(req); got != "sibling 5" {
+		if got := p.Wait(req)[0]; got != sibling5 {
 			t.Errorf("world tag 5 got %v", got)
 		}
 		p.Elapse(vclock.Millisecond)
-		if got := p.Recv(w, 0, 6); got != "sibling 6" {
+		if got := p.Recv(w, 0, 6)[0]; got != sibling6 {
 			t.Errorf("world tag 6 got %v", got)
 		}
-		if got := p.Recv(p.Parent(), 0, 6); got != "parent 6" {
+		if got := p.Recv(p.Parent(), 0, 6)[0]; got != parent6 {
 			t.Errorf("inter-communicator tag 6 got %v", got)
 		}
 		return nil
@@ -448,8 +443,8 @@ func TestMatchingIsPerCommunicator(t *testing.T) {
 			return err
 		}
 		p.Elapse(10 * vclock.Microsecond)
-		p.Send(inter, 1, 5, "parent 5", 8)
-		p.Send(inter, 1, 6, "parent 6", 8)
+		p.Send(inter, 1, 5, []float64{parent5}, 8)
+		p.Send(inter, 1, 6, []float64{parent6}, 8)
 		return nil
 	})
 }
@@ -497,13 +492,13 @@ func randomGraphMain(seed uint64, n, rounds int) MainFunc {
 				for j := range buf {
 					buf[j] = float64(r*1000 + i)
 				}
-				reqs = append(reqs, p.IsendF64Pooled(w, e.dst, 1000+i, buf))
+				reqs = append(reqs, p.Isend(w, e.dst, 1000+i, buf))
 			}
 			for i, e := range edges[r] {
 				if e.dst != me {
 					continue
 				}
-				got := p.RecvF64Pooled(w, e.src, 1000+i)
+				got := p.Recv(w, e.src, 1000+i)
 				if len(got) != e.elems || got[0] != float64(r*1000+i) {
 					return fmt.Errorf("round %d edge %d: got %d elems starting %v", r, i, len(got), got[0])
 				}
@@ -537,8 +532,8 @@ func exchangeMain(rounds int) MainFunc {
 			right, left := (me+1)%n, (me-1+n)%n
 			out := p.GetF64(len(small))
 			copy(out, small)
-			sreq := p.IsendF64Pooled(w, right, 10+r, out)
-			got := p.RecvF64Pooled(w, left, 10+r)
+			sreq := p.Isend(w, right, 10+r, out)
+			got := p.Recv(w, left, 10+r)
 			if len(got) != len(small) || got[1] != float64(left*100+1) {
 				return fmt.Errorf("round %d: ring message from %d corrupted", r, left)
 			}
@@ -547,10 +542,9 @@ func exchangeMain(rounds int) MainFunc {
 
 			if r%2 == 0 {
 				if me%2 == 0 && me+1 < n {
-					p.SendF64(w, me+1, 200+r, big)
+					p.Send(w, me+1, 200+r, big, 8*len(big))
 				} else if me%2 == 1 {
-					buf := make([]float64, len(big))
-					p.RecvF64(w, me-1, 200+r, buf)
+					p.Recv(w, me-1, 200+r)
 				}
 			}
 			p.AllreduceScalar(w, float64(me+r), OpSum)
@@ -681,7 +675,7 @@ func FuzzSerialParallelEquivalence(f *testing.F) {
 // message must arrive as a nil body.
 func TestSendPriceDependsOnlyOnSize(t *testing.T) {
 	for _, size := range []int{1 << 10, 16 << 20} {
-		run := func(body any) [2]vclock.Time {
+		run := func(body []float64) [2]vclock.Time {
 			var now [2]vclock.Time
 			runJob(t, testRuntime(2, 0), 2, func(p *Proc) error {
 				if p.Rank() == 0 {
@@ -689,7 +683,7 @@ func TestSendPriceDependsOnlyOnSize(t *testing.T) {
 				} else {
 					data := p.Recv(p.World(), 0, 5)
 					if body == nil && data != nil {
-						t.Errorf("size %d: sizes-only message arrived with body %T", size, data)
+						t.Errorf("size %d: sizes-only message arrived with a %d-element body", size, len(data))
 					}
 				}
 				now[p.Rank()] = p.Now()

@@ -22,16 +22,13 @@ type Proc struct {
 	parent *Comm // intercommunicator to the spawning job, nil at top level
 
 	commRank map[uint64]int // this proc's rank per communicator id
-	// recvScratch is the reusable posting record of blocking receives (at
-	// most one is pending per rank — a rank is single-threaded).
-	recvScratch postedRecv
 	// prFree recycles Irecv posting records (returned by Wait).
 	prFree []*postedRecv
 	// reqFree recycles the requests of Irecv and rendezvous sends (returned
 	// by Wait).
 	reqFree []*Request
-	// eagerDone is the shared born-done request every eager non-blocking
-	// send returns (a completed send request carries no state).
+	// eagerDone is the shared born-done request every eager send returns (a
+	// completed send request carries no state).
 	eagerDone Request
 	// scalarBuf is AllreduceScalar's reusable one-element working buffer.
 	scalarBuf []float64

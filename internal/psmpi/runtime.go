@@ -14,10 +14,16 @@
 // Semantics follow MPI where it matters for the reproduced application:
 // matching by exact (communicator, source, tag), per-pair non-overtaking
 // order, eager vs rendezvous protocol selection by size, synchronous sends
-// (IssendF64Pooled, xPic's MPI_Issend) completing only after the match, and
+// (Issend, xPic's MPI_Issend) completing only after the match, and
 // collective operations that synchronise the participants' virtual clocks.
 // There are no wildcard receives and no receive status: every receive names
 // a source rank of the communicator's peer group, and returns the body only.
+//
+// Point-to-point traffic has one completion path: a blocking call is its
+// non-blocking post plus Wait (Send is Isend plus Wait, Recv is Irecv plus
+// Wait). Every message body is a []float64, nil for a sizes-only message,
+// and it travels by reference: the receiver owns what it receives and
+// returns it to the job's buffer pool with PutF64.
 package psmpi
 
 import (
@@ -178,8 +184,8 @@ const f64Borrow = 2
 
 // GetF64 takes a length-n buffer from the job's pool (or allocates one).
 // Its contents are unspecified: the caller overwrites it fully. The buffer
-// goes back with PutF64, or travels as a pooled message (IsendF64Pooled,
-// IssendF64Pooled), whose receiver returns it. A zero-length request
+// goes back with PutF64, or travels as a message body (Send, Isend,
+// Issend), whose receiver returns it. A zero-length request
 // needs no buffer and gets nil. When n's class is empty, a free buffer up
 // to f64Borrow classes larger serves it.
 func (p *Proc) GetF64(n int) []float64 {

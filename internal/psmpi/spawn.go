@@ -18,7 +18,7 @@ type SpawnSpec struct {
 	Module machine.Module
 }
 
-// spawnHandle is broadcast from the spawn root to the other parents.
+// spawnHandle is what the spawn root hands the other parents.
 type spawnHandle struct {
 	inter *Comm
 	err   error
@@ -41,17 +41,23 @@ func (p *Proc) Spawn(c *Comm, spec SpawnSpec) (*Comm, error) {
 		return nil, fmt.Errorf("psmpi: spawn of %d procs", spec.Procs)
 	}
 
-	// Synchronise the parents: the spawn completes collectively.
+	// Synchronise the parents: the spawn completes collectively. The barrier
+	// also keeps the root from overwriting c.spawned while a parent has not
+	// yet read the previous spawn's handle.
 	p.Barrier(c)
 
 	me := p.rankIn(c)
-	var h spawnHandle
 	if me == 0 {
-		h = p.spawnRoot(c, spec)
+		c.spawned = p.spawnRoot(c, spec)
 	}
-	// Distribute the handle (a control message of negligible size).
-	out := p.Bcast(c, 0, h, 64)
-	h = out.(spawnHandle)
+	// Distribute the handle: a control message of negligible size travels
+	// down the broadcast tree, and each parent reads the handle the root
+	// published on c once that message has reached it.
+	base := p.collTag(c)
+	p.bcastTree(c, 0,
+		func(src int) { p.Recv(c, src, base) },
+		func(dst int) { p.Wait(p.sendTagged(c, dst, base, nil, 64, modeStandard)) })
+	h := c.spawned
 	if h.err != nil {
 		return nil, h.err
 	}

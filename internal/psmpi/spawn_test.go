@@ -58,18 +58,15 @@ func TestSpawnBasic(t *testing.T) {
 }
 
 // TestSpawnIntercommTraffic sends data both ways across the
-// inter-communicator, the xPic Listing 4 pattern (IssendF64Pooled/Irecv).
+// inter-communicator, the xPic Listing 4 pattern (Issend/Irecv).
 func TestSpawnIntercommTraffic(t *testing.T) {
 	rt := testRuntime(1, 1)
 	rt.Register("worker", func(p *Proc) error {
 		parent := p.Parent()
-		buf := make([]float64, 2)
-		p.RecvF64(parent, 0, 1, buf) // from parent rank 0
+		buf := p.Recv(parent, 0, 1) // from parent rank 0
 		buf[0] *= 10
 		buf[1] *= 10
-		out := p.GetF64(len(buf))
-		copy(out, buf)
-		p.Wait(p.IssendF64Pooled(parent, 0, 2, out))
+		p.Wait(p.Issend(parent, 0, 2, buf))
 		return nil
 	})
 	runJob(t, rt, 1, func(p *Proc) error {
@@ -77,9 +74,8 @@ func TestSpawnIntercommTraffic(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		p.SendF64(inter, 0, 1, []float64{3, 4})
-		buf := make([]float64, 2)
-		p.RecvF64(inter, 0, 2, buf)
+		p.Send(inter, 0, 1, []float64{3, 4}, 16)
+		buf := p.Recv(inter, 0, 2)
 		if buf[0] != 30 || buf[1] != 40 {
 			t.Errorf("round trip got %v, want [30 40]", buf)
 		}
@@ -155,8 +151,7 @@ func TestSpawnReverseDirection(t *testing.T) {
 		if p.Node().Module != machine.Cluster {
 			t.Errorf("spawned child on %v, want Cluster", p.Node().Module)
 		}
-		buf := make([]float64, 1)
-		p.RecvF64(p.Parent(), 0, 0, buf)
+		p.Recv(p.Parent(), 0, 0)
 		return nil
 	})
 	bNodes := rt.sys.Module(machine.Booster)
@@ -166,8 +161,8 @@ func TestSpawnReverseDirection(t *testing.T) {
 			return err
 		}
 		if p.Rank() == 0 {
-			p.SendF64(inter, 0, 0, []float64{1})
-			p.SendF64(inter, 1, 0, []float64{1})
+			p.Send(inter, 0, 0, []float64{1}, 8)
+			p.Send(inter, 1, 0, []float64{1}, 8)
 		}
 		return nil
 	}})

@@ -106,8 +106,8 @@ func madeBy(stk []uintptr) string {
 // blocks, requests, envelopes) comes from a pool. A link keeps every busy
 // interval until its network is dropped, so its history grows with the
 // messages sent and reallocates as it doubles; until that history is
-// pruned, its objects are held to the counts measured when this test was
-// written.
+// pruned, its objects are held to the counts measured with eager messages
+// booking no ejection link.
 func TestSteadyStateStepAllocatesOnlyLinkHistory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops items at random")
@@ -124,7 +124,7 @@ func TestSteadyStateStepAllocatesOnlyLinkHistory(t *testing.T) {
 		mode      Mode
 		rankSteps int   // ranks × the 8 extra steps
 		maxLink   int64 // link-history objects of the 8 extra steps
-	}{{BoosterOnly, 16 * 8, 48}, {SplitCB, 32 * 8, 72}} {
+	}{{BoosterOnly, 16 * 8, 24}, {SplitCB, 32 * 8, 68}} {
 		runAllocs(t, tc.mode, 16) // settle the runtime's caches after the switch to one P
 		short := runAllocs(t, tc.mode, 8)
 		long := runAllocs(t, tc.mode, 16)

@@ -146,11 +146,11 @@ func (g *Grid) ExchangeHalos(p *psmpi.Proc, comm *psmpi.Comm, fields ...Field) {
 	}
 	// Top real row travels up (becomes up-neighbour's ghost 0);
 	// bottom real row travels down (becomes down-neighbour's ghost LY+1).
-	reqUp := p.IsendF64Pooled(comm, g.up(), tagHaloUp, g.packRows(p, fields, g.LY))
-	reqDn := p.IsendF64Pooled(comm, g.down(), tagHaloDown, g.packRows(p, fields, 1))
-	fromDn := p.RecvF64Pooled(comm, g.down(), tagHaloUp)
+	reqUp := p.Isend(comm, g.up(), tagHaloUp, g.packRows(p, fields, g.LY))
+	reqDn := p.Isend(comm, g.down(), tagHaloDown, g.packRows(p, fields, 1))
+	fromDn := p.Recv(comm, g.down(), tagHaloUp)
 	g.unpackRows(p, fields, 0, fromDn, false)
-	fromUp := p.RecvF64Pooled(comm, g.up(), tagHaloDown)
+	fromUp := p.Recv(comm, g.up(), tagHaloDown)
 	g.unpackRows(p, fields, g.LY+1, fromUp, false)
 	p.Waitall(reqUp, reqDn)
 }
@@ -198,11 +198,11 @@ func (g *Grid) ReduceMomentHalos(p *psmpi.Proc, comm *psmpi.Comm) {
 	}
 	// Ghost LY+1 holds deposits belonging to the up-neighbour's row 1;
 	// ghost 0 belongs to the down-neighbour's row LY.
-	reqUp := p.IsendF64Pooled(comm, g.up(), tagMomUp, g.packRows(p, fields, g.LY+1))
-	reqDn := p.IsendF64Pooled(comm, g.down(), tagMomDown, g.packRows(p, fields, 0))
-	fromDn := p.RecvF64Pooled(comm, g.down(), tagMomUp)
+	reqUp := p.Isend(comm, g.up(), tagMomUp, g.packRows(p, fields, g.LY+1))
+	reqDn := p.Isend(comm, g.down(), tagMomDown, g.packRows(p, fields, 0))
+	fromDn := p.Recv(comm, g.down(), tagMomUp)
 	g.unpackRows(p, fields, 1, fromDn, true)
-	fromUp := p.RecvF64Pooled(comm, g.up(), tagMomDown)
+	fromUp := p.Recv(comm, g.up(), tagMomDown)
 	g.unpackRows(p, fields, g.LY, fromUp, true)
 	p.Waitall(reqUp, reqDn)
 	g.ClearGhosts(fields...)

@@ -350,12 +350,12 @@ func (ps *ParticleSolver) Migrate(p *psmpi.Proc, comm *psmpi.Comm) {
 	upBuf, dnBuf := ps.takeLeavers(p)
 	// Exchange with both neighbours (counts travel with the payload); each
 	// receiver returns the buffer to the pool after absorbing it.
-	reqUp := p.IsendF64Pooled(comm, g.up(), tagPartUp, upBuf)
-	reqDn := p.IsendF64Pooled(comm, g.down(), tagPartDown, dnBuf)
-	fromDn := p.RecvF64Pooled(comm, g.down(), tagPartUp)
+	reqUp := p.Isend(comm, g.up(), tagPartUp, upBuf)
+	reqDn := p.Isend(comm, g.down(), tagPartDown, dnBuf)
+	fromDn := p.Recv(comm, g.down(), tagPartUp)
 	ps.absorb(fromDn)
 	p.PutF64(fromDn)
-	fromUp := p.RecvF64Pooled(comm, g.up(), tagPartDown)
+	fromUp := p.Recv(comm, g.up(), tagPartDown)
 	ps.absorb(fromUp)
 	p.PutF64(fromUp)
 	p.Waitall(reqUp, reqDn)

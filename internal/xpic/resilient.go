@@ -236,7 +236,7 @@ func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBi
 					kinE = p.AllreduceScalar(comm, pcl.KineticEnergy(p), psmpi.OpSum)
 				})
 			}
-			fbuf = p.WaitF64(req)
+			fbuf = p.Wait(req)
 		})
 		t.Exchange -= t.Aux - auxBefore
 
@@ -254,7 +254,7 @@ func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBi
 
 		phase(p, &t.Exchange, func() {
 			mbuf := packFields(p, g, MomentNames)
-			req := p.IssendF64Pooled(inter, peer, tagIfaceM, mbuf)
+			req := p.Issend(inter, peer, tagIfaceM, mbuf)
 			p.Wait(req)
 		})
 
@@ -312,7 +312,7 @@ func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
 		auxBefore := t.Aux
 		phase(p, &t.Exchange, func() {
 			fbuf := packFields(p, g, FieldNames)
-			req := p.IssendF64Pooled(inter, peer, tagIfaceF, fbuf)
+			req := p.Issend(inter, peer, tagIfaceF, fbuf)
 			if step%cfg.DiagEvery == 0 {
 				phase(p, &t.Aux, func() {
 					fieldE = p.AllreduceScalar(comm, fld.FieldEnergy(p), psmpi.OpSum)
@@ -324,7 +324,7 @@ func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
 
 		phase(p, &t.Exchange, func() {
 			req := p.Irecv(inter, peer, tagIfaceM)
-			data := p.WaitF64(req)
+			data := p.Wait(req)
 			unpackFields(p, g, MomentNames, data)
 		})
 
