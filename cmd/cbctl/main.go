@@ -574,7 +574,7 @@ func runBench(args []string, out, errw io.Writer) int {
 		}
 		fmt.Fprintf(out, "\ncbctl bench: %d of %d benchmarks regressed beyond %.0f%%\n",
 			len(regs), len(baseline.Benchmarks), *maxRegress*100)
-		fmt.Fprintln(out, "If the change is intentional, re-record with: go test ./internal/bench -run xxx -bench Kernel -benchmem | cbctl bench -update")
+		fmt.Fprintln(out, "If the change is intentional, re-record with: go test ./internal/exp -run xxx -bench Kernel -benchmem | cbctl bench -update")
 		return 1
 	default:
 		b, err := fresh.Canonical()

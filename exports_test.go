@@ -201,6 +201,26 @@ func TestNoWriteOnlyFields(t *testing.T) {
 	}
 }
 
+// TestSweepKnowsNoExperiment keeps the sweep engine below the experiment
+// layer: no non-test file of internal/sweep may import the registry
+// (internal/exp) or the packages of the families it declares.
+func TestSweepKnowsNoExperiment(t *testing.T) {
+	r := loadRepo(t)
+	files := r.files["clusterbooster/internal/sweep"]
+	if len(files) == 0 {
+		t.Fatal("no non-test files in internal/sweep")
+	}
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			switch strings.TrimPrefix(ip, "clusterbooster/internal/") {
+			case "sched", "resilience", "ioexp", "exp":
+				t.Errorf("%s imports %s", r.fset.Position(f.Package).Filename, ip)
+			}
+		}
+	}
+}
+
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(p string) (*types.Package, error) { return f(p) }

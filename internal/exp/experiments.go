@@ -11,17 +11,16 @@ import (
 	"fmt"
 	"strings"
 
-	"clusterbooster/internal/bench"
 	"clusterbooster/internal/sweep"
 	"clusterbooster/internal/xpic"
 )
 
-// CIProfile returns the pinned golden workload: the paper's Table II setup
+// ciProfile returns the pinned golden workload: the paper's Table II setup
 // (Table2Config) reduced to 60 steps at 1/512 particle fidelity. Fidelity
 // scaling preserves the physics shape (who wins, by what factor) while
 // cutting virtual work, so the golden documents remain faithful miniatures
 // of the paper's runs.
-func CIProfile() xpic.Config {
+func ciProfile() xpic.Config {
 	cfg := xpic.Table2Config()
 	cfg.Steps = 60
 	cfg.ParticleScale = 512
@@ -31,14 +30,14 @@ func CIProfile() xpic.Config {
 // fig8NodeCounts is the x axis of Fig. 8 (ranks per solver).
 func fig8NodeCounts() []int { return []int{1, 2, 4, 8} }
 
-// ScaleProfile returns the pinned past-prototype workload: a tall, narrow
+// scaleProfile returns the pinned past-prototype workload: a tall, narrow
 // grid (8 x 2048 cells) whose 2048 rows decompose down to two rows per rank
 // at n = 1024, with reduced steps/particles so the whole strong-scaling
 // series — 1024 Booster nodes included — replays in CI seconds. The paper's
 // prototype stops at 8 nodes per solver; this profile is the registry's
 // standing evidence that the execution kernel keeps rank counts cheap two
 // orders of magnitude past that.
-func ScaleProfile() xpic.Config {
+func scaleProfile() xpic.Config {
 	return xpic.Config{
 		NX:                  8,
 		NY:                  2048,
@@ -60,7 +59,7 @@ func ScaleProfile() xpic.Config {
 // constant 8x32 cell slab per rank (the global grid grows with the machine),
 // so ideal scaling holds the makespan flat and any growth is communication.
 func weakProfile(n int) xpic.Config {
-	cfg := ScaleProfile()
+	cfg := scaleProfile()
 	cfg.NY = 32 * n
 	cfg.Steps = 6
 	cfg.CGMaxIter = 10
@@ -198,14 +197,14 @@ func registerTable1() {
 		Profile: "n/a",
 	}
 	e.Run = func(o Options) (Document, error) {
-		return e.document(nil, nil, bench.Table1())
+		return e.document(nil, nil, table1())
 	}
 	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Table1Row](d)
+		rows, err := parsePayload[[]table1Row](d)
 		if err != nil {
 			return "", err
 		}
-		return bench.RenderTable1Rows(rows), nil
+		return renderTable1Rows(rows), nil
 	}
 	Register(e)
 }
@@ -219,14 +218,14 @@ func registerTable2() {
 		Profile: "paper",
 	}
 	e.Run = func(o Options) (Document, error) {
-		return e.document(map[string]string{"profile": e.Profile}, nil, bench.Table2Rows(xpic.Table2Config()))
+		return e.document(map[string]string{"profile": e.Profile}, nil, table2Rows(xpic.Table2Config()))
 	}
 	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Table2Row](d)
+		rows, err := parsePayload[[]table2Row](d)
 		if err != nil {
 			return "", err
 		}
-		return bench.RenderTable2Rows(rows), nil
+		return renderTable2Rows(rows), nil
 	}
 	Register(e)
 }
@@ -251,33 +250,33 @@ func registerFig3() {
 		},
 	}
 	e.Run = func(o Options) (Document, error) {
-		sizes := bench.Fig3Sizes()
-		rs := sweep.Run(bench.Fig3Scenarios(sizes), sweepOpts(o))
-		rows, err := bench.Fig3RowsFrom(sizes, rs)
+		sizes := fig3Sizes()
+		rs := sweep.Run(fig3Scenarios(sizes), sweepOpts(o))
+		rows, err := fig3RowsFrom(sizes, rs)
 		if err != nil {
 			return Document{}, fmt.Errorf("exp: fig3: %w", err)
 		}
 		first, last := rows[0], rows[len(rows)-1]
-		converged := last.BandwidthMBs[bench.CNCN]
-		for _, k := range []bench.PairKind{bench.BNBN, bench.CNBN} {
+		converged := last.BandwidthMBs[pairCNCN]
+		for _, k := range []pairKind{pairBNBN, pairCNBN} {
 			if v := last.BandwidthMBs[k]; v < converged {
 				converged = v
 			}
 		}
 		measures := map[string]float64{
-			"latency_cncn_us":             first.LatencyUs[bench.CNCN],
-			"latency_bnbn_us":             first.LatencyUs[bench.BNBN],
-			"latency_cnbn_us":             first.LatencyUs[bench.CNBN],
+			"latency_cncn_us":             first.LatencyUs[pairCNCN],
+			"latency_bnbn_us":             first.LatencyUs[pairBNBN],
+			"latency_cnbn_us":             first.LatencyUs[pairCNBN],
 			"bandwidth_converged_min_MBs": converged,
 		}
 		return e.document(map[string]string{"profile": "paper"}, measures, rows)
 	}
 	e.Render = func(d Document) (string, error) {
-		rows, err := parsePayload[[]bench.Fig3Row](d)
+		rows, err := parsePayload[[]fig3Row](d)
 		if err != nil {
 			return "", err
 		}
-		return bench.RenderFig3(rows), nil
+		return renderFig3(rows), nil
 	}
 	Register(e)
 }
@@ -304,20 +303,20 @@ func registerFig7() {
 		},
 	}
 	e.Run = func(o Options) (Document, error) {
-		cfg := CIProfile()
-		scen, err := bench.Fig7Grid(cfg).Scenarios()
+		cfg := ciProfile()
+		scen, err := fig7Grid(cfg).Scenarios()
 		if err != nil {
 			return Document{}, err
 		}
-		res, err := bench.Fig7From(sweep.Run(scen, sweepOpts(o)))
+		res, err := fig7From(sweep.Run(scen, sweepOpts(o)))
 		if err != nil {
 			return Document{}, fmt.Errorf("exp: fig7: %w", err)
 		}
 		measures := map[string]float64{
-			"field_advantage":    res.FieldAdvantage(),
-			"particle_advantage": res.ParticleAdvantage(),
-			"gain_vs_cluster":    res.GainVsCluster(),
-			"gain_vs_booster":    res.GainVsBooster(),
+			"field_advantage":    res.fieldAdvantage(),
+			"particle_advantage": res.particleAdvantage(),
+			"gain_vs_cluster":    res.gainVsCluster(),
+			"gain_vs_booster":    res.gainVsBooster(),
 			"split_overhead":     res.Split.OverheadFraction(),
 		}
 		reportMeasures(measures, "cluster", res.Cluster)
@@ -326,11 +325,11 @@ func registerFig7() {
 		return e.document(profileMeta(cfg, e.Profile), measures, res)
 	}
 	e.Render = func(d Document) (string, error) {
-		res, err := parsePayload[bench.Fig7Result](d)
+		res, err := parsePayload[fig7Result](d)
 		if err != nil {
 			return "", err
 		}
-		return bench.RenderFig7(res), nil
+		return renderFig7(res), nil
 	}
 	Register(e)
 }
@@ -354,13 +353,13 @@ func registerFig8() {
 		},
 	}
 	e.Run = func(o Options) (Document, error) {
-		cfg := CIProfile()
+		cfg := ciProfile()
 		counts := fig8NodeCounts()
-		scen, err := bench.Fig8Grid(cfg, counts).Scenarios()
+		scen, err := fig8Grid(cfg, counts).Scenarios()
 		if err != nil {
 			return Document{}, err
 		}
-		res, err := bench.Fig8From(counts, sweep.Run(scen, sweepOpts(o)))
+		res, err := fig8From(counts, sweep.Run(scen, sweepOpts(o)))
 		if err != nil {
 			return Document{}, fmt.Errorf("exp: fig8: %w", err)
 		}
@@ -369,20 +368,20 @@ func registerFig8() {
 			"split_makespan_n8_s":   res.Points[last].Split.Makespan.Seconds(),
 			"cluster_makespan_n8_s": res.Points[last].Cluster.Makespan.Seconds(),
 			"booster_makespan_n8_s": res.Points[last].Booster.Makespan.Seconds(),
-			"eff_cluster_n8":        res.Efficiency(xpic.ClusterOnly, last),
-			"eff_booster_n8":        res.Efficiency(xpic.BoosterOnly, last),
-			"eff_split_n8":          res.Efficiency(xpic.SplitCB, last),
-			"gain_vs_cluster_n8":    res.GainVsCluster(last),
-			"gain_vs_booster_n8":    res.GainVsBooster(last),
+			"eff_cluster_n8":        res.efficiency(xpic.ClusterOnly, last),
+			"eff_booster_n8":        res.efficiency(xpic.BoosterOnly, last),
+			"eff_split_n8":          res.efficiency(xpic.SplitCB, last),
+			"gain_vs_cluster_n8":    res.gainVsCluster(last),
+			"gain_vs_booster_n8":    res.gainVsBooster(last),
 		}
 		return e.document(profileMeta(cfg, e.Profile), measures, res)
 	}
 	e.Render = func(d Document) (string, error) {
-		res, err := parsePayload[bench.Fig8Result](d)
+		res, err := parsePayload[fig8Result](d)
 		if err != nil {
 			return "", err
 		}
-		return bench.RenderFig8(res), nil
+		return renderFig8(res), nil
 	}
 	Register(e)
 }
@@ -442,14 +441,14 @@ func registerStrongScaling(s strongScaling) {
 
 // registerFig8Scale registers the beyond-prototype continuation of Fig. 8:
 // Cluster+Booster vs Booster-only at 16 to 1024 nodes per solver, on the
-// pinned ScaleProfile workload (the grid only decomposes for
+// pinned scaleProfile workload (the grid only decomposes for
 // NY % 1024 == 0).
 func registerFig8Scale() {
 	registerStrongScaling(strongScaling{
 		name:     "fig8-scale",
 		title:    "Beyond the prototype: C+B vs Booster-only strong scaling to n=1024",
 		workload: "scale",
-		config:   ScaleProfile,
+		config:   scaleProfile,
 		counts:   []int{16, 64, 256, 1024},
 		// Strong scaling at 2 rows per rank is brutally communication-bound,
 		// and the fixed MPI_Comm_spawn cost cannot amortise over 8 reduced
@@ -467,13 +466,13 @@ func registerFig8Scale() {
 	})
 }
 
-// Scale4096Profile returns the workload of the fig8-scale4096 study: the
-// ScaleProfile geometry stretched to 8192 rows, so the grid decomposes down
+// scale4096Profile returns the workload of the fig8-scale4096 study: the
+// scaleProfile geometry stretched to 8192 rows, so the grid decomposes down
 // to the 2-rows-per-rank floor at n = 4096 — the same per-rank regime the
 // fig8-scale series ends in at n = 1024, pushed another 4x. Steps and CG
 // budget are trimmed so the ~5M-event n=4096 scenarios replay in CI seconds.
-func Scale4096Profile() xpic.Config {
-	cfg := ScaleProfile()
+func scale4096Profile() xpic.Config {
+	cfg := scaleProfile()
 	cfg.NY = 8192
 	cfg.Steps = 4
 	cfg.CGMaxIter = 8
@@ -493,7 +492,7 @@ func registerFig8Scale4096() {
 		name:     "fig8-scale4096",
 		title:    "Beyond the prototype, 4x further: C+B vs Booster-only at n=4096",
 		workload: "scale4096",
-		config:   Scale4096Profile,
+		config:   scale4096Profile,
 		counts:   []int{1024, 4096},
 		// Strong scaling at the 2-rows-per-rank floor is communication-bound
 		// and the fixed MPI_Comm_spawn cost dominates 4 trimmed steps
@@ -511,14 +510,14 @@ func registerFig8Scale4096() {
 	})
 }
 
-// Scale16384Profile returns the workload of the fig8-scale16384 study: the
-// Scale4096Profile geometry stretched again to 32768 rows, so the grid
+// scale16384Profile returns the workload of the fig8-scale16384 study: the
+// scale4096Profile geometry stretched again to 32768 rows, so the grid
 // decomposes to the 2-rows-per-rank floor at n = 16384 — another 4x past
 // fig8-scale4096. Steps and CG budget are trimmed to the minimum that still
 // exercises the full step pipeline, because the C+B point runs 32769 tasks
 // on one kernel.
-func Scale16384Profile() xpic.Config {
-	cfg := Scale4096Profile()
+func scale16384Profile() xpic.Config {
+	cfg := scale4096Profile()
 	cfg.NY = 32768
 	cfg.Steps = 2
 	cfg.CGMaxIter = 4
@@ -536,7 +535,7 @@ func registerFig8Scale16384() {
 		name:     "fig8-scale16384",
 		title:    "Beyond the prototype, 16x further: C+B vs Booster-only at n=16384",
 		workload: "scale16384",
-		config:   Scale16384Profile,
+		config:   scale16384Profile,
 		counts:   []int{4096, 16384},
 		// Same regime as fig8-scale4096, 4x further: strong scaling at the
 		// 2-rows-per-rank floor is communication-bound and the fixed
@@ -614,7 +613,7 @@ func registerSweepFig3() {
 			{Measure: "max_latency_us", Kind: MaxBudget, Bound: 2000},
 		},
 	}, func() ([]sweep.Scenario, error) {
-		return bench.Fig3Scenarios(bench.Fig3Sizes()), nil
+		return fig3Scenarios(fig3Sizes()), nil
 	})
 }
 
@@ -630,7 +629,7 @@ func registerSweepFig7() {
 		Budgets: []Budget{
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 		},
-	}, bench.Fig7Grid(CIProfile()).Scenarios)
+	}, fig7Grid(ciProfile()).Scenarios)
 }
 
 func registerSweepFig8() {
@@ -645,7 +644,7 @@ func registerSweepFig8() {
 		Budgets: []Budget{
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 		},
-	}, bench.Fig8Grid(CIProfile(), fig8NodeCounts()).Scenarios)
+	}, fig8Grid(ciProfile(), fig8NodeCounts()).Scenarios)
 }
 
 func registerSweepPaper() {
@@ -662,5 +661,5 @@ func registerSweepPaper() {
 			{Measure: "max_makespan_s", Kind: MaxBudget, Bound: 3.2},
 			{Measure: "max_checkpoint_s", Kind: MaxBudget, Bound: 0.01},
 		},
-	}, bench.PaperGrid(CIProfile()).Scenarios)
+	}, paperGrid(ciProfile()).Scenarios)
 }

@@ -34,6 +34,30 @@ func facilityPointName(family string, pol sched.FacilityPolicy, load float64) st
 }
 
 // registerFigFacility registers the canonical 1000-job family.
+// facilityScenario wraps one grid point as a self-contained Scenario — fresh
+// machine, fresh kernel, one seeded arrival stream — reporting facility
+// utilization, bounded slowdown, wait and queue activity.
+func facilityScenario(name string, p sched.FacilityParams) sweep.Scenario {
+	return sweep.Scenario{Name: name, Run: func() (sweep.Outcome, error) {
+		out, err := sched.RunFacility(p)
+		if err != nil {
+			return sweep.Outcome{}, err
+		}
+		return sweep.Outcome{Metrics: sweep.Metrics{
+			"jobs":         float64(out.Jobs),
+			"makespan_s":   out.Makespan.Seconds(),
+			"util_cluster": out.UtilCluster,
+			"util_booster": out.UtilBooster,
+			"wait_mean_s":  out.MeanWait.Seconds(),
+			"bsld_mean":    out.MeanSlowdown,
+			"bsld_p95":     out.P95Slowdown,
+			"backfilled":   float64(out.Backfilled),
+			"shrunk":       float64(out.Shrunk),
+			"peak_queue":   float64(out.PeakQueue),
+		}}, nil
+	}}
+}
+
 func registerFigFacility() {
 	registerFacilityFamily("fig-facility",
 		"Facility simulation: 1000-job arrival streams vs queue policy (§II-A batch system, ref [5])",
@@ -94,7 +118,7 @@ func registerFacilityFamily(family, title string, jobs int) {
 		for _, pol := range sched.FacilityPolicies() {
 			for _, load := range facilityLoads() {
 				p := sched.FacilityParams{Policy: pol, Jobs: jobs, Load: load, Seed: facilitySeed(load)}
-				scen = append(scen, sweep.FacilityPoint{FacilityParams: p}.Scenario(facilityPointName(family, pol, load)))
+				scen = append(scen, facilityScenario(facilityPointName(family, pol, load), p))
 			}
 		}
 		return scen, nil

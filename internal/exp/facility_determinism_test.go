@@ -1,4 +1,4 @@
-package sweep
+package exp
 
 import (
 	"bytes"
@@ -9,24 +9,25 @@ import (
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/sched"
+	"clusterbooster/internal/sweep"
 	"clusterbooster/internal/vclock"
 )
 
 // facilityScenarios is a policy-diverse slice of the facility axis: one
 // overloaded 200-job stream per policy, all from the same seed so the three
 // kernels schedule the identical arrival sequence.
-func facilityScenarios() []Scenario {
-	var scen []Scenario
+func facilityScenarios() []sweep.Scenario {
+	var scen []sweep.Scenario
 	for _, pol := range sched.FacilityPolicies() {
 		p := sched.FacilityParams{Policy: pol, Jobs: 200, Load: 1.4, Seed: 42}
-		scen = append(scen, FacilityPoint{FacilityParams: p}.Scenario("fac/"+string(pol)))
+		scen = append(scen, facilityScenario("fac/"+string(pol), p))
 	}
 	return scen
 }
 
 func facilitySweepJSON(t *testing.T, workers int) []byte {
 	t.Helper()
-	rs := Run(facilityScenarios(), Options{Workers: workers})
+	rs := sweep.Run(facilityScenarios(), sweep.Options{Workers: workers})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func facilitySweepJSON(t *testing.T, workers int) []byte {
 // failure/repair processes — one cold-restart leg and one checkpointed leg
 // each, so kills, requeues, rewinds, retries and repairs all happen in
 // every sweep.
-func faultyFacilityScenarios() []Scenario {
-	var scen []Scenario
+func faultyFacilityScenarios() []sweep.Scenario {
+	var scen []sweep.Scenario
 	for _, pol := range sched.FacilityPolicies() {
 		for _, ckpt := range []bool{false, true} {
 			faults := &sched.FacilityFaults{
@@ -61,7 +62,7 @@ func faultyFacilityScenarios() []Scenario {
 				name = "faulty/" + string(pol) + "/ckpt"
 			}
 			p := sched.FacilityParams{Policy: pol, Jobs: 200, Load: 1.4, Seed: 42, Faults: faults}
-			scen = append(scen, FacilityResiliencePoint{FacilityParams: p}.Scenario(name))
+			scen = append(scen, facilityResilienceScenario(name, p))
 		}
 	}
 	return scen
@@ -69,7 +70,7 @@ func faultyFacilityScenarios() []Scenario {
 
 func faultySweepJSON(t *testing.T, workers int) []byte {
 	t.Helper()
-	rs := Run(faultyFacilityScenarios(), Options{Workers: workers})
+	rs := sweep.Run(faultyFacilityScenarios(), sweep.Options{Workers: workers})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func faultySweepJSON(t *testing.T, workers int) []byte {
 func TestFacilityFaultsWorkerCountInvariance(t *testing.T) {
 	// The streams must actually suffer: a fault-free replay would make the
 	// property vacuous.
-	rs := Run(faultyFacilityScenarios(), Options{Workers: 1})
+	rs := sweep.Run(faultyFacilityScenarios(), sweep.Options{Workers: 1})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestFacilityFaultsWorkerCountInvariance(t *testing.T) {
 func TestFacilityWorkerCountInvariance(t *testing.T) {
 	// The overloaded streams must actually exercise the scheduler, or the
 	// property is vacuous.
-	rs := Run(facilityScenarios(), Options{Workers: 1})
+	rs := sweep.Run(facilityScenarios(), sweep.Options{Workers: 1})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}

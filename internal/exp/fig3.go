@@ -1,4 +1,7 @@
-package bench
+// Fig. 3: the fabric curves. Every point is a fresh two-rank psmpi job
+// between one node-type pair; fig3RowsFrom reassembles the sweep into one
+// row per message size.
+package exp
 
 import (
 	"fmt"
@@ -11,64 +14,64 @@ import (
 	"clusterbooster/internal/vclock"
 )
 
-// PairKind selects the node-type pair of a Fig. 3 series.
-type PairKind int
+// pairKind selects the node-type pair of a Fig. 3 series.
+type pairKind int
 
 const (
-	// CNCN measures between two Cluster nodes.
-	CNCN PairKind = iota
-	// BNBN measures between two Booster nodes.
-	BNBN
-	// CNBN measures between a Cluster and a Booster node.
-	CNBN
+	// pairCNCN measures between two Cluster nodes.
+	pairCNCN pairKind = iota
+	// pairBNBN measures between two Booster nodes.
+	pairBNBN
+	// pairCNBN measures between a Cluster and a Booster node.
+	pairCNBN
 )
 
 // String names the series as in Fig. 3.
-func (k PairKind) String() string {
+func (k pairKind) String() string {
 	switch k {
-	case CNCN:
+	case pairCNCN:
 		return "CN-CN"
-	case BNBN:
+	case pairBNBN:
 		return "BN-BN"
 	default:
 		return "CN-BN"
 	}
 }
 
-// MarshalText emits the series label, so PairKind-keyed maps serialise to
+// MarshalText emits the series label, so pairKind-keyed maps serialise to
 // readable (and deterministically sorted) JSON object keys.
-func (k PairKind) MarshalText() ([]byte, error) {
+func (k pairKind) MarshalText() ([]byte, error) {
 	return []byte(k.String()), nil
 }
 
 // UnmarshalText accepts the series label.
-func (k *PairKind) UnmarshalText(b []byte) error {
+func (k *pairKind) UnmarshalText(b []byte) error {
 	switch string(b) {
 	case "CN-CN":
-		*k = CNCN
+		*k = pairCNCN
 	case "BN-BN":
-		*k = BNBN
+		*k = pairBNBN
 	case "CN-BN":
-		*k = CNBN
+		*k = pairCNBN
 	default:
-		return fmt.Errorf("bench: unknown pair kind %q", b)
+		return fmt.Errorf("exp: unknown pair kind %q", b)
 	}
 	return nil
 }
 
-// Fig3Row is one message size of the Fig. 3 curves.
-type Fig3Row struct {
+// fig3Row is one message size of the Fig. 3 curves.
+type fig3Row struct {
 	Size int `json:"size"`
 	// BandwidthMBs is the sustained unidirectional stream bandwidth in
 	// MByte/s per pair kind (upper panel of Fig. 3).
-	BandwidthMBs map[PairKind]float64 `json:"bandwidth_MBs"`
+	BandwidthMBs map[pairKind]float64 `json:"bandwidth_MBs"`
 	// LatencyUs is the single-message one-way latency in µs (lower panel).
-	LatencyUs map[PairKind]float64 `json:"latency_us"`
+	LatencyUs map[pairKind]float64 `json:"latency_us"`
 }
 
-// Fig3Sizes returns the message sizes of the paper's plot: powers of two
+// fig3Sizes returns the message sizes of the paper's plot: powers of two
 // from 1 B to 16 MiB (the latency panel stops at 32 KiB).
-func Fig3Sizes() []int {
+func fig3Sizes() []int {
 	var out []int
 	for s := 1; s <= 16<<20; s *= 2 {
 		out = append(out, s)
@@ -76,19 +79,19 @@ func Fig3Sizes() []int {
 	return out
 }
 
-// LatencyPanelMax is the largest size of the latency panel (32 KiB).
-const LatencyPanelMax = 32 << 10
+// latencyPanelMax is the largest size of the latency panel (32 KiB).
+const latencyPanelMax = 32 << 10
 
 // measurePair runs a real two-rank psmpi job between the node pair and
 // returns (bandwidth bytes/s, one-way latency). psmpi prices a message by
 // its byte count alone, so the messages carry no body.
-func measurePair(kind PairKind, size int) (float64, vclock.Time, error) {
+func measurePair(kind pairKind, size int) (float64, vclock.Time, error) {
 	sys := core.New(2, 2, core.Options{WithoutStorage: true})
 	var a, b *machine.Node
 	switch kind {
-	case CNCN:
+	case pairCNCN:
 		a, b = sys.Machine.Node(0), sys.Machine.Node(1)
-	case BNBN:
+	case pairBNBN:
 		a, b = sys.Machine.Node(2), sys.Machine.Node(3)
 	default:
 		a, b = sys.Machine.Node(0), sys.Machine.Node(2)
@@ -127,12 +130,12 @@ func measurePair(kind PairKind, size int) (float64, vclock.Time, error) {
 }
 
 // fig3Pairs lists the node-type pairs in series order.
-func fig3Pairs() []PairKind { return []PairKind{CNCN, BNBN, CNBN} }
+func fig3Pairs() []pairKind { return []pairKind{pairCNCN, pairBNBN, pairCNBN} }
 
-// Fig3Scenarios declares the Fig. 3 measurement grid — message sizes ×
+// fig3Scenarios declares the Fig. 3 measurement grid — message sizes ×
 // node-type pairs, one fresh two-rank psmpi job each — as sweep scenarios.
 // Every scenario reports "bandwidth_MBs" and "latency_us".
-func Fig3Scenarios(sizes []int) []sweep.Scenario {
+func fig3Scenarios(sizes []int) []sweep.Scenario {
 	var scenarios []sweep.Scenario
 	for _, size := range sizes {
 		for _, kind := range fig3Pairs() {
@@ -145,8 +148,8 @@ func Fig3Scenarios(sizes []int) []sweep.Scenario {
 						return sweep.Outcome{}, err
 					}
 					return sweep.Outcome{Metrics: sweep.Metrics{
-						"bandwidth_MBs": mbs(bw),
-						"latency_us":    us(lat),
+						"bandwidth_MBs": bw / 1e6,
+						"latency_us":    lat.Micros(),
 					}}, nil
 				},
 			})
@@ -155,22 +158,22 @@ func Fig3Scenarios(sizes []int) []sweep.Scenario {
 	return scenarios
 }
 
-// Fig3RowsFrom reassembles the per-size rows from a sweep over
-// Fig3Scenarios(sizes).
-func Fig3RowsFrom(sizes []int, rs sweep.ResultSet) ([]Fig3Row, error) {
+// fig3RowsFrom reassembles the per-size rows from a sweep over
+// fig3Scenarios(sizes).
+func fig3RowsFrom(sizes []int, rs sweep.ResultSet) ([]fig3Row, error) {
 	if err := rs.FirstError(); err != nil {
-		return nil, fmt.Errorf("bench: fig3: %w", err)
+		return nil, err
 	}
 	pairs := fig3Pairs()
 	if rs.Scenarios != len(sizes)*len(pairs) {
-		return nil, fmt.Errorf("bench: fig3: %d results for %d grid points", rs.Scenarios, len(sizes)*len(pairs))
+		return nil, fmt.Errorf("%d results for %d grid points", rs.Scenarios, len(sizes)*len(pairs))
 	}
-	var rows []Fig3Row
+	var rows []fig3Row
 	for i, size := range sizes {
-		row := Fig3Row{
+		row := fig3Row{
 			Size:         size,
-			BandwidthMBs: map[PairKind]float64{},
-			LatencyUs:    map[PairKind]float64{},
+			BandwidthMBs: map[pairKind]float64{},
+			LatencyUs:    map[pairKind]float64{},
 		}
 		for j, kind := range pairs {
 			m := rs.Results[i*len(pairs)+j].Metrics
@@ -182,31 +185,31 @@ func Fig3RowsFrom(sizes []int, rs sweep.ResultSet) ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// RenderFig3 renders both panels as text tables.
-func RenderFig3(rows []Fig3Row) string {
+// renderFig3 renders both panels as text tables.
+func renderFig3(rows []fig3Row) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 3 (upper): end-to-end MPI bandwidth [MByte/s]\n")
 	fmt.Fprintf(&sb, "%-10s %10s %10s %10s\n", "Size [B]", "CN-CN", "BN-BN", "CN-BN")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-10d %10.1f %10.1f %10.1f\n",
-			r.Size, r.BandwidthMBs[CNCN], r.BandwidthMBs[BNBN], r.BandwidthMBs[CNBN])
+			r.Size, r.BandwidthMBs[pairCNCN], r.BandwidthMBs[pairBNBN], r.BandwidthMBs[pairCNBN])
 	}
 	fmt.Fprintf(&sb, "\nFig. 3 (lower): end-to-end MPI latency [µs]\n")
 	fmt.Fprintf(&sb, "%-10s %10s %10s %10s\n", "Size [B]", "CN-CN", "BN-BN", "CN-BN")
 	for _, r := range rows {
-		if r.Size > LatencyPanelMax {
+		if r.Size > latencyPanelMax {
 			continue
 		}
 		fmt.Fprintf(&sb, "%-10d %10.2f %10.2f %10.2f\n",
-			r.Size, r.LatencyUs[CNCN], r.LatencyUs[BNBN], r.LatencyUs[CNBN])
+			r.Size, r.LatencyUs[pairCNCN], r.LatencyUs[pairBNBN], r.LatencyUs[pairCNBN])
 	}
 	fmt.Fprintf(&sb, "\n%-40s %8s %8s\n", "Reference point", "ours", "paper")
 	if len(rows) > 0 {
-		fmt.Fprintf(&sb, "%-40s %7.2fµs %7.2fµs\n", "Zero-size latency CN-CN", rows[0].LatencyUs[CNCN], PaperFig3.LatencyCNCNus)
-		fmt.Fprintf(&sb, "%-40s %7.2fµs %7.2fµs\n", "Zero-size latency BN-BN", rows[0].LatencyUs[BNBN], PaperFig3.LatencyBNBNus)
+		fmt.Fprintf(&sb, "%-40s %7.2fµs %7.2fµs\n", "Zero-size latency CN-CN", rows[0].LatencyUs[pairCNCN], paperFig3.latencyCNCNus)
+		fmt.Fprintf(&sb, "%-40s %7.2fµs %7.2fµs\n", "Zero-size latency BN-BN", rows[0].LatencyUs[pairBNBN], paperFig3.latencyBNBNus)
 		last := rows[len(rows)-1]
 		fmt.Fprintf(&sb, "%-40s %5.0f MB/s %s\n", "Converged bandwidth (all pairs)",
-			last.BandwidthMBs[CNCN], "~10-11 GB/s")
+			last.BandwidthMBs[pairCNCN], "~10-11 GB/s")
 	}
 	return sb.String()
 }

@@ -1,19 +1,17 @@
-package fabric_test
+package exp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
-	"clusterbooster/internal/bench"
 	"clusterbooster/internal/fabric"
 	"clusterbooster/internal/machine"
-	"clusterbooster/internal/psmpi"
-	"clusterbooster/internal/vclock"
 )
 
 // The tests in this file check the fabric model through the measurement the
-// fig3 golden reports: bench.Fig3Scenarios runs one fresh two-rank psmpi job
+// fig3 golden reports: fig3Scenarios runs one fresh two-rank psmpi job
 // per node-type pair and reports the first message's one-way latency and
 // the bandwidth of a stream of messages.
 
@@ -25,7 +23,7 @@ type pairs struct{ cc, bb, cb float64 }
 func fig3(t *testing.T, size int) (latUs, bwMBs pairs) {
 	t.Helper()
 	var lat, bw [3]float64
-	for i, sc := range bench.Fig3Scenarios([]int{size}) {
+	for i, sc := range fig3Scenarios([]int{size}) {
 		out, err := sc.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +34,7 @@ func fig3(t *testing.T, size int) (latUs, bwMBs pairs) {
 }
 
 // eagerMax is the largest message the fabric sends eagerly (pinned by
-// TestConfigDefaults and TestPingPongProtocolSwitchBump).
+// fabric's TestConfigDefaults and by TestPingPongProtocolSwitchBump).
 const eagerMax = 16 << 10
 
 // TestTable1Latencies pins the zero-byte latencies to Table I: 1.0 µs
@@ -52,37 +50,6 @@ func TestTable1Latencies(t *testing.T) {
 	// Mixed pairs sit in between (Fig. 3 lower panel).
 	if lat.cb <= 1.0 || lat.cb >= 1.8 {
 		t.Errorf("CN-BN latency = %vµs, want strictly between 1.0 and 1.8", lat.cb)
-	}
-}
-
-// TestIntraNodeLatencyCheaper runs fig3's latency measurement between two
-// ranks on one Cluster node (fig3 has no such pair) and between two Cluster
-// nodes: the shared-memory path skips the wire and both links.
-func TestIntraNodeLatencyCheaper(t *testing.T) {
-	arrival := func(sameNode bool) vclock.Time {
-		sys := machine.New(2, 0)
-		rt := psmpi.NewRuntime(sys, fabric.New(sys), psmpi.Config{})
-		nodes := []*machine.Node{sys.Node(0), sys.Node(1)}
-		if sameNode {
-			nodes[1] = sys.Node(0)
-		}
-		var at vclock.Time
-		_, err := rt.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
-			if p.Rank() == 0 {
-				p.Send(p.World(), 1, 1, nil, 0)
-			} else {
-				p.Recv(p.World(), 0, 1)
-				at = p.Now()
-			}
-			return nil
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	if intra, inter := arrival(true), arrival(false); intra >= inter {
-		t.Errorf("intra-node latency %v not cheaper than inter-node %v", intra, inter)
 	}
 }
 
@@ -148,7 +115,7 @@ func TestQuickPingPongMonotone(t *testing.T) {
 	// slightly smaller eager message (the protocol-switch bump of Fig. 3,
 	// pinned by TestPingPongProtocolSwitchBump).
 	latency := func(pair, size int) float64 {
-		out, err := bench.Fig3Scenarios([]int{size})[pair].Run()
+		out, err := fig3Scenarios([]int{size})[pair].Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,5 +151,21 @@ func TestPingPongProtocolSwitchBump(t *testing.T) {
 		t.Errorf("no bump at this calibration (eager %vµs <= rendezvous %vµs): "+
 			"remove the cross-threshold exemption from TestQuickPingPongMonotone",
 			lat.cb, above.cb)
+	}
+}
+
+// TestMeasurePairAllocatesNoPayload pins that a Fig. 3 measurement sends
+// sizes only. A 16 MiB two-rank job allocates about 7–9 KiB (system, ranks,
+// envelopes); one payload buffer of the message size would cost 16 MiB.
+func TestMeasurePairAllocatesNoPayload(t *testing.T) {
+	const size, limit = 16 << 20, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := measurePair(pairCNBN, size); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("measurePair(pairCNBN, %d) allocated %d bytes, want < %d", size, got, limit)
 	}
 }

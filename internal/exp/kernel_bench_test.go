@@ -1,11 +1,11 @@
-package bench
+package exp
 
 // Hot-path benchmarks for the execution kernel: how fast the host can turn
 // the simulated MPI traffic of the paper's workloads. These are wall-clock
 // benchmarks of the simulator itself (virtual-time results are asserted
 // elsewhere); run them before and after kernel changes:
 //
-//	go test ./internal/bench -run xxx -bench Kernel -benchmem
+//	go test ./internal/exp -run xxx -bench Kernel -benchmem
 //
 // CI executes them with -benchtime=1x as a smoke test so they cannot rot.
 

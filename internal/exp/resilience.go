@@ -16,13 +16,13 @@ import (
 	"clusterbooster/internal/xpic"
 )
 
-// ResilienceProfile returns the pinned fig-resilience workload: the quick
+// resilienceProfile returns the pinned fig-resilience workload: the quick
 // Table II reduction at 24 steps, 2 ranks per solver, checkpointing every
 // 4th step. MTBFs below are virtual seconds scaled to this workload's
 // millisecond makespans (the failure model is scale-free; CI cannot wait
 // simulated hours), tuned with the per-mode seeds so every failing grid
 // point sees exactly one mid-run failure.
-func ResilienceProfile() xpic.Config { return xpic.QuickConfig(24) }
+func resilienceProfile() xpic.Config { return xpic.QuickConfig(24) }
 
 // resilienceRow is one (mode, level) pair of the family; each expands to a
 // failure-free and a failing scenario.
@@ -60,7 +60,7 @@ func (r resilienceRow) params(failing bool) resilience.Params {
 	p := resilience.Params{
 		Mode:            r.mode,
 		Nodes:           2,
-		Workload:        ResilienceProfile(),
+		Workload:        resilienceProfile(),
 		CheckpointEvery: 4,
 		SCR:             r.scr,
 		RestartOverhead: 2 * vclock.Millisecond,
@@ -71,6 +71,43 @@ func (r resilienceRow) params(failing bool) resilience.Params {
 		p.MaxFailures = 1
 	}
 	return p
+}
+
+// resilienceScenario wraps one grid point as a self-contained Scenario —
+// fresh system, fresh SCR manager, a failure injector seeded from the
+// point's own parameters — reporting the standard xPic metric set plus the
+// resilience accounting.
+func resilienceScenario(name string, p resilience.Params) sweep.Scenario {
+	return sweep.Scenario{Name: name, Run: func() (sweep.Outcome, error) {
+		out, err := resilience.Run(p)
+		if err != nil {
+			return sweep.Outcome{}, err
+		}
+		rep := out.Report
+		m := sweep.Metrics{
+			"makespan_s":         rep.Makespan.Seconds(),
+			"field_s":            rep.FieldTime.Seconds(),
+			"particle_s":         rep.ParticleTime.Seconds(),
+			"failures":           float64(out.Failures),
+			"restarts":           float64(len(out.Restarts)),
+			"checkpoints":        float64(out.Checkpoints),
+			"checkpoint_s":       out.CheckpointTime.Seconds(),
+			"lost_work_s":        out.LostWork.Seconds(),
+			"restore_s":          out.RestoreTime.Seconds(),
+			"restart_overhead_s": out.RestartOverheadTotal.Seconds(),
+		}
+		if n := len(out.Restarts); n > 0 {
+			m["rewind_step"] = float64(out.Restarts[n-1].FromStep)
+			cold := 0
+			for _, r := range out.Restarts {
+				if r.Cold {
+					cold++
+				}
+			}
+			m["cold_restarts"] = float64(cold)
+		}
+		return sweep.Outcome{Metrics: m, XPic: &rep}, nil
+	}}
 }
 
 func registerFigResilience() {
@@ -114,7 +151,7 @@ func registerFigResilience() {
 					variant = fmt.Sprintf("mtbf=%v", r.mtbf)
 				}
 				name := fmt.Sprintf("fig-resilience/%s/%s/%s", r.mode, r.level, variant)
-				scen = append(scen, sweep.ResiliencePoint{Params: r.params(failing)}.Scenario(name))
+				scen = append(scen, resilienceScenario(name, r.params(failing)))
 			}
 		}
 		return scen, nil
@@ -138,7 +175,7 @@ func registerFigResilience() {
 		for _, mode := range []string{"cluster", "booster", "split"} {
 			measures["buddy_gain_"+mode] = measures["retention_"+mode+"_buddy"] / measures["retention_"+mode+"_local"]
 		}
-		cfg := ResilienceProfile()
+		cfg := resilienceProfile()
 		meta := profileMeta(cfg, "ci-resilience")
 		meta["grid"] = "rows expand [failure-free, failing]; see internal/exp/resilience.go for pinned seeds"
 		return meta, measures

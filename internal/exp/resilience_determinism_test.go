@@ -1,4 +1,4 @@
-package sweep
+package exp
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/scr"
+	"clusterbooster/internal/sweep"
 	"clusterbooster/internal/vclock"
 	"clusterbooster/internal/xpic"
 )
@@ -15,9 +16,9 @@ import (
 // resilienceScenarios is a failure-heavy slice of the resilience axis: both
 // mono modes and the split mode, cold and warm restarts, local and buddy
 // levels — every scenario runs its own seeded injector.
-func resilienceScenarios() []Scenario {
+func resilienceScenarios() []sweep.Scenario {
 	wl := xpic.QuickConfig(12)
-	var scen []Scenario
+	var scen []sweep.Scenario
 	for _, p := range []struct {
 		name string
 		prm  resilience.Params
@@ -35,14 +36,14 @@ func resilienceScenarios() []Scenario {
 			CheckpointEvery: 3, SCR: scr.Config{BuddyEvery: 1}, RestartOverhead: 50 * vclock.Millisecond,
 			MTBF: 110 * vclock.Millisecond, Seed: 5, MaxFailures: 1}},
 	} {
-		scen = append(scen, ResiliencePoint{Params: p.prm}.Scenario(p.name))
+		scen = append(scen, resilienceScenario(p.name, p.prm))
 	}
 	return scen
 }
 
 func resilienceSweepJSON(t *testing.T, workers int) []byte {
 	t.Helper()
-	rs := Run(resilienceScenarios(), Options{Workers: workers})
+	rs := sweep.Run(resilienceScenarios(), sweep.Options{Workers: workers})
 	if err := rs.FirstError(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // pipeline cut to the bone so a 65537-task kernel stays a minutes-scale
 // test, not an experiment.
 func deepScaleConfig() xpic.Config {
-	cfg := Scale16384Profile()
+	cfg := scale16384Profile()
 	cfg.NY = 131072
 	cfg.Steps = 1
 	cfg.CGMaxIter = 2

@@ -1,4 +1,4 @@
-package bench_test
+package exp
 
 // End-to-end benchmarks of the largest workloads one kernel runs: the
 // fig8-scale strong-scaling points (thousands of ranks per kernel) and the
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"clusterbooster/internal/core"
-	"clusterbooster/internal/exp"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/sched"
@@ -30,10 +29,10 @@ func benchScalePoint(b *testing.B, n int, cfg xpic.Config) {
 }
 
 // BenchmarkKernelFig8Scale runs the n=1024 fig8-scale Booster point.
-func BenchmarkKernelFig8Scale(b *testing.B) { benchScalePoint(b, 1024, exp.ScaleProfile()) }
+func BenchmarkKernelFig8Scale(b *testing.B) { benchScalePoint(b, 1024, scaleProfile()) }
 
 // BenchmarkKernelFig8Scale4096 runs the n=4096 fig8-scale4096 Booster point.
-func BenchmarkKernelFig8Scale4096(b *testing.B) { benchScalePoint(b, 4096, exp.Scale4096Profile()) }
+func BenchmarkKernelFig8Scale4096(b *testing.B) { benchScalePoint(b, 4096, scale4096Profile()) }
 
 // BenchmarkKernelFacilityFailures is BenchmarkKernelFacility on a failing
 // machine: the same 1000-job backfill stream under the harsh mtbf12-style

@@ -33,7 +33,7 @@ func TestBackfillReservationInvariant(t *testing.T) {
 		jobs = append(jobs, Job{ID: 3 + i, Cluster: 0, Booster: 1,
 			Arrival: sec(float64(1 + i)), Duration: sec(2)})
 	}
-	sched, cnt, err := simulateQueue(sys, jobs, Backfill)
+	sched, cnt, _, err := simulateQueueFaults(sys, jobs, Backfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMalleableShrinkBelowMinimumRejected(t *testing.T) {
 		{ID: 2, Cluster: 8, Booster: 8, Arrival: sec(1), Duration: sec(4),
 			Malleable: true, MinCluster: 4, MinBooster: 4},
 	}
-	sched, cnt, err := simulateQueue(sys, jobs, Backfill)
+	sched, cnt, _, err := simulateQueueFaults(sys, jobs, Backfill, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestQueueDrainedTermination(t *testing.T) {
 		{ID: 3, Cluster: 2, Booster: 2, Arrival: sec(1000), Duration: sec(1)},
 	}
 	for _, pol := range []Policy{FCFS, Backfill} {
-		sched, cnt, err := simulateQueue(sys, jobs, pol)
+		sched, cnt, _, err := simulateQueueFaults(sys, jobs, pol, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,21 +204,15 @@ type queueRun struct {
 // make no progress (head blocked, nothing running) the kernel's deadlock
 // detector fails the driver and the error surfaces here.
 func SimulateQueue(sys *machine.System, jobs []Job, policy Policy) (Schedule, error) {
-	sched, _, err := simulateQueue(sys, jobs, policy)
+	sched, _, _, err := simulateQueueFaults(sys, jobs, policy, nil)
 	return sched, err
 }
 
-// simulateQueue is SimulateQueue plus the scheduler activity counters the
-// facility layer reports.
-func simulateQueue(sys *machine.System, jobs []Job, policy Policy) (Schedule, queueCounters, error) {
-	sched, cnt, _, err := simulateQueueFaults(sys, jobs, policy, nil)
-	return sched, cnt, err
-}
-
-// simulateQueueFaults is simulateQueue with an optional machine-level
-// failure/repair process (nil or disabled faults run failure-free). The
-// returned faultRun carries the availability and occupancy integrals of a
-// faulty run (nil otherwise).
+// simulateQueueFaults is SimulateQueue plus the scheduler activity counters
+// the facility layer reports, with an optional machine-level failure/repair
+// process (nil or disabled faults run failure-free). The returned faultRun
+// carries the availability and occupancy integrals of a faulty run (nil
+// otherwise).
 func simulateQueueFaults(sys *machine.System, jobs []Job, policy Policy, faults *FacilityFaults) (Schedule, queueCounters, *faultRun, error) {
 	totalC := sys.NodeCount(machine.Cluster)
 	totalB := sys.NodeCount(machine.Booster)

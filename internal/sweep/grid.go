@@ -26,17 +26,14 @@ type WorkloadVariant struct {
 
 // SCRSpec asks a scenario to checkpoint the application state through the
 // SCR-like manager after the run, and reports the checkpoint cost as the
-// "checkpoint_s" metric. Levels and Config must be consistent (CheckpointAt
-// builds a consistent pair).
+// "checkpoint_s" metric. The payload is the macro-particles each rank
+// actually holds — the fidelity-scaled count,
+// TotalParticles/ParticleScale/ranks — at 48 B per particle (six float64
+// components of phase space and weight). Levels and Config must be
+// consistent; CheckpointAt, the only constructor, builds a consistent pair.
 type SCRSpec struct {
 	Config scr.Config
 	Levels []scr.Level
-	// StateBytesPerRank overrides the checkpoint payload; 0 derives it from
-	// the macro-particles each rank actually holds — the fidelity-scaled
-	// count, TotalParticles/ParticleScale/ranks — at 48 B per particle (six
-	// float64 components of phase space and weight). Set it explicitly to
-	// cost full-fidelity state on a reduced-fidelity run.
-	StateBytesPerRank int64
 }
 
 // CheckpointAt builds an SCRSpec whose cadence config matches the requested
@@ -226,33 +223,21 @@ func (p XPicPoint) checkpoint(sys *core.System, start vclock.Time) (vclock.Time,
 	if err != nil {
 		return 0, err
 	}
-	bytesPerRank := p.SCR.StateBytesPerRank
-	if bytesPerRank <= 0 {
-		scale := p.Workload.ParticleScale
-		if scale < 1 {
-			scale = 1
-		}
-		bytesPerRank = int64(p.Workload.TotalParticles()/scale/p.NodesPerSolver) * 48
-	}
-	data := make([]byte, bytesPerRank)
-	levels := p.SCR.Levels
-	if len(levels) == 0 {
-		levels = mgr.BeginCheckpoint(1)
-	} else {
-		mgr.BeginCheckpoint(1)
-	}
+	scale := max(p.Workload.ParticleScale, 1)
+	data := make([]byte, int64(p.Workload.TotalParticles()/scale/p.NodesPerSolver)*48)
+	mgr.BeginCheckpoint(1)
 	// The checkpoint is priced post-run with one detached actor per rank,
 	// all issuing from the same post-barrier instant — the same reservation
 	// order a collective checkpoint under the kernel would produce.
 	done := start
 	for rank := range nodes {
 		a := ioev.Detach(nodes[rank], start)
-		if err := mgr.Checkpoint(a, rank, 1, data, levels); err != nil {
+		if err := mgr.Checkpoint(a, rank, 1, data, p.SCR.Levels); err != nil {
 			return 0, fmt.Errorf("sweep: checkpoint rank %d: %w", rank, err)
 		}
 		done = vclock.Max(done, a.Now())
 	}
-	for _, l := range levels {
+	for _, l := range p.SCR.Levels {
 		if l == scr.LevelGlobal {
 			a := ioev.Detach(nodes[0], done)
 			if err := mgr.CompleteGlobal(a, 1, 0); err != nil {

@@ -10,7 +10,10 @@
 // byte-identical regardless of the worker count or host scheduling. The
 // paper's evaluations (Figs. 3, 7, 8; Tables I, II of "Application
 // Performance on a Cluster-Booster System") are all parameter sweeps of this
-// shape, and internal/bench drives them through this engine.
+// shape, and internal/exp declares them and drives them through this engine.
+// Every other experiment family supplies its scenarios as Run closures; the
+// engine itself knows only the xPic grid (Grid, XPicPoint) and its run
+// cache.
 //
 // A failure in one scenario (error or panic) is recorded on that scenario's
 // Result and does not abort the sweep.

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// allocConfig is a ScaleProfile-like workload (a tall, narrow grid at a few
+// allocConfig is a workload like fig8-scale's (a tall, narrow grid at a few
 // particles per cell) that decomposes into 16 slabs of 16 rows.
 func allocConfig(steps int) Config {
 	return Config{
