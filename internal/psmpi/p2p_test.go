@@ -65,6 +65,29 @@ func TestSendHandsOverBuffer(t *testing.T) {
 	}
 }
 
+// TestScratchIsOneBufferPerLaunch checks that every rank of a launch gets
+// the same scratch buffer, which grows only for a longer request.
+func TestScratchIsOneBufferPerLaunch(t *testing.T) {
+	rt := testRuntime(4, 0)
+	first := make([]*float64, 4)
+	runJob(t, rt, 4, func(p *Proc) error {
+		buf := p.Scratch(100 - p.Rank())
+		first[p.Rank()] = &buf[0]
+		p.Barrier(p.World())
+		if p.Rank() == 0 {
+			if grown := p.Scratch(200); len(grown) != 200 || &grown[0] == &buf[0] {
+				t.Errorf("Scratch(200) after Scratch(100) did not grow the buffer")
+			}
+		}
+		return nil
+	})
+	for r, f := range first {
+		if f != first[0] {
+			t.Errorf("rank %d got a scratch buffer other than rank 0's", r)
+		}
+	}
+}
+
 func TestNonOvertaking(t *testing.T) {
 	// Messages between one (sender, receiver, tag) pair arrive in order.
 	rt := testRuntime(2, 0)

@@ -162,6 +162,11 @@ type launch struct {
 	// migration) reuse buffers as well as fixed-length ones (halo rows,
 	// interface buffers, reduction accumulators).
 	f64Free [bits.UintSize][][]float64
+	// scratch is the launch's one kernel work buffer (Scratch), under the
+	// same discipline. It is kept out of f64Free: a buffer returned there is
+	// borrowed by the next, shorter message, so the kernel's next request
+	// would find its class empty and allocate again.
+	scratch []float64
 }
 
 // f64Class is the pool class serving a length-n request: the smallest k
@@ -213,6 +218,18 @@ func (p *Proc) PutF64(buf []float64) {
 	}
 	k := bits.Len(uint(cap(buf))) - 1
 	p.l.f64Free[k] = append(p.l.f64Free[k], buf)
+}
+
+// Scratch returns a length-n work buffer that the launch owns, for a kernel
+// that uses it without parking and never sends it. Its contents are
+// unspecified, and it stays valid until the calling rank parks or calls
+// Scratch again. Every rank of the launch shares it, so a launch holds one
+// such buffer, sized for the largest request.
+func (p *Proc) Scratch(n int) []float64 {
+	if cap(p.l.scratch) < n {
+		p.l.scratch = make([]float64, n)
+	}
+	return p.l.scratch[:n]
 }
 
 // newEnv takes an envelope from the launch free list (or allocates one).

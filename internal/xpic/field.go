@@ -75,7 +75,13 @@ func (fs *FieldSolver) eComponents() [3][]float64 {
 // differences, Δx = Δy = 1). in must have valid halos. The loop hoists the
 // row bases and wraps the column neighbours with compares instead of modulo
 // — pure index arithmetic, bit-identical results.
-func (fs *FieldSolver) curl(out, in *[3][]float64) {
+//
+// With a non-nil dress, it instead computes out = (1+χ)·dress + d2·∇×in,
+// with χ the per-cell susceptibility: the last step of the curl-curl
+// operator, fused into its second curl. Each cell's value is the same
+// expression, in the same operand order, as when the curl is stored first
+// and the axpy reads it back.
+func (fs *FieldSolver) curl(out, in, dress *[3][]float64, d2 float64) {
 	g := fs.g
 	nx := g.NX
 	inx, iny, inz := in[0], in[1], in[2]
@@ -86,17 +92,38 @@ func (fs *FieldSolver) curl(out, in *[3][]float64) {
 		xu, zu := inx[row+nx:row+2*nx], inz[row+nx:row+2*nx]
 		xd, zd := inx[row-nx:row], inz[row-nx:row]
 		oxr, oyr, ozr := ox[row:row+nx], oy[row:row+nx], oz[row:row+nx]
+		// Each form has its own loop, with the periodic edges split out of
+		// the branch-free interior. Precondition: nx >= 2 (Config.Validate
+		// enforces NX >= 4).
+		if dress == nil {
+			cell := func(ix, ixp, ixm int) {
+				dZdY := (zu[ix] - zd[ix]) / 2
+				dZdX := (zr[ixp] - zr[ixm]) / 2
+				dYdX := (yr[ixp] - yr[ixm]) / 2
+				dXdY := (xu[ix] - xd[ix]) / 2
+				oxr[ix] = dZdY
+				oyr[ix] = -dZdX
+				ozr[ix] = dYdX - dXdY
+			}
+			cell(0, 1, nx-1)
+			for ix := 1; ix < nx-1; ix++ {
+				cell(ix, ix+1, ix-1)
+			}
+			cell(nx-1, 0, nx-2)
+			continue
+		}
+		dx, dy, dz := dress[0][row:row+nx], dress[1][row:row+nx], dress[2][row:row+nx]
+		chi := fs.chi[row : row+nx]
 		cell := func(ix, ixp, ixm int) {
 			dZdY := (zu[ix] - zd[ix]) / 2
 			dZdX := (zr[ixp] - zr[ixm]) / 2
 			dYdX := (yr[ixp] - yr[ixm]) / 2
 			dXdY := (xu[ix] - xd[ix]) / 2
-			oxr[ix] = dZdY
-			oyr[ix] = -dZdX
-			ozr[ix] = dYdX - dXdY
+			c := 1 + chi[ix]
+			oxr[ix] = c*dx[ix] + d2*dZdY
+			oyr[ix] = c*dy[ix] + d2*-dZdX
+			ozr[ix] = c*dz[ix] + d2*(dYdX-dXdY)
 		}
-		// Periodic edges split out of the branch-free interior loop.
-		// Precondition: nx >= 2 (Config.Validate enforces NX >= 4).
 		cell(0, 1, nx-1)
 		for ix := 1; ix < nx-1; ix++ {
 			cell(ix, ix+1, ix-1)
@@ -110,18 +137,9 @@ func (fs *FieldSolver) curl(out, in *[3][]float64) {
 // the intermediate curl is halo-exchanged over comm (the second stencil
 // application needs neighbour values of the first's result).
 func (fs *FieldSolver) applyCurlCurl(p *psmpi.Proc, comm *psmpi.Comm, out, in *[3][]float64, d2 float64) {
-	g := fs.g
-	fs.curl(&fs.cc, in)
+	fs.curl(&fs.cc, in, nil, 0)
 	fs.exchangeTriple(p, comm, &fs.cc)
-	fs.curl(out, &fs.cc)
-	lo, hi := g.NX, g.NX*(g.LY+1)
-	chi := fs.chi[lo:hi]
-	for c := 0; c < 3; c++ {
-		ov, iv := out[c][lo:hi], in[c][lo:hi]
-		for i := range ov {
-			ov[i] = (1+chi[i])*iv[i] + d2*ov[i]
-		}
-	}
+	fs.curl(out, &fs.cc, in, d2)
 }
 
 // assembleSusceptibility builds the per-cell implicit susceptibility from
@@ -140,21 +158,6 @@ func (fs *FieldSolver) assembleSusceptibility() {
 			fs.chi[i] = coeff * math.Abs(rhoe[i])
 		}
 	}
-}
-
-// dotLocal computes the dot product of two work vectors over real rows.
-// The real rows are one contiguous region (indices NX .. NX·(LY+1)), so the
-// reduction is a single streaming loop in the same element order as the
-// row-by-row form.
-func (fs *FieldSolver) dotLocal(a, b []float64) float64 {
-	g := fs.g
-	lo, hi := g.NX, g.NX*(g.LY+1)
-	av, bv := a[lo:hi], b[lo:hi]
-	var sum float64
-	for i, x := range av {
-		sum += x * bv[i]
-	}
-	return sum
 }
 
 // buildRHS forms the right-hand side E + Δt(c²∇×B − J) into fs.r (reusing it
@@ -215,14 +218,19 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 	g.ExchangeHalos(p, comm, FEx, FEy, FEz)
 	fs.applyCurlCurl(p, comm, &fs.ap, &e, d2)
 	lo, hi := g.NX, g.NX*(g.LY+1)
+	// Each dot product sums one component over the real rows, one
+	// contiguous region (indices NX .. NX·(LY+1)), in element order; the
+	// component sums then add in component order.
 	var rr float64
 	for c := 0; c < 3; c++ {
 		rv, pvv, apv := fs.r[c][lo:hi], fs.pv[c][lo:hi], fs.ap[c][lo:hi]
+		var sum float64
 		for i := range rv {
 			rv[i] -= apv[i]
 			pvv[i] = rv[i]
+			sum += rv[i] * rv[i]
 		}
-		rr += fs.dotLocal(fs.r[c], fs.r[c])
+		rr += sum
 	}
 	p.Compute(machine.Work{Class: machine.KernelFieldSolver, Flops: (flopsMatvecPerCell + 3*4) * cells})
 	rr = p.AllreduceScalar(comm, rr, psmpi.OpSum)
@@ -237,10 +245,20 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 		// Halo for the search direction, then A·p.
 		fs.exchangeTriple(p, comm, &fs.pv)
 		fs.applyCurlCurl(p, comm, &fs.ap, &fs.pv, d2)
-		var pap float64
-		for c := 0; c < 3; c++ {
-			pap += fs.dotLocal(fs.pv[c], fs.ap[c])
+		// p·Ap in one pass, one accumulator per component; the component
+		// sums then add onto +0 in component order, as above.
+		pv0, pv1, pv2 := fs.pv[0][lo:hi], fs.pv[1][lo:hi], fs.pv[2][lo:hi]
+		ap0, ap1, ap2 := fs.ap[0][lo:hi], fs.ap[1][lo:hi], fs.ap[2][lo:hi]
+		var s0, s1, s2 float64
+		for i := range pv0 {
+			s0 += pv0[i] * ap0[i]
+			s1 += pv1[i] * ap1[i]
+			s2 += pv2[i] * ap2[i]
 		}
+		var pap float64
+		pap += s0
+		pap += s1
+		pap += s2
 		pap = p.AllreduceScalar(comm, pap, psmpi.OpSum)
 		if pap == 0 {
 			break
@@ -249,11 +267,13 @@ func (fs *FieldSolver) SolveE(p *psmpi.Proc, comm *psmpi.Comm) {
 		var rrNew float64
 		for c := 0; c < 3; c++ {
 			ev, rv, pvv, apv := e[c][lo:hi], fs.r[c][lo:hi], fs.pv[c][lo:hi], fs.ap[c][lo:hi]
+			var sum float64
 			for i := range rv {
 				ev[i] += alpha * pvv[i]
 				rv[i] -= alpha * apv[i]
+				sum += rv[i] * rv[i]
 			}
-			rrNew += fs.dotLocal(fs.r[c], fs.r[c])
+			rrNew += sum
 		}
 		rrNew = p.AllreduceScalar(comm, rrNew, psmpi.OpSum)
 		beta := rrNew / rr

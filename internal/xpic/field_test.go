@@ -33,7 +33,7 @@ func TestCurlOfConstantIsZero(t *testing.T) {
 			}
 		}
 		out := [3][]float64{make([]float64, len(in[0])), make([]float64, len(in[0])), make([]float64, len(in[0]))}
-		fs.curl(&out, &in)
+		fs.curl(&out, &in, nil, 0)
 		for c := range out {
 			for iy := 1; iy <= g.LY; iy++ {
 				for ix := 0; ix < g.NX; ix++ {
@@ -62,7 +62,7 @@ func TestCurlOfSinusoid(t *testing.T) {
 			}
 		}
 		out := [3][]float64{make([]float64, len(in[0])), make([]float64, len(in[0])), make([]float64, len(in[0]))}
-		fs.curl(&out, &in)
+		fs.curl(&out, &in, nil, 0)
 		// Central difference of sin(kx) is sin(k)/1 × cos(kx) (modified wavenumber).
 		keff := math.Sin(k)
 		for ix := 0; ix < n; ix++ {

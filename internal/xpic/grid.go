@@ -75,15 +75,6 @@ func (g *Grid) F(f Field) []float64 { return g.fields[f] }
 // index; iy=0 and iy=LY+1 are the ghost rows.
 func (g *Grid) Idx(ix, iy int) int { return iy*g.NX + ix }
 
-// WrapX wraps a column index periodically.
-func (g *Grid) WrapX(ix int) int {
-	ix %= g.NX
-	if ix < 0 {
-		ix += g.NX
-	}
-	return ix
-}
-
 // row returns row iy of the field (real rows 1..LY, ghosts 0 and LY+1).
 func (g *Grid) row(f Field, iy int) []float64 {
 	return g.fields[f][iy*g.NX : (iy+1)*g.NX]
@@ -102,13 +93,6 @@ func (g *Grid) ClearGhosts(fields ...Field) {
 	for _, f := range fields {
 		clear(g.row(f, 0))
 		clear(g.row(f, g.LY+1))
-	}
-}
-
-// Zero clears the fields entirely (ghosts included).
-func (g *Grid) Zero(fields ...Field) {
-	for _, f := range fields {
-		clear(g.fields[f])
 	}
 }
 

@@ -144,59 +144,19 @@ func (ps *ParticleSolver) TotalN() int {
 	return n
 }
 
-// interp evaluates a field at (x, y) with bilinear (cloud-in-cell)
-// interpolation. Coordinates are global; y must lie within this slab
-// (ghost rows supply the upper neighbour's values).
-func (ps *ParticleSolver) interp(a []float64, x, y float64) float64 {
-	g := ps.g
-	// Local y: row 1 covers global [Y0, Y0+1).
-	ly := y - float64(g.Y0) + 1
-	ix := int(math.Floor(x))
-	iy := int(math.Floor(ly))
-	fx := x - float64(ix)
-	fy := ly - float64(iy)
-	i00 := g.Idx(g.WrapX(ix), iy)
-	i10 := g.Idx(g.WrapX(ix+1), iy)
-	i01 := g.Idx(g.WrapX(ix), iy+1)
-	i11 := g.Idx(g.WrapX(ix+1), iy+1)
-	return a[i00]*(1-fx)*(1-fy) + a[i10]*fx*(1-fy) + a[i01]*(1-fx)*fy + a[i11]*fx*fy
-}
-
-// deposit adds w·weight to the four cells around (x, y) of field a.
-func (ps *ParticleSolver) deposit(a []float64, x, y, w float64) {
-	g := ps.g
-	ly := y - float64(g.Y0) + 1
-	ix := int(math.Floor(x))
-	iy := int(math.Floor(ly))
-	fx := x - float64(ix)
-	fy := ly - float64(iy)
-	a[g.Idx(g.WrapX(ix), iy)] += w * (1 - fx) * (1 - fy)
-	a[g.Idx(g.WrapX(ix+1), iy)] += w * fx * (1 - fy)
-	a[g.Idx(g.WrapX(ix), iy+1)] += w * (1 - fx) * fy
-	a[g.Idx(g.WrapX(ix+1), iy+1)] += w * fx * fy
-}
-
-// stencil is the shared bilinear (cloud-in-cell) stencil of one particle:
-// the four cell indices and the weight factors every per-component
-// interpolation and deposit reuses. Computing it once per particle (instead
-// of once per field component) is what makes the hot kernels fast; the
-// per-component arithmetic keeps exactly the shape of interp/deposit, so the
-// results stay bit-identical.
-type stencil struct {
-	i00, i10, i01, i11 int
-	fx, fy, gx, gy     float64 // fractional offsets and their complements
-}
-
-// makeStencil builds the stencil for global coordinates (x, y) on a slab
-// whose row 1 covers global [y0, y0+1); x must lie in [0, nx] (the periodic
-// wrap leaves positions there) and y within the slab. Small enough to inline
-// into the particle loops.
-func makeStencil(x, y, y0 float64, nx int) stencil {
+// cellAt locates the bilinear (cloud-in-cell) stencil of a particle at
+// global (x, y) on a slab whose row 1 covers global [y0, y0+1): the cell
+// indices of its lower-left and lower-right corners (the upper two are one
+// row, nx cells, further on) and its fractional offsets. x must lie in
+// [0, nx] (the periodic wrap leaves positions there) and y within the slab,
+// so ly lies in [1, LY+1). Both are non-negative, where truncation toward
+// zero and math.Floor agree, so int(x) names the same cell as
+// int(math.Floor(x)). It inlines into Move and Gather
+// (go build -gcflags=-m ./internal/xpic reports "can inline cellAt").
+func cellAt(x, y, y0 float64, nx int) (i0, i1 int, fx, fy float64) {
 	ly := y - y0 + 1
-	ix := int(math.Floor(x))
-	iy := int(math.Floor(ly))
-	fx := x - float64(ix)
-	fy := ly - float64(iy)
+	ix, iy := int(x), int(ly)
+	fx, fy = x-float64(ix), ly-float64(iy)
 	if ix >= nx { // x == NX exactly (wrap boundary)
 		ix -= nx
 	}
@@ -204,25 +164,7 @@ func makeStencil(x, y, y0 float64, nx int) stencil {
 	if ixp >= nx {
 		ixp -= nx
 	}
-	row := iy * nx
-	return stencil{
-		i00: row + ix, i10: row + ixp, i01: row + ix + nx, i11: row + ixp + nx,
-		fx: fx, fy: fy, gx: 1 - fx, gy: 1 - fy,
-	}
-}
-
-// gather evaluates a field at the stencil — interp with the stencil hoisted.
-func (st stencil) gather(a []float64) float64 {
-	return a[st.i00]*st.gx*st.gy + a[st.i10]*st.fx*st.gy + a[st.i01]*st.gx*st.fy + a[st.i11]*st.fx*st.fy
-}
-
-// scatter adds w·weight to the four stencil cells — deposit with the stencil
-// hoisted.
-func (st stencil) scatter(a []float64, w float64) {
-	a[st.i00] += w * st.gx * st.gy
-	a[st.i10] += w * st.fx * st.gy
-	a[st.i01] += w * st.gx * st.fy
-	a[st.i11] += w * st.fx * st.fy
+	return iy*nx + ix, iy*nx + ixp, fx, fy
 }
 
 // wrapPeriodic wraps x into [0, L) after a position push, bit-identically to
@@ -252,11 +194,19 @@ func wrapPeriodic(x, l float64) float64 {
 // Move advances all particles one step with the Boris scheme under the
 // current E and B (ParticlesMove of Listing 1) and charges the particle
 // kernel cost for the *configured* particle count (scale-invariant timing).
+// E and B are first packed into one [Ex Ey Ez Bx By Bz] record per cell, so
+// that each particle reads its four corner records instead of 24 values
+// scattered over six arrays.
 func (ps *ParticleSolver) Move(p *psmpi.Proc) {
 	g := ps.g
 	dt := ps.cfg.Dt
 	ex, ey, ez := g.F(FEx), g.F(FEy), g.F(FEz)
 	bx, by, bz := g.F(FBx), g.F(FBy), g.F(FBz)
+	eb := p.Scratch(6 * len(ex))
+	for i := range ex {
+		r := (*[6]float64)(eb[6*i:])
+		r[0], r[1], r[2], r[3], r[4], r[5] = ex[i], ey[i], ez[i], bx[i], by[i], bz[i]
+	}
 	nx, ny := float64(g.NX), float64(g.NY)
 	y0, nxi := float64(g.Y0), g.NX
 	for _, s := range ps.Species {
@@ -265,13 +215,16 @@ func (ps *ParticleSolver) Move(p *psmpi.Proc) {
 		sVX, sVY, sVZ := s.VX, s.VY, s.VZ
 		for i := range sX {
 			x, y := sX[i], sY[i]
-			st := makeStencil(x, y, y0, nxi)
-			eix := st.gather(ex)
-			eiy := st.gather(ey)
-			eiz := st.gather(ez)
-			bix := st.gather(bx)
-			biy := st.gather(by)
-			biz := st.gather(bz)
+			i0, i1, fx, fy := cellAt(x, y, y0, nxi)
+			gx, gy := 1-fx, 1-fy
+			r00, r10 := (*[6]float64)(eb[6*i0:]), (*[6]float64)(eb[6*i1:])
+			r01, r11 := (*[6]float64)(eb[6*(i0+nxi):]), (*[6]float64)(eb[6*(i1+nxi):])
+			eix := r00[0]*gx*gy + r10[0]*fx*gy + r01[0]*gx*fy + r11[0]*fx*fy
+			eiy := r00[1]*gx*gy + r10[1]*fx*gy + r01[1]*gx*fy + r11[1]*fx*fy
+			eiz := r00[2]*gx*gy + r10[2]*fx*gy + r01[2]*gx*fy + r11[2]*fx*fy
+			bix := r00[3]*gx*gy + r10[3]*fx*gy + r01[3]*gx*fy + r11[3]*fx*fy
+			biy := r00[4]*gx*gy + r10[4]*fx*gy + r01[4]*gx*fy + r11[4]*fx*fy
+			biz := r00[5]*gx*gy + r10[5]*fx*gy + r01[5]*gx*fy + r11[5]*fx*fy
 			// Boris: half electric kick, magnetic rotation, half kick.
 			vx := sVX[i] + qmdt2*eix
 			vy := sVY[i] + qmdt2*eiy
@@ -301,12 +254,16 @@ func (ps *ParticleSolver) Move(p *psmpi.Proc) {
 
 // Gather deposits the charge density and current of all species (the
 // moment gathering of Listing 1). Deposits land in local and ghost rows;
-// call Grid.ReduceMomentHalos afterwards.
+// call Grid.ReduceMomentHalos afterwards. They accumulate in one
+// [ρ Jx Jy Jz ρe] record per cell, which then overwrites all five moment
+// arrays, ghost rows included: each cell receives the same additions, in
+// the same particle order, as when depositing into the arrays directly.
 func (ps *ParticleSolver) Gather(p *psmpi.Proc) {
 	g := ps.g
-	g.Zero(MomentNames...)
 	rho, jx, jy, jz := g.F(FRho), g.F(FJx), g.F(FJy), g.F(FJz)
 	rhoe := g.F(FRhoE)
+	acc := p.Scratch(5 * len(rho))
+	clear(acc)
 	y0, nxi := float64(g.Y0), g.NX
 	var flops float64
 	for _, s := range ps.Species {
@@ -315,14 +272,33 @@ func (ps *ParticleSolver) Gather(p *psmpi.Proc) {
 		sX, sY := s.X, s.Y
 		sVX, sVY, sVZ := s.VX, s.VY, s.VZ
 		for i := range sX {
-			st := makeStencil(sX[i], sY[i], y0, nxi)
-			st.scatter(rho, q)
-			st.scatter(jx, q*sVX[i])
-			st.scatter(jy, q*sVY[i])
-			st.scatter(jz, q*sVZ[i])
+			i0, i1, fx, fy := cellAt(sX[i], sY[i], y0, nxi)
+			gx, gy := 1-fx, 1-fy
+			c00, c10 := (*[5]float64)(acc[5*i0:]), (*[5]float64)(acc[5*i1:])
+			c01, c11 := (*[5]float64)(acc[5*(i0+nxi):]), (*[5]float64)(acc[5*(i1+nxi):])
+			wx, wy, wz := q*sVX[i], q*sVY[i], q*sVZ[i]
+			c00[0] += q * gx * gy
+			c10[0] += q * fx * gy
+			c01[0] += q * gx * fy
+			c11[0] += q * fx * fy
+			c00[1] += wx * gx * gy
+			c10[1] += wx * fx * gy
+			c01[1] += wx * gx * fy
+			c11[1] += wx * fx * fy
+			c00[2] += wy * gx * gy
+			c10[2] += wy * fx * gy
+			c01[2] += wy * gx * fy
+			c11[2] += wy * fx * fy
+			c00[3] += wz * gx * gy
+			c10[3] += wz * fx * gy
+			c01[3] += wz * gx * fy
+			c11[3] += wz * fx * fy
 			if electron {
 				// Electron density for the field solver's susceptibility.
-				st.scatter(rhoe, -q)
+				c00[4] += -q * gx * gy
+				c10[4] += -q * fx * gy
+				c01[4] += -q * gx * fy
+				c11[4] += -q * fx * fy
 			}
 		}
 		perPart := flopsMoments
@@ -330,6 +306,10 @@ func (ps *ParticleSolver) Gather(p *psmpi.Proc) {
 			perPart += flopsRhoEDeposit
 		}
 		flops += perPart * float64(s.N()) * ps.scale
+	}
+	for i := range rho {
+		c := (*[5]float64)(acc[5*i:])
+		rho[i], jx[i], jy[i], jz[i], rhoe[i] = c[0], c[1], c[2], c[3], c[4]
 	}
 	p.Compute(machine.Work{Class: machine.KernelParticle, Flops: flops})
 }

@@ -288,16 +288,6 @@ func TestGridHaloLocalWrap(t *testing.T) {
 	}
 }
 
-func TestWrapX(t *testing.T) {
-	g := NewGrid(8, 8, 0, 1)
-	cases := map[int]int{-1: 7, 0: 0, 7: 7, 8: 0, 15: 7, -8: 0}
-	for in, want := range cases {
-		if got := g.WrapX(in); got != want {
-			t.Errorf("WrapX(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestCGConverges(t *testing.T) {
 	// The field solve must converge well below the iteration cap on the
 	// quick workload.
