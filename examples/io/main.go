@@ -44,27 +44,31 @@ func main() {
 	var got []byte
 	res, err := sys.Runtime.Launch(psmpi.LaunchSpec{Nodes: nodes, Main: func(p *psmpi.Proc) error {
 		rank := p.Rank()
-		if err := w.WriteTask(p, rank, payloads[rank]); err != nil {
+		op, err := w.SubmitWriteTask(ioev.Start(p), rank, payloads[rank], p.Node())
+		if err != nil {
 			return err
 		}
+		ioev.Await(p, op)
 		p.Barrier(p.World())
 		if rank == 0 {
-			if err := w.Close(p); err != nil {
+			if op, err = w.SubmitClose(ioev.Start(p), p.Node()); err != nil {
 				return err
 			}
+			ioev.Await(p, op)
 			tClose = p.Now()
 		}
 		p.Barrier(p.World())
 		if rank == 3 {
 			// Read back another rank's stream from a different node.
-			r, err := sion.OpenRead(p, sys.FS, "/data/moments.sion")
+			r, op, err := sion.SubmitOpenRead(sys.FS, "/data/moments.sion", p.Node(), ioev.Start(p))
 			if err != nil {
 				return err
 			}
-			got, err = r.ReadTask(p, 7)
-			if err != nil {
+			ioev.Await(p, op)
+			if got, op, err = r.SubmitReadTask(ioev.Start(p), 7, p.Node()); err != nil {
 				return err
 			}
+			ioev.Await(p, op)
 			tRead = p.Now()
 		}
 		return nil

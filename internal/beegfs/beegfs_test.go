@@ -18,59 +18,40 @@ func testFS() (*FS, *machine.System) {
 	return New(fabric.New(sys)), sys
 }
 
-// create, write and read run the Submit* calls from the actor's node and
-// park it until they complete.
-func create(fs *FS, a ioev.Proc, path string) {
-	ioev.Await(a, fs.SubmitCreate(ioev.Start(a), path, a.Node()))
-}
-
-func write(fs *FS, a ioev.Proc, path string, offset int64, data []byte) error {
-	op, err := fs.SubmitWrite(ioev.Start(a), path, offset, data, a.Node())
-	if err == nil {
-		ioev.Await(a, op)
-	}
-	return err
-}
-
-func read(fs *FS, a ioev.Proc, path string, offset, size int64) ([]byte, error) {
-	out, op, err := fs.SubmitRead(ioev.Start(a), path, offset, size, a.Node())
-	if err == nil {
-		ioev.Await(a, op)
-	}
-	return out, err
-}
+// at0 is the dependency of every operation whose timing a test ignores.
+var at0 = ioev.At(0)
 
 func TestCreateWriteReadBack(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/out/data.bin")
+	n := sys.Node(0)
+	created := fs.SubmitCreate(at0, "/out/data.bin", n)
 	payload := bytes.Repeat([]byte("deep-er!"), 1000)
-	if err := write(fs, a, "/out/data.bin", 0, payload); err != nil {
+	done, err := fs.SubmitWrite(created, "/out/data.bin", 0, payload, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := a.Now()
-	got, err := read(fs, a, "/out/data.bin", 0, int64(len(payload)))
+	got, read, err := fs.SubmitRead(done, "/out/data.bin", 0, int64(len(payload)), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read back differs from written data")
 	}
-	if a.Now() <= done {
+	if read.Time() <= done.Time() {
 		t.Fatal("read completed before it started")
 	}
 }
 
 func TestWriteAtOffsetExtends(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/f")
-	write(fs, a, "/f", 10, []byte("abc"))
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/f", n)
+	fs.SubmitWrite(at0, "/f", 10, []byte("abc"), n)
 	size, err := fs.Size("/f")
 	if err != nil || size != 13 {
 		t.Fatalf("size = %d (%v), want 13", size, err)
 	}
-	got, _ := read(fs, a, "/f", 0, 13)
+	got, _, _ := fs.SubmitRead(at0, "/f", 0, 13, n)
 	if got[0] != 0 || string(got[10:]) != "abc" {
 		t.Fatalf("content = %q", got)
 	}
@@ -78,11 +59,11 @@ func TestWriteAtOffsetExtends(t *testing.T) {
 
 func TestMissingFileErrors(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	if err := write(fs, a, "/nope", 0, []byte("x")); err == nil {
+	n := sys.Node(0)
+	if _, err := fs.SubmitWrite(at0, "/nope", 0, []byte("x"), n); err == nil {
 		t.Error("write to missing file succeeded")
 	}
-	if _, err := read(fs, a, "/nope", 0, 1); err == nil {
+	if _, _, err := fs.SubmitRead(at0, "/nope", 0, 1, n); err == nil {
 		t.Error("read of missing file succeeded")
 	}
 	if _, err := fs.Size("/nope"); err == nil {
@@ -92,20 +73,20 @@ func TestMissingFileErrors(t *testing.T) {
 
 func TestReadBeyondEOF(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/f")
-	write(fs, a, "/f", 0, []byte("abc"))
-	if _, err := read(fs, a, "/f", 0, 10); err == nil {
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/f", n)
+	fs.SubmitWrite(at0, "/f", 0, []byte("abc"), n)
+	if _, _, err := fs.SubmitRead(at0, "/f", 0, 10, n); err == nil {
 		t.Error("read beyond EOF succeeded")
 	}
 }
 
 func TestReadNegativeSizeErrors(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/f")
-	write(fs, a, "/f", 0, []byte("abcdef"))
-	if _, err := read(fs, a, "/f", 4, -2); err == nil {
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/f", n)
+	fs.SubmitWrite(at0, "/f", 0, []byte("abcdef"), n)
+	if _, _, err := fs.SubmitRead(at0, "/f", 4, -2, n); err == nil {
 		t.Error("read with a negative size succeeded")
 	}
 }
@@ -114,13 +95,13 @@ func TestReadNegativeSizeErrors(t *testing.T) {
 // content and frees the space it held.
 func TestDeleteFreesSpace(t *testing.T) {
 	fs, sys := testFS()
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/f")
-	write(fs, a, "/f", 0, make([]byte, 1000))
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/f", n)
+	fs.SubmitWrite(at0, "/f", 0, make([]byte, 1000), n)
 	if fs.used != 1000 {
 		t.Fatalf("used = %d", fs.used)
 	}
-	create(fs, a, "/f")
+	fs.SubmitCreate(at0, "/f", n)
 	if size, _ := fs.Size("/f"); fs.used != 0 || size != 0 {
 		t.Fatalf("re-create left used = %d, size = %d", fs.used, size)
 	}
@@ -129,9 +110,9 @@ func TestDeleteFreesSpace(t *testing.T) {
 func TestCapacityEnforced(t *testing.T) {
 	fs, sys := testFS()
 	fs.cfg.CapacityBytes = 1000
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/f")
-	if err := write(fs, a, "/f", 0, make([]byte, 2000)); err == nil {
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/f", n)
+	if _, err := fs.SubmitWrite(at0, "/f", 0, make([]byte, 2000), n); err == nil {
 		t.Error("overflow accepted")
 	}
 }
@@ -141,14 +122,14 @@ func TestStripingUsesBothTargets(t *testing.T) {
 	// be roughly one chunk per target, not two chunks on one.
 	fs, sys := testFS()
 	fs.cfg.ChunkSize = 1 << 20
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/big")
-	start := a.Now()
+	n := sys.Node(0)
+	created := fs.SubmitCreate(at0, "/big", n)
 	twoChunks := make([]byte, 2<<20)
-	if err := write(fs, a, "/big", 0, twoChunks); err != nil {
+	done, err := fs.SubmitWrite(created, "/big", 0, twoChunks, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := a.Now() - start
+	elapsed := done.Time() - created.Time()
 	perChunkDisk := float64(1<<20) / (fs.cfg.TargetGBs * 1e9)
 	// Both chunks cross the client's injection link serially (~2 net times),
 	// then hit different disks in parallel: total ≪ 2 disk times + 2 net.
@@ -191,13 +172,13 @@ func TestSubmitWriteThreadsDependency(t *testing.T) {
 func TestQuickWriteReadRoundTrip(t *testing.T) {
 	fs, sys := testFS()
 	fs.cfg.ChunkSize = 64
-	a := ioev.Detach(sys.Node(0), 0)
-	create(fs, a, "/q")
+	n := sys.Node(0)
+	fs.SubmitCreate(at0, "/q", n)
 	f := func(off uint16, data []byte) bool {
-		if err := write(fs, a, "/q", int64(off), data); err != nil {
+		if _, err := fs.SubmitWrite(at0, "/q", int64(off), data, n); err != nil {
 			return false
 		}
-		got, err := read(fs, a, "/q", int64(off), int64(len(data)))
+		got, _, err := fs.SubmitRead(at0, "/q", int64(off), int64(len(data)), n)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -206,6 +187,19 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 }
 
 // --- cache domain tests ---
+
+// actor is the minimal ioev.Proc the cache domain's parking API needs
+// outside a kernel job: a private clock that Elapse advances, and CallAt
+// callbacks run inline at issue time.
+type actor struct {
+	node *machine.Node
+	now  vclock.Time
+}
+
+func (a *actor) Node() *machine.Node             { return a.node }
+func (a *actor) Now() vclock.Time                { return a.now }
+func (a *actor) Elapse(d vclock.Time)            { a.now += d }
+func (a *actor) CallAt(_ vclock.Time, fn func()) { fn() }
 
 func cacheSetup(mode CacheMode) (*Cache, *machine.System) {
 	sys := machine.New(4, 2)
@@ -222,12 +216,12 @@ func TestCacheAsyncFasterThanSync(t *testing.T) {
 	// The point of the cache domain: async writes return at NVMe speed.
 	data := make([]byte, 64<<20)
 	ca, sysA := cacheSetup(CacheAsync)
-	aa := ioev.Detach(sysA.Node(0), 0)
+	aa := &actor{node: sysA.Node(0)}
 	if err := ca.Write(aa, "/ckpt", data); err != nil {
 		t.Fatal(err)
 	}
 	cs, sysS := cacheSetup(CacheSync)
-	as := ioev.Detach(sysS.Node(0), 0)
+	as := &actor{node: sysS.Node(0)}
 	if err := cs.Write(as, "/ckpt", data); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +240,7 @@ func TestCacheAsyncFasterThanSync(t *testing.T) {
 func TestCacheDrainCoversFlush(t *testing.T) {
 	c, sys := cacheSetup(CacheAsync)
 	data := make([]byte, 64<<20)
-	a := ioev.Detach(sys.Node(0), 0)
+	a := &actor{node: sys.Node(0)}
 	c.Write(a, "/a", data)
 	localDone := a.Now()
 	c.Drain(a)
@@ -266,12 +260,10 @@ func TestCacheDrainCoversFlush(t *testing.T) {
 func TestCacheContentRoundTrip(t *testing.T) {
 	c, sys := cacheSetup(CacheSync)
 	data := []byte("precious checkpoint bytes")
-	a := ioev.Detach(sys.Node(2), 0)
-	if err := c.Write(a, "/f", append([]byte(nil), data...)); err != nil {
+	if err := c.Write(&actor{node: sys.Node(2)}, "/f", append([]byte(nil), data...)); err != nil {
 		t.Fatal(err)
 	}
-	b := ioev.Detach(sys.Node(3), 0)
-	got, err := read(c.fs, b, "/f", 0, int64(len(data)))
+	got, _, err := c.fs.SubmitRead(at0, "/f", 0, int64(len(data)), sys.Node(3))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("global read = %q (%v)", got, err)
 	}
@@ -283,7 +275,7 @@ func TestCacheRejectsForeignNode(t *testing.T) {
 	fs := New(net)
 	devs := map[int]*nvme.Device{sys.Node(0).ID: nvme.New(nvme.P3700())}
 	c := NewCache(fs, CacheAsync, devs)
-	a := ioev.Detach(sys.Node(1), 0)
+	a := &actor{node: sys.Node(1)}
 	if err := c.Write(a, "/f", []byte("x")); err == nil {
 		t.Error("write from node outside the cache domain succeeded")
 	}
@@ -296,7 +288,7 @@ func TestCacheWriteAllocatesOnePayload(t *testing.T) {
 	data := bytes.Repeat([]byte("c"), size)
 	for _, mode := range []CacheMode{CacheAsync, CacheSync} {
 		c, sys := cacheSetup(mode)
-		a := ioev.Detach(sys.Node(0), 0)
+		a := &actor{node: sys.Node(0)}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := c.Write(a, "/ckpt", data); err != nil {

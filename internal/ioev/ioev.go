@@ -1,22 +1,26 @@
 // Package ioev is the seam between the I/O stack and the discrete-event
-// kernel. It gives the storage packages (beegfs, nvme, sion, nam) two ways
-// to express "this operation finishes at virtual time t" without threading
-// raw `ready vclock.Time` values through their public APIs:
+// kernel. The storage packages (beegfs, nvme, sion, nam, scr) express "this
+// operation finishes at virtual time t" without threading raw
+// `ready vclock.Time` values through their public APIs:
 //
-//   - The parking layer: methods take an ioev.Proc — any actor with a clock
-//     and the ability to sleep on it, in practice a *psmpi.Proc — issue their
-//     device/fabric reservations at p.Now(), and park the caller with Await
-//     until the data is durable. Under the kernel the park is a scheduled
-//     wakeup event; the baton hand-off serialises every storage touch.
+//   - Submit* methods take an opaque completion token (Op) as their
+//     dependency and return a new Op for the completion, without parking.
+//     Composed paths — a SION writer fanning a flush across stripe targets,
+//     SCR issuing a local put and a buddy copy from the same instant —
+//     chain Submit calls to price overlapping operations from one
+//     dependency point and join them with After. The token wraps a virtual
+//     instant but deliberately does not expose mutation: only ioev can mint
+//     one from a raw time, so storage APIs cannot regrow hand-threaded
+//     timestamp plumbing.
 //
-//   - The submission layer: Submit* methods thread an opaque completion
-//     token (Op) instead of parking. Composed paths — a SION writer fanning
-//     a flush across stripe targets, SCR issuing a local put and a buddy
-//     copy from the same instant — chain Submit calls to price overlapping
-//     operations from one dependency point and park exactly once at the
-//     join. The token wraps a virtual instant but deliberately does not
-//     expose mutation: only ioev can mint one from a raw time, so storage
-//     APIs cannot regrow hand-threaded timestamp plumbing.
+//   - A rank that must wait for the data parks on the token with Await,
+//     once per call site: op, err := X.Submit…(ioev.Start(p), …, p.Node())
+//     then ioev.Await(p, op). Under the kernel the park is a scheduled
+//     wakeup event; the baton hand-off serialises every storage touch, and
+//     the park lets other ranks reserve links and device queues first.
+//
+// beegfs.Cache is the one parking API: its asynchronous flush completion is
+// a kernel callback (Proc.CallAt), so it needs the actor, not just a token.
 //
 // The package also owns the process-global I/O event counters surfaced by
 // `cbctl run -stats` (container bytes, cache-domain
@@ -29,13 +33,10 @@ import (
 )
 
 // Proc is the actor on whose virtual clock an I/O operation is issued and
-// awaited. *psmpi.Proc satisfies it inside a kernel job; Detach builds a
-// free-standing implementation for pricing I/O outside any kernel (tests,
-// benchmarks, post-run sweep accounting).
+// awaited; *psmpi.Proc satisfies it inside a kernel job.
 type Proc interface {
 	// Node returns the machine node the actor runs on (the I/O initiator
-	// for fabric transfers). Detached actors may return nil; operations
-	// that cross the fabric require a non-nil node.
+	// for fabric transfers).
 	Node() *machine.Node
 	// Now returns the actor's current virtual time.
 	Now() vclock.Time
@@ -43,7 +44,7 @@ type Proc interface {
 	// other tasks run during the span. Elapse(0) still yields the baton.
 	Elapse(d vclock.Time)
 	// CallAt schedules fn to run as a kernel event at virtual time at,
-	// holding the baton. Detached actors run fn inline at issue time.
+	// holding the baton.
 	CallAt(at vclock.Time, fn func())
 }
 
@@ -55,9 +56,10 @@ type Op struct {
 	t vclock.Time
 }
 
-// At mints a completion token for a raw virtual instant. This is the SPI
-// for storage-backend implementations and timing tests; application code
-// starts from Start(p) and composes with After.
+// At mints a completion token for a raw virtual instant: the SPI for
+// storage-backend implementations, post-run pricing outside a kernel job,
+// and timing tests. Code running on a rank starts from Start(p) and
+// composes with After.
 func At(t vclock.Time) Op { return Op{t: t} }
 
 // Start returns a token for the actor's current instant — the dependency
@@ -89,38 +91,3 @@ func Await(p Proc, op Op) {
 	}
 	p.Elapse(d)
 }
-
-// Detached is a free-standing Proc for pricing I/O outside a kernel job:
-// unit tests, benchmarks, and sweep post-run accounting construct one per
-// logical rank and read the accumulated virtual time back with Now. Elapse
-// advances a private clock without yielding (there is nothing to yield to),
-// and CallAt runs the callback inline at issue time, so completion-event
-// bookkeeping (e.g. cache-flush accounting) is visible immediately.
-type Detached struct {
-	node *machine.Node
-	now  vclock.Time
-}
-
-// Detach builds a detached actor on node (nil is allowed when no fabric
-// transfer will be issued) whose clock starts at start.
-func Detach(node *machine.Node, start vclock.Time) *Detached {
-	return &Detached{node: node, now: start}
-}
-
-// Node returns the actor's node; may be nil.
-func (d *Detached) Node() *machine.Node { return d.node }
-
-// Now returns the actor's private clock.
-func (d *Detached) Now() vclock.Time { return d.now }
-
-// Elapse advances the private clock.
-func (d *Detached) Elapse(dur vclock.Time) {
-	if dur < 0 {
-		panic("ioev: Elapse with negative duration")
-	}
-	d.now += dur
-}
-
-// CallAt runs fn inline: a detached actor has no event queue, so deferred
-// bookkeeping happens at issue time (the instant at is discarded).
-func (d *Detached) CallAt(_ vclock.Time, fn func()) { fn() }

@@ -17,6 +17,7 @@ import (
 	"clusterbooster/internal/beegfs"
 	"clusterbooster/internal/core"
 	"clusterbooster/internal/ioev"
+	"clusterbooster/internal/nam"
 	"clusterbooster/internal/psmpi"
 	"clusterbooster/internal/sion"
 	"clusterbooster/internal/vclock"
@@ -93,7 +94,7 @@ func run(sys *core.System, p Params) (Outcome, error) {
 	// Strategy-shared fixtures built before the job, priced from instant 0.
 	var w *sion.Writer
 	var cache *beegfs.Cache
-	regions := map[int]func(ioev.Proc) error{}
+	regions := map[int]*nam.Region{}
 	switch p.Strategy {
 	case SIONGlobal:
 		w, _, err = sion.SubmitCreate(sys.FS, "/io/all.sion", p.Nodes, blockSize, nodes[0], ioev.At(0))
@@ -107,17 +108,15 @@ func run(sys *core.System, p Params) (Outcome, error) {
 	case NAM:
 		dev := sys.NAM[0]
 		for rank, n := range nodes {
-			r, err := dev.Alloc(fmt.Sprintf("io/%s", n.Name()), p.Size)
-			if err != nil {
+			if regions[rank], err = dev.Alloc(fmt.Sprintf("io/%s", n.Name()), p.Size); err != nil {
 				return Outcome{}, err
 			}
-			regions[rank] = func(q ioev.Proc) error { return r.Write(q, p.Size) }
 		}
 	}
 
 	// One payload buffer serves every rank: each write path copies the
-	// caller's data before it first parks and keeps none of it, so the
-	// next rank may refill the buffer as soon as this one is parked. The
+	// caller's data before it returns and keeps none of it, so the next
+	// rank may refill the buffer as soon as this one is parked. The
 	// buddy and NAM strategies move sizes only and never make it.
 	var buf []byte
 	payload := func(rank int) []byte {
@@ -136,29 +135,36 @@ func run(sys *core.System, p Params) (Outcome, error) {
 		rank := q.Rank()
 		switch p.Strategy {
 		case SIONGlobal:
-			if err := w.WriteTask(q, rank, payload(rank)); err != nil {
+			op, err := w.SubmitWriteTask(ioev.Start(q), rank, payload(rank), q.Node())
+			if err != nil {
 				return err
 			}
+			ioev.Await(q, op)
 			note(&ret, q.Now())
 			q.Barrier(q.World())
 			if rank == 0 {
-				if err := w.Close(q); err != nil {
+				op, err := w.SubmitClose(ioev.Start(q), q.Node())
+				if err != nil {
 					return err
 				}
+				ioev.Await(q, op)
 				note(&durable, q.Now())
 			}
 		case SIONLocal:
 			b := sion.NewDeviceBackend(sys.NVMe[q.Node().ID])
-			lw, err := sion.Create(q, b, "/io/local.sion", 1, blockSize)
+			lw, op, err := sion.SubmitCreate(b, "/io/local.sion", 1, blockSize, q.Node(), ioev.Start(q))
 			if err != nil {
 				return err
 			}
-			if err := lw.WriteTask(q, 0, payload(rank)); err != nil {
+			ioev.Await(q, op)
+			if op, err = lw.SubmitWriteTask(ioev.Start(q), 0, payload(rank), q.Node()); err != nil {
 				return err
 			}
-			if err := lw.Close(q); err != nil {
+			ioev.Await(q, op)
+			if op, err = lw.SubmitClose(ioev.Start(q), q.Node()); err != nil {
 				return err
 			}
+			ioev.Await(q, op)
 			note(&ret, q.Now())
 			note(&durable, q.Now())
 		case CacheSync, CacheAsync:
@@ -176,19 +182,24 @@ func run(sys *core.System, p Params) (Outcome, error) {
 			// copy to the neighbour's NVMe trails behind it (SCR's buddy
 			// level, but measured as the two instants it splits into).
 			name := fmt.Sprintf("io/rank%d", rank)
-			if err := sys.NVMe[q.Node().ID].Put(q, name, p.Size); err != nil {
+			op, err := sys.NVMe[q.Node().ID].SubmitPut(ioev.Start(q), name, p.Size)
+			if err != nil {
 				return err
 			}
+			ioev.Await(q, op)
 			note(&ret, q.Now())
 			buddy := nodes[(rank+1)%p.Nodes]
-			if err := sion.Buddy(q, sys.Network, buddy, sys.NVMe[buddy.ID], name, p.Size); err != nil {
+			if op, err = sion.SubmitBuddy(sys.Network, q.Node(), buddy, sys.NVMe[buddy.ID], name, p.Size, ioev.Start(q)); err != nil {
 				return err
 			}
+			ioev.Await(q, op)
 			note(&durable, q.Now())
 		case NAM:
-			if err := regions[rank](q); err != nil {
+			op, err := regions[rank].SubmitWrite(ioev.Start(q), q.Node(), p.Size)
+			if err != nil {
 				return err
 			}
+			ioev.Await(q, op)
 			note(&ret, q.Now())
 			note(&durable, q.Now())
 		default:

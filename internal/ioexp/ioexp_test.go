@@ -57,8 +57,9 @@ func TestRunRejectsBadParams(t *testing.T) {
 
 // TestEveryRankStoresItsOwnBytes reads each rank's stored payload back from
 // the run's file system. The ranks share one payload buffer, so a write
-// path that kept the caller's bytes past its first park would show another
-// rank's letter here. The size leaves a partial SION block per rank.
+// path that read or kept the caller's bytes after its Submit call returned
+// would show another rank's letter here. The size leaves a partial SION
+// block per rank.
 func TestEveryRankStoresItsOwnBytes(t *testing.T) {
 	const nodes, size = 4, 3<<18 + 5
 	for _, s := range []Strategy{SIONGlobal, CacheSync, CacheAsync} {
@@ -66,11 +67,11 @@ func TestEveryRankStoresItsOwnBytes(t *testing.T) {
 		if _, err := run(sys, Params{Strategy: s, Nodes: nodes, Size: size}); err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		reader := ioev.Detach(sys.Machine.Node(0), 0)
+		reader := sys.Machine.Node(0)
 		var r *sion.Reader
 		if s == SIONGlobal {
 			var err error
-			if r, err = sion.OpenRead(reader, sys.FS, "/io/all.sion"); err != nil {
+			if r, _, err = sion.SubmitOpenRead(sys.FS, "/io/all.sion", reader, ioev.At(0)); err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
 		}
@@ -78,9 +79,9 @@ func TestEveryRankStoresItsOwnBytes(t *testing.T) {
 			var got []byte
 			var err error
 			if r != nil {
-				got, err = r.ReadTask(reader, rank)
+				got, _, err = r.SubmitReadTask(ioev.At(0), rank, reader)
 			} else {
-				got, _, err = sys.FS.SubmitRead(ioev.At(0), fmt.Sprintf("/io/rank%d", rank), 0, size, reader.Node())
+				got, _, err = sys.FS.SubmitRead(ioev.At(0), fmt.Sprintf("/io/rank%d", rank), 0, size, reader)
 			}
 			if err != nil {
 				t.Fatalf("%s rank %d: %v", s, rank, err)

@@ -8,11 +8,11 @@
 // The prototype holds two devices of 2 GB each; checkpointing into the NAM is
 // the use case studied in ref [6] and pinned by fig-io's nam_gain budget.
 //
-// Region access is timed through kernel events: Write parks the calling
-// ioev.Proc for the RDMA put, SubmitWrite issues it against an ioev.Op
-// dependency without parking. The device carries no mutex — the
-// cooperative kernel serialises every allocation and access, the same
-// argument as the rest of the migrated I/O stack.
+// Region access is timed in submission form: SubmitWrite issues the RDMA
+// put against an ioev.Op dependency without parking, and the initiating
+// rank parks on the returned token with ioev.Await. The device carries no
+// mutex — the cooperative kernel serialises every allocation and access,
+// the same argument as the rest of the I/O stack.
 package nam
 
 import (
@@ -81,19 +81,8 @@ func (d *Device) Alloc(name string, size int64) (*Region, error) {
 	return r, nil
 }
 
-// Write RDMA-puts size bytes into the region from the calling rank's node,
-// parking the caller until the put completes. No CPU acts on the NAM side.
-func (r *Region) Write(p ioev.Proc, size int64) error {
-	op, err := r.SubmitWrite(ioev.Start(p), p.Node(), size)
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitWrite issues the RDMA put after dep without parking, from the
-// initiator node.
+// SubmitWrite RDMA-puts size bytes into the region from the initiator
+// node, issued after dep without parking. No CPU acts on the NAM side.
 func (r *Region) SubmitWrite(dep ioev.Op, initiator *machine.Node, size int64) (ioev.Op, error) {
 	if size < 0 || size > r.size {
 		return ioev.Op{}, fmt.Errorf("nam: write of %d bytes exceeds region %q (%d)", size, r.name, r.size)

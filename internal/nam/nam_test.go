@@ -54,9 +54,9 @@ func TestRDMAAccessFromAllNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range sys.Nodes() {
-		a := ioev.Detach(n, 0)
-		if err := r.Write(a, 1<<20); err != nil || a.Now() <= 0 {
-			t.Fatalf("node %s write: %v at %v", n.Name(), err, a.Now())
+		op, err := r.SubmitWrite(ioev.At(0), n, 1<<20)
+		if err != nil || op.Time() <= 0 {
+			t.Fatalf("node %s write: %v at %v", n.Name(), err, op.Time())
 		}
 	}
 }
@@ -65,12 +65,20 @@ func TestRegionBoundsChecked(t *testing.T) {
 	net, sys := testSetup()
 	d := New(net, "nam0", 1<<20)
 	r, _ := d.Alloc("small", 100)
-	a := ioev.Detach(sys.Node(0), 0)
-	if err := r.Write(a, 200); err == nil {
+	if _, err := r.SubmitWrite(ioev.At(0), sys.Node(0), 200); err == nil {
 		t.Fatal("oversized write accepted")
 	}
-	if a.Now() != 0 {
-		t.Errorf("a rejected transfer advanced the clock to %v", a.Now())
+	// A rejected transfer books no fabric time: the next write completes
+	// exactly when the same write on an idle fabric does.
+	after, err := r.SubmitWrite(ioev.At(0), sys.Node(0), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleNet, idleSys := testSetup()
+	idleRegion, _ := New(idleNet, "nam0", 1<<20).Alloc("small", 100)
+	idle, _ := idleRegion.SubmitWrite(ioev.At(0), idleSys.Node(0), 100)
+	if after.Time() != idle.Time() {
+		t.Errorf("write after a rejected transfer completed at %v, want the idle-fabric %v", after.Time(), idle.Time())
 	}
 }
 
@@ -80,12 +88,12 @@ func TestWriteFasterThanNVMeForSmallData(t *testing.T) {
 	net, sys := testSetup()
 	d := New(net, "nam0", 1<<30)
 	r, _ := d.Alloc("burst", 256<<20)
-	a := ioev.Detach(sys.Node(0), 0)
-	if err := r.Write(a, 256<<20); err != nil {
+	op, err := r.SubmitWrite(ioev.At(0), sys.Node(0), 256<<20)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// 256 MiB at ~11 GB/s ≈ 24 ms; NVMe write at 1.9 GB/s would be ~141 ms.
-	if a.Now().Seconds() > 0.05 {
-		t.Errorf("NAM write of 256 MiB took %v, want < 50 ms", a.Now())
+	if op.Time().Seconds() > 0.05 {
+		t.Errorf("NAM write of 256 MiB took %v, want < 50 ms", op.Time())
 	}
 }

@@ -10,14 +10,12 @@
 // commands serialised through the device queue (a vclock.SharedClock), so
 // concurrent writers see realistic queueing delays.
 //
-// Device latencies are scheduled kernel events: Put parks the calling
-// ioev.Proc until the command completes, and the Submit* forms issue a
-// command against an ioev.Op dependency without parking, for composed paths
-// that join several operations before a single park. The device carries no
-// mutex — like the rest of the migrated I/O stack it relies on the
+// Every command is issued in submission form: a Submit* method takes an
+// ioev.Op dependency and returns the completion token without parking, and
+// a rank that must wait parks once on it with ioev.Await. The device
+// carries no mutex — like the rest of the I/O stack it relies on the
 // cooperative kernel for serialisation: exactly one rank (or baton-holding
-// callback) runs at a time, every method runs entirely within one turn, and
-// detached actors price I/O from a single host goroutine per scenario.
+// callback) runs at a time, and every method runs entirely within one turn.
 package nvme
 
 import (
@@ -75,34 +73,13 @@ func (d *Device) readTime(size int64) vclock.Time {
 	return d.spec.CmdLatency + vclock.Time(float64(size)/(d.spec.ReadGBs*1e9))
 }
 
-// Put stores (or overwrites) a named blob of the given size and parks the
-// caller until the write command completes. Fails (without advancing time)
-// if the device would overflow.
-func (d *Device) Put(p ioev.Proc, name string, size int64) error {
-	op, err := d.SubmitPut(ioev.Start(p), name, size)
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitPut issues a write command after dep without parking, returning the
-// completion token. The blob is recorded immediately (model state is
-// instantaneous; only time is simulated).
+// SubmitPut stores (or overwrites) a named blob of the given size, issuing
+// the write command after dep without parking, and returns the completion
+// token. The blob is recorded immediately (model state is instantaneous;
+// only time is simulated). Fails, reserving no device time, if the device
+// would overflow.
 func (d *Device) SubmitPut(dep ioev.Op, name string, size int64) (ioev.Op, error) {
-	if size < 0 {
-		return ioev.Op{}, fmt.Errorf("nvme: negative size %d", size)
-	}
-	old := d.blobs[name]
-	next := d.used - old + size
-	if next > d.spec.CapacityBytes {
-		return ioev.Op{}, fmt.Errorf("nvme: %s full: %d + %d > %d", d.spec.Name, d.used, size-old, d.spec.CapacityBytes)
-	}
-	d.blobs[name] = size
-	d.used = next
-	_, end := d.queue.Reserve(dep.Time(), d.writeTime(size))
-	return ioev.At(end), nil
+	return d.SubmitUpdate(dep, name, size, size)
 }
 
 // SubmitUpdate issues a partial write after dep without parking: the blob's
@@ -124,15 +101,19 @@ func (d *Device) SubmitUpdate(dep ioev.Op, name string, size, written int64) (io
 	return ioev.At(end), nil
 }
 
-// SubmitGet issues a read command after dep without parking, returning the
-// blob size and the completion token.
-func (d *Device) SubmitGet(dep ioev.Op, name string) (int64, ioev.Op, error) {
-	size, ok := d.blobs[name]
+// SubmitRead issues a read command for size bytes of a named blob after dep
+// without parking, returning the completion token. Only the requested bytes
+// are priced, so a range read of a large blob costs its range, not the blob.
+func (d *Device) SubmitRead(dep ioev.Op, name string, size int64) (ioev.Op, error) {
+	blob, ok := d.blobs[name]
 	if !ok {
-		return 0, ioev.Op{}, fmt.Errorf("nvme: blob %q not found", name)
+		return ioev.Op{}, fmt.Errorf("nvme: blob %q not found", name)
+	}
+	if size < 0 || size > blob {
+		return ioev.Op{}, fmt.Errorf("nvme: read of %d bytes from blob %q (%d)", size, name, blob)
 	}
 	_, end := d.queue.Reserve(dep.Time(), d.readTime(size))
-	return size, ioev.At(end), nil
+	return ioev.At(end), nil
 }
 
 // DropAll clears the device — used by failure injection to model a node loss

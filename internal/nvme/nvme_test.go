@@ -19,49 +19,62 @@ func TestP3700Spec(t *testing.T) {
 	}
 }
 
-// get reads a blob and parks the actor until the read completes.
-func get(d *Device, a ioev.Proc, name string) (int64, error) {
-	size, op, err := d.SubmitGet(ioev.Start(a), name)
-	if err == nil {
-		ioev.Await(a, op)
-	}
-	return size, err
-}
-
 func TestPutGetTiming(t *testing.T) {
 	d := New(P3700())
 	const size = 1900 * 1000 * 1000 // 1.9 GB: exactly 1 s at write bandwidth
-	a := ioev.Detach(nil, 0)
-	if err := d.Put(a, "ckpt", size); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Now().Seconds(); math.Abs(got-1.0) > 0.01 {
-		t.Errorf("1.9 GB write took %vs, want ~1s", got)
-	}
-	n, err := get(d, a, "ckpt")
+	put, err := d.SubmitPut(ioev.At(0), "ckpt", size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != size {
-		t.Errorf("got %d bytes", n)
+	if got := put.Time().Seconds(); math.Abs(got-1.0) > 0.01 {
+		t.Errorf("1.9 GB write took %vs, want ~1s", got)
+	}
+	read, err := d.SubmitRead(put, "ckpt", size)
+	if err != nil {
+		t.Fatal(err)
 	}
 	wantRead := 1.0 + float64(size)/(2.7e9)
-	if got := a.Now().Seconds(); math.Abs(got-wantRead) > 0.02 {
+	if got := read.Time().Seconds(); math.Abs(got-wantRead) > 0.02 {
 		t.Errorf("read done at %vs, want ~%vs", got, wantRead)
+	}
+}
+
+// TestReadPricesRequestedBytes pins a range read to the bytes it asks for:
+// reading a tenth of a blob costs one command plus a tenth of the blob's
+// transfer, not the whole blob.
+func TestReadPricesRequestedBytes(t *testing.T) {
+	d := New(P3700())
+	const size = 2700 * 1000 * 1000 // 1 s at read bandwidth
+	put, err := d.SubmitPut(ioev.At(0), "ckpt", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := d.SubmitRead(put, "ckpt", size/10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := P3700().CmdLatency + 100*vclock.Millisecond
+	if got := read.Time() - put.Time(); math.Abs((got - want).Seconds()) > 1e-9 {
+		t.Errorf("read of a tenth of the blob took %v, want %v", got, want)
+	}
+	if _, err := d.SubmitRead(put, "ckpt", size+1); err == nil {
+		t.Error("read past the end of the blob accepted")
+	}
+	if _, err := d.SubmitRead(put, "ckpt", -1); err == nil {
+		t.Error("read of a negative size accepted")
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
 	d := New(Spec{Name: "tiny", CapacityBytes: 100, WriteGBs: 1, ReadGBs: 1})
-	a := ioev.Detach(nil, 0)
-	if err := d.Put(a, "a", 60); err != nil {
+	if _, err := d.SubmitPut(ioev.At(0), "a", 60); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put(a, "b", 60); err == nil {
+	if _, err := d.SubmitPut(ioev.At(0), "b", 60); err == nil {
 		t.Fatal("overflow accepted")
 	}
 	// Overwriting a blob replaces, not adds.
-	if err := d.Put(a, "a", 90); err != nil {
+	if _, err := d.SubmitPut(ioev.At(0), "a", 90); err != nil {
 		t.Fatalf("overwrite rejected: %v", err)
 	}
 	if d.used != 90 {
@@ -71,9 +84,8 @@ func TestCapacityEnforced(t *testing.T) {
 
 func TestDeleteAndDropAll(t *testing.T) {
 	d := New(P3700())
-	a := ioev.Detach(nil, 0)
-	d.Put(a, "x", 1000)
-	d.Put(a, "y", 2000)
+	d.SubmitPut(ioev.At(0), "x", 1000)
+	d.SubmitPut(ioev.At(0), "y", 2000)
 	if len(d.blobs) != 2 {
 		t.Fatalf("blobs = %d", len(d.blobs))
 	}
@@ -85,7 +97,7 @@ func TestDeleteAndDropAll(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	d := New(P3700())
-	if _, err := get(d, ioev.Detach(nil, 0), "nope"); err == nil {
+	if _, err := d.SubmitRead(ioev.At(0), "nope", 0); err == nil {
 		t.Fatal("missing blob read succeeded")
 	}
 }
@@ -103,18 +115,19 @@ func TestQueueSerialises(t *testing.T) {
 
 func TestFailedPutAdvancesNoTime(t *testing.T) {
 	d := New(Spec{Name: "tiny", CapacityBytes: 100, WriteGBs: 1, ReadGBs: 1})
-	a := ioev.Detach(nil, 0)
-	if err := d.Put(a, "big", 200); err == nil {
+	if _, err := d.SubmitPut(ioev.At(0), "big", 200); err == nil {
 		t.Fatal("overflow accepted")
 	}
-	if a.Now() != 0 {
-		t.Errorf("failed put advanced the clock to %v", a.Now())
+	// A rejected command books no device time: the next one starts at once.
+	op, err := d.SubmitPut(ioev.At(0), "small", 0)
+	if err != nil || op.Time() != 0 {
+		t.Errorf("put after a rejected one completes at %v (%v), want 0", op.Time(), err)
 	}
 }
 
 func TestNegativeSizeRejected(t *testing.T) {
 	d := New(P3700())
-	if err := d.Put(ioev.Detach(nil, 0), "bad", -1); err == nil {
+	if _, err := d.SubmitPut(ioev.At(0), "bad", -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }
@@ -125,9 +138,8 @@ func TestQuickUsedNeverExceedsCapacity(t *testing.T) {
 		Size uint32
 	}) bool {
 		d := New(Spec{Name: "q", CapacityBytes: 1 << 20, WriteGBs: 1, ReadGBs: 1, CmdLatency: vclock.Microsecond})
-		a := ioev.Detach(nil, 0)
 		for _, op := range ops {
-			d.Put(a, string(rune('a'+op.Name%8)), int64(op.Size)) // errors fine
+			d.SubmitPut(ioev.At(0), string(rune('a'+op.Name%8)), int64(op.Size)) // errors fine
 			if d.used > d.spec.CapacityBytes || d.used < 0 {
 				return false
 			}

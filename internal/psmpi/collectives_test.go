@@ -64,6 +64,25 @@ func TestCollectiveTagsStayInTheirBlock(t *testing.T) {
 	}
 }
 
+// TestCollTagBlockBoundary pins collTag's size cap at the block: a
+// communicator of exactly collTagBlock ranks gets the first block, one more
+// rank panics.
+func TestCollTagBlockBoundary(t *testing.T) {
+	c := &Comm{local: make([]*Proc, collTagBlock), collSeq: make([]uint64, collTagBlock+1)}
+	p := &Proc{world: c}
+	tag := func() (tag int, panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		return p.collTag(c), false
+	}
+	if got, panicked := tag(); panicked || got != MaxUserTag {
+		t.Errorf("%d ranks: tag %d (panicked %v), want %d", collTagBlock, got, panicked, MaxUserTag)
+	}
+	c.local = append(c.local, nil)
+	if _, panicked := tag(); !panicked {
+		t.Errorf("%d ranks: no panic, want the tag-block cap", collTagBlock+1)
+	}
+}
+
 func TestBarrierSynchronisesClocks(t *testing.T) {
 	// After a barrier, every clock must be >= the straggler's pre-barrier
 	// time.

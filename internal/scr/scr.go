@@ -98,7 +98,7 @@ type record struct {
 	localValid  []bool
 	buddyValid  []bool
 	globalValid []bool
-	// globalSealed is set by CompleteGlobal: chunks written into a SION
+	// globalSealed is set by SubmitCompleteGlobal: chunks written into a SION
 	// container that was never closed (the job died mid-checkpoint) are not
 	// restorable, so BestRestart must not count them.
 	globalSealed bool
@@ -174,26 +174,14 @@ func (m *Manager) BeginCheckpoint(step int) []Level {
 	return append([]Level(nil), levels...)
 }
 
-// Checkpoint writes one rank's state for a step at the given levels,
-// parking the caller until the slowest requested level is durable. The
-// levels are submitted concurrently from the call instant — a local NVMe
-// put, a buddy copy and a global container write all overlap, joining at a
-// single park — and the rank's node is taken from the manager's rank map,
-// so detached actors (sweep post-run pricing, tests) need no node of their
-// own. data is handed over as in SubmitCheckpoint.
-func (m *Manager) Checkpoint(p ioev.Proc, rank, step int, data []byte, levels []Level) error {
-	op, err := m.SubmitCheckpoint(ioev.Start(p), rank, step, data, levels)
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitCheckpoint issues one rank's checkpoint after dep without parking,
-// returning the token of the slowest requested level. Callers that must
-// record the durable instant before yielding — a failure may kill the rank
-// mid-park — use this form and Await themselves.
+// SubmitCheckpoint issues one rank's state for a step at the given levels
+// after dep without parking, returning the token of the slowest requested
+// level. The levels are submitted concurrently from dep — a local NVMe put,
+// a buddy copy and a global container write all overlap, joining at a
+// single token — and the rank's node is taken from the manager's rank map,
+// so post-run pricing needs no actor. A rank in a kernel job parks on the
+// token with ioev.Await; callers that must record the durable instant
+// before yielding — a failure may kill the rank mid-park — read it first.
 //
 // The manager keeps data itself, not a copy, for the local and buddy
 // levels: the caller hands it over and must not write to it again. Several
@@ -246,10 +234,10 @@ func (m *Manager) SubmitCheckpoint(dep ioev.Op, rank, step int, data []byte, lev
 
 // submitGlobal streams one rank's chunk into the step's SION container,
 // issued after dep without parking. Containers are created lazily and
-// closed by CompleteGlobal. A new checkpoint round for the step — a restart
-// replay re-executing it, detected by a rank writing twice, or a fresh
-// write after a seal — replaces the container: Create truncates the path,
-// so the previous round's chunks (and their validity) are gone.
+// sealed by SubmitCompleteGlobal. A new checkpoint round for the step — a
+// restart replay re-executing it, detected by a rank writing twice, or a
+// fresh write after a seal — replaces the container: the create truncates
+// the path, so the previous round's chunks (and their validity) are gone.
 func (m *Manager) submitGlobal(rec *record, rank int, data []byte, dep ioev.Op) (ioev.Op, error) {
 	w := m.writers[rec.globalPath]
 	if w != nil && rec.globalWrote[rank] {
@@ -282,25 +270,12 @@ func (m *Manager) submitGlobal(rec *record, rank int, data []byte, dep ioev.Op) 
 	return op, nil
 }
 
-// CompleteGlobal closes the step's global container (call once after all
-// ranks contributed, e.g. from rank 0 after a barrier), parking the caller
-// until the container is sealed on the file system. Only a completed
-// container is restorable: a failure that strikes between the writes and
-// this call leaves the step's global level unusable, and BestRestart skips
-// it. With no open container the call is still a scheduling point
-// (Elapse(0)), like a collective that finds nothing to do.
-func (m *Manager) CompleteGlobal(p ioev.Proc, step, rank int) error {
-	op, err := m.SubmitCompleteGlobal(ioev.Start(p), step, rank)
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
 // SubmitCompleteGlobal seals the step's global container after dep without
-// parking, returning the seal's completion token (dep itself when there is
-// nothing to close).
+// parking (call once after all ranks contributed, e.g. from rank 0 after a
+// barrier), returning the seal's completion token — dep itself when there
+// is nothing to close. Only a completed container is restorable: a failure
+// that strikes between the writes and the seal leaves the step's global
+// level unusable, and BestRestart skips it.
 func (m *Manager) SubmitCompleteGlobal(dep ioev.Op, step, rank int) (ioev.Op, error) {
 	rec, ok := m.records[step]
 	if !ok {
@@ -399,7 +374,7 @@ func (m *Manager) SubmitRestore(dep ioev.Op, rank, step int, lv Level) ([]byte, 
 		if !ok {
 			return nil, ioev.Op{}, fmt.Errorf("scr: no local checkpoint for rank %d step %d", rank, step)
 		}
-		_, op, err := m.devs[node.ID].SubmitGet(dep, key(step, rank))
+		op, err := m.devs[node.ID].SubmitRead(dep, key(step, rank), int64(len(data)))
 		if err != nil {
 			return nil, ioev.Op{}, err
 		}
@@ -410,7 +385,7 @@ func (m *Manager) SubmitRestore(dep ioev.Op, rank, step int, lv Level) ([]byte, 
 			return nil, ioev.Op{}, fmt.Errorf("scr: no buddy checkpoint for rank %d step %d", rank, step)
 		}
 		bn := m.nodes[m.BuddyOf(rank)]
-		_, op, err := m.devs[bn.ID].SubmitGet(dep, key(step, rank)+"/buddy")
+		op, err := m.devs[bn.ID].SubmitRead(dep, key(step, rank)+"/buddy", int64(len(data)))
 		if err != nil {
 			return nil, ioev.Op{}, err
 		}

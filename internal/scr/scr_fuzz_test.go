@@ -9,7 +9,6 @@ import (
 	"clusterbooster/internal/ioev"
 	"clusterbooster/internal/machine"
 	"clusterbooster/internal/nvme"
-	"clusterbooster/internal/vclock"
 )
 
 // fuzzOracle mirrors the manager's validity rules independently: per-step,
@@ -55,7 +54,8 @@ func (o *fuzzOracle) checkpoint(s, rank int, levels []Level) {
 		case LevelGlobal:
 			// A write into a sealed container, or a rank writing twice into
 			// an open one, starts a new round: the container is recreated
-			// (Create truncates the path), the old round's chunks are gone.
+			// (the create truncates the path), the old round's chunks are
+			// gone.
 			if st.wrote[rank] || o.sealed[s] {
 				st.global = make([]bool, o.ranks)
 				st.wrote = make([]bool, o.ranks)
@@ -161,29 +161,29 @@ func FuzzBestRestart(f *testing.F) {
 			return []byte{byte('A' + step), byte(rank)}
 		}
 
-		var now vclock.Time
+		now := ioev.At(0)
 		for _, op := range ops {
 			switch {
 			case op < 0x60: // checkpoint one rank at one step
 				step := int(op&0x07) + 1
 				rank := int(op>>3) % ranks
 				levels := m.BeginCheckpoint(step)
-				a := ioev.Detach(nil, now)
-				if err := m.Checkpoint(a, rank, step, payload(step, rank), levels); err != nil {
+				done, err := m.SubmitCheckpoint(now, rank, step, payload(step, rank), levels)
+				if err != nil {
 					t.Fatalf("checkpoint step %d rank %d: %v", step, rank, err)
 				}
-				if a.Now() < now {
-					t.Fatalf("checkpoint completed at %v, before its start %v", a.Now(), now)
+				if done.Time() < now.Time() {
+					t.Fatalf("checkpoint completed at %v, before its start %v", done.Time(), now.Time())
 				}
-				now = a.Now()
+				now = done
 				oracle.checkpoint(step, rank, levels)
 			case op < 0xA0: // seal a step's global container
 				step := int(op&0x07) + 1
-				a := ioev.Detach(nil, now)
-				if err := m.CompleteGlobal(a, step, 0); err != nil {
+				done, err := m.SubmitCompleteGlobal(now, step, 0)
+				if err != nil {
 					t.Fatalf("complete step %d: %v", step, err)
 				}
-				now = vclock.Max(now, a.Now())
+				now = ioev.After(now, done)
 				oracle.seal(step)
 			default: // fail a node
 				node := int(op) % ranks
@@ -210,7 +210,7 @@ func FuzzBestRestart(f *testing.F) {
 			}
 			// Prove the plan: every rank restores its own bytes.
 			for rank := 0; rank < ranks; rank++ {
-				data, err := restore(m, ioev.Detach(nil, now), rank, step, levels[rank])
+				data, _, err := m.SubmitRestore(now, rank, step, levels[rank])
 				if err != nil {
 					t.Fatalf("restore step %d rank %d from %v: %v", step, rank, levels[rank], err)
 				}

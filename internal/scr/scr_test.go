@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"clusterbooster/internal/beegfs"
@@ -32,37 +33,34 @@ func testMgr(t *testing.T, ranks int, cfg Config) (*Manager, *machine.System) {
 	return m, sys
 }
 
-// restore fetches one rank's checkpoint and parks the actor until the data
-// has arrived.
-func restore(m *Manager, a ioev.Proc, rank, step int, lv Level) ([]byte, error) {
-	data, op, err := m.SubmitRestore(ioev.Start(a), rank, step, lv)
-	if err == nil {
-		ioev.Await(a, op)
-	}
+// restore fetches one rank's checkpoint from instant 0.
+func restore(m *Manager, rank, step int, lv Level) ([]byte, error) {
+	data, _, err := m.SubmitRestore(ioev.At(0), rank, step, lv)
 	return data, err
 }
 
+// ckptAll checkpoints every rank of a step from the ready instant, seals
+// the global container if the plan has one, and returns when it is all
+// durable.
 func ckptAll(t *testing.T, m *Manager, step int, data []byte, ready vclock.Time) vclock.Time {
 	t.Helper()
 	levels := m.BeginCheckpoint(step)
-	var done vclock.Time
+	done := ioev.At(ready)
 	for rank := 0; rank < len(m.nodes); rank++ {
-		a := ioev.Detach(nil, ready)
-		if err := m.Checkpoint(a, rank, step, data, levels); err != nil {
+		op, err := m.SubmitCheckpoint(ioev.At(ready), rank, step, data, levels)
+		if err != nil {
 			t.Fatal(err)
 		}
-		done = vclock.Max(done, a.Now())
+		done = ioev.After(done, op)
 	}
-	for _, lv := range levels {
-		if lv == LevelGlobal {
-			a := ioev.Detach(nil, done)
-			if err := m.CompleteGlobal(a, step, 0); err != nil {
-				t.Fatal(err)
-			}
-			done = vclock.Max(done, a.Now())
+	if slices.Contains(levels, LevelGlobal) {
+		op, err := m.SubmitCompleteGlobal(done, step, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		done = ioev.After(done, op)
 	}
-	return done
+	return done.Time()
 }
 
 func TestLevelCadence(t *testing.T) {
@@ -94,12 +92,11 @@ func TestLocalRestore(t *testing.T) {
 		if levels[rank] != LevelLocal {
 			t.Errorf("rank %d level = %v, want local", rank, levels[rank])
 		}
-		a := ioev.Detach(nil, 0)
-		got, err := restore(m, a, rank, step, levels[rank])
+		got, op, err := m.SubmitRestore(ioev.At(0), rank, step, levels[rank])
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("restore rank %d: %q, %v", rank, got, err)
 		}
-		if a.Now() <= 0 {
+		if op.Time() <= 0 {
 			t.Error("restore was free")
 		}
 	}
@@ -124,7 +121,7 @@ func TestBuddySurvivesNodeFailure(t *testing.T) {
 		// rank 1's local copy was untouched.
 		t.Errorf("rank 1 should restore locally, got %v", levels[1])
 	}
-	got, err := restore(m, ioev.Detach(nil, 0), 0, step, LevelBuddy)
+	got, err := restore(m, 0, step, LevelBuddy)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("buddy restore: %q, %v", got, err)
 	}
@@ -146,7 +143,7 @@ func TestGlobalSurvivesEverything(t *testing.T) {
 		if levels[rank] != LevelGlobal {
 			t.Errorf("rank %d level = %v, want global", rank, levels[rank])
 		}
-		got, err := restore(m, ioev.Detach(nil, 0), rank, step, LevelGlobal)
+		got, err := restore(m, rank, step, LevelGlobal)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("global restore rank %d: %v", rank, err)
 		}
@@ -204,11 +201,11 @@ func TestLevelCosts(t *testing.T) {
 func TestSingleNodeJobSkipsBuddy(t *testing.T) {
 	m, _ := testMgr(t, 1, Config{BuddyEvery: 1})
 	levels := m.BeginCheckpoint(1)
-	a := ioev.Detach(nil, 0)
-	if err := m.Checkpoint(a, 0, 1, []byte("solo"), levels); err != nil {
+	op, err := m.SubmitCheckpoint(ioev.At(0), 0, 1, []byte("solo"), levels)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Now() <= 0 {
+	if op.Time() <= 0 {
 		t.Error("no cost at all")
 	}
 	// Restart must come from local (no buddy recorded).
@@ -235,7 +232,7 @@ func TestOptimalInterval(t *testing.T) {
 
 func TestCheckpointWithoutBegin(t *testing.T) {
 	m, _ := testMgr(t, 1, Config{})
-	if err := m.Checkpoint(ioev.Detach(nil, 0), 0, 99, []byte("x"), []Level{LevelLocal}); err == nil {
+	if _, err := m.SubmitCheckpoint(ioev.At(0), 0, 99, []byte("x"), []Level{LevelLocal}); err == nil {
 		t.Fatal("checkpoint without BeginCheckpoint accepted")
 	}
 }
@@ -264,7 +261,7 @@ func TestManyStepsRetained(t *testing.T) {
 	if !ok || step != 10 {
 		t.Fatalf("best = %d", step)
 	}
-	got, err := restore(m, ioev.Detach(nil, 0), 1, 4, LevelLocal)
+	got, err := restore(m, 1, 4, LevelLocal)
 	if err != nil || string(got) != "step 4" {
 		t.Fatalf("old step restore: %q %v", got, err)
 	}
@@ -295,7 +292,7 @@ func TestLocalAndBuddyRestoresAreIndependent(t *testing.T) {
 	ckptAll(t, m, 3, append([]byte(nil), want...), 0)
 	restore := func(lv Level) []byte {
 		t.Helper()
-		got, err := restore(m, ioev.Detach(nil, vclock.Second), 0, 3, lv)
+		got, _, err := m.SubmitRestore(ioev.At(vclock.Second), 0, 3, lv)
 		if err != nil {
 			t.Fatal(err)
 		}

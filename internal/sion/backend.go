@@ -55,15 +55,15 @@ func (d *DeviceBackend) SubmitWrite(dep ioev.Op, path string, offset int64, data
 	return op, nil
 }
 
-// SubmitRead returns size bytes at offset after dep; the cost is the device
-// read.
+// SubmitRead returns size bytes at offset after dep; the cost is a device
+// read of those bytes only, not of the whole file.
 func (d *DeviceBackend) SubmitRead(dep ioev.Op, path string, offset, size int64, node *machine.Node) ([]byte, ioev.Op, error) {
 	f, ok := d.files[path]
 	if !ok || offset < 0 || size < 0 || offset+size > f.Size() {
 		return nil, ioev.Op{}, fmt.Errorf("sion: device read [%d,%d) of %s invalid", offset, offset+size, path)
 	}
 	out := f.ReadAt(offset, size)
-	_, op, err := d.dev.SubmitGet(dep, "file:"+path)
+	op, err := d.dev.SubmitRead(dep, "file:"+path, size)
 	if err != nil {
 		return nil, ioev.Op{}, err
 	}
@@ -79,24 +79,14 @@ func (d *DeviceBackend) Size(path string) (int64, error) {
 	return f.Size(), nil
 }
 
-// Buddy copies a task's size-byte local checkpoint into the NVMe of a
-// companion node — the SIONlib buddy-checkpointing path of §III-C — parking
-// the caller until the redundant copy is safe.
-func Buddy(p ioev.Proc, net *fabric.Network, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64) error {
-	op, err := SubmitBuddy(net, p.Node(), buddy, buddyDev, name, size, ioev.Start(p))
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitBuddy issues the buddy copy after dep without parking: the transfer
-// crosses the fabric from the owner to the buddy and then commits to the
-// buddy's device queue at its arrival instant — all priced during the
-// owner's turn, so the redundant copy overlaps whatever else the owner
-// submits. The device model keeps sizes, not bytes, so only the size is
-// passed. The returned token is when the copy is safe.
+// SubmitBuddy copies a task's size-byte local checkpoint into the NVMe of a
+// companion node — the SIONlib buddy-checkpointing path of §III-C — issued
+// after dep without parking: the transfer crosses the fabric from the owner
+// to the buddy and then commits to the buddy's device queue at its arrival
+// instant — all priced during the owner's turn, so the redundant copy
+// overlaps whatever else the owner submits. The device model keeps sizes,
+// not bytes, so only the size is passed. The returned token is when the
+// copy is safe.
 func SubmitBuddy(net *fabric.Network, owner, buddy *machine.Node, buddyDev *nvme.Device, name string, size int64, dep ioev.Op) (ioev.Op, error) {
 	if owner.ID == buddy.ID {
 		return ioev.Op{}, fmt.Errorf("sion: buddy of %s is itself", owner.Name())

@@ -7,7 +7,6 @@ import (
 
 	"clusterbooster/internal/beegfs"
 	"clusterbooster/internal/fabric"
-	"clusterbooster/internal/ioev"
 	"clusterbooster/internal/machine"
 )
 
@@ -24,22 +23,22 @@ func FuzzSIONRoundTrip(f *testing.F) {
 		sys := machine.New(1, 0)
 		net := fabric.New(sys)
 		b := beegfs.New(net)
-		a := ioev.Detach(sys.Node(0), 0)
+		n := sys.Node(0)
 
-		w, err := Create(a, b, "/fuzz.sion", 3, blockSize)
+		w, _, err := SubmitCreate(b, "/fuzz.sion", 3, blockSize, n, at0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		payloads := [][]byte{p0, p1, p2}
 		for task, data := range payloads {
-			if err := w.WriteTask(a, task, data); err != nil {
+			if _, err := w.SubmitWriteTask(at0, task, data, n); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.Close(a); err != nil {
+		if _, err := w.SubmitClose(at0, n); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenRead(a, b, "/fuzz.sion")
+		r, _, err := SubmitOpenRead(b, "/fuzz.sion", n, at0)
 		if err != nil {
 			t.Fatalf("reopening own container: %v", err)
 		}
@@ -47,7 +46,7 @@ func FuzzSIONRoundTrip(f *testing.F) {
 			if got := r.TaskSize(task); got != int64(len(want)) {
 				t.Fatalf("task %d size = %d, want %d", task, got, len(want))
 			}
-			got, err := r.ReadTask(a, task)
+			got, _, err := r.SubmitReadTask(at0, task, n)
 			if err != nil {
 				t.Fatalf("task %d read: %v", task, err)
 			}
@@ -65,28 +64,28 @@ func fuzzContainerBytes(f *testing.F) []byte {
 	sys := machine.New(1, 0)
 	net := fabric.New(sys)
 	b := beegfs.New(net)
-	a := ioev.Detach(sys.Node(0), 0)
-	w, err := Create(a, b, "/seed.sion", 2, 32)
+	n := sys.Node(0)
+	w, _, err := SubmitCreate(b, "/seed.sion", 2, 32, n, at0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.WriteTask(a, 0, []byte("seed stream zero"))
-	w.WriteTask(a, 1, bytes.Repeat([]byte("x"), 70))
-	if err := w.Close(a); err != nil {
+	w.SubmitWriteTask(at0, 0, []byte("seed stream zero"), n)
+	w.SubmitWriteTask(at0, 1, bytes.Repeat([]byte("x"), 70), n)
+	if _, err := w.SubmitClose(at0, n); err != nil {
 		f.Fatal(err)
 	}
 	size, _ := b.Size("/seed.sion")
-	raw, _, err := b.SubmitRead(ioev.Start(a), "/seed.sion", 0, size, a.Node())
+	raw, _, err := b.SubmitRead(at0, "/seed.sion", 0, size, n)
 	if err != nil {
 		f.Fatal(err)
 	}
 	return raw
 }
 
-// FuzzSIONOpenRead feeds arbitrary bytes to the container parser: OpenRead
-// must reject malformed headers and block tables with an error — never a
-// panic — and anything it accepts must serve every task read without
-// panicking.
+// FuzzSIONOpenRead feeds arbitrary bytes to the container parser:
+// SubmitOpenRead must reject malformed headers and block tables with an
+// error — never a panic — and anything it accepts must serve every task
+// read without panicking.
 func FuzzSIONOpenRead(f *testing.F) {
 	valid := fuzzContainerBytes(f)
 	f.Add(valid)
@@ -110,19 +109,19 @@ func FuzzSIONOpenRead(f *testing.F) {
 		sys := machine.New(1, 0)
 		net := fabric.New(sys)
 		b := beegfs.New(net)
-		a := ioev.Detach(sys.Node(0), 0)
-		created := b.SubmitCreate(ioev.Start(a), "/in.sion", a.Node())
+		n := sys.Node(0)
+		created := b.SubmitCreate(at0, "/in.sion", n)
 		if len(raw) > 0 {
-			if _, err := b.SubmitWrite(created, "/in.sion", 0, raw, a.Node()); err != nil {
+			if _, err := b.SubmitWrite(created, "/in.sion", 0, raw, n); err != nil {
 				t.Skip() // over FS capacity: not a parser input
 			}
 		}
-		r, err := OpenRead(a, b, "/in.sion")
+		r, _, err := SubmitOpenRead(b, "/in.sion", n, at0)
 		if err != nil {
 			return // rejected cleanly — the required behaviour for bad input
 		}
 		for task := 0; task < r.ntasks; task++ {
-			if _, err := r.ReadTask(a, task); err != nil {
+			if _, _, err := r.SubmitReadTask(at0, task, n); err != nil {
 				return
 			}
 		}

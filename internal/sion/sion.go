@@ -6,22 +6,22 @@
 // The container format is real: a binary header, a data region of fixed-size
 // blocks handed out to task streams as they grow, and a block table appended
 // at close, with the header patched to point at it. Containers written here
-// are parsed back by OpenRead and verified byte-for-byte in tests; malformed
-// containers are rejected with errors, never panics (see the fuzz targets).
+// are parsed back by SubmitOpenRead and verified byte-for-byte in tests;
+// malformed containers are rejected with errors, never panics (see the fuzz
+// targets).
 //
-// SIONlib also bridges I/O and resiliency in DEEP-ER: the Buddy helper copies
-// a task's checkpoint into the NVMe of a companion node (buddy
+// SIONlib also bridges I/O and resiliency in DEEP-ER: SubmitBuddy copies a
+// task's checkpoint into the NVMe of a companion node (buddy
 // checkpointing), which package scr builds on.
 //
-// All container I/O is timed through kernel events: the Proc forms
-// (WriteTask, Close, OpenRead, ReadTask) park the calling rank until the
-// operation is durable, and the Submit* forms thread an ioev.Op dependency
-// without parking so composed paths (SCR overlapping a container write with
-// a buddy copy) join several completions before one park. The Writer holds
-// no mutex: under the cooperative kernel exactly one rank runs at a time
-// and every method — including the shared-container WriteTask fan-in —
-// executes entirely within the calling rank's turn, the same serialisation
-// argument as scr.
+// All container I/O is in submission form: each Submit* call threads an
+// ioev.Op dependency and returns a completion token without parking, so
+// composed paths (SCR overlapping a container write with a buddy copy)
+// join several completions, and a rank that must wait parks once on the
+// result with ioev.Await. The Writer holds no mutex: under the cooperative
+// kernel exactly one rank runs at a time and every method — including the
+// shared-container SubmitWriteTask fan-in — executes entirely within the
+// calling rank's turn, the same serialisation argument as scr.
 package sion
 
 import (
@@ -41,8 +41,8 @@ import (
 // SubmitWrite reads data only before it returns and never retains it: the
 // writer flushes full blocks straight from the caller's buffer and reuses
 // its own tail buffer, so an implementation that keeps bytes copies them.
-// No Submit method parks, so WriteTask's caller gets the same guarantee:
-// its buffer is read only before it first parks.
+// No Submit method parks, so SubmitWriteTask's caller gets the same
+// guarantee: its buffer is read only before the call returns.
 type Backend interface {
 	SubmitCreate(dep ioev.Op, path string, node *machine.Node) ioev.Op
 	SubmitWrite(dep ioev.Op, path string, offset int64, data []byte, node *machine.Node) (ioev.Op, error)
@@ -55,9 +55,9 @@ const (
 	version    = uint32(2)
 	headerSize = int64(64)
 
-	// maxTasks bounds the task count OpenRead accepts: far above any real
-	// container here, small enough that a hostile header cannot coerce a
-	// huge allocation.
+	// maxTasks bounds the task count SubmitOpenRead accepts: far above any
+	// real container here, small enough that a hostile header cannot coerce
+	// a huge allocation.
 	maxTasks = 1 << 20
 )
 
@@ -80,20 +80,10 @@ type block struct {
 	Used int64
 }
 
-// Create starts a new container for ntasks streams with the given block
-// size (the alignment unit; SIONlib aligns to file-system blocks), parking
-// the caller for the backend's create.
-func Create(p ioev.Proc, b Backend, path string, ntasks int, blockSize int64) (*Writer, error) {
-	w, op, err := SubmitCreate(b, path, ntasks, blockSize, p.Node(), ioev.Start(p))
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return w, nil
-}
-
-// SubmitCreate issues the container create after dep without parking,
-// returning the writer and the metadata completion token.
+// SubmitCreate starts a new container for ntasks streams with the given
+// block size (the alignment unit; SIONlib aligns to file-system blocks),
+// issuing the backend's create after dep without parking. It returns the
+// writer and the metadata completion token.
 func SubmitCreate(b Backend, path string, ntasks int, blockSize int64, node *machine.Node, dep ioev.Op) (*Writer, ioev.Op, error) {
 	if ntasks <= 0 || blockSize <= 0 {
 		return nil, ioev.Op{}, fmt.Errorf("sion: invalid container geometry (%d tasks, %d block)", ntasks, blockSize)
@@ -112,25 +102,13 @@ func SubmitCreate(b Backend, path string, ntasks int, blockSize int64, node *mac
 	return w, done, nil
 }
 
-// WriteTask appends data to one task's logical stream, flushing full blocks
-// to the backend and parking the caller until the flushes it issued are
-// durable (a fully buffered append costs only the scheduling point). data
-// is read only before the caller parks and is never retained: the
-// backend copies flushed blocks and the writer copies the tail, so the
-// buffer may be refilled, e.g. by another rank, while the caller waits.
-func (w *Writer) WriteTask(p ioev.Proc, task int, data []byte) error {
-	op, err := w.SubmitWriteTask(ioev.Start(p), task, data, p.Node())
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
-// SubmitWriteTask appends to one task's stream after dep without parking:
-// every full block flushes concurrently from the dependency instant, and
-// the returned token joins the flushes this call issued (dep itself if the
-// append stayed buffered).
+// SubmitWriteTask appends data to one task's logical stream after dep
+// without parking: every full block flushes concurrently from the
+// dependency instant, and the returned token joins the flushes this call
+// issued (dep itself if the append stayed buffered). data is read only
+// before the call returns and is never retained: the backend copies
+// flushed blocks and the writer copies the tail, so the buffer may be
+// refilled, e.g. by another rank, while the caller waits on the token.
 func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machine.Node) (ioev.Op, error) {
 	if task < 0 || task >= w.ntasks {
 		return ioev.Op{}, fmt.Errorf("sion: task %d out of range [0,%d)", task, w.ntasks)
@@ -167,23 +145,12 @@ func (w *Writer) SubmitWriteTask(dep ioev.Op, task int, data []byte, node *machi
 	return done, nil
 }
 
-// Close flushes all partial blocks, writes the block table and patches the
-// header, parking the caller until the container is complete. It is called
-// once by the I/O root task after a barrier, so the caller's clock already
-// covers the other tasks' writes (any straggling flush is joined anyway).
-func (w *Writer) Close(p ioev.Proc) error {
-	op, err := w.SubmitClose(ioev.Start(p), p.Node())
-	if err != nil {
-		return err
-	}
-	ioev.Await(p, op)
-	return nil
-}
-
 // SubmitClose seals the container after dep without parking: partial blocks
 // flush concurrently from the join of dep and every stream's last flush,
 // then the block table and patched header commit sequentially. The returned
-// token is the whole container's completion.
+// token is the whole container's completion. It is called once by the I/O
+// root task after a barrier, so dep already covers the other tasks' writes
+// (any straggling flush is joined anyway).
 func (w *Writer) SubmitClose(dep ioev.Op, node *machine.Node) (ioev.Op, error) {
 	if w.closed {
 		return ioev.Op{}, fmt.Errorf("sion: double close of %s", w.path)
@@ -270,21 +237,10 @@ type Reader struct {
 	blocks    [][]block
 }
 
-// OpenRead parses a container's metadata from the backend, parking the
-// caller for the header and table reads. Malformed containers are rejected
-// with an error.
-func OpenRead(p ioev.Proc, b Backend, path string) (*Reader, error) {
-	r, op, err := SubmitOpenRead(b, path, p.Node(), ioev.Start(p))
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return r, nil
-}
-
-// SubmitOpenRead parses a container's metadata after dep without parking:
-// the header read chains into the table read, and the returned token covers
-// both.
+// SubmitOpenRead parses a container's metadata from the backend after dep
+// without parking: the header read chains into the table read, and the
+// returned token covers both. Malformed containers are rejected with an
+// error.
 func SubmitOpenRead(b Backend, path string, node *machine.Node, dep ioev.Op) (*Reader, ioev.Op, error) {
 	size, err := b.Size(path)
 	if err != nil {
@@ -378,20 +334,9 @@ func (r *Reader) TaskSize(task int) int64 {
 	return sum
 }
 
-// ReadTask reads one task's full logical stream, parking the caller until
-// the last block arrives.
-func (r *Reader) ReadTask(p ioev.Proc, task int) ([]byte, error) {
-	out, op, err := r.SubmitReadTask(ioev.Start(p), task, p.Node())
-	if err != nil {
-		return nil, err
-	}
-	ioev.Await(p, op)
-	return out, nil
-}
-
-// SubmitReadTask reads one task's stream after dep without parking: all
-// blocks are fetched concurrently from the dependency instant and the
-// returned token joins them.
+// SubmitReadTask reads one task's full logical stream after dep without
+// parking: all blocks are fetched concurrently from the dependency instant
+// and the returned token joins them.
 func (r *Reader) SubmitReadTask(dep ioev.Op, task int, node *machine.Node) ([]byte, ioev.Op, error) {
 	if task < 0 || task >= r.ntasks {
 		return nil, ioev.Op{}, fmt.Errorf("sion: task %d out of range [0,%d)", task, r.ntasks)

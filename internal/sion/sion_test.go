@@ -3,6 +3,7 @@ package sion
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -20,25 +21,28 @@ func testBackend() (Backend, *machine.System) {
 	return beegfs.New(net), sys
 }
 
+// at0 is the dependency of every operation whose timing a test ignores.
+var at0 = ioev.At(0)
+
 func TestRoundTripSingleTask(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	w, err := Create(a, b, "/c.sion", 1, 4096)
+	n := sys.Node(0)
+	w, op, err := SubmitCreate(b, "/c.sion", 1, 4096, n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("moment data "), 100)
-	if err := w.WriteTask(a, 0, payload); err != nil {
+	if op, err = w.SubmitWriteTask(op, 0, payload, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(a); err != nil {
+	if op, err = w.SubmitClose(op, n); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRead(a, b, "/c.sion")
+	r, op, err := SubmitOpenRead(b, "/c.sion", n, op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadTask(a, 0)
+	got, _, err := r.SubmitReadTask(op, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +54,9 @@ func TestRoundTripSingleTask(t *testing.T) {
 func TestRoundTripManyTasks(t *testing.T) {
 	// The concentration property: 16 task streams, one physical file.
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
+	n := sys.Node(0)
 	const ntasks = 16
-	w, err := Create(a, b, "/many.sion", ntasks, 1024)
+	w, _, err := SubmitCreate(b, "/many.sion", ntasks, 1024, n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +64,14 @@ func TestRoundTripManyTasks(t *testing.T) {
 	for task := 0; task < ntasks; task++ {
 		payloads[task] = bytes.Repeat([]byte{byte('A' + task)}, 300+200*task)
 		node := sys.Node(task % len(sys.Nodes()))
-		actor := ioev.Detach(node, 0)
-		if err := w.WriteTask(actor, task, payloads[task]); err != nil {
+		if _, err := w.SubmitWriteTask(at0, task, payloads[task], node); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(a); err != nil {
+	if _, err := w.SubmitClose(at0, n); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRead(a, b, "/many.sion")
+	r, _, err := SubmitOpenRead(b, "/many.sion", n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestRoundTripManyTasks(t *testing.T) {
 		t.Fatalf("ntasks = %d", r.ntasks)
 	}
 	for task := 0; task < ntasks; task++ {
-		got, err := r.ReadTask(a, task)
+		got, _, err := r.SubmitReadTask(at0, task, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,27 +95,27 @@ func TestRoundTripManyTasks(t *testing.T) {
 func TestMultiBlockStream(t *testing.T) {
 	// A stream spanning several blocks (block chaining).
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	w, _ := Create(a, b, "/blk.sion", 2, 128)
+	n := sys.Node(0)
+	w, _, _ := SubmitCreate(b, "/blk.sion", 2, 128, n, at0)
 	long := bytes.Repeat([]byte("0123456789abcdef"), 100) // 1600 B over 128 B blocks
 	for i := 0; i < 4; i++ {
-		if err := w.WriteTask(a, 1, long[i*400:(i+1)*400]); err != nil {
+		if _, err := w.SubmitWriteTask(at0, 1, long[i*400:(i+1)*400], n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.WriteTask(a, 0, []byte("tiny"))
-	if err := w.Close(a); err != nil {
+	w.SubmitWriteTask(at0, 0, []byte("tiny"), n)
+	if _, err := w.SubmitClose(at0, n); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRead(a, b, "/blk.sion")
+	r, _, err := SubmitOpenRead(b, "/blk.sion", n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := r.ReadTask(a, 1)
+	got, _, _ := r.SubmitReadTask(at0, 1, n)
 	if !bytes.Equal(got, long) {
 		t.Fatal("chained blocks corrupted")
 	}
-	got0, _ := r.ReadTask(a, 0)
+	got0, _, _ := r.SubmitReadTask(at0, 0, n)
 	if string(got0) != "tiny" {
 		t.Fatalf("task 0 = %q", got0)
 	}
@@ -120,13 +123,13 @@ func TestMultiBlockStream(t *testing.T) {
 
 func TestEmptyTasksAllowed(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	w, _ := Create(a, b, "/empty.sion", 4, 512)
-	w.WriteTask(a, 2, []byte("only me"))
-	if err := w.Close(a); err != nil {
+	n := sys.Node(0)
+	w, _, _ := SubmitCreate(b, "/empty.sion", 4, 512, n, at0)
+	w.SubmitWriteTask(at0, 2, []byte("only me"), n)
+	if _, err := w.SubmitClose(at0, n); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRead(a, b, "/empty.sion")
+	r, _, err := SubmitOpenRead(b, "/empty.sion", n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestEmptyTasksAllowed(t *testing.T) {
 		if r.TaskSize(task) != 0 {
 			t.Errorf("task %d not empty", task)
 		}
-		got, err := r.ReadTask(a, task)
+		got, _, err := r.SubmitReadTask(at0, task, n)
 		if err != nil || len(got) != 0 {
 			t.Errorf("task %d read = %v, %v", task, got, err)
 		}
@@ -143,78 +146,113 @@ func TestEmptyTasksAllowed(t *testing.T) {
 
 func TestWriteAfterCloseRejected(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	w, _ := Create(a, b, "/x.sion", 1, 512)
-	w.Close(a)
-	if err := w.WriteTask(a, 0, []byte("late")); err == nil {
+	n := sys.Node(0)
+	w, _, _ := SubmitCreate(b, "/x.sion", 1, 512, n, at0)
+	w.SubmitClose(at0, n)
+	if _, err := w.SubmitWriteTask(at0, 0, []byte("late"), n); err == nil {
 		t.Fatal("write after close succeeded")
 	}
-	if err := w.Close(a); err == nil {
+	if _, err := w.SubmitClose(at0, n); err == nil {
 		t.Fatal("double close succeeded")
 	}
 }
 
 func TestInvalidGeometry(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	if _, err := Create(a, b, "/bad", 0, 512); err == nil {
+	n := sys.Node(0)
+	if _, _, err := SubmitCreate(b, "/bad", 0, 512, n, at0); err == nil {
 		t.Fatal("0 tasks accepted")
 	}
-	if _, err := Create(a, b, "/bad", 1, 0); err == nil {
+	if _, _, err := SubmitCreate(b, "/bad", 1, 0, n, at0); err == nil {
 		t.Fatal("0 block size accepted")
 	}
 }
 
 func TestOpenReadRejectsGarbage(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	created := b.SubmitCreate(ioev.Start(a), "/garbage", a.Node())
-	if _, err := b.SubmitWrite(created, "/garbage", 0, bytes.Repeat([]byte{7}, 128), a.Node()); err != nil {
+	n := sys.Node(0)
+	created := b.SubmitCreate(at0, "/garbage", n)
+	if _, err := b.SubmitWrite(created, "/garbage", 0, bytes.Repeat([]byte{7}, 128), n); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenRead(a, b, "/garbage"); err == nil {
+	if _, _, err := SubmitOpenRead(b, "/garbage", n, at0); err == nil {
 		t.Fatal("garbage accepted as container")
 	}
 }
 
 func TestTaskOutOfRange(t *testing.T) {
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
-	w, _ := Create(a, b, "/r.sion", 2, 512)
-	if err := w.WriteTask(a, 2, []byte("x")); err == nil {
+	n := sys.Node(0)
+	w, _, _ := SubmitCreate(b, "/r.sion", 2, 512, n, at0)
+	if _, err := w.SubmitWriteTask(at0, 2, []byte("x"), n); err == nil {
 		t.Fatal("out-of-range task accepted")
 	}
-	w.Close(a)
-	r, _ := OpenRead(a, b, "/r.sion")
-	if _, err := r.ReadTask(a, 5); err == nil {
+	w.SubmitClose(at0, n)
+	r, _, _ := SubmitOpenRead(b, "/r.sion", n, at0)
+	if _, _, err := r.SubmitReadTask(at0, 5, n); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
 }
 
 func TestDeviceBackendRoundTrip(t *testing.T) {
 	sys := machine.New(1, 0)
+	n := sys.Node(0)
 	dev := nvme.New(nvme.P3700())
 	d := NewDeviceBackend(dev)
-	a := ioev.Detach(sys.Node(0), 0)
-	w, err := Create(a, d, "/local.sion", 2, 256)
+	w, _, err := SubmitCreate(d, "/local.sion", 2, 256, n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.WriteTask(a, 0, []byte("local checkpoint"))
-	w.WriteTask(a, 1, bytes.Repeat([]byte("B"), 700))
-	if err := w.Close(a); err != nil {
+	w.SubmitWriteTask(at0, 0, []byte("local checkpoint"), n)
+	w.SubmitWriteTask(at0, 1, bytes.Repeat([]byte("B"), 700), n)
+	if _, err := w.SubmitClose(at0, n); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRead(a, d, "/local.sion")
+	r, _, err := SubmitOpenRead(d, "/local.sion", n, at0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := r.ReadTask(a, 0)
+	got, _, _ := r.SubmitReadTask(at0, 0, n)
 	if string(got) != "local checkpoint" {
 		t.Fatalf("got %q", got)
 	}
-	if size, _, err := dev.SubmitGet(ioev.At(0), "file:/local.sion"); err != nil || size == 0 {
+	size, _ := d.Size("/local.sion")
+	if _, err := dev.SubmitRead(at0, "file:/local.sion", size); err != nil || size == 0 {
 		t.Errorf("device backend did not account capacity: %d bytes (%v)", size, err)
+	}
+}
+
+// TestDeviceBackendReadPricesRequestedBytes reads a task stream back from a
+// node-local container block by block: the device time must be that of the
+// stream's bytes plus one command per block, not a whole-file read per
+// block, which made the read quadratic in the container size.
+func TestDeviceBackendReadPricesRequestedBytes(t *testing.T) {
+	const size, blockSize = 4 << 20, 64 << 10
+	spec := nvme.P3700()
+	d := NewDeviceBackend(nvme.New(spec))
+	w, _, err := SubmitCreate(d, "/ckpt.sion", 1, blockSize, nil, at0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.SubmitWriteTask(at0, 0, make([]byte, size), nil); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := w.SubmitClose(at0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, opened, err := SubmitOpenRead(d, "/ckpt.sion", nil, sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, read, err := r.SubmitReadTask(opened, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := size / blockSize
+	want := vclock.Time(blocks)*spec.CmdLatency + vclock.Time(size/(spec.ReadGBs*1e9))
+	if got := read.Time() - opened.Time(); math.Abs((got - want).Seconds()) > 1e-6 {
+		t.Errorf("reading a %d MiB stream in %d blocks took %v, want %v", size>>20, blocks, got, want)
 	}
 }
 
@@ -223,17 +261,21 @@ func TestBuddyCopy(t *testing.T) {
 	net := fabric.New(sys)
 	buddyDev := nvme.New(nvme.P3700())
 	data := bytes.Repeat([]byte("ckpt"), 1<<20)
-	a := ioev.Detach(sys.Node(0), vclock.Second)
-	if err := Buddy(a, net, sys.Node(1), buddyDev, "ckpt/rank0/step5", int64(len(data))); err != nil {
+	start := ioev.At(vclock.Second)
+	op, err := SubmitBuddy(net, sys.Node(0), sys.Node(1), buddyDev, "ckpt/rank0/step5", int64(len(data)), start)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Now() <= vclock.Second {
+	if op.Time() <= vclock.Second {
 		t.Error("buddy copy free of charge")
 	}
-	if size, _, err := buddyDev.SubmitGet(ioev.At(0), "ckpt/rank0/step5"); err != nil || size != int64(len(data)) {
-		t.Errorf("buddy device does not hold the copy: %d bytes (%v)", size, err)
+	if _, err := buddyDev.SubmitRead(at0, "ckpt/rank0/step5", int64(len(data))); err != nil {
+		t.Errorf("buddy device does not hold the %d-byte copy: %v", len(data), err)
 	}
-	if err := Buddy(a, net, sys.Node(0), buddyDev, "x", int64(len(data))); err == nil {
+	if _, err := buddyDev.SubmitRead(at0, "ckpt/rank0/step5", int64(len(data))+1); err == nil {
+		t.Error("buddy blob larger than the copy")
+	}
+	if _, err := SubmitBuddy(net, sys.Node(0), sys.Node(0), buddyDev, "x", int64(len(data)), start); err == nil {
 		t.Error("self-buddy accepted")
 	}
 }
@@ -281,30 +323,30 @@ func TestConcentrationTimingBeatsFilePerTask(t *testing.T) {
 func TestQuickContainerRoundTrip(t *testing.T) {
 	// Property: arbitrary per-task payloads survive the container format.
 	b, sys := testBackend()
-	a := ioev.Detach(sys.Node(0), 0)
+	n := sys.Node(0)
 	counter := 0
 	f := func(x, y, z []byte) bool {
 		counter++
 		path := fmt.Sprintf("/q%d.sion", counter)
-		w, err := Create(a, b, path, 3, 64)
+		w, _, err := SubmitCreate(b, path, 3, 64, n, at0)
 		if err != nil {
 			return false
 		}
 		ins := [][]byte{x, y, z}
 		for task, data := range ins {
-			if err := w.WriteTask(a, task, data); err != nil {
+			if _, err := w.SubmitWriteTask(at0, task, data, n); err != nil {
 				return false
 			}
 		}
-		if err := w.Close(a); err != nil {
+		if _, err := w.SubmitClose(at0, n); err != nil {
 			return false
 		}
-		r, err := OpenRead(a, b, path)
+		r, _, err := SubmitOpenRead(b, path, n, at0)
 		if err != nil {
 			return false
 		}
 		for task, want := range ins {
-			got, err := r.ReadTask(a, task)
+			got, _, err := r.SubmitReadTask(at0, task, n)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}

@@ -94,9 +94,9 @@ func writeSizes(rng *rand.Rand, blockSize int) []int {
 }
 
 // TestWriteTaskMatchesStagedOracle runs the same interleaved per-task write
-// sequences through the staged reference and through WriteTask, each into
-// its own container, and requires byte-identical containers and identical
-// completion instants on both backend kinds.
+// sequences through the staged reference and through SubmitWriteTask, each
+// into its own container, and requires byte-identical containers and
+// identical completion instants on both backend kinds.
 func TestWriteTaskMatchesStagedOracle(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -165,15 +165,14 @@ func TestWriteTaskMatchesStagedOracle(t *testing.T) {
 }
 
 // TestWriteTaskDoesNotAliasCallerData overwrites the caller's buffer after
-// every WriteTask — whole blocks flushed straight from it, a buffered tail,
+// every SubmitWriteTask — whole blocks flushed straight from it, a buffered tail,
 // and the top-up of that tail — and requires the stream to read back as
 // originally written.
 func TestWriteTaskDoesNotAliasCallerData(t *testing.T) {
 	const blockSize = 64
 	for kind, newBackend := range backendKinds {
 		b, node := newBackend()
-		a := ioev.Detach(node, 0)
-		w, err := Create(a, b, "/alias.sion", 1, blockSize)
+		w, _, err := SubmitCreate(b, "/alias.sion", 1, blockSize, node, at0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,26 +180,26 @@ func TestWriteTaskDoesNotAliasCallerData(t *testing.T) {
 		for i, n := range []int{2*blockSize + 10, blockSize - 10, 5, blockSize} {
 			data := bytes.Repeat([]byte{byte('a' + i)}, n)
 			want = append(want, data...)
-			if err := w.WriteTask(a, 0, data); err != nil {
+			if _, err := w.SubmitWriteTask(at0, 0, data, node); err != nil {
 				t.Fatal(err)
 			}
 			for j := range data {
 				data[j] = 0xEE
 			}
 		}
-		if err := w.Close(a); err != nil {
+		if _, err := w.SubmitClose(at0, node); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenRead(a, b, "/alias.sion")
+		r, _, err := SubmitOpenRead(b, "/alias.sion", node, at0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReadTask(a, 0)
+		got, _, err := r.SubmitReadTask(at0, 0, node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: stream changed with the caller's buffer after WriteTask", kind)
+			t.Fatalf("%s: stream changed with the caller's buffer after SubmitWriteTask", kind)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"clusterbooster/internal/core"
@@ -226,28 +227,23 @@ func (p XPicPoint) checkpoint(sys *core.System, start vclock.Time) (vclock.Time,
 	scale := max(p.Workload.ParticleScale, 1)
 	data := make([]byte, int64(p.Workload.TotalParticles()/scale/p.NodesPerSolver)*48)
 	mgr.BeginCheckpoint(1)
-	// The checkpoint is priced post-run with one detached actor per rank,
-	// all issuing from the same post-barrier instant — the same reservation
-	// order a collective checkpoint under the kernel would produce.
-	done := start
+	// The checkpoint is priced post-run, every rank submitting from the same
+	// post-barrier instant — the same reservation order a collective
+	// checkpoint under the kernel would produce.
+	done := ioev.At(start)
 	for rank := range nodes {
-		a := ioev.Detach(nodes[rank], start)
-		if err := mgr.Checkpoint(a, rank, 1, data, p.SCR.Levels); err != nil {
+		op, err := mgr.SubmitCheckpoint(ioev.At(start), rank, 1, data, p.SCR.Levels)
+		if err != nil {
 			return 0, fmt.Errorf("sweep: checkpoint rank %d: %w", rank, err)
 		}
-		done = vclock.Max(done, a.Now())
+		done = ioev.After(done, op)
 	}
-	for _, l := range p.SCR.Levels {
-		if l == scr.LevelGlobal {
-			a := ioev.Detach(nodes[0], done)
-			if err := mgr.CompleteGlobal(a, 1, 0); err != nil {
-				return 0, fmt.Errorf("sweep: complete global checkpoint: %w", err)
-			}
-			if a.Now() > done {
-				done = a.Now()
-			}
-			break
+	if slices.Contains(p.SCR.Levels, scr.LevelGlobal) {
+		op, err := mgr.SubmitCompleteGlobal(done, 1, 0)
+		if err != nil {
+			return 0, fmt.Errorf("sweep: complete global checkpoint: %w", err)
 		}
+		done = ioev.After(done, op)
 	}
-	return done - start, nil
+	return done.Time() - start, nil
 }

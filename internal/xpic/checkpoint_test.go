@@ -135,7 +135,7 @@ func TestCheckpointThroughSCR(t *testing.T) {
 	}
 	levels := mgr.BeginCheckpoint(4)
 	for rank := 0; rank < 2; rank++ {
-		if err := mgr.Checkpoint(ioev.Detach(nil, 0), rank, 4, snaps[rank], levels); err != nil {
+		if _, err := mgr.SubmitCheckpoint(ioev.At(0), rank, 4, snaps[rank], levels); err != nil {
 			t.Fatal(err)
 		}
 	}
