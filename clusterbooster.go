@@ -17,8 +17,11 @@
 // Quick start:
 //
 //	sys := clusterbooster.Prototype()           // 16 Cluster + 8 Booster nodes
-//	rep, err := sys.RunXPicSplit(8, clusterbooster.XPicTable2Config())
+//	rep, err := sys.RunXPic(xpic.SplitCB, 8, clusterbooster.XPicTable2Config())
 //	fmt.Println(rep)                            // C+B runtimes, solver split
+//
+// The scenario constants (xpic.ClusterOnly, xpic.BoosterOnly, xpic.SplitCB)
+// live in clusterbooster/internal/xpic, importable from within this module.
 //
 // The sub-systems are importable through this façade:
 //
@@ -29,15 +32,13 @@
 //
 // Experiments: every table and figure of the paper's evaluation (Table I,
 // Table II, Figs. 3, 7 and 8) is a named, versioned experiment in the
-// registry, reached through Experiments and ExperimentByName. Running one
-// yields its canonical document, which Render turns into paper-style text;
-// each has a golden baseline, diffable and re-recordable via cmd/cbctl. See
-// EXPERIMENTS.md.
+// registry of internal/exp, run and rendered as paper-style text through
+// cmd/cbctl. Each has a golden baseline, diffable and re-recordable there.
+// See EXPERIMENTS.md.
 package clusterbooster
 
 import (
 	"clusterbooster/internal/core"
-	"clusterbooster/internal/exp"
 	"clusterbooster/internal/resilience"
 	"clusterbooster/internal/xpic"
 )
@@ -82,21 +83,3 @@ type ResilienceOutcome = resilience.Outcome
 // checkpoints through the SCR stack, seeded failures tear it down as kernel
 // events, and each failure rewinds to the best surviving checkpoint level.
 func RunResilience(p ResilienceParams) (ResilienceOutcome, error) { return resilience.Run(p) }
-
-// Experiment is one registered entry of the experiment catalog.
-type Experiment = exp.Experiment
-
-// ExperimentDocument is the canonical JSON outcome of an experiment run.
-type ExperimentDocument = exp.Document
-
-// ExperimentOptions tunes one experiment run (Experiment.Run's argument).
-type ExperimentOptions = exp.Options
-
-// The experiment registry (see EXPERIMENTS.md): every paper artifact and
-// standing sweep as a named, versioned experiment with a golden baseline.
-var (
-	// Experiments returns the full catalog in paper order.
-	Experiments = exp.All
-	// ExperimentByName looks one experiment up.
-	ExperimentByName = exp.Get
-)

@@ -1,8 +1,9 @@
 package clusterbooster
 
 import (
-	"strings"
 	"testing"
+
+	"clusterbooster/internal/xpic"
 )
 
 func TestPrototypeFacade(t *testing.T) {
@@ -18,7 +19,7 @@ func TestPrototypeFacade(t *testing.T) {
 func TestXPicThroughFacade(t *testing.T) {
 	sys := New(1, 1, Options{WithoutStorage: true})
 	cfg := XPicQuickConfig(4)
-	rep, err := sys.RunXPicSplit(1, cfg)
+	rep, err := sys.RunXPic(xpic.SplitCB, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,23 +32,5 @@ func TestTable2ConfigIsPaperWorkload(t *testing.T) {
 	cfg := XPicTable2Config()
 	if cfg.Cells() != 4096 || cfg.PPC != 2048 {
 		t.Fatalf("Table II workload wrong: %d cells, %d ppc", cfg.Cells(), cfg.PPC)
-	}
-}
-
-func TestExperimentGeneratorsExported(t *testing.T) {
-	e, ok := ExperimentByName("table1")
-	if !ok {
-		t.Fatal("table1 not in the experiment registry")
-	}
-	doc, err := e.Run(ExperimentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt, err := e.Render(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt, "EXTOLL") {
-		t.Fatalf("Table I render missing EXTOLL:\n%s", txt)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"clusterbooster"
+	"clusterbooster/internal/xpic"
 )
 
 func main() {
@@ -24,19 +25,17 @@ func main() {
 	fmt.Printf("grid %dx%d, %d particles/cell, %d steps\n\n",
 		cfg.NX, cfg.NY, cfg.PPC, cfg.Steps)
 
-	run := func(name string, f func(*clusterbooster.System) (clusterbooster.XPicReport, error)) clusterbooster.XPicReport {
+	run := func(mode xpic.Mode) clusterbooster.XPicReport {
 		sys := clusterbooster.New(1, 1, clusterbooster.Options{WithoutStorage: true})
-		rep, err := f(sys)
+		rep, err := sys.RunXPic(mode, 1, cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%v: %v", mode, err)
 		}
 		fmt.Println(rep)
 		return rep
 	}
 
-	c := run("cluster", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicCluster(1, cfg) })
-	b := run("booster", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicBooster(1, cfg) })
-	cb := run("split", func(s *clusterbooster.System) (clusterbooster.XPicReport, error) { return s.RunXPicSplit(1, cfg) })
+	c, b, cb := run(xpic.ClusterOnly), run(xpic.BoosterOnly), run(xpic.SplitCB)
 
 	fmt.Printf("\nfield solver is %.1f× faster on the Cluster (paper: 6×)\n",
 		b.FieldTime.Seconds()/c.FieldTime.Seconds())

@@ -16,9 +16,10 @@ import (
 	"testing"
 )
 
-// exportAllowed names the exported functions and methods that may have no
-// caller in non-test code, each with the reason. A bare name matches a
-// method of any type; Marshal* and Unmarshal* methods are always allowed.
+// exportAllowed names the exported functions, methods, package-level
+// variables and type aliases that may have no caller in non-test code, each
+// with the reason. A bare name matches a method of any type; Marshal* and
+// Unmarshal* methods are always allowed.
 var exportAllowed = map[string]string{
 	"String":             "fmt calls it through fmt.Stringer",
 	"Error":              "callers reach it through the error interface",
@@ -27,19 +28,23 @@ var exportAllowed = map[string]string{
 }
 
 // TestNoTestOnlyExports type-checks the non-test Go of the whole repository
-// and fails on each exported function or method of the root package or of
-// internal/ that nothing references outside its own declaration. A call
-// through an interface method counts for every method that implements it.
+// and fails on each exported function, method, package-level variable or
+// type alias of the root package or of internal/ that nothing references
+// outside its own declaration. A call through an interface method counts for
+// every method that implements it.
 func TestNoTestOnlyExports(t *testing.T) {
 	r := loadRepo(t)
 	fset, info, pkgs := r.fset, r.info, r.pkgs
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for id, obj := range info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			// A use inside the function's own declaration is a recursive call.
-			if fn = fn.Origin(); fn.Scope() == nil || id.Pos() < fn.Pos() || id.Pos() > fn.Scope().End() {
-				used[fn] = true
-			}
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			used[obj] = true
+			continue
+		}
+		// A use inside the function's own declaration is a recursive call.
+		if fn = fn.Origin(); fn.Scope() == nil || id.Pos() < fn.Pos() || id.Pos() > fn.Scope().End() {
+			used[fn] = true
 		}
 	}
 	viaIface := func(recv types.Type, name string) bool {
@@ -58,22 +63,34 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 	var unused []string
 	for id, obj := range info.Defs {
-		fn, ok := obj.(*types.Func)
-		if !ok || !fn.Exported() || used[fn] {
+		if obj == nil || !obj.Exported() || used[obj] || !inScope(obj.Pkg().Path()) {
 			continue
 		}
-		ip, name := fn.Pkg().Path(), fn.Name()
+		ip, name := obj.Pkg().Path(), obj.Name()
 		short := path.Base(ip) + "." + name
-		if _, ok := exportAllowed[short]; ok || !inScope(ip) {
+		if _, ok := exportAllowed[short]; ok {
 			continue
 		}
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			_, ok := exportAllowed[name]
-			if ok || strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal") ||
-				types.IsInterface(recv.Type()) || viaIface(recv.Type(), name) {
+		switch o := obj.(type) {
+		case *types.Var:
+			if o.Parent() != o.Pkg().Scope() { // fields, locals, parameters
 				continue
 			}
-			short = path.Base(ip) + "." + types.TypeString(recv.Type(), func(*types.Package) string { return "" }) + "." + name
+		case *types.TypeName:
+			if !o.IsAlias() {
+				continue
+			}
+		case *types.Func:
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				_, ok := exportAllowed[name]
+				if ok || strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal") ||
+					types.IsInterface(recv.Type()) || viaIface(recv.Type(), name) {
+					continue
+				}
+				short = path.Base(ip) + "." + types.TypeString(recv.Type(), func(*types.Package) string { return "" }) + "." + name
+			}
+		default:
+			continue
 		}
 		unused = append(unused, short+" ("+fset.Position(id.Pos()).String()+")")
 	}

@@ -8,7 +8,7 @@
 // A core.System is the "machine" every experiment and example boots:
 //
 //	sys := core.Prototype()          // the DEEP-ER machine: 16 CN + 8 BN
-//	rep, err := sys.RunXPicSplit(8, xpic.Table2Config())
+//	rep, err := sys.RunXPic(xpic.SplitCB, 8, xpic.Table2Config())
 package core
 
 import (
@@ -97,50 +97,29 @@ func (s *System) BoosterNodes(n int) ([]*machine.Node, error) {
 	return pool[:n], nil
 }
 
-// RunXPicCluster runs xPic entirely on n Cluster nodes (the "Cluster"
-// scenario of §IV-C).
-func (s *System) RunXPicCluster(n int, cfg xpic.Config) (xpic.Report, error) {
-	nodes, err := s.ClusterNodes(n)
-	if err != nil {
-		return xpic.Report{}, err
-	}
-	return xpic.RunMono(s.Runtime, nodes, cfg)
-}
-
-// RunXPicBooster runs xPic entirely on n Booster nodes (the "Booster"
-// scenario).
-func (s *System) RunXPicBooster(n int, cfg xpic.Config) (xpic.Report, error) {
-	nodes, err := s.BoosterNodes(n)
-	if err != nil {
-		return xpic.Report{}, err
-	}
-	return xpic.RunMono(s.Runtime, nodes, cfg)
-}
-
-// RunXPicSplit runs xPic in Cluster-Booster mode with n nodes per solver:
-// the particle solver on n Booster nodes, which spawns the field solver onto
-// n Cluster nodes (the "C+B" scenario).
-func (s *System) RunXPicSplit(n int, cfg xpic.Config) (xpic.Report, error) {
-	bn, err := s.BoosterNodes(n)
-	if err != nil {
-		return xpic.Report{}, err
-	}
-	if _, err := s.ClusterNodes(n); err != nil {
-		return xpic.Report{}, err
-	}
-	return xpic.RunSplit(s.Runtime, bn, n, cfg)
-}
-
-// RunXPic dispatches on the mode.
+// RunXPic runs xPic in one of the three scenarios of §IV-C with n nodes per
+// solver: entirely on n Cluster nodes ("Cluster"), entirely on n Booster
+// nodes ("Booster"), or split ("C+B") — the particle solver on n Booster
+// nodes, which spawns the field solver onto n Cluster nodes.
 func (s *System) RunXPic(mode xpic.Mode, n int, cfg xpic.Config) (xpic.Report, error) {
+	var nodes []*machine.Node
+	var err error
 	switch mode {
 	case xpic.ClusterOnly:
-		return s.RunXPicCluster(n, cfg)
+		nodes, err = s.ClusterNodes(n)
 	case xpic.BoosterOnly:
-		return s.RunXPicBooster(n, cfg)
+		nodes, err = s.BoosterNodes(n)
 	case xpic.SplitCB:
-		return s.RunXPicSplit(n, cfg)
+		// psmpi's spawn placement wraps round-robin instead of failing, so
+		// the Cluster side's node count is checked here.
+		if nodes, err = s.BoosterNodes(n); err == nil {
+			_, err = s.ClusterNodes(n)
+		}
 	default:
 		return xpic.Report{}, fmt.Errorf("core: unknown mode %v", mode)
 	}
+	if err != nil {
+		return xpic.Report{}, err
+	}
+	return xpic.Run(s.Runtime, xpic.Spec{Mode: mode, Nodes: nodes, Cfg: cfg})
 }

@@ -90,7 +90,7 @@ func TestRunXPicAllModes(t *testing.T) {
 
 func TestRunXPicSplitNeedsBothModules(t *testing.T) {
 	s := New(1, 2, Options{WithoutStorage: true})
-	if _, err := s.RunXPicSplit(2, xpic.QuickConfig(2)); err == nil {
+	if _, err := s.RunXPic(xpic.SplitCB, 2, xpic.QuickConfig(2)); err == nil {
 		t.Fatal("split with too few cluster nodes accepted")
 	}
 }

@@ -15,7 +15,7 @@
 //
 // The queue is a 4-ary min-heap (vclock.Queue) carrying a tagged event
 // record — a task pointer or a callback index, nothing boxed in an
-// interface — so steady-state event traffic allocates nothing. Three fast
+// interface — so steady-state event traffic allocates nothing. Two fast
 // paths keep the per-event constant factor down:
 //
 //   - Direct handoff. The wake-then-park pattern (a sender resolves a match,
@@ -26,11 +26,6 @@
 //   - Keep the baton. A task sleeping to a wakeup strictly earlier than
 //     every pending event (SleepUntil, device waits) never enqueues at all:
 //     it keeps running, paying no queue traffic and no goroutine switch.
-//
-//   - Wakeup batching. Events due at one instant — a collective fan-out
-//     waking a whole tree level — are drained from the queue in a single
-//     batch, and the baton is handed down the batch without per-event queue
-//     operations.
 //
 // A blocked task with no pending event to wake it would previously hang the
 // process; the kernel detects this (no pending events with live blocked
@@ -84,10 +79,8 @@ type kev struct {
 // baton"); the kernel's serialisation makes that safe without locks.
 type Engine struct {
 	queue   vclock.Queue[kev]
-	batch   []vclock.Entry[kev] // drained same-instant events, consumed first
-	bi      int                 // next unconsumed batch index
-	blocked []*Task             // tasks parked without a pending event
-	live    int                 // registered, not yet exited
+	blocked []*Task // tasks parked without a pending event
+	live    int     // registered, not yet exited
 	done    chan struct{}
 
 	cbs    []func() // callback registry, indexed by kev.cb-1
@@ -100,7 +93,7 @@ type Engine struct {
 }
 
 // enginePool recycles kernels across launches: queue capacity, callback
-// registry, batch buffer and task structs all come back warm.
+// registry and task structs all come back warm.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
 // New returns an empty kernel, reusing a recycled one when available.
@@ -115,11 +108,6 @@ func New() *Engine {
 // caller afterwards.
 func (e *Engine) Recycle() {
 	e.queue.Reset()
-	for i := range e.batch {
-		e.batch[i] = vclock.Entry[kev]{}
-	}
-	e.batch = e.batch[:0]
-	e.bi = 0
 	for i := range e.blocked {
 		e.blocked[i] = nil
 	}
@@ -309,30 +297,20 @@ func (t *Task) Fail(at vclock.Time, reason error) {
 	}
 }
 
-// next takes the next pending event: first from the drained same-instant
-// batch, then from the queue (draining the next instant's batch in one go).
-func (e *Engine) next() (vclock.Entry[kev], bool) {
-	if e.bi >= len(e.batch) {
-		e.batch = e.queue.PopRun(e.batch[:0])
-		e.bi = 0
-		if len(e.batch) == 0 {
-			return vclock.Entry[kev]{}, false
+// nextTask pops events in (At, Seq) order, running callback events inline,
+// and returns the first task wakeup — nil when the queue runs dry.
+func (e *Engine) nextTask() *Task {
+	for {
+		ev, ok := e.queue.Pop()
+		if !ok {
+			return nil
 		}
+		e.stats.Events++
+		if t := ev.Payload.task; t != nil {
+			return t
+		}
+		e.runCallback(ev.Payload.cb)
 	}
-	ev := e.batch[e.bi]
-	e.batch[e.bi] = vclock.Entry[kev]{} // release the task reference
-	e.bi++
-	return ev, true
-}
-
-// pendingAt reports whether an event is pending at or before virtual time
-// at — i.e. whether a wakeup scheduled at at would NOT be the next event.
-func (e *Engine) pendingAt(at vclock.Time) bool {
-	if e.bi < len(e.batch) {
-		return true // batched events precede anything pushed now
-	}
-	head, ok := e.queue.Peek()
-	return ok && head.At <= at
 }
 
 // SleepUntil schedules the task's own wakeup at virtual time at and yields.
@@ -343,7 +321,7 @@ func (e *Engine) pendingAt(at vclock.Time) bool {
 // Callback events due before the wakeup run inline, in order, on the way.
 func (t *Task) SleepUntil(at vclock.Time) {
 	e := t.eng
-	if !e.pendingAt(at) {
+	if head, ok := e.queue.Peek(); !ok || head.At > at {
 		// Strictly earliest: nothing can run before this wakeup, so the
 		// event need not exist. Counted as a processed, baton-keeping event.
 		e.stats.Events++
@@ -352,31 +330,19 @@ func (t *Task) SleepUntil(at vclock.Time) {
 		return
 	}
 	e.queue.Push(at, kev{task: t})
-	for {
-		ev, ok := e.next()
-		if !ok {
-			panic("engine: event queue empty after push")
-		}
-		e.stats.Events++
-		if ev.Payload.task == nil {
-			e.runCallback(ev.Payload.cb)
-			continue
-		}
-		nt := ev.Payload.task
-		if nt == t {
-			e.stats.Kept++
-			t.checkPoison()
-			return // still the earliest: keep running
-		}
-		t.state = stateReady
-		e.stats.Parks++
-		e.stats.Switches++
-		nt.state = stateRunning
-		nt.resume <- struct{}{}
-		<-t.resume
+	nt := e.nextTask() // never nil: the task's own wakeup is queued
+	if nt == t {
+		e.stats.Kept++
 		t.checkPoison()
-		return
+		return // still the earliest: keep running
 	}
+	t.state = stateReady
+	e.stats.Parks++
+	e.stats.Switches++
+	nt.state = stateRunning
+	nt.resume <- struct{}{}
+	<-t.resume
+	t.checkPoison()
 }
 
 // Exit retires the task: the baton passes to the next event, and the kernel
@@ -414,19 +380,11 @@ func (e *Engine) Run() {
 // events inline on the way), or — when no event is pending — declares a
 // deadlock and fails the blocked tasks one by one.
 func (e *Engine) dispatch() {
-	for {
-		ev, ok := e.next()
-		if !ok {
-			break
-		}
-		e.stats.Events++
-		if t := ev.Payload.task; t != nil {
-			e.stats.Switches++
-			t.state = stateRunning
-			t.resume <- struct{}{}
-			return
-		}
-		e.runCallback(ev.Payload.cb)
+	if t := e.nextTask(); t != nil {
+		e.stats.Switches++
+		t.state = stateRunning
+		t.resume <- struct{}{}
+		return
 	}
 	// No pending event, yet live tasks remain: every one of them is blocked.
 	// Fail them sequentially; each poisoned task panics out of Park, its job

@@ -141,7 +141,7 @@ func BenchmarkKernelFig7Split(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := core.New(1, 1, core.Options{WithoutStorage: true})
-		if _, err := sys.RunXPicSplit(1, cfg); err != nil {
+		if _, err := sys.RunXPic(xpic.SplitCB, 1, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkKernelFig8SplitN8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := core.New(8, 8, core.Options{WithoutStorage: true})
-		if _, err := sys.RunXPicSplit(8, cfg); err != nil {
+		if _, err := sys.RunXPic(xpic.SplitCB, 8, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

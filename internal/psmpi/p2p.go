@@ -42,8 +42,7 @@ type postedRecv struct {
 	src    int
 	tag    int
 	posted vclock.Time
-	env    *envelope // set when matched
-	done   bool
+	env    *envelope    // set when matched
 	waiter *engine.Task // receiver parked on this receive, if any
 }
 
@@ -102,7 +101,6 @@ func completeMatch(pr *postedRecv, e *envelope, dst *Proc) {
 		commitSenderDone(e, dst.rt.net.RendezvousMatch(
 			e.srcNode, dst.node, e.bytes, e.rts, e.injEnd, pr.posted))
 	}
-	pr.done = true
 	if w := pr.waiter; w != nil {
 		pr.waiter = nil
 		w.WakeAt(recvWake(pr, e))
@@ -144,14 +142,14 @@ func (mb *mailbox) takeUnexpected(commID uint64, src, tag int) *envelope {
 	return nil
 }
 
-// Request is a handle for a non-blocking operation, completed by Wait.
+// Request is a handle for a non-blocking operation, completed by Wait. A
+// request with no posted receive is a send; a send with no envelope is the
+// born-done shared request of eager sends.
 type Request struct {
-	p    *Proc
-	done bool // born done: the shared request of eager sends
+	p *Proc
 
 	// send-side
-	isSend bool
-	env    *envelope // rendezvous/synchronous sends: handshake state
+	env *envelope // rendezvous/synchronous sends: handshake state
 
 	// recv-side
 	pr *postedRecv
@@ -215,7 +213,7 @@ func (p *Proc) sendTagged(c *Comm, dst, tag int, body []float64, bytes int, mode
 	// and may then continue; completion arrives through the handshake.
 	p.clock.Advance(p.rt.net.SendOverheadOf(p.node))
 	req := p.newReq()
-	*req = Request{p: p, isSend: true, env: e}
+	*req = Request{p: p, env: e}
 	return req
 }
 
@@ -369,15 +367,15 @@ func (p *Proc) Wait(req *Request) []float64 {
 	if req.p != p {
 		panic("psmpi: waiting on another rank's request")
 	}
-	if req.isSend {
-		if !req.done {
+	if req.pr == nil { // a send
+		if req.env != nil {
 			p.waitSendEnv(req.env)
 		}
 		p.freeReq(req)
 		return nil
 	}
 	pr := req.pr
-	if !pr.done {
+	if pr.env == nil { // not matched yet
 		pr.waiter = p.task
 		p.task.Park()
 	}

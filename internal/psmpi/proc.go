@@ -46,7 +46,7 @@ func newProc(rt *Runtime, l *launch, node *machine.Node, rank int) *Proc {
 		rank:     rank,
 		commRank: map[uint64]int{},
 	}
-	p.eagerDone = Request{p: p, isSend: true, done: true}
+	p.eagerDone = Request{p: p}
 	return p
 }
 

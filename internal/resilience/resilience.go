@@ -14,7 +14,7 @@
 //   - scr.Manager records multi-level checkpoints, loses state with the
 //     failed node (FailNode), and picks the newest fully-recoverable step
 //     and per-rank levels (BestRestart);
-//   - xpic.RunResilient executes one attempt: restore, compute, checkpoint,
+//   - xpic.Run executes one attempt: restore, compute, checkpoint,
 //     die mid-step if the injector says so.
 //
 // Run drives attempts until the job completes or the restart budget is
@@ -131,9 +131,10 @@ func Run(params Params) (Outcome, error) {
 	}
 
 	clusterN, boosterN := 0, 0
+	jobModule := machine.Booster
 	switch params.Mode {
 	case xpic.ClusterOnly:
-		clusterN = params.Nodes
+		clusterN, jobModule = params.Nodes, machine.Cluster
 	case xpic.BoosterOnly:
 		boosterN = params.Nodes
 	case xpic.SplitCB:
@@ -143,23 +144,14 @@ func Run(params Params) (Outcome, error) {
 	}
 	sys := core.New(clusterN, boosterN, core.Options{})
 
-	// jobNodes boot the launch; scrNodes maps the global resilience rank —
-	// mono world ranks, or booster ranks then cluster ranks in split mode —
-	// to its node, for both the SCR manager and the injector's victim pool.
-	var jobNodes, scrNodes []*machine.Node
-	switch params.Mode {
-	case xpic.ClusterOnly:
-		jobNodes, _ = sys.ClusterNodes(params.Nodes)
-		scrNodes = jobNodes
-	case xpic.BoosterOnly:
-		jobNodes, _ = sys.BoosterNodes(params.Nodes)
-		scrNodes = jobNodes
-	case xpic.SplitCB:
-		bn, _ := sys.BoosterNodes(params.Nodes)
-		cn, _ := sys.ClusterNodes(params.Nodes)
-		jobNodes = bn
-		scrNodes = append(append([]*machine.Node(nil), bn...), cn...)
-	}
+	// The machine holds exactly the job's nodes. jobNodes boot the launch
+	// (the Booster side in split mode); scrNodes maps the global resilience
+	// rank — mono world ranks, or booster ranks then cluster ranks in split
+	// mode — to its node, for both the SCR manager and the injector's victim
+	// pool.
+	jobNodes := sys.Machine.Module(jobModule)
+	scrNodes := append(append([]*machine.Node(nil), sys.Machine.Module(machine.Booster)...),
+		sys.Machine.Module(machine.Cluster)...)
 
 	mgr, err := scr.New(params.SCR, sys.Network, sys.FS, scrNodes, sys.NVMe)
 	if err != nil {
@@ -174,10 +166,9 @@ func Run(params Params) (Outcome, error) {
 	attemptStart := vclock.Time(0)
 	startStep := 0
 	for attempt := 0; attempt <= params.maxRestarts(); attempt++ {
-		spec := xpic.ResilientSpec{
+		spec := xpic.Spec{
 			Mode:            params.Mode,
 			Nodes:           jobNodes,
-			RanksPerSolver:  params.Nodes,
 			Cfg:             params.Workload,
 			StartTime:       now,
 			StartStep:       startStep,
@@ -188,7 +179,7 @@ func Run(params Params) (Outcome, error) {
 			spec.Store = store
 		}
 		store.restoreMax = 0
-		rep, err := xpic.RunResilient(sys.Runtime, spec)
+		rep, err := xpic.Run(sys.Runtime, spec)
 		if err == nil {
 			if n := len(out.Restarts); n > 0 {
 				out.Restarts[n-1].RestoreTime = store.restoreMax

@@ -100,25 +100,6 @@ func (q *Queue[P]) Pop() (e Entry[P], ok bool) {
 	return e, true
 }
 
-// PopRun removes the earliest entry plus every further entry due at exactly
-// the same virtual time, appending them to buf in (At, Seq) order, and
-// returns the extended buffer. This is the wakeup-batching primitive: a
-// collective fan-out that woke a whole tree level at one instant drains in
-// one call, and the kernel hands the baton down the batch without touching
-// the queue again. An empty queue returns buf unchanged.
-func (q *Queue[P]) PopRun(buf []Entry[P]) []Entry[P] {
-	first, ok := q.Pop()
-	if !ok {
-		return buf
-	}
-	buf = append(buf, first)
-	for len(q.h) > 0 && q.h[0].At == first.At {
-		e, _ := q.Pop()
-		buf = append(buf, e)
-	}
-	return buf
-}
-
 // Peek returns the earliest entry without removing it.
 func (q *Queue[P]) Peek() (e Entry[P], ok bool) {
 	if len(q.h) == 0 {

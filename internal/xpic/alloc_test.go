@@ -40,9 +40,9 @@ func runAllocs(t *testing.T, mode Mode, steps int) allocs {
 		rt, sys := newRuntime(ranks, ranks)
 		var err error
 		if mode == SplitCB {
-			_, err = RunSplit(rt, boosterNodes(sys, ranks), ranks, allocConfig(steps))
+			_, err = Run(rt, Spec{Mode: SplitCB, Nodes: boosterNodes(sys, ranks), Cfg: allocConfig(steps)})
 		} else {
-			_, err = RunMono(rt, boosterNodes(sys, ranks), allocConfig(steps))
+			_, err = Run(rt, Spec{Mode: BoosterOnly, Nodes: boosterNodes(sys, ranks), Cfg: allocConfig(steps)})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -42,24 +42,31 @@ func (m *memStore) Load(p *psmpi.Proc, rank int) ([]byte, error) {
 	return data, nil
 }
 
-// TestResilientMonoMatchesRunMono checks that a resilient run without
-// checkpoints or failures reproduces RunMono bit-for-bit.
+// TestResilientMonoMatchesRunMono checks that checkpointing changes no
+// physics: a run that checkpoints every 2 steps into memStore reports the
+// same checksum, energies and CG iterations as a plain Run.
 func TestResilientMonoMatchesRunMono(t *testing.T) {
 	cfg := QuickConfig(6)
 	rt1, sys1 := newRuntime(2, 0)
-	plain, err := RunMono(rt1, clusterNodes(sys1, 2), cfg)
+	plain, err := Run(rt1, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys1, 2), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt2, sys2 := newRuntime(2, 0)
-	res, err := RunResilient(rt2, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
+	store := newMemStore()
+	res, err := Run(rt2, Spec{
+		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), Cfg: cfg,
+		CheckpointEvery: 2, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != res {
-		t.Fatalf("resilient run drifted from RunMono:\n plain %+v\n resil %+v", plain, res)
+	if len(store.completed) != 2 {
+		t.Fatalf("completed checkpoints %v, want steps 2 and 4", store.completed)
+	}
+	if res.Checksum != plain.Checksum || res.FieldEnergy != plain.FieldEnergy ||
+		res.KineticEnergy != plain.KineticEnergy || res.CGIters != plain.CGIters {
+		t.Fatalf("checkpointing run drifted from a plain Run:\n plain %+v\n ckpt  %+v", plain, res)
 	}
 }
 
@@ -71,8 +78,8 @@ func TestResilientMonoRestartEquivalence(t *testing.T) {
 	store := newMemStore()
 
 	rt1, sys1 := newRuntime(2, 0)
-	full, err := RunResilient(rt1, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(sys1, 2), RanksPerSolver: 2, Cfg: cfg,
+	full, err := Run(rt1, Spec{
+		Mode: ClusterOnly, Nodes: clusterNodes(sys1, 2), Cfg: cfg,
 		CheckpointEvery: 3, Store: store,
 	})
 	if err != nil {
@@ -86,8 +93,8 @@ func TestResilientMonoRestartEquivalence(t *testing.T) {
 	store.loadStep = 6
 	const resumeAt = 123 * vclock.Second
 	rt2, sys2 := newRuntime(2, 0)
-	tail, err := RunResilient(rt2, ResilientSpec{
-		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
+	tail, err := Run(rt2, Spec{
+		Mode: ClusterOnly, Nodes: clusterNodes(sys2, 2), Cfg: cfg,
 		CheckpointEvery: 3, Store: store, StartStep: 6, StartTime: resumeAt,
 	})
 	if err != nil {
@@ -117,8 +124,8 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 	store := newMemStore()
 
 	rt1, sys1 := newRuntime(2, 2)
-	full, err := RunResilient(rt1, ResilientSpec{
-		Mode: SplitCB, Nodes: boosterNodes(sys1, 2), RanksPerSolver: 2, Cfg: cfg,
+	full, err := Run(rt1, Spec{
+		Mode: SplitCB, Nodes: boosterNodes(sys1, 2), Cfg: cfg,
 		CheckpointEvery: 2, Store: store,
 	})
 	if err != nil {
@@ -131,8 +138,8 @@ func TestResilientSplitRestartEquivalence(t *testing.T) {
 
 	store.loadStep = 4
 	rt2, sys2 := newRuntime(2, 2)
-	tail, err := RunResilient(rt2, ResilientSpec{
-		Mode: SplitCB, Nodes: boosterNodes(sys2, 2), RanksPerSolver: 2, Cfg: cfg,
+	tail, err := Run(rt2, Spec{
+		Mode: SplitCB, Nodes: boosterNodes(sys2, 2), Cfg: cfg,
 		CheckpointEvery: 2, Store: store, StartStep: 4, StartTime: 10 * vclock.Second,
 	})
 	if err != nil {
@@ -185,8 +192,8 @@ func TestResilientFailureAborts(t *testing.T) {
 	rt, sys := newRuntime(2, 0)
 	nodes := clusterNodes(sys, 2)
 	inj := psmpi.NewFailureInjector(40*vclock.Millisecond, 11, 1, nodes)
-	_, err := RunResilient(rt, ResilientSpec{
-		Mode: ClusterOnly, Nodes: nodes, RanksPerSolver: 2, Cfg: cfg,
+	_, err := Run(rt, Spec{
+		Mode: ClusterOnly, Nodes: nodes, Cfg: cfg,
 		CheckpointEvery: 5, Store: newMemStore(),
 		Failures: inj,
 	})

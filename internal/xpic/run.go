@@ -18,7 +18,7 @@ import (
 //
 // rank is the global resilience rank: in mono mode the world rank; in split
 // mode booster (particle) rank i is rank i and cluster (field) rank i is
-// rank RanksPerSolver+i.
+// rank len(Nodes)+i.
 type CheckpointStore interface {
 	// Save persists one rank's snapshot of a completed step. Called
 	// collectively: every rank of the job saves the same step. The store
@@ -33,19 +33,18 @@ type CheckpointStore interface {
 	Load(p *psmpi.Proc, rank int) ([]byte, error)
 }
 
-// ResilientSpec describes one attempt of a resilient xPic run: a job that
+// Spec describes one attempt of an xPic run in one of the three scenarios
+// of §IV. A plain run leaves the resilience fields zero; a resilient attempt
 // checkpoints through a CheckpointStore every CheckpointEvery steps, may be
 // torn down mid-step by the armed failure injector, and — when StartStep > 0
 // — restores every rank's state from the store before computing on.
-type ResilientSpec struct {
+type Spec struct {
 	// Mode selects the execution scenario (Cluster, Booster, C+B).
 	Mode Mode
-	// Nodes are the solver nodes: the job's nodes in mono modes, the
-	// Booster (particle-solver) nodes in split mode.
+	// Nodes are the solver nodes, one rank each: the job's nodes in mono
+	// modes, the Booster (particle-solver) nodes in split mode.
 	Nodes []*machine.Node
-	// RanksPerSolver is the rank count per solver (len(Nodes)).
-	RanksPerSolver int
-	Cfg            Config
+	Cfg   Config
 	// StartTime offsets the attempt's virtual clock: a restart attempt
 	// begins where the failure left off plus the restart overhead.
 	StartTime vclock.Time
@@ -60,11 +59,8 @@ type ResilientSpec struct {
 	Failures *psmpi.FailureInjector
 }
 
-func (spec ResilientSpec) validate() error {
-	if len(spec.Nodes) != spec.RanksPerSolver {
-		return fmt.Errorf("xpic: %d nodes for %d ranks per solver", len(spec.Nodes), spec.RanksPerSolver)
-	}
-	if err := spec.Cfg.Validate(spec.RanksPerSolver); err != nil {
+func (spec Spec) validate() error {
+	if err := spec.Cfg.Validate(len(spec.Nodes)); err != nil {
 		return err
 	}
 	if (spec.CheckpointEvery > 0 || spec.StartStep > 0) && spec.Store == nil {
@@ -76,19 +72,19 @@ func (spec ResilientSpec) validate() error {
 	return nil
 }
 
-// RunResilient executes one attempt of a resilient xPic run and returns its
-// report. A run aborted by an injected failure returns the NodeFailure-
-// carrying error from the launch (recover it with psmpi.FailureOf); the
-// restart replay around repeated attempts lives in internal/resilience.
-func RunResilient(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
+// Run executes one attempt of an xPic run and returns its report. A run
+// aborted by an injected failure returns the NodeFailure-carrying error from
+// the launch (recover it with psmpi.FailureOf); the restart replay around
+// repeated attempts lives in internal/resilience.
+func Run(rt *psmpi.Runtime, spec Spec) (Report, error) {
 	if err := spec.validate(); err != nil {
 		return Report{}, err
 	}
 	switch spec.Mode {
 	case ClusterOnly, BoosterOnly:
-		return runResilientMono(rt, spec)
+		return runMono(rt, spec)
 	case SplitCB:
-		return runResilientSplit(rt, spec)
+		return runSplit(rt, spec)
 	default:
 		return Report{}, fmt.Errorf("xpic: unknown mode %v", spec.Mode)
 	}
@@ -96,7 +92,7 @@ func RunResilient(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 
 // checkpointDue says whether the state after `completed` steps is a
 // checkpoint point.
-func (spec *ResilientSpec) checkpointDue(completed int) bool {
+func (spec *Spec) checkpointDue(completed int) bool {
 	return spec.CheckpointEvery > 0 && completed > 0 && completed%spec.CheckpointEvery == 0 &&
 		completed < spec.Cfg.Steps // the final state needs no checkpoint
 }
@@ -119,10 +115,15 @@ func checkpointCollective(p *psmpi.Proc, comm *psmpi.Comm, grank, step int, data
 	return nil
 }
 
-// runResilientMono is RunMono plus checkpoint/restore: the Listing-1 loop on
-// the steppable Sim, snapshotting the full rank state at the cadence.
-func runResilientMono(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
-	s := &sink{rep: Report{Mode: spec.Mode, RanksPerSolver: spec.RanksPerSolver, Steps: spec.Cfg.Steps}}
+// runMono executes xPic in its traditional configuration (Listing 1 of the
+// paper): field solver and particle solver run on the same nodes and
+// communicate through the in-memory interface buffers. Cluster nodes give
+// the paper's "Cluster" scenario, Booster nodes the "Booster" scenario. The
+// loop runs on the steppable Sim, snapshotting the full rank state at the
+// checkpoint cadence.
+func runMono(rt *psmpi.Runtime, spec Spec) (Report, error) {
+	n := len(spec.Nodes)
+	s := &sink{rep: Report{Mode: spec.Mode, RanksPerSolver: n, Steps: spec.Cfg.Steps}}
 	res, err := rt.Launch(psmpi.LaunchSpec{
 		Nodes:     spec.Nodes,
 		StartTime: spec.StartTime,
@@ -157,31 +158,60 @@ func runResilientMono(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	s.finalize(spec.RanksPerSolver)
+	s.finalize(n)
 	s.rep.Makespan = res.Makespan
 	return s.rep, nil
 }
 
-// runResilientSplit is RunSplit plus checkpoint/restore. Both sides
-// checkpoint at the end of the same step: the booster side snapshots its
-// particles (fields and moments are regenerated by the per-step exchange),
-// the cluster side its grid arrays (fields after calculateB plus the moments
-// that feed the next calculateE). Each world runs the collective protocol
-// among itself; the booster side, which owns global rank 0, completes the
-// step.
-func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
-	n := spec.RanksPerSolver
+// reportSim folds a finished Sim into the run report: final-state energy
+// diagnostics (computed identically in mono and split modes) plus per-phase
+// times and physics fingerprints.
+func reportSim(p *psmpi.Proc, comm *psmpi.Comm, sim *Sim, s *sink) {
+	finalField := p.AllreduceScalar(comm, sim.Fld.FieldEnergy(p), psmpi.OpSum)
+	finalKin := p.AllreduceScalar(comm, sim.Pcl.KineticEnergy(p), psmpi.OpSum)
+	s.addTimes(sim.T, sim.CGIters)
+	s.addPhysics(p.Rank(), pickRank0(p, finalField), pickRank0(p, finalKin),
+		sim.Pcl.TotalCharge(), sim.Checksum())
+}
+
+// pickRank0 keeps globally-reduced diagnostics from rank 0 only (they are
+// identical on all ranks after the allreduce).
+func pickRank0(p *psmpi.Proc, v float64) float64 {
+	if p.Rank() == 0 {
+		return v
+	}
+	return 0
+}
+
+// runSplit executes xPic in the Cluster-Booster mode of §IV-B (Listings 2–4
+// of the paper): the particle solver runs on the Booster nodes, the field
+// solver on Cluster nodes. Exactly as on the prototype, "the execution script
+// calls the Booster code, and this in turn performs a spawn with the name of
+// the Cluster executable": the Booster job spawns the Cluster binary through
+// MPI_Comm_spawn and the two sides exchange fields and moments with
+// non-blocking Issend/Irecv on the resulting inter-communicator, overlapping
+// the transfers with auxiliary computations. Slab i of the grid pairs
+// Booster rank i (particles) with Cluster rank i (fields).
+//
+// Both sides checkpoint at the end of the same step: the booster side
+// snapshots its particles (fields and moments are regenerated by the
+// per-step exchange), the cluster side its grid arrays (fields after
+// calculateB plus the moments that feed the next calculateE). Each world
+// runs the collective protocol among itself; the booster side, which owns
+// global rank 0, completes the step.
+func runSplit(rt *psmpi.Runtime, spec Spec) (Report, error) {
+	n := len(spec.Nodes)
 	s := &sink{rep: Report{Mode: SplitCB, RanksPerSolver: n, Steps: spec.Cfg.Steps}}
-	bin := fmt.Sprintf("xpic_cluster_resilient_%p", s)
+	bin := fmt.Sprintf("xpic_cluster_%p", s)
 	rt.Register(bin, func(p *psmpi.Proc) error {
-		return resilientClusterMain(p, &spec, s)
+		return clusterMain(p, &spec, s)
 	})
 	res, err := rt.Launch(psmpi.LaunchSpec{
 		Nodes:     spec.Nodes,
 		StartTime: spec.StartTime,
 		Failures:  spec.Failures,
 		Main: func(p *psmpi.Proc) error {
-			return resilientBoosterMain(p, &spec, s, bin)
+			return boosterMain(p, &spec, s, bin)
 		},
 	})
 	if err != nil {
@@ -192,9 +222,10 @@ func runResilientSplit(rt *psmpi.Runtime, spec ResilientSpec) (Report, error) {
 	return s.rep, nil
 }
 
-// resilientBoosterMain is boosterMain with restore at entry and checkpoints
-// at the cadence.
-func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBinary string) error {
+// boosterMain is the Booster executable of split mode (Listing 2): it spawns
+// the Cluster binary, then runs the particle side of every step, restoring
+// at entry and checkpointing at the cadence.
+func boosterMain(p *psmpi.Proc, spec *Spec, s *sink, clusterBinary string) error {
 	cfg := &spec.Cfg
 	comm := p.World()
 	ranks := comm.Size()
@@ -274,9 +305,10 @@ func resilientBoosterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink, clusterBi
 	return nil
 }
 
-// resilientClusterMain is clusterMain with restore at entry and checkpoints
-// at the cadence. Its global resilience rank is RanksPerSolver + rank.
-func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
+// clusterMain is the spawned Cluster executable of split mode (Listing 3):
+// the field side of every step, restoring at entry and checkpointing at the
+// cadence. Its global resilience rank is len(spec.Nodes) + rank.
+func clusterMain(p *psmpi.Proc, spec *Spec, s *sink) error {
 	cfg := &spec.Cfg
 	comm := p.World()
 	inter := p.Parent()
@@ -284,7 +316,7 @@ func resilientClusterMain(p *psmpi.Proc, spec *ResilientSpec, s *sink) error {
 		return fmt.Errorf("xpic: cluster side has no parent intercommunicator")
 	}
 	peer := p.Rank()
-	grank := spec.RanksPerSolver + p.Rank()
+	grank := len(spec.Nodes) + p.Rank()
 
 	g := NewGrid(cfg.NX, cfg.NY, p.Rank(), comm.Size())
 	fld := NewFieldSolver(g, *cfg)

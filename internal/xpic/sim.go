@@ -2,6 +2,7 @@ package xpic
 
 import (
 	"clusterbooster/internal/psmpi"
+	"clusterbooster/internal/vclock"
 )
 
 // Sim is one rank's xPic state in mono mode: grid, both solvers and the loop
@@ -69,6 +70,13 @@ func (s *Sim) Advance(p *psmpi.Proc, comm *psmpi.Comm) {
 	s.Step++
 }
 
+// phase measures the virtual time of fn on rank p.
+func phase(p *psmpi.Proc, acc *vclock.Time, fn func()) {
+	start := p.Now()
+	fn()
+	*acc += p.Now() - start
+}
+
 // snapshot format magic/version.
 const (
 	snapMagic   = uint32(0x78504943) // "xPIC"
@@ -102,3 +110,16 @@ func (s *Sim) Restore(data []byte) error {
 
 // Checksum returns the deterministic physics fingerprint of this rank.
 func (s *Sim) Checksum() float64 { return checksum(s.Pcl) }
+
+// checksum produces a deterministic physics fingerprint of this rank's
+// particles, used to verify that mono and split modes compute identical
+// trajectories.
+func checksum(pcl *ParticleSolver) float64 {
+	var sum float64
+	for _, sp := range pcl.Species {
+		for i := range sp.X {
+			sum += sp.X[i] + 2*sp.Y[i] + 3*sp.VX[i] + 5*sp.VY[i] + 7*sp.VZ[i]
+		}
+	}
+	return sum
+}

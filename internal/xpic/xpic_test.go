@@ -71,7 +71,7 @@ func TestTable2Numbers(t *testing.T) {
 func TestMonoRunsAndConservesCharge(t *testing.T) {
 	rt, sys := newRuntime(2, 2)
 	cfg := QuickConfig(10)
-	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
+	rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMonoRunsAndConservesCharge(t *testing.T) {
 func TestEnergiesFiniteAndBounded(t *testing.T) {
 	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(30)
-	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
+	rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDeterminism(t *testing.T) {
 	cfg := QuickConfig(8)
 	run := func() Report {
 		rt, sys := newRuntime(2, 0)
-		rep, err := RunMono(rt, clusterNodes(sys, 2), cfg)
+		rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 2), Cfg: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestScaleInvariantTiming(t *testing.T) {
 		cfg := base
 		cfg.ParticleScale = scale
 		rt, sys := newRuntime(1, 0)
-		rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
+		rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 1), Cfg: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,12 +162,12 @@ func TestSplitMatchesMonoPhysics(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		cfg := QuickConfig(6)
 		rtM, sysM := newRuntime(4, 4)
-		mono, err := RunMono(rtM, clusterNodes(sysM, ranks), cfg)
+		mono, err := Run(rtM, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sysM, ranks), Cfg: cfg})
 		if err != nil {
 			t.Fatalf("mono/%d: %v", ranks, err)
 		}
 		rtS, sysS := newRuntime(4, 4)
-		split, err := RunSplit(rtS, boosterNodes(sysS, ranks), ranks, cfg)
+		split, err := Run(rtS, Spec{Mode: SplitCB, Nodes: boosterNodes(sysS, ranks), Cfg: cfg})
 		if err != nil {
 			t.Fatalf("split/%d: %v", ranks, err)
 		}
@@ -191,12 +191,12 @@ func TestSplitMatchesMonoPhysics(t *testing.T) {
 func TestFieldSolverFasterOnCluster(t *testing.T) {
 	cfg := QuickConfig(10)
 	rtC, sysC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
+	c, err := Run(rtC, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sysC, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtB, sysB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
+	b, err := Run(rtB, Spec{Mode: BoosterOnly, Nodes: boosterNodes(sysB, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,12 @@ func TestFieldSolverFasterOnCluster(t *testing.T) {
 func TestParticleSolverFasterOnBooster(t *testing.T) {
 	cfg := QuickConfig(10)
 	rtC, sysC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
+	c, err := Run(rtC, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sysC, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtB, sysB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
+	b, err := Run(rtB, Spec{Mode: BoosterOnly, Nodes: boosterNodes(sysB, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +231,17 @@ func TestSplitBeatsBothMonoModes(t *testing.T) {
 	cfg := QuickConfig(12)
 	cfg.PPC = 256 // enough particle weight for the realistic ratio
 	rtC, sysC := newRuntime(1, 1)
-	c, err := RunMono(rtC, clusterNodes(sysC, 1), cfg)
+	c, err := Run(rtC, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sysC, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtB, sysB := newRuntime(1, 1)
-	b, err := RunMono(rtB, boosterNodes(sysB, 1), cfg)
+	b, err := Run(rtB, Spec{Mode: BoosterOnly, Nodes: boosterNodes(sysB, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtS, sysS := newRuntimeFastSpawn(1, 1)
-	s, err := RunSplit(rtS, boosterNodes(sysS, 1), 1, cfg)
+	s, err := Run(rtS, Spec{Mode: SplitCB, Nodes: boosterNodes(sysS, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSplitBeatsBothMonoModes(t *testing.T) {
 func TestParticleMigrationKeepsCount(t *testing.T) {
 	rt, sys := newRuntime(4, 0)
 	cfg := QuickConfig(15)
-	rep, err := RunMono(rt, clusterNodes(sys, 4), cfg)
+	rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 4), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCGConverges(t *testing.T) {
 	// quick workload.
 	rt, sys := newRuntime(1, 0)
 	cfg := QuickConfig(5)
-	rep, err := RunMono(rt, clusterNodes(sys, 1), cfg)
+	rep, err := Run(rt, Spec{Mode: ClusterOnly, Nodes: clusterNodes(sys, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +313,28 @@ func TestExchangeFractionSmall(t *testing.T) {
 		// -short checks the same property on a lighter particle load.
 		cfg.PPC = 512
 	}
-	rep, err := RunSplit(rt, boosterNodes(sys, 1), 1, cfg)
+	rep, err := Run(rt, Spec{Mode: SplitCB, Nodes: boosterNodes(sys, 1), Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f := rep.OverheadFraction(); f > 0.25 {
 		t.Errorf("coupling overhead = %.1f%%, expect small", 100*f)
+	}
+}
+
+// TestReportStringSplit renders a C+B report: the percentage is the
+// coupling overhead (time in neither solver), not the exchange window, which
+// in split mode also holds each side's wait for the other solver.
+func TestReportStringSplit(t *testing.T) {
+	rep := Report{
+		Mode: SplitCB, RanksPerSolver: 1, Steps: 90,
+		Makespan:     3170 * vclock.Millisecond,
+		FieldTime:    150 * vclock.Millisecond,
+		ParticleTime: 2870 * vclock.Millisecond,
+		ExchangeTime: 2990 * vclock.Millisecond,
+	}
+	want := "C+B     N=1  total=    3.17s  fields=   0.15s  particles=   2.87s  exch= 2.99s ( 4.7% overhead)"
+	if got := rep.String(); got != want {
+		t.Fatalf("String() =\n %q\nwant\n %q", got, want)
 	}
 }
